@@ -156,4 +156,4 @@ class GridFunction:
     def from_callable(cls, grid, func):
         """Sample func(r, phi) at the grid nodes."""
         r, phi = grid.meshgrid()
-        return cls(grid, np.asarray(func(r, phi), dtype=complex) + np.zeros(r.shape))
+        return cls(grid, np.full(r.shape, func(r, phi), dtype=complex))

@@ -10,6 +10,7 @@ spectrum, adjoint and positivity are all matrix questions.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import AngleGeometry, GridFunction, IncompatibleGrid, PlaneAngleError
 
@@ -101,46 +102,39 @@ def symmetric_part_positive_definite(op, tol=1e-12):
     return bool(np.min(eigs) > tol * max(np.linalg.norm(sym), 1.0))
 
 
+def column_shift_operator(op, grid):
+    """Sparse (n_phi+1) x (n_phi+1) matrix of the shift on one radial line.
+
+    Row j holds e_p at column j + p*s (s = n_phi/R grid columns per sector);
+    shifted reads outside the column range [0, n_phi] are dropped (zero
+    extension outside the angle, restriction back to it).  This is the one
+    definition of the discrete shift: apply_on_grid and the solver's node
+    matrix are both built from it.
+    """
+    s = grid.shift_columns
+    coeffs = op.coefficients or {0: 0.0}  # diags needs at least one diagonal
+    return sp.diags(
+        list(coeffs.values()),
+        [p * s for p in coeffs],
+        shape=(grid.n_phi + 1, grid.n_phi + 1),
+        format="csr",
+    )
+
+
 def apply_on_grid(op, u):
     """Discrete truncated operator on a grid function.
 
-    v(i, j) = sum_p e_p * u(i, j + p*s) with s = n_phi/R grid columns per
-    sector; shifted reads outside the column range [0, n_phi] contribute 0
-    (zero extension outside the angle, restriction back to it).
+    v(i, j) = sum_p e_p * u(i, j + p*s), i.e. column_shift_operator applied
+    to every radial line of u.
     """
     grid = u.grid
     if grid.geometry.num_sectors != op.geometry.num_sectors:
         raise IncompatibleGrid("operator and grid sector counts differ")
     if abs(grid.geometry.d - op.geometry.d) > 1e-12:
         raise IncompatibleGrid("operator and grid sector spacings differ")
-    s = grid.shift_columns
-    n_phi = grid.n_phi
-    out = np.zeros_like(u.values)
-    for p, e in op.coefficients.items():
-        if e == 0.0:
-            continue
-        off = p * s
-        lo = max(0, -off)
-        hi = min(n_phi, n_phi - off)
-        out[:, lo : hi + 1] += e * u.values[:, lo + off : hi + off + 1]
-    return GridFunction(grid, out)
+    return GridFunction(grid, u.values @ column_shift_operator(op, grid).T)
 
 
-def column_shift_matrix(op, grid, interior_only=False):
-    """Dense matrix of apply_on_grid acting on one radial line of columns.
-
-    Acts on the vector of angular node values (length n_phi+1, or n_phi-1
-    when interior_only drops the two boundary columns).  Used to inspect the
-    block structure of the discrete operator.
-    """
-    n = grid.n_phi + 1
-    m = np.zeros((n, n))
-    s = grid.shift_columns
-    for j in range(n):
-        for p, e in op.coefficients.items():
-            k = j + p * s
-            if 0 <= k < n:
-                m[j, k] += e
-    if interior_only:
-        m = m[1:-1, 1:-1]
-    return m
+def column_shift_matrix(op, grid):
+    """Dense form of column_shift_operator, for inspecting the block structure."""
+    return column_shift_operator(op, grid).toarray()

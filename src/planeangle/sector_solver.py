@@ -4,8 +4,9 @@ Two problems are covered, both with the operator -Laplace + 1 and the
 two-sector difference operator R w = w - alpha*w(phi+d) - beta*w(phi-d):
 
 * the differential-difference Dirichlet problem  -Laplace(R_K w) + R_K w = f
-  with w = 0 on both rays, discretized as the composite matrix A*M (polar
-  five-point stencil A after the column-shift matrix M);
+  with w = 0 on both rays and the truncation arcs, discretized as the
+  composite matrix A*M (polar five-point stencil A after the column-shift
+  matrix M) on the interior unknowns only;
 * the nonlocal Poisson problem  -Laplace u + u = f with ray conditions
   u|ray1 + alpha*u(r, phi+d)|ray1 = g1 and u|ray3 + beta*u(r, phi-d)|ray3
   = g3, solved through a boundary lifting u_g plus the substitution
@@ -22,15 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import (
-    AngleGeometry,
-    GridFunction,
-    IncompatibleGrid,
-    PlaneAngleError,
-    SectorGrid,
-)
-from .difference_ops import apply_on_grid, two_sector_operator
-from .pencil import UnsupportedRegime
+from .core import AngleGeometry, GridFunction, IncompatibleGrid, PlaneAngleError
+from .difference_ops import apply_on_grid, column_shift_operator, two_sector_operator
 
 
 class SingularSystem(PlaneAngleError):
@@ -45,6 +39,14 @@ class TooLarge(PlaneAngleError):
     pass
 
 
+def _check_problem(p):
+    """Validation shared by the solver problem types."""
+    if p.geometry.num_sectors != 2:
+        raise IncompatibleGrid("solver geometry needs exactly 3 rays (R=2)")
+    if not (0.0 < p.r_min < p.r_max):
+        raise IncompatibleGrid("need 0 < r_min < r_max")
+
+
 @dataclass(frozen=True)
 class DDProblem:
     """Differential-difference Dirichlet problem data (two sectors)."""
@@ -56,11 +58,7 @@ class DDProblem:
     r_min: float
     r_max: float
 
-    def __post_init__(self):
-        if self.geometry.num_sectors != 2:
-            raise IncompatibleGrid("solver geometry needs exactly 3 rays (R=2)")
-        if not (0.0 < self.r_min < self.r_max):
-            raise IncompatibleGrid("need 0 < r_min < r_max")
+    __post_init__ = _check_problem
 
     def operator(self):
         return two_sector_operator(self.alpha, self.beta, self.geometry)
@@ -79,11 +77,7 @@ class NonlocalPoissonProblem:
     r_min: float
     r_max: float
 
-    def __post_init__(self):
-        if self.geometry.num_sectors != 2:
-            raise IncompatibleGrid("solver geometry needs exactly 3 rays (R=2)")
-        if not (0.0 < self.r_min < self.r_max):
-            raise IncompatibleGrid("need 0 < r_min < r_max")
+    __post_init__ = _check_problem
 
     @property
     def guaranteed_solvable(self):
@@ -104,12 +98,10 @@ class SolveResult:
                 raise SolverFailure("non-finite residual norm %r" % v)
 
 
-def _boundary_mask(grid):
-    """Boolean node mask, True on the rays and the truncation arcs."""
-    mask = np.zeros((grid.n_r + 1, grid.n_phi + 1), dtype=bool)
-    mask[0, :] = mask[-1, :] = True
-    mask[:, 0] = mask[:, -1] = True
-    return mask
+def _interior(grid):
+    """Flat node indices off the rays and the truncation arcs, row-major."""
+    i, j = np.mgrid[1 : grid.n_r, 1 : grid.n_phi]
+    return (i * (grid.n_phi + 1) + j).ravel()
 
 
 def laplacian_matrix(grid):
@@ -118,74 +110,51 @@ def laplacian_matrix(grid):
     Second-order central stencil at interior nodes; identity rows on the
     boundary (rays and truncation arcs).
     """
-    n_r, n_phi = grid.n_r, grid.n_phi
-    nn = (n_r + 1) * (n_phi + 1)
+    width = grid.n_phi + 1
     dr, dphi = grid.dr, grid.dphi
-    r = grid.r_nodes
-
-    def idx(i, j):
-        return i * (n_phi + 1) + j
-
-    rows, cols, vals = [], [], []
-    for i in range(n_r + 1):
-        for j in range(n_phi + 1):
-            k = idx(i, j)
-            if i in (0, n_r) or j in (0, n_phi):
-                rows.append(k)
-                cols.append(k)
-                vals.append(1.0)
-                continue
-            ri = r[i]
-            cr = 1.0 / dr**2
-            cr1 = 1.0 / (2.0 * ri * dr)
-            cp = 1.0 / (ri**2 * dphi**2)
-            rows += [k, k, k, k, k]
-            cols += [k, idx(i + 1, j), idx(i - 1, j), idx(i, j + 1), idx(i, j - 1)]
-            vals += [2.0 * cr + 2.0 * cp + 1.0, -cr - cr1, -cr + cr1, -cp, -cp]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
+    r = np.repeat(grid.r_nodes, width)
+    inner = np.zeros(r.shape, dtype=bool)
+    inner[_interior(grid)] = True
+    cr = 1.0 / dr**2
+    cr1 = 1.0 / (2.0 * r * dr)
+    cp = 1.0 / (r**2 * dphi**2)
+    # row k reads nodes k+-1 (angular) and k+-width (radial); diags takes the
+    # entries of offset +m from rows 0..N-1-m and of offset -m from rows m..N-1
+    main = np.where(inner, 2.0 * cr + 2.0 * cp + 1.0, 1.0)
+    ang = np.where(inner, -cp, 0.0)
+    up = np.where(inner, -cr - cr1, 0.0)
+    down = np.where(inner, -cr + cr1, 0.0)
+    return sp.diags(
+        [main, ang[:-1], ang[1:], up[:-width], down[width:]],
+        [0, 1, -1, width, -width],
+        format="csr",
+    )
 
 
 def shift_matrix_on_grid(op, grid):
     """Sparse matrix of apply_on_grid acting on flattened node vectors."""
-    n_r, n_phi = grid.n_r, grid.n_phi
-    s = grid.shift_columns
-    nn = (n_r + 1) * (n_phi + 1)
-    rows, cols, vals = [], [], []
-    for j in range(n_phi + 1):
-        for p, e in op.coefficients.items():
-            jj = j + p * s
-            if e != 0.0 and 0 <= jj <= n_phi:
-                for i in range(n_r + 1):
-                    rows.append(i * (n_phi + 1) + j)
-                    cols.append(i * (n_phi + 1) + jj)
-                    vals.append(e)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
+    return sp.kron(
+        sp.identity(grid.n_r + 1), column_shift_operator(op, grid), format="csr"
+    )
 
 
 def assemble_dd_system(p, grid):
     """Composite sparse system for the differential-difference problem.
 
-    Returns (S, b): equation rows are A*M at interior nodes (A the polar
-    stencil of -Laplace + 1, M the discrete difference operator), identity
-    rows enforce w = 0 on the rays and the truncation arcs.
+    Returns (S, b) over the interior unknowns: S = A*M with rows and columns
+    restricted to interior nodes (A the polar stencil of -Laplace + 1, M the
+    discrete difference operator).  w = 0 on the rays and the truncation
+    arcs, so the dropped columns carry no data into b.
     """
     if grid.geometry.angles != p.geometry.angles:
         raise IncompatibleGrid("problem and grid geometries differ")
     if grid.n_phi % 2 != 0:
         raise IncompatibleGrid("n_phi must be even for the two-sector shift")
-    op = p.operator()
+    keep = _interior(grid)
     A = laplacian_matrix(grid)
-    M = shift_matrix_on_grid(op, grid)
-    mask = _boundary_mask(grid).ravel()
-    S = (A @ M).tolil()
-    nn = S.shape[0]
-    for k in np.nonzero(mask)[0]:
-        S.rows[k] = [int(k)]
-        S.data[k] = [1.0]
-    S = S.tocsr()
-    b = _rhs_vector(p.rhs, grid)
-    b[mask] = 0.0
-    return S, b
+    M = shift_matrix_on_grid(p.operator(), grid)
+    S = A[keep] @ M[:, keep]
+    return S, _rhs_vector(p.rhs, grid)[keep]
 
 
 def _rhs_vector(rhs, grid):
@@ -197,8 +166,13 @@ def _rhs_vector(rhs, grid):
 
 
 def _direct_solve(S, b):
-    with np.errstate(all="ignore"):
-        x = spla.spsolve(S.tocsc(), b)
+    """Solve the real system S x = b for complex b with one real LU."""
+    try:
+        lu = spla.splu(S.tocsc())
+    except RuntimeError as exc:  # exactly singular factor
+        raise SingularSystem("sparse LU failed: %s" % exc)
+    parts = lu.solve(np.column_stack([b.real, b.imag]))
+    x = parts[:, 0] + 1j * parts[:, 1]
     if not np.all(np.isfinite(x)):
         raise SingularSystem("direct sparse solve produced non-finite values")
     return x
@@ -207,27 +181,22 @@ def _direct_solve(S, b):
 def solve_dd(p, grid):
     """Solve the differential-difference Dirichlet problem on the grid.
 
-    The equation residual is recomputed by applying the assembled operator
-    to the solution; boundary rows are exact by construction.
+    Only interior unknowns are solved for; the solution is zero on the rays
+    and the truncation arcs by construction.  The equation residual is
+    recomputed by applying the assembled operator to the solution.
     """
     S, b = assemble_dd_system(p, grid)
     x = _direct_solve(S, b)
-    # the constrained rows are identities, so the prescribed values can be
-    # imposed exactly instead of carrying factorization roundoff
-    mask0 = _boundary_mask(grid).ravel()
-    x[mask0] = b[mask0]
-    resid = S @ x - b
     bnorm = np.linalg.norm(b)
-    eq_res = float(np.linalg.norm(resid))
-    mask = _boundary_mask(grid).ravel()
-    w = GridFunction(grid, x.reshape(grid.n_r + 1, grid.n_phi + 1))
-    bc_res = float(np.max(np.abs(x[mask]))) if np.any(mask) else 0.0
+    eq_res = float(np.linalg.norm(S @ x - b))
     if bnorm > 0 and eq_res > 1e-8 * bnorm:
         raise SolverFailure("direct solve residual %g too large" % eq_res)
+    vals = np.zeros((grid.n_r + 1) * (grid.n_phi + 1), dtype=complex)
+    vals[_interior(grid)] = x
     return SolveResult(
-        solution=w,
+        solution=GridFunction(grid, vals.reshape(grid.n_r + 1, grid.n_phi + 1)),
         equation_residual=eq_res,
-        boundary_residual=bc_res,
+        boundary_residual=0.0,
         n_unknowns=S.shape[0],
         info={"method": "sparse_lu", "rhs_norm": bnorm},
     )
@@ -254,8 +223,8 @@ def boundary_lifting(p, grid):
     eps = 0.5 * p.geometry.d
     r, phi = grid.meshgrid()
     width = grid.n_r + 1
-    g1 = np.asarray(p.g1(r[:, 0]), dtype=complex) + np.zeros(width, dtype=complex)
-    g3 = np.asarray(p.g3(r[:, 0]), dtype=complex) + np.zeros(width, dtype=complex)
+    g1 = np.full(width, p.g1(r[:, 0]), dtype=complex)
+    g3 = np.full(width, p.g3(r[:, 0]), dtype=complex)
     vals = g1[:, None] * lifting_cutoff((phi - b1) / eps) + g3[:, None] * lifting_cutoff(
         (b3 - phi) / eps
     )
@@ -286,7 +255,6 @@ def solve_nonlocal_poisson(p, grid):
     A = laplacian_matrix(grid)
     u_g = boundary_lifting(p, grid)
     f = _rhs_vector(p.rhs, grid)
-    mask = _boundary_mask(grid).ravel()
     lifted = A @ u_g.values.ravel()
     rhs = f - lifted
     rhs_fun = GridFunction(grid, rhs.reshape(grid.n_r + 1, grid.n_phi + 1))
@@ -296,7 +264,7 @@ def solve_nonlocal_poisson(p, grid):
     u = GridFunction(grid, u_g.values + apply_on_grid(op, w).values)
     # recomputed equation residual of the full discrete operator
     resid = A @ u.values.ravel() - f
-    eq_res = float(np.linalg.norm(resid[~mask]))
+    eq_res = float(np.linalg.norm(resid[_interior(grid)]))
     bc_res = nonlocal_boundary_residual(p, grid, u)
     info = {
         "method": "lifting+substitution",
@@ -313,31 +281,22 @@ def solve_nonlocal_poisson(p, grid):
     )
 
 
-def discrete_coercivity(p, grid, dense_limit=4096, tol=0):
+def discrete_coercivity(p, grid, dense_limit=4096):
     """Smallest eigenvalue of the symmetric part of the assembled operator.
 
-    The composite operator A*M is restricted to interior nodes (Dirichlet
-    rows and columns removed) and weighted by the discrete inner product
-    r_i*dr*dphi; returns lambda_min of (S + S^T)/2.
+    The interior operator S of assemble_dd_system is weighted by the discrete
+    inner product r_i*dr*dphi; returns lambda_min of (W S + (W S)^T)/2.  Up
+    to dense_limit interior nodes the symmetric part is densified for
+    eigvalsh; above it only sparse matrices are built and eigsh is used.
     """
-    op = p.operator()
-    A = laplacian_matrix(grid)
-    M = shift_matrix_on_grid(op, grid)
-    S = (A @ M).toarray().real
-    mask = _boundary_mask(grid).ravel()
-    keep = ~mask
-    S = S[np.ix_(keep, keep)]
-    r, _ = grid.meshgrid()
-    weights = (r.ravel()[keep]) * grid.dr * grid.dphi
-    Sw = weights[:, None] * S
+    S, _ = assemble_dd_system(p, grid)
+    r = np.repeat(grid.r_nodes, grid.n_phi + 1)[_interior(grid)]
+    Sw = sp.diags(r * grid.dr * grid.dphi) @ S
     sym = 0.5 * (Sw + Sw.T)
-    n = sym.shape[0]
-    if n <= dense_limit:
-        return float(np.linalg.eigvalsh(sym)[0])
+    if sym.shape[0] <= dense_limit:
+        return float(np.linalg.eigvalsh(sym.toarray())[0])
     try:
-        val = spla.eigsh(
-            sp.csr_matrix(sym), k=1, which="SA", return_eigenvectors=False
-        )
+        val = spla.eigsh(sym, k=1, which="SA", return_eigenvectors=False)
         return float(val[0])
     except Exception as exc:  # pragma: no cover - iterative fallback
         raise TooLarge("extreme eigenvalue estimation failed: %s" % exc)

@@ -14,6 +14,7 @@ from planeangle.sector_solver import (
     laplacian_matrix,
     lifting_cutoff,
     nonlocal_boundary_residual,
+    shift_matrix_on_grid,
     solve_dd,
     solve_nonlocal_poisson,
 )
@@ -89,14 +90,11 @@ def test_assembly_reduces_to_laplacian_when_uncoupled():
     zero = GridFunction(grid, np.zeros((9, 9)))
     p = DDProblem(0.0, 0.0, GEO, zero, R_MIN, R_MAX)
     S, _ = assemble_dd_system(p, grid)
-    A = laplacian_matrix(grid).tolil()
-    from planeangle.sector_solver import _boundary_mask
+    from planeangle.sector_solver import _interior
 
-    mask = _boundary_mask(grid).ravel()
-    for i in np.where(mask)[0]:
-        A.rows[i] = [i]
-        A.data[i] = [1.0]
-    assert abs(S - A.tocsr()).max() < 1e-14
+    keep = _interior(grid)
+    A = laplacian_matrix(grid)[keep][:, keep]
+    assert abs(S - A).max() < 1e-14
 
 
 def test_interior_row_stencil_width():
@@ -111,12 +109,33 @@ def test_interior_row_stencil_width():
     csr = S.tocsr()
     counts = np.diff(csr.indptr)
     s = grid.shift_columns
-    n_cols = grid.n_phi + 1
+    n_cols = grid.n_phi - 1  # interior unknowns per radial line, j = 1..n_phi-1
     assert counts.max() <= 13
     for row in range(csr.shape[0]):
-        j = row % n_cols
+        j = row % n_cols + 1
         if abs(j - s) > 1:
             assert counts[row] <= 10
+
+
+def test_laplacian_matrix_exact_on_quadratic():
+    # central differences are exact on u = r^2 + phi^2, where
+    # -(u_rr + u_r/r + u_phiphi/r^2) + u = -(4 + 2/r^2) + u
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 12, 16)
+    r, phi = grid.meshgrid()
+    u = r**2 + phi**2
+    got = (laplacian_matrix(grid) @ u.ravel()).reshape(u.shape)[1:-1, 1:-1]
+    want = (-(4.0 + 2.0 / r**2) + u)[1:-1, 1:-1]
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.7, -0.3), (-1.2, 0.5)])
+def test_shift_matrix_matches_apply_on_grid(alpha, beta):
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 6, 10)
+    op = two_sector_operator(alpha, beta, GEO)
+    rng = np.random.default_rng(5)
+    u = GridFunction(grid, rng.standard_normal((7, 11)) + 1j * rng.standard_normal((7, 11)))
+    got = shift_matrix_on_grid(op, grid) @ u.values.ravel()
+    assert np.allclose(got, apply_on_grid(op, u).values.ravel(), rtol=0.0, atol=1e-14)
 
 
 def test_system_nonsingular_inside_regime():
@@ -210,6 +229,17 @@ def test_nonlocal_second_order_convergence(alpha, beta):
         assert 1.7 <= o <= 2.3
     # the ray conditions are satisfied to solver accuracy at every resolution
     assert max(bres) <= 1e-10
+
+
+def test_nonlocal_equation_residual_at_roundoff():
+    # the boundary values of w are known zeros, not unknowns, so nothing
+    # after the factorization moves the interior residual off roundoff
+    u_exact, f_rhs, g1, g3 = nonlocal_manufactured(0.3, -0.8)
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 128, 128)
+    f = GridFunction.from_callable(grid, f_rhs)
+    p = NonlocalPoissonProblem(0.3, -0.8, GEO, f, g1, g3, R_MIN, R_MAX)
+    res = solve_nonlocal_poisson(p, grid)
+    assert res.equation_residual <= 1e-11 * np.linalg.norm(f.values[1:-1, 1:-1])
 
 
 def test_nonlocal_boundary_conditions_discretely_exact():
@@ -306,6 +336,8 @@ def test_discrete_coercivity_sign(alpha, beta, positive):
     zero = GridFunction(grid, np.zeros((17, 17)))
     p = DDProblem(alpha, beta, GEO, zero, R_MIN, R_MAX)
     lam = discrete_coercivity(p, grid)
+    # dense_limit=0 takes the sparse eigsh branch
+    assert abs(discrete_coercivity(p, grid, dense_limit=0) - lam) <= 1e-10 * abs(lam)
     if positive:
         assert lam > 0.0
     else:
