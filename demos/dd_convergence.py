@@ -8,9 +8,9 @@ together with the observed convergence order.
 
 import numpy as np
 
-from planeangle.cli import manufactured_dd
 from planeangle.core import GridFunction, SectorGrid, make_geometry
 from planeangle.difference_ops import apply_on_grid, two_sector_operator
+from planeangle.manufactured import manufactured_dd
 from planeangle.sector_solver import DDProblem, solve_dd
 
 B1 = np.pi / 6

@@ -9,9 +9,9 @@ ties w to the homogeneous part of u through the inverse shift matrix.
 
 import numpy as np
 
-from planeangle.cli import manufactured_nonlocal
 from planeangle.core import GridFunction, SectorGrid, make_geometry
 from planeangle.difference_ops import apply_on_grid, two_sector_operator
+from planeangle.manufactured import manufactured_nonlocal
 from planeangle.sector_solver import NonlocalPoissonProblem, solve_nonlocal_poisson
 
 B1 = np.pi / 6

@@ -15,14 +15,21 @@ certifies unique solvability in the weighted scale with a = h + l + 1.
 
 The module also provides the characteristic determinant of the formally
 adjoint nonlocal transmission pencil (piecewise solutions on the two
-sub-arcs coupled through the middle ray) and an independent numeric zero
-finder based on argument-principle counting.
+sub-arcs coupled through the middle ray) and a numeric zero finder that
+does not use the closed forms.  The middle ray bisects the arc, so both
+determinants (the adjoint one divided by lambda) are Laurent polynomials
+of degree <= 2 in z = exp(lambda*d): the finder reads their coefficients
+off samples on |z| = 1, takes the roots in z from the companion matrix,
+unfolds them to lambda = (log z + 2*pi*i*k)/d and polishes them by Newton
+iteration.  An argument-principle count on the window boundary checks the
+number of zeros found.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+# unused: perfbench/layers.py traces this name; drop both in the next benchmark change
+from scipy.optimize import minimize_scalar  # noqa: F401
 
 from .core import OutOfRange, PlaneAngleError
 
@@ -40,6 +47,9 @@ class NoConvergence(PlaneAngleError):
 
 
 DEDUPE_TOL = 1e-10
+WINDOW_PAD = 1e-9  # zeros this far outside the search window still count
+N_SAMPLES = 64  # samples of a determinant on |exp(lambda*d)| = 1
+MAX_DEGREE = 2  # Laurent degree of the determinants in exp(lambda*d)
 
 
 @dataclass(frozen=True)
@@ -230,7 +240,7 @@ def eigenvalues_closed_form(p, strip):
 
 
 # ---------------------------------------------------------------------------
-# argument-principle zero finding
+# zero finding: companion-matrix roots, checked by the argument principle
 
 
 def _rect_contour(rect, n_per_edge):
@@ -326,138 +336,121 @@ def _winding_nudged(f, rect, max_tries=8):
     )
 
 
-def _line_minimum(f, c, other_lo, other_hi, vertical):
-    """Approximate minimum of |f| along one candidate split line.
+def _laurent_coefficients(f, d):
+    """Coefficients of z^2*f as a polynomial in z = exp(lambda*d), highest first.
 
-    Coarse sampling alone can miss a zero sitting between samples, so the
-    smallest sample is refined by a bounded scalar minimization.
+    f is sampled at N_SAMPLES points of |z| = 1, offset by half a step so that z = 1
+    (lambda = 0) is never hit, and its Fourier coefficients c_k are read off
+    by an FFT.  NoConvergence if a coefficient of degree |k| > 2 exceeds
+    1e-12 of the largest: f is then not the Laurent polynomial the search
+    assumes.  Coefficients below that level are roundoff and are set to 0.
     """
-    t = np.linspace(other_lo, other_hi, 129)
-    pts = c + 1j * t if vertical else t + 1j * c
-    vals = np.abs(np.array([f(z) for z in pts]))
-    k = int(np.argmin(vals))
-    a, b = t[max(k - 1, 0)], t[min(k + 1, len(t) - 1)]
-    if vertical:
-        g = lambda s: abs(f(complex(c, s)))
-    else:
-        g = lambda s: abs(f(complex(s, c)))
-    res = minimize_scalar(g, bounds=(a, b), method="bounded")
-    return min(float(vals[k]), float(res.fun))
+    n = N_SAMPLES
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    vals = np.array([f(1j * t / d) for t in theta])
+    k = np.rint(np.fft.fftfreq(n) * n)
+    c = np.fft.fft(vals) * np.exp(-1j * np.pi * k / n) / n
+    noise = 1e-12 * np.max(np.abs(c))
+    if np.any(np.abs(c[np.abs(k) > MAX_DEGREE]) > noise):
+        raise NoConvergence(
+            "determinant is not a Laurent polynomial of degree <= %d in "
+            "exp(lambda*d)" % MAX_DEGREE
+        )
+    poly = c[np.arange(MAX_DEGREE, -MAX_DEGREE - 1, -1)]
+    poly[np.abs(poly) <= noise] = 0.0
+    return poly
 
 
-def _choose_split(f, lo, hi, other_lo, other_hi, vertical, scale):
-    """Split coordinate in (lo, hi) whose grid line stays away from zeros.
+def _unfold(roots, d, rect):
+    """All lambda = (log z + 2*pi*i*k)/d inside rect, one per root and branch."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    pad = WINDOW_PAD
+    out = []
+    for z in roots:
+        if z == 0:
+            continue  # lambda with real part -infinity
+        w = np.log(complex(z))
+        if not re_lo - pad <= w.real / d <= re_hi + pad:
+            continue
+        k_lo = int(np.ceil(((im_lo - pad) * d - w.imag) / (2.0 * np.pi)))
+        k_hi = int(np.floor(((im_hi + pad) * d - w.imag) / (2.0 * np.pi)))
+        out.extend((w + 2j * np.pi * k) / d for k in range(k_lo, k_hi + 1))
+    return out
 
-    A split line passing through a zero makes that zero contribute half a
-    winding to each child cell, so candidates are rejected unless |f| stays
-    well away from zero along the whole line.
-    """
-    best, best_min = None, -1.0
-    for frac in (0.5, 0.55, 0.45, 0.6, 0.4, 0.52, 0.48, 0.65, 0.35):
-        c = lo + frac * (hi - lo)
-        m = _line_minimum(f, c, other_lo, other_hi, vertical)
-        if m > 1e-3 * scale:
-            return c
-        if m > best_min:
-            best, best_min = c, m
-    return best
 
+def find_zeros(f, window, d):
+    """All zeros of f inside the complex rectangle window.
 
-def find_zeros(f, window, min_cell=1e-4):
-    """All zeros of the analytic function f inside the complex rectangle.
-
-    window = (re_lo, re_hi, im_lo, im_hi).  Rectangles are subdivided by
-    argument-principle counting until each holds at most one zero (or is
-    smaller than min_cell), then zeros are polished by Newton iteration.
-    Split lines are placed where |f| stays away from zero so that zeros on
-    symmetric positions are not lost on cell boundaries.
+    window = (re_lo, re_hi, im_lo, im_hi).  f must be a Laurent polynomial
+    of degree <= 2 in z = exp(lambda*d), as the pencil determinants are for
+    equally spaced rays.  The roots z of its coefficient polynomial come from
+    the companion matrix (np.roots), are unfolded to the branches
+    lambda = (log z + 2*pi*i*k)/d and polished by Newton iteration on f
+    (except a candidate exactly at lambda = 0, where the determinants switch
+    basis).  The argument-principle count on the window boundary must equal
+    the number of unfolded candidates, with multiplicity, or NoConvergence
+    is raised.
     """
     window = tuple(float(x) for x in window)
-    roots = []
-    stack = [window]
-    while stack:
-        rect = stack.pop()
-        w, scale, rect = _winding_nudged(f, rect)
-        if w == 0:
-            continue
-        re_lo, re_hi, im_lo, im_hi = rect
-        width, height = re_hi - re_lo, im_hi - im_lo
-        if w == 1 or max(width, height) < min_cell:
-            z0 = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-            try:
-                z = _newton_polish(f, z0, scale)
-            except NoConvergence:
-                # e.g. an oscillating Newton cycle around a symmetry point;
-                # a smaller cell starts the iteration closer to the root
-                if max(width, height) < min_cell:
-                    raise
-                z = None
-            if z is not None:
-                # tight tolerance: a root accepted here must lie in this
-                # cell, otherwise a duplicate of a neighboring root would
-                # mask the real one under deduplication
-                pad = 1e-7
-                escaped = not (
-                    re_lo - pad <= z.real <= re_hi + pad
-                    and im_lo - pad <= z.imag <= im_hi + pad
-                )
-                if escaped and max(width, height) >= min_cell:
-                    pass  # Newton left the cell: fall through and subdivide
-                else:
-                    roots.append(z)
-                    continue
-        if width >= height:
-            mid = _choose_split(f, re_lo, re_hi, im_lo, im_hi, True, scale)
-            stack.append((re_lo, mid, im_lo, im_hi))
-            stack.append((mid, re_hi, im_lo, im_hi))
-        else:
-            mid = _choose_split(f, im_lo, im_hi, re_lo, re_hi, False, scale)
-            stack.append((re_lo, re_hi, im_lo, mid))
-            stack.append((re_lo, re_hi, mid, im_hi))
+    coefficients = _laurent_coefficients(f, d)
+    count, scale, rect = _winding_nudged(f, window)
+    candidates = _unfold(np.roots(coefficients), d, rect)
+    if len(candidates) != count:
+        raise NoConvergence(
+            "%d zeros from the companion matrix, %d from the argument "
+            "principle" % (len(candidates), count)
+        )
+    roots = [z if z == 0 else _newton_polish(f, z, scale) for z in candidates]
+    re_lo, re_hi, im_lo, im_hi = window
+    pad = WINDOW_PAD
     inside = [
         z
         for z in roots
-        if window[0] - 1e-9 <= z.real <= window[1] + 1e-9
-        and window[2] - 1e-9 <= z.imag <= window[3] + 1e-9
+        if re_lo - pad <= z.real <= re_hi + pad
+        and im_lo - pad <= z.imag <= im_hi + pad
     ]
     return _dedupe(inside)
 
 
-def eigenvalues_numeric(p, window):
-    """Pencil eigenvalues inside the window, found without the closed forms.
+def _numeric_eigenvalues(f, det_at_zero, p, window):
+    """EigenvalueSet of the zeros of f in the window.
 
-    Zeros of the characteristic determinant are located by recursive
-    argument-principle counting and polished by Newton iteration.  A zero at
-    lambda = 0 is spurious (the exponential basis degenerates there) and is
-    kept only if the degenerate-basis determinant also vanishes.
+    lambda = 0 is a zero of the exponential-basis determinants whether or
+    not it is an eigenvalue; it is kept only if det_at_zero, the relative
+    determinant in the degenerate basis {1, phi}, vanishes.
     """
+    roots = find_zeros(f, window, p.d)
+    if abs(det_at_zero) > 1e-12:
+        roots = [z for z in roots if abs(z) >= 1e-6]
+    return EigenvalueSet(np.array(roots, dtype=complex), tuple(window), "numeric")
 
-    def f(lam):
-        return characteristic_value(p, lam)
 
-    roots = find_zeros(f, window)
-    kept = []
+def eigenvalues_numeric(p, window):
+    """Pencil eigenvalues inside the window, found without the closed forms."""
     scale0 = 1.0 + abs(p.alpha) + abs(p.beta) + p.b3
-    for z in roots:
-        if abs(z) < 1e-6 and abs(lambda_zero_determinant(p)) > 1e-12 * scale0:
-            continue
-        kept.append(z)
-    return EigenvalueSet(np.array(kept, dtype=complex), tuple(window), "numeric")
+    return _numeric_eigenvalues(
+        lambda lam: characteristic_value(p, lam),
+        lambda_zero_determinant(p) / scale0,
+        p,
+        window,
+    )
 
 
 def adjoint_eigenvalues_numeric(p, window):
-    """Zeros of the adjoint transmission determinant inside the window."""
+    """Zeros of the adjoint transmission determinant inside the window.
+
+    The determinant carries a factor lambda (its last row is a derivative
+    condition); the search runs on the determinant divided by lambda.
+    """
 
     def f(lam):
-        return adjoint_transmission_characteristic(p, lam)
+        if lam == 0:
+            # f is undefined here; _winding_nudged moves the contour off it
+            raise ContourThroughZero("lambda = 0 on the contour")
+        return adjoint_transmission_characteristic(p, lam) / lam
 
-    roots = find_zeros(f, window)
-    kept = []
-    for z in roots:
-        if abs(z) < 1e-6 and abs(adjoint_transmission_characteristic(p, 0.0)) > 1e-12:
-            continue
-        kept.append(z)
-    return EigenvalueSet(np.array(kept, dtype=complex), tuple(window), "numeric")
+    det_at_zero = adjoint_transmission_characteristic(p, 0.0)
+    return _numeric_eigenvalues(f, det_at_zero, p, window)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from planeangle.cli import manufactured_dd, manufactured_nonlocal
 from planeangle.core import GridFunction, SectorGrid, make_geometry
 from planeangle.difference_ops import (
     DifferenceOperator,
@@ -29,6 +28,7 @@ from planeangle.green_check import (
     green_residual_neumann,
     term_magnitudes,
 )
+from planeangle.manufactured import manufactured_dd, manufactured_nonlocal
 from planeangle.pencil import (
     PoissonPencilProblem,
     adjoint_eigenvalues_numeric,

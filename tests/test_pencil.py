@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from planeangle.core import make_geometry
 from planeangle.pencil import (
+    NoConvergence,
     PoissonPencilProblem,
     UnsupportedRegime,
     adjoint_eigenvalues_numeric,
@@ -19,6 +21,12 @@ from planeangle.pencil import (
 B1 = np.pi / 6
 P_DIR = PoissonPencilProblem(0.0, 0.0, B1, B1 + np.pi)  # opening pi, alpha+beta=0
 P_MIX = PoissonPencilProblem(0.6, 0.4, B1, B1 + np.pi)  # alpha+beta=1
+WINDOW = (-0.5, 0.5, -4.0, 4.0)
+# the narrow and wide geometries of the acceptance tests
+GEOMETRIES = (
+    make_geometry([np.pi / 6, np.pi / 2, 5 * np.pi / 6]),
+    make_geometry([0.3, 0.3 + 0.9 * np.pi, 0.3 + 1.8 * np.pi]),
+)
 
 
 def factorized(p, lam):
@@ -92,13 +100,27 @@ def test_numeric_empty_off_axis_window():
     assert len(numeric.values) == 0
 
 
-def test_find_zeros_polynomial_control():
-    # independent sanity check of the root finder on a known function
-    roots = find_zeros(lambda z: (z - 1.0) * (z + 1j) * (z - 0.5 + 0.5j), (-2, 2, -2, 2))
-    expected = [1.0, -1j, 0.5 - 0.5j]
-    assert len(roots) == 3
+def test_find_zeros_laurent_control():
+    # independent check of the root finder on f = (z - z1)(z - z2)/z with
+    # z = exp(lambda*d): z1 on the unit circle, z2 off it (Re lambda != 0)
+    d, window = 0.8, (-1.0, 1.0, -10.0, 10.0)
+    z1, z2 = np.exp(0.9j), 1.5 * np.exp(-2.0j)
+
+    def f(lam):
+        z = np.exp(lam * d)
+        return (z - z1) * (z - z2) / z
+
+    expected = [(0.9j + 2j * np.pi * k) / d for k in (-1, 0, 1)]
+    expected += [(np.log(1.5) - 2.0j + 2j * np.pi * k) / d for k in (0, 1)]
+    roots = find_zeros(f, window, d)
+    assert len(roots) == 5
     for w in expected:
         assert min(abs(r - w) for r in roots) <= 1e-10
+
+
+def test_find_zeros_rejects_degree_three():
+    with pytest.raises(NoConvergence, match="not a Laurent polynomial"):
+        find_zeros(lambda lam: np.exp(3.0 * lam) - 2.0, (-1.0, 1.0, -2.0, 2.0), 1.0)
 
 
 def test_adjoint_mirror_of_primal_zeros():
@@ -108,6 +130,40 @@ def test_adjoint_mirror_of_primal_zeros():
     mirrored = np.conj(primal.values)
     for z in mirrored:
         assert np.min(np.abs(adj.values - z)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(1.2, 0.79), (-1.2, -0.79), (1.0, 0.9999), (-1.0, -0.9999)]
+)
+def test_near_double_zeros(alpha, beta):
+    # |alpha+beta| -> 2 merges the arctan family with the 2*pi*k/(b3-b1) one
+    for geo in GEOMETRIES:
+        p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+        closed = eigenvalues_closed_form(p, WINDOW[2:]).values
+        primal = eigenvalues_numeric(p, WINDOW).values
+        adjoint = adjoint_eigenvalues_numeric(p, WINDOW).values
+        assert len(primal) == len(adjoint) == len(closed)
+        for z in closed:
+            assert np.min(np.abs(primal - z)) <= 1e-8
+        for z in primal:
+            assert np.min(np.abs(adjoint - np.conj(z))) <= 1e-8
+
+
+def test_zero_on_window_edge():
+    # 4i lies on the top edge of the window, -4i on the bottom one
+    assert len(eigenvalues_numeric(P_MIX, WINDOW).values) == 8
+    assert len(adjoint_eigenvalues_numeric(P_MIX, WINDOW).values) == 8
+
+
+def test_window_edge_through_lambda_zero():
+    # the bottom edge samples lambda = 0, where the exponential basis
+    # degenerates and the adjoint determinant divided by lambda is undefined
+    closed = eigenvalues_closed_form(P_MIX, (0.0, 4.0)).values
+    for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
+        found = search(P_MIX, (-0.5, 0.5, 0.0, 4.0)).values
+        assert len(found) == len(closed)
+        for z in closed:
+            assert np.min(np.abs(found - z)) <= 1e-8
 
 
 def test_adjoint_nonzero_on_real_axis():
