@@ -9,17 +9,10 @@ its interior norm and stay bounded for concentrating bump families.
 import numpy as np
 
 from planeangle.core import GridFunction, SectorGrid, make_geometry
+from planeangle.manufactured import exp_bump
 from planeangle.weighted_norms import WeightParams, e_norm, h_norm, trace_ratio
 
 geo = make_geometry([np.pi / 6, np.pi / 2, 5 * np.pi / 6])
-
-
-def bump(r, r0, r1):
-    t = (2.0 * r - r0 - r1) / (r1 - r0)
-    out = np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - t[m] ** 2))
-    return out
 
 
 grid = SectorGrid(geo, 0.3, 1.0, 48, 48)
@@ -37,6 +30,7 @@ print("trace ratios for a shrinking bump family (a = 0.5, l = 1):")
 p = WeightParams(0.5, 1)
 wide = SectorGrid(geo, 0.5, 3.0, 256, 64)
 for s in (1.0, 0.5, 0.25, 0.125):
-    v = GridFunction.from_callable(wide, lambda r, phi: bump(r, 0.6, 0.6 + s) * np.cos(phi))
+    eta = exp_bump(0.6, 0.6 + s)[0]
+    v = GridFunction.from_callable(wide, lambda r, phi: eta(r) * np.cos(phi))
     print("  support width %.3f : ratio %.4f" % (s, trace_ratio(v, "gamma1", p)))
 print("the ratio stays bounded as the support concentrates")

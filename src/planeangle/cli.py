@@ -36,7 +36,7 @@ from .green_check import (
     green_residual_neumann,
     term_magnitudes,
 )
-from .manufactured import manufactured_dd, manufactured_nonlocal
+from .manufactured import exp_bump, manufactured_dd, manufactured_nonlocal
 from .pencil import (
     PoissonPencilProblem,
     UnsupportedRegime,
@@ -69,17 +69,12 @@ class SpecError(PlaneAngleError):
 # expression mini-language
 
 
-def _bump_builtin(r, r0, r1):
-    """C-infinity bump supported on (r0, r1), peak value 1/e at the middle."""
-    r = np.asarray(r, float)
-    t = (2.0 * r - r0 - r1) / (r1 - r0)
-    out = np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - t[m] ** 2))
-    return out
-
-
-_EXPR_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "bump": _bump_builtin}
+_EXPR_FUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "bump": lambda r, r0, r1: exp_bump(r0, r1)[0](r),
+}
 _EXPR_NAMES = {"pi": np.pi}
 _EXPR_OPS = (
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd, ast.Mod,
@@ -146,7 +141,7 @@ _SCHEMA = {
     "solver": {"r_min", "r_max", "n_r", "n_phi", "rhs"},
     "boundary": {"g1", "g3"},
     "weights": {"a", "l"},
-    "output": {"format", "path"},
+    "output": {"path"},
 }
 
 

@@ -1,51 +1,68 @@
 """Quadrature verification of the two second-order nonlocal Green identities.
 
 A test function U lives on the whole angle and is compactly supported in an
-annulus; V = (V1, V2) lives piecewise on the two sectors.  The Dirichlet-type
-identity pairs the nonlocal trace U + alpha*U(chi12*r, phi+phi12) on the ray
-gamma_1 against dV1/dn1, and the adjoint side picks up the reciprocal factors
-chi21 = 1/chi12, phi21 = -phi12 inside a gamma_2 integral.  The Neumann-type
-identity does the same for the radial-derivative condition and carries a
-chi21**2 weight.  Both sides are integrated with tensor Gauss-Legendre panels
-and the residual |LHS - RHS| is returned; with analytic derivatives supplied
-the residual is pure quadrature error.
+annulus; V = (V1, V2) lives piecewise on the two sectors.  Each is a Field:
+its value, d/dr, d/dphi and Laplacian as callables of (r, phi), supplied in
+closed form, never differenced.  Field callables must broadcast: the area
+quadrature calls them with a radius column r[:, None] and an angle row
+phi[None, :], the ray terms with a radius vector and an angle vector of the
+same length.
+
+Both identities share one pairing.  On each ray the Dirichlet data is
+D = f and the Neumann data is N = df/dn; the Dirichlet identity pairs
+(P, Q) = (D, N) and the Neumann identity (P, Q) = (N, -D), so on gamma_1 and
+gamma_3 the LHS integrates P(U) conj(Q(V)) and the RHS Q(U) conj(P(V)).  On
+gamma_1 the nonlocal trace adds alpha*U(chi12*r, b2) (Dirichlet) or
+alpha*U_r(chi12*r, b2) (Neumann).  On gamma_2 the LHS is N(U) against the
+jump V1 - V2, and the RHS pairs U with N(V1) - N(V2) plus the adjoint
+nonlocal term at (chi21*r, b1), chi21 = 1/chi12: alpha*chi21*N(V1) for the
+Dirichlet identity, alpha*chi21**2*V1_r for the Neumann one.  Both sides are
+integrated with tensor Gauss-Legendre panels and the residual |LHS - RHS| is
+returned; with analytic derivatives supplied the residual is pure quadrature
+error.
 
 Normals: n1 and n2 point counterclockwise, +(1/r) d/dphi; n3 points
 clockwise, -(1/r) d/dphi.  Area element r dr dphi, line element dr.
 """
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import AngleGeometry, IncompatibleGrid, PlaneAngleError
+from .manufactured import exp_bump
 
 
 class SupportViolation(PlaneAngleError):
     pass
 
 
-@dataclass(frozen=True)
-class GreenTestPair:
-    """Closed-form test pair with analytic derivatives.
+class Field(NamedTuple):
+    """A function of (r, phi) with its analytic r, phi derivatives and Laplacian.
 
-    u is compactly supported in the annulus support = (s_lo, s_hi); v1, v2
-    are smooth on the closed sectors.  All callables take (r, phi) arrays and
-    may return complex values.  Derivatives are supplied, never differenced.
+    Every component is a callable (r, phi) -> array that broadcasts its
+    arguments and may return complex values.
     """
 
-    u: object
-    u_r: object
-    u_phi: object
-    u_lap: object
-    v1: object
-    v1_r: object
-    v1_phi: object
-    v1_lap: object
-    v2: object
-    v2_r: object
-    v2_phi: object
-    v2_lap: object
+    value: Callable
+    r: Callable
+    phi: Callable
+    lap: Callable
+
+    def map(self, g):
+        """Field with the pointwise linear map g applied to every component."""
+        return Field(*(lambda r, p, c=c: g(c(r, p)) for c in self))
+
+
+@dataclass(frozen=True)
+class GreenTestPair:
+    """Closed-form test pair: u compactly supported in the annulus
+    support = (s_lo, s_hi), v1 and v2 smooth on the closed sectors."""
+
+    u: Field
+    v1: Field
+    v2: Field
     support: tuple
 
     def __post_init__(self):
@@ -60,11 +77,11 @@ class GreenConfig:
 
     chi12 > 0 is the radial expansion, phi12 the rotation taking gamma_1 to
     gamma_2 (b1 + phi12 = b2).  Quadrature: `order`-point Gauss-Legendre on
-    `panels` x `panels` panels per sector; line integrals reuse the radial
-    panels.  The default panel count is sized for the exponential bump in
-    bump_trig_pair, whose derivatives grow fast near the support edges.
-    r_window overrides the automatic radial window (the hull of the support
-    annulus and its 1/chi12 image).
+    `panels` x `panels` panels per sector over the radial window, the hull
+    of the support annulus and its 1/chi12 image; line integrals reuse the
+    radial panels.  The default panel count is sized for the exponential
+    bump in bump_trig_pair, whose derivatives grow fast near the support
+    edges.
     """
 
     geometry: AngleGeometry
@@ -73,7 +90,6 @@ class GreenConfig:
     phi12: float
     order: int = 12
     panels: int = 48
-    r_window: tuple = None
 
     def __post_init__(self):
         if self.geometry.num_sectors != 2:
@@ -97,22 +113,6 @@ def _panel_rule(a, b, panels, order):
     return nodes, weights
 
 
-def _radial_window(cfg, pair):
-    s_lo, s_hi = pair.support
-    chi21 = 1.0 / cfg.chi12
-    lo = min(s_lo, s_lo * chi21)
-    hi = max(s_hi, s_hi * chi21)
-    if cfg.r_window is not None:
-        r_lo, r_hi = cfg.r_window
-        if not (0.0 < r_lo <= lo and hi <= r_hi):
-            raise SupportViolation(
-                "window (%g, %g) does not contain the support hull (%g, %g)"
-                % (r_lo, r_hi, lo, hi)
-            )
-        return r_lo, r_hi
-    return lo, hi
-
-
 def _identity_terms(cfg, pair, neumann):
     """LHS and RHS term lists of the chosen Green identity.
 
@@ -124,70 +124,54 @@ def _identity_terms(cfg, pair, neumann):
     alpha = cfg.alpha
     chi12 = cfg.chi12
     chi21 = 1.0 / chi12
-    r_lo, r_hi = _radial_window(cfg, pair)
-
-    rn, rw = _panel_rule(r_lo, r_hi, cfg.panels, cfg.order)
+    s_lo, s_hi = pair.support
+    rn, rw = _panel_rule(
+        min(s_lo, s_lo * chi21), max(s_hi, s_hi * chi21), cfg.panels, cfg.order
+    )
     lhs, rhs = [], []
 
-    # area terms, sector by sector
-    for (blo, bhi, v, v_lap) in (
-        (b1, b2, pair.v1, pair.v1_lap),
-        (b2, b3, pair.v2, pair.v2_lap),
-    ):
+    # area terms, sector by sector, on a radius column times an angle row
+    rc = rn[:, None]
+    for blo, bhi, v in ((b1, b2, pair.v1), (b2, b3, pair.v2)):
         pn, pw = _panel_rule(blo, bhi, cfg.panels, cfg.order)
-        r2, p2 = np.meshgrid(rn, pn, indexing="ij")
-        w2 = rw[:, None] * pw[None, :] * r2
-        lhs.append(np.sum(w2 * (-pair.u_lap(r2, p2)) * np.conj(v(r2, p2))))
-        rhs.append(np.sum(w2 * pair.u(r2, p2) * np.conj(-v_lap(r2, p2))))
+        pr = pn[None, :]
+        w2 = rw[:, None] * pw[None, :] * rc
+        lhs.append(np.sum(w2 * (-pair.u.lap(rc, pr)) * np.conj(v.value(rc, pr))))
+        rhs.append(np.sum(w2 * pair.u.value(rc, pr) * np.conj(-v.lap(rc, pr))))
 
-    # normal derivatives as functions of (r, phi)
-    dn_ccw = lambda v_phi: (lambda r, p: v_phi(r, p) / r)
-    dv1_n1 = dn_ccw(pair.v1_phi)
-    dv1_n2 = dn_ccw(pair.v1_phi)
-    dv2_n2 = dn_ccw(pair.v2_phi)
-    dv2_n3 = lambda r, p: -pair.v2_phi(r, p) / r
-    du_n1 = lambda r, p: pair.u_phi(r, p) / r
-    du_n2 = lambda r, p: pair.u_phi(r, p) / r
-    du_n3 = lambda r, p: -pair.u_phi(r, p) / r
+    def ray(f, b, sign):
+        """Dirichlet data D and Neumann data N = sign (1/r) df/dphi on phi = b."""
+        ba = np.full_like(rn, b)
+        return (lambda r: f.value(r, ba)), (lambda r: sign * f.phi(r, ba) / r)
 
-    b1a = np.full_like(rn, b1)
-    b2a = np.full_like(rn, b2)
-    b3a = np.full_like(rn, b3)
+    def paired(dn):
+        """(P, Q): (D, N) for the Dirichlet identity, (N, -D) for the Neumann one."""
+        d, n = dn
+        return (n, lambda r: -d(r)) if neumann else (d, n)
 
-    if not neumann:
-        # gamma_1: nonlocal Dirichlet trace against dV1/dn1
-        trace1 = pair.u(rn, b1a) + alpha * pair.u(chi12 * rn, b2a)
-        lhs.append(np.sum(rw * trace1 * np.conj(dv1_n1(rn, b1a))))
-        rhs.append(np.sum(rw * du_n1(rn, b1a) * np.conj(pair.v1(rn, b1a))))
-        # gamma_3: plain Dirichlet trace
-        lhs.append(np.sum(rw * pair.u(rn, b3a) * np.conj(dv2_n3(rn, b3a))))
-        rhs.append(np.sum(rw * du_n3(rn, b3a) * np.conj(pair.v2(rn, b3a))))
-        # gamma_2: jump of V against dU/dn2, and the adjoint nonlocal term
-        jump = pair.v1(rn, b2a) - pair.v2(rn, b2a)
-        lhs.append(np.sum(rw * du_n2(rn, b2a) * np.conj(jump)))
-        adj = (
-            dv1_n2(rn, b2a)
-            - dv2_n2(rn, b2a)
-            + alpha * chi21 * dv1_n1(chi21 * rn, b1a)
-        )
-        rhs.append(np.sum(rw * pair.u(rn, b2a) * np.conj(adj)))
+    u1, u2, u3 = ray(pair.u, b1, 1.0), ray(pair.u, b2, 1.0), ray(pair.u, b3, -1.0)
+    v1_1, v1_2 = ray(pair.v1, b1, 1.0), ray(pair.v1, b2, 1.0)
+    v2_2, v2_3 = ray(pair.v2, b2, 1.0), ray(pair.v2, b3, -1.0)
+    # the nonlocal pieces: U seen from gamma_1 at (chi12 r, b2), and the
+    # adjoint V1 seen from gamma_2 at (chi21 r, b1)
+    if neumann:
+        u_far = pair.u.r(chi12 * rn, np.full_like(rn, b2))
+        v_far = alpha * chi21**2 * pair.v1.r(chi21 * rn, np.full_like(rn, b1))
     else:
-        # gamma_1: nonlocal Neumann trace against -V1
-        trace1 = du_n1(rn, b1a) + alpha * pair.u_r(chi12 * rn, b2a)
-        lhs.append(np.sum(rw * trace1 * np.conj(-pair.v1(rn, b1a))))
-        rhs.append(np.sum(rw * (-pair.u(rn, b1a)) * np.conj(dv1_n1(rn, b1a))))
-        # gamma_3: plain Neumann trace against -V2
-        lhs.append(np.sum(rw * du_n3(rn, b3a) * np.conj(-pair.v2(rn, b3a))))
-        rhs.append(np.sum(rw * (-pair.u(rn, b3a)) * np.conj(dv2_n3(rn, b3a))))
-        # gamma_2: jump term and the chi21**2-weighted radial adjoint term
-        jump = pair.v1(rn, b2a) - pair.v2(rn, b2a)
-        lhs.append(np.sum(rw * du_n2(rn, b2a) * np.conj(jump)))
-        adj = (
-            dv1_n2(rn, b2a)
-            - dv2_n2(rn, b2a)
-            + alpha * chi21**2 * pair.v1_r(chi21 * rn, b1a)
-        )
-        rhs.append(np.sum(rw * pair.u(rn, b2a) * np.conj(adj)))
+        u_far = pair.u.value(chi12 * rn, np.full_like(rn, b2))
+        v_far = alpha * chi21 * v1_1[1](chi21 * rn)
+
+    # gamma_1: nonlocal trace; gamma_3: plain trace
+    (p_u, q_u), (p_v, q_v) = paired(u1), paired(v1_1)
+    lhs.append(np.sum(rw * (p_u(rn) + alpha * u_far) * np.conj(q_v(rn))))
+    rhs.append(np.sum(rw * q_u(rn) * np.conj(p_v(rn))))
+    (p_u, q_u), (p_v, q_v) = paired(u3), paired(v2_3)
+    lhs.append(np.sum(rw * p_u(rn) * np.conj(q_v(rn))))
+    rhs.append(np.sum(rw * q_u(rn) * np.conj(p_v(rn))))
+
+    # gamma_2: jump of V against N(U), and the adjoint nonlocal term
+    lhs.append(np.sum(rw * u2[1](rn) * np.conj(v1_2[0](rn) - v2_2[0](rn))))
+    rhs.append(np.sum(rw * u2[0](rn) * np.conj(v1_2[1](rn) - v2_2[1](rn) + v_far)))
 
     return lhs, rhs
 
@@ -213,46 +197,8 @@ def term_magnitudes(cfg, pair, neumann=False):
     return [abs(t) for t in lhs] + [abs(t) for t in rhs]
 
 
-def _bump(s_lo, s_hi):
-    """C-infinity bump on (s_lo, s_hi) with analytic first two derivatives.
-
-    eta(r) = exp(-1/(1 - t^2)) with t = (2r - s_lo - s_hi)/(s_hi - s_lo).
-    """
-    mid = 0.5 * (s_lo + s_hi)
-    half = 0.5 * (s_hi - s_lo)
-
-    def eta(r):
-        t = (np.asarray(r, float) - mid) / half
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        out[m] = np.exp(-1.0 / (1.0 - t[m] ** 2))
-        return out
-
-    def deta(r):
-        t = (np.asarray(r, float) - mid) / half
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        tm = t[m]
-        out[m] = np.exp(-1.0 / (1.0 - tm**2)) * (-2.0 * tm / (1.0 - tm**2) ** 2)
-        return out / half
-
-    def ddeta(r):
-        t = (np.asarray(r, float) - mid) / half
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        tm = t[m]
-        q = 1.0 - tm**2
-        # d/dt of -2t/q^2 * e^{-1/q}:  e^{-1/q} * ((4t^2/q^4) + (-2/q^2 - 8t^2/q^3))
-        out[m] = np.exp(-1.0 / q) * (
-            4.0 * tm**2 / q**4 - 2.0 / q**2 - 8.0 * tm**2 / q**3
-        )
-        return out / half**2
-
-    return eta, deta, ddeta
-
-
 def _harmonic_combo(coeffs):
-    """Smooth sector function sum c * r^m * trig(k*phi) with exact derivatives.
+    """Smooth sector Field sum c * r^m * trig(k*phi) with exact derivatives.
 
     coeffs is a list of (c, m, k, kind) with kind in {"cos", "sin"}; the
     Laplacian of r^m trig(k phi) is (m^2 - k^2) r^(m-2) trig(k phi).
@@ -282,72 +228,42 @@ def _harmonic_combo(coeffs):
             for c, m, k, kind in coeffs
         )
 
-    return v, v_r, v_phi, v_lap
+    return Field(v, v_r, v_phi, v_lap)
 
 
-def bump_trig_pair(support=(0.8, 2.4), k=2, v1_coeffs=None, v2_coeffs=None):
+_V1_COEFFS = [(1.0, 2, 1, "cos"), (0.5, 3, 2, "sin"), (0.7, 1, 0, "cos")]
+_V2_COEFFS = [(0.8, 2, 2, "cos"), (-0.4, 1, 1, "sin"), (0.3, 3, 0, "cos")]
+
+
+def bump_trig_pair(support=(0.8, 2.4)):
     """Built-in test pair: radial bump times trig polynomial, smooth V pieces.
 
-    U(r, phi) = eta(r) * (2 + cos(k phi) + 0.3 sin(phi)); V1 and V2 default
-    to different low-degree r^m trig(k phi) combinations so the gamma_2 jump
-    terms are exercised.
+    U(r, phi) = eta(r) * (2 + cos(2 phi) + 0.3 sin(phi)) with eta the
+    exp_bump on the support annulus; V1 and V2 are different low-degree
+    r^m trig(k phi) combinations so the gamma_2 jump terms are exercised.
     """
-    s_lo, s_hi = support
-    eta, deta, ddeta = _bump(s_lo, s_hi)
+    eta, deta, ddeta = exp_bump(*support)
 
     def ang(p):
-        return 2.0 + np.cos(k * p) + 0.3 * np.sin(p)
+        return 2.0 + np.cos(2 * p) + 0.3 * np.sin(p)
 
     def dang(p):
-        return -k * np.sin(k * p) + 0.3 * np.cos(p)
+        return -2 * np.sin(2 * p) + 0.3 * np.cos(p)
 
     def ddang(p):
-        return -(k**2) * np.cos(k * p) - 0.3 * np.sin(p)
+        return -4 * np.cos(2 * p) - 0.3 * np.sin(p)
 
-    u = lambda r, p: eta(r) * ang(p)
-    u_r = lambda r, p: deta(r) * ang(p)
-    u_phi = lambda r, p: eta(r) * dang(p)
-    u_lap = lambda r, p: (
-        ddeta(r) * ang(p) + deta(r) * ang(p) / r + eta(r) * ddang(p) / r**2
+    u = Field(
+        lambda r, p: eta(r) * ang(p),
+        lambda r, p: deta(r) * ang(p),
+        lambda r, p: eta(r) * dang(p),
+        lambda r, p: (
+            ddeta(r) * ang(p) + deta(r) * ang(p) / r + eta(r) * ddang(p) / r**2
+        ),
     )
-
-    if v1_coeffs is None:
-        v1_coeffs = [(1.0, 2, 1, "cos"), (0.5, 3, 2, "sin"), (0.7, 1, 0, "cos")]
-    if v2_coeffs is None:
-        v2_coeffs = [(0.8, 2, 2, "cos"), (-0.4, 1, 1, "sin"), (0.3, 3, 0, "cos")]
-    v1, v1_r, v1_phi, v1_lap = _harmonic_combo(v1_coeffs)
-    v2, v2_r, v2_phi, v2_lap = _harmonic_combo(v2_coeffs)
-
     return GreenTestPair(
-        u=u, u_r=u_r, u_phi=u_phi, u_lap=u_lap,
-        v1=v1, v1_r=v1_r, v1_phi=v1_phi, v1_lap=v1_lap,
-        v2=v2, v2_r=v2_r, v2_phi=v2_phi, v2_lap=v2_lap,
-        support=(s_lo, s_hi),
-    )
-
-
-def scale_pair(pair, a):
-    """Test pair with U replaced by a*U (V unchanged)."""
-    f = float(a)
-    return GreenTestPair(
-        u=lambda r, p: f * pair.u(r, p),
-        u_r=lambda r, p: f * pair.u_r(r, p),
-        u_phi=lambda r, p: f * pair.u_phi(r, p),
-        u_lap=lambda r, p: f * pair.u_lap(r, p),
-        v1=pair.v1, v1_r=pair.v1_r, v1_phi=pair.v1_phi, v1_lap=pair.v1_lap,
-        v2=pair.v2, v2_r=pair.v2_r, v2_phi=pair.v2_phi, v2_lap=pair.v2_lap,
-        support=pair.support,
-    )
-
-
-def conjugate_v_pair(pair):
-    """Test pair with V1, V2 replaced by their complex conjugates."""
-    cj = lambda f: (lambda r, p: np.conj(f(r, p)))
-    return GreenTestPair(
-        u=pair.u, u_r=pair.u_r, u_phi=pair.u_phi, u_lap=pair.u_lap,
-        v1=cj(pair.v1), v1_r=cj(pair.v1_r),
-        v1_phi=cj(pair.v1_phi), v1_lap=cj(pair.v1_lap),
-        v2=cj(pair.v2), v2_r=cj(pair.v2_r),
-        v2_phi=cj(pair.v2_phi), v2_lap=cj(pair.v2_lap),
-        support=pair.support,
+        u=u,
+        v1=_harmonic_combo(_V1_COEFFS),
+        v2=_harmonic_combo(_V2_COEFFS),
+        support=tuple(support),
     )

@@ -74,28 +74,26 @@ def _cell_integral(grid, nodal):
     return float(np.real(np.sum(cell * r_mid[:, None]) * grid.dr * grid.dphi))
 
 
-def e_norm(u, p):
-    """Weighted norm with integrand sum r^(2a) (r^(2(|alpha|-l)) + 1) |D^alpha u|^2."""
+def _weighted_norm(u, l, weight):
+    """Root of the cell integral of sum weight(r, |alpha|) |D^alpha u|^2, |alpha| <= l."""
     grid = u.grid
     r, _ = grid.meshgrid()
-    derivs = cartesian_derivatives(u, p.l)
     integrand = np.zeros(r.shape)
-    for (i, j), d in derivs.items():
-        k = i + j
-        integrand += r ** (2 * p.a) * (r ** (2 * (k - p.l)) + 1.0) * np.abs(d) ** 2
+    for (i, j), d in cartesian_derivatives(u, l).items():
+        integrand += weight(r, i + j) * np.abs(d) ** 2
     return np.sqrt(_cell_integral(grid, integrand))
+
+
+def e_norm(u, p):
+    """Weighted norm with integrand sum r^(2a) (r^(2(|alpha|-l)) + 1) |D^alpha u|^2."""
+    return _weighted_norm(
+        u, p.l, lambda r, k: r ** (2 * p.a) * (r ** (2 * (k - p.l)) + 1.0)
+    )
 
 
 def h_norm(u, p):
     """Weighted norm with weight r^(2(a - l + |alpha|)) on each derivative term."""
-    grid = u.grid
-    r, _ = grid.meshgrid()
-    derivs = cartesian_derivatives(u, p.l)
-    integrand = np.zeros(r.shape)
-    for (i, j), d in derivs.items():
-        k = i + j
-        integrand += r ** (2 * (p.a - p.l + k)) * np.abs(d) ** 2
-    return np.sqrt(_cell_integral(grid, integrand))
+    return _weighted_norm(u, p.l, lambda r, k: r ** (2 * (p.a - p.l + k)))
 
 
 def trace_integral(u, ray, p):

@@ -28,7 +28,7 @@ from planeangle.green_check import (
     green_residual_neumann,
     term_magnitudes,
 )
-from planeangle.manufactured import manufactured_dd, manufactured_nonlocal
+from planeangle.manufactured import exp_bump, manufactured_dd, manufactured_nonlocal
 from planeangle.pencil import (
     PoissonPencilProblem,
     adjoint_eigenvalues_numeric,
@@ -315,19 +315,11 @@ def test_criterion_10_weighted_norm_properties():
         assert es[0] <= es[1] <= es[2]
         assert hs[0] <= hs[1] <= hs[2]
 
-    def bump(r, r0, r1):
-        t = (2.0 * r - r0 - r1) / (r1 - r0)
-        out = np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        out[m] = np.exp(-1.0 / (1.0 - t[m] ** 2))
-        return out
-
     params = WeightParams(0.5, 1)
     wide = SectorGrid(GEO_SOLVE, 0.5, 3.0, 256, 64)
     ratios = []
     for s in (1.0, 0.5, 0.25, 0.125):
-        v = GridFunction.from_callable(
-            wide, lambda r, phi: bump(r, 0.6, 0.6 + s) * np.cos(phi)
-        )
+        eta = exp_bump(0.6, 0.6 + s)[0]
+        v = GridFunction.from_callable(wide, lambda r, phi: eta(r) * np.cos(phi))
         ratios.append(trace_ratio(v, "gamma1", params))
     assert max(ratios) <= 3.0 * np.median(ratios)

@@ -63,6 +63,11 @@ def test_load_spec_rejects_unknown_keys(tmp_path):
     path.write_text('{"mystery": {}}')
     with pytest.raises(SpecError):
         load_spec(str(path))
+    # nothing read output.format, so it is an unknown key (exit 2)
+    path.write_text('{"output": {"format": "csv"}}')
+    with pytest.raises(SpecError):
+        load_spec(str(path))
+    assert main(["--spec", str(path), "spectrum"]) == EXIT_PARSE
     path.write_text("not json")
     with pytest.raises(SpecError):
         load_spec(str(path))

@@ -5,6 +5,7 @@ import pytest
 
 from planeangle.core import GridFunction, SectorGrid, make_geometry
 from planeangle.difference_ops import apply_on_grid, to_matrix, two_sector_operator
+from planeangle.manufactured import manufactured_dd, manufactured_nonlocal
 from planeangle.sector_solver import (
     DDProblem,
     NonlocalPoissonProblem,
@@ -22,62 +23,6 @@ from planeangle.sector_solver import (
 B1 = np.pi / 6
 GEO = make_geometry([B1, B1 + 0.5 * np.pi, B1 + np.pi])
 R_MIN, R_MAX = 0.5, 3.0
-
-
-def sin4_bump(r_min=R_MIN, r_max=R_MAX, inset=0.08):
-    """Radial profile with three vanishing derivatives at the support edges."""
-    a0 = r_min + inset * (r_max - r_min)
-    a1 = r_max - inset * (r_max - r_min)
-    k = np.pi / (a1 - a0)
-
-    def eta(r):
-        r = np.asarray(r, float)
-        out = np.zeros_like(r)
-        m = (r > a0) & (r < a1)
-        out[m] = np.sin(k * (r[m] - a0)) ** 4
-        return out
-
-    def deta(r):
-        r = np.asarray(r, float)
-        out = np.zeros_like(r)
-        m = (r > a0) & (r < a1)
-        s, c = np.sin(k * (r[m] - a0)), np.cos(k * (r[m] - a0))
-        out[m] = 4.0 * k * s**3 * c
-        return out
-
-    def ddeta(r):
-        r = np.asarray(r, float)
-        out = np.zeros_like(r)
-        m = (r > a0) & (r < a1)
-        s, c = np.sin(k * (r[m] - a0)), np.cos(k * (r[m] - a0))
-        out[m] = 4.0 * k**2 * (3.0 * s**2 * c**2 - s**4)
-        return out
-
-    return eta, deta, ddeta
-
-
-def dd_manufactured(alpha, beta):
-    """Exact w*, and f = R applied nodally to (-Laplace+1) w*.
-
-    The angular profile sin(kappa phi')**3 vanishes with two derivatives at
-    both rays, which keeps the difference-operator image of the data smooth
-    across the middle ray.
-    """
-    eta, deta, ddeta = sin4_bump()
-    kappa = np.pi / GEO.opening
-
-    def w_exact(r, phi):
-        return eta(r) * np.sin(kappa * (phi - B1)) ** 3
-
-    def pde_of_w(r, phi):
-        s = np.sin(kappa * (phi - B1))
-        c = np.cos(kappa * (phi - B1))
-        ang = s**3
-        ddang = 3.0 * kappa**2 * (2.0 * s * c**2 - s**3)
-        lap = ddeta(r) * ang + deta(r) * ang / r + eta(r) * ddang / r**2
-        return -lap + eta(r) * ang
-
-    return w_exact, pde_of_w
 
 
 def weighted_l2(grid, diff):
@@ -158,7 +103,7 @@ def test_solve_dd_zero_rhs():
 
 def test_solve_dd_residual_certified():
     grid = SectorGrid(GEO, R_MIN, R_MAX, 24, 24)
-    w_exact, pde = dd_manufactured(0.9, 0.9)
+    w_exact, pde = manufactured_dd(GEO, R_MIN, R_MAX)
     op = two_sector_operator(0.9, 0.9, GEO)
     f = apply_on_grid(op, GridFunction.from_callable(grid, pde))
     res = solve_dd(DDProblem(0.9, 0.9, GEO, f, R_MIN, R_MAX), grid)
@@ -170,7 +115,7 @@ def test_solve_dd_residual_certified():
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.9, 0.9), (0.3, -0.8)])
 def test_solve_dd_second_order_convergence(alpha, beta):
-    w_exact, pde = dd_manufactured(alpha, beta)
+    w_exact, pde = manufactured_dd(GEO, R_MIN, R_MAX)
     op = two_sector_operator(alpha, beta, GEO)
     errs = []
     for n in (16, 32, 64):
@@ -185,17 +130,7 @@ def test_solve_dd_second_order_convergence(alpha, beta):
 
 
 def nonlocal_manufactured(alpha, beta):
-    eta, deta, ddeta = sin4_bump()
-
-    def u_exact(r, phi):
-        return r**2 * np.cos(phi) * eta(r)
-
-    def f_rhs(r, phi):
-        g = r**2 * eta(r)
-        dg = 2.0 * r * eta(r) + r**2 * deta(r)
-        ddg = 2.0 * eta(r) + 4.0 * r * deta(r) + r**2 * ddeta(r)
-        return (-(ddg + dg / r - g / r**2) + g) * np.cos(phi)
-
+    u_exact, f_rhs = manufactured_nonlocal(GEO, R_MIN, R_MAX)
     b1, b2, b3 = GEO.angles
     g1 = lambda r: u_exact(r, b1) + alpha * u_exact(r, b2)
     g3 = lambda r: u_exact(r, b3) + beta * u_exact(r, b2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planeangle.core import GridFunction, SectorGrid, make_geometry
+from planeangle.manufactured import exp_bump
 from planeangle.weighted_norms import (
     UnsupportedOrder,
     WeightParams,
@@ -15,14 +16,6 @@ from planeangle.weighted_norms import (
 )
 
 GEO = make_geometry([np.pi / 6, np.pi / 6 + np.pi / 2, np.pi / 6 + np.pi])
-
-
-def bump(r, r0, r1):
-    t = (2.0 * r - r0 - r1) / (r1 - r0)
-    out = np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - t[m] ** 2))
-    return out
 
 
 def smooth_u(grid):
@@ -120,12 +113,11 @@ def test_trace_ratio_requires_l_geq_1():
 
 def test_trace_ratio_stable_under_refinement():
     p = WeightParams(0.5, 1)
+    eta = exp_bump(1.0, 2.5)[0]
     ratios = []
     for n in (32, 64, 128):
         grid = SectorGrid(GEO, 0.5, 3.0, n, n)
-        u = GridFunction.from_callable(
-            grid, lambda r, phi: bump(r, 1.0, 2.5) * np.cos(phi)
-        )
+        u = GridFunction.from_callable(grid, lambda r, phi: eta(r) * np.cos(phi))
         ratios.append(trace_ratio(u, "gamma1", p))
     spread = (max(ratios) - min(ratios)) / np.median(ratios)
     assert spread < 0.2
@@ -136,8 +128,7 @@ def test_trace_ratio_bounded_for_shrinking_family():
     grid = SectorGrid(GEO, 0.5, 3.0, 256, 64)
     ratios = []
     for s in (1.0, 0.5, 0.25, 0.125):
-        u = GridFunction.from_callable(
-            grid, lambda r, phi: bump(r, 0.6, 0.6 + s) * np.cos(phi)
-        )
+        eta = exp_bump(0.6, 0.6 + s)[0]
+        u = GridFunction.from_callable(grid, lambda r, phi: eta(r) * np.cos(phi))
         ratios.append(trace_ratio(u, "gamma1", p))
     assert max(ratios) <= 3.0 * np.median(ratios)
