@@ -6,9 +6,13 @@ import pytest
 from planeangle.core import GridFunction, SectorGrid, make_geometry
 from planeangle.difference_ops import apply_on_grid, to_matrix, two_sector_operator
 from planeangle.manufactured import manufactured_dd, manufactured_nonlocal
+from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form
 from planeangle.sector_solver import (
     DDProblem,
     NonlocalPoissonProblem,
+    SingularSystem,
+    _direct_solve,
+    angular_matrix,
     assemble_dd_system,
     boundary_lifting,
     discrete_coercivity,
@@ -113,6 +117,72 @@ def test_solve_dd_residual_certified():
     assert np.all(res.solution.values[:, -1] == 0.0)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(0.3, -0.8), (1.5, 0.3), (-1.5, -0.3), (0.999, 0.999), (0.0, 0.0), (-0.9, 0.95)],
+)
+@pytest.mark.parametrize("n", [32, 64])
+def test_separable_solve_matches_sparse_lu(alpha, beta, n):
+    # the sparse LU of the assembled system is the oracle; (0.999, 0.999)
+    # has the worst-conditioned eigenvector matrix inside the regime (44.7)
+    grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
+    rng = np.random.default_rng(n)
+    shape = (n + 1, n + 1)
+    f = GridFunction(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    p = DDProblem(alpha, beta, GEO, f, R_MIN, R_MAX)
+    res = solve_dd(p, grid)
+    assert res.info["method"] == "separable"
+    assert res.info["cond_V"] <= 50.0
+    want = _direct_solve(*assemble_dd_system(p, grid))
+    got = res.solution.values[1:-1, 1:-1].ravel()
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_solve_dd_falls_back_to_sparse_lu():
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
+    f = GridFunction(grid, np.random.default_rng(1).standard_normal((17, 17)))
+    # |alpha+beta| > 2: the folded angular matrix has a complex spectrum
+    res = solve_dd(DDProblem(1.5, 1.0, GEO, f, R_MIN, R_MAX), grid)
+    assert res.info["method"] == "sparse_lu"
+    assert 0.0 < res.equation_residual <= 1e-8 * res.info["rhs_norm"]
+    # alpha = beta = 1: defective angular matrix and a singular system
+    with pytest.raises(SingularSystem):
+        solve_dd(DDProblem(1.0, 1.0, GEO, f, R_MIN, R_MAX), grid)
+
+
+@pytest.mark.parametrize("beta", [0.5 - 1e-8, 0.5 - 1e-10])
+def test_solve_dd_near_the_regime_edge_falls_back(beta):
+    # alpha + beta just below 2 with alpha*beta far from 1: S is well
+    # conditioned, but cond(V) is about 2e8 or more, so the separable
+    # solution fails the residual gate (or eig returns a complex spectrum)
+    # and the sparse LU answers
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
+    f = GridFunction(grid, np.random.default_rng(1).standard_normal((33, 33)))
+    res = solve_dd(DDProblem(1.5, beta, GEO, f, R_MIN, R_MAX), grid)
+    assert res.info["method"] == "sparse_lu"
+    assert res.info["cond_V"] > 1e8
+    assert 0.0 < res.equation_residual <= 1e-8 * res.info["rhs_norm"]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (-1.2, 0.5)])
+def test_angular_spectrum_converges_to_pencil_eigenvalues(alpha, beta):
+    # sqrt of the six smallest eigenvalues of the folded angular matrix
+    # against the six smallest positive Im lambda of the nonlocal pencil
+    b1, _, b3 = GEO.angles
+    pencil = PoissonPencilProblem(alpha, beta, b1, b3)
+    im = eigenvalues_closed_form(pencil, (0.0, 20.0)).values.imag
+    want = np.sort(im[im > 0.0])[:6]
+    errs = []
+    for n_phi in (32, 64, 128):
+        grid = SectorGrid(GEO, R_MIN, R_MAX, 4, n_phi)
+        mu = np.linalg.eigvals(angular_matrix(alpha, beta, grid))
+        assert np.all(mu.imag == 0.0)
+        errs.append(np.max(np.abs(np.sqrt(np.sort(mu.real)[:6]) - want)))
+    assert errs[-1] <= 0.01
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse / fine >= 3.5
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.9, 0.9), (0.3, -0.8)])
 def test_solve_dd_second_order_convergence(alpha, beta):
     w_exact, pde = manufactured_dd(GEO, R_MIN, R_MAX)
@@ -164,6 +234,21 @@ def test_nonlocal_second_order_convergence(alpha, beta):
         assert 1.7 <= o <= 2.3
     # the ray conditions are satisfied to solver accuracy at every resolution
     assert max(bres) <= 1e-10
+
+
+def test_nonlocal_n512_second_order():
+    # the finest level of the convergence study, on the separable path
+    u_exact, f_rhs, g1, g3 = nonlocal_manufactured(0.3, -0.8)
+    p = NonlocalPoissonProblem(0.3, -0.8, GEO, f_rhs, g1, g3, R_MIN, R_MAX)
+    errs = []
+    for n in (256, 512):
+        grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
+        res = solve_nonlocal_poisson(p, grid)
+        assert res.info["dd_method"] == "separable"
+        assert res.boundary_residual <= 1e-10
+        exact = GridFunction.from_callable(grid, u_exact)
+        errs.append(weighted_l2(grid, res.solution.values - exact.values))
+    assert 1.7 <= np.log2(errs[0] / errs[1]) <= 2.3
 
 
 def test_nonlocal_equation_residual_at_roundoff():
@@ -234,6 +319,7 @@ def test_regime_flag_reported():
     assert not p.guaranteed_solvable
     res = solve_nonlocal_poisson(p, grid)
     assert res.info["regime_flag"] == "unsupported"
+    assert res.info["dd_method"] == "sparse_lu"
 
 
 def test_lifting_cutoff_shape():
