@@ -143,6 +143,7 @@ _SCHEMA = {
     "weights": {"a", "l"},
     "output": {"path"},
 }
+_OPTIONAL_KEYS = {"rhs"}  # a missing solver.rhs means "0"
 
 
 def load_spec(path):
@@ -169,8 +170,8 @@ def _require(spec, *sections):
     if missing:
         raise SpecError("missing required sections: %s" % ", ".join(missing))
     for s in sections:
-        gaps = _SCHEMA[s] - set(spec[s])
-        if gaps and s != "solver":
+        gaps = _SCHEMA[s] - _OPTIONAL_KEYS - set(spec[s])
+        if gaps:
             raise SpecError("section %r missing keys %s" % (s, sorted(gaps)))
 
 

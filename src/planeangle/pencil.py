@@ -23,6 +23,11 @@ off samples on |z| = 1, takes the roots in z from the companion matrix,
 unfolds them to lambda = (log z + 2*pi*i*k)/d and polishes them by Newton
 iteration.  An argument-principle count on the window boundary checks the
 number of zeros found.
+
+Both determinants map a scalar or an array of lambda to a complex array of
+the same shape (0-d for a scalar), so the finder makes one call per batch:
+the 64 Laurent samples, each refinement level of the contour, and each
+Newton step, which updates all unconverged candidates together.
 """
 
 from dataclasses import dataclass, field
@@ -95,9 +100,9 @@ class EigenvalueSet:
 
 
 def _column_scales(lam, phi_max):
-    """Per-column damping factors keeping |exp(+-lam*phi)| <= 1 on [0, phi_max]."""
-    re = lam.real if isinstance(lam, complex) else np.real(lam)
-    return (-max(re, 0.0) * phi_max, -max(-re, 0.0) * phi_max)
+    """Per-column damping exponents keeping |exp(+-lam*phi)| <= 1 on [0, phi_max]."""
+    re = np.real(lam)
+    return -np.maximum(re, 0.0) * phi_max, -np.maximum(-re, 0.0) * phi_max
 
 
 def lambda_zero_determinant(p):
@@ -114,12 +119,14 @@ def characteristic_value(p, lam, scaled=True):
     exactly the pencil eigenvalues (lambda = 0 is a spurious zero of this
     basis and is handled by the degenerate basis {1, phi}).
 
-    With scaled=True each basis column is damped by exp(-|Re lambda|*b3) so
-    the value never overflows; zeros are unchanged.
+    lam is a scalar or an array; the result is a complex array of its shape
+    (0-d for a scalar), elementwise equal to scalar calls.  With scaled=True
+    each basis column is damped by exp(-|Re lambda|*b3) so the value never
+    overflows; zeros are unchanged.
     """
-    lam = complex(lam)
-    if lam == 0:
-        return complex(lambda_zero_determinant(p))
+    shape = np.shape(lam)
+    # flat, so that a scalar runs the same array loops as an array entry
+    lam = np.asarray(lam, dtype=complex).ravel()
     a, b = p.alpha, p.beta
     b1, b2, b3 = p.b1, p.b2, p.b3
     s1, s2 = _column_scales(lam, b3) if scaled else (0.0, 0.0)
@@ -128,7 +135,8 @@ def characteristic_value(p, lam, scaled=True):
     m12 = np.exp(-lam * b1 + s2) + a * np.exp(-lam * b2 + s2)
     m21 = np.exp(lam * b3 + s1) + b * np.exp(lam * b2 + s1)
     m22 = np.exp(-lam * b3 + s2) + b * np.exp(-lam * b2 + s2)
-    return m11 * m22 - m12 * m21
+    det = m11 * m22 - m12 * m21
+    return np.where(lam == 0, lambda_zero_determinant(p), det).reshape(shape)
 
 
 def adjoint_transmission_characteristic(p, lam, scaled=True):
@@ -146,44 +154,39 @@ def adjoint_transmission_characteristic(p, lam, scaled=True):
     derivatives (1/r) d/dphi on the first two rays and -(1/r) d/dphi on the
     third, which flips the sign of the beta term.  Zeros of this determinant
     are the conjugates of the primal pencil eigenvalues.
+
+    lam and scaled act as in characteristic_value, with one stacked 4x4
+    determinant per entry of lam.
     """
-    lam = complex(lam)
+    shape = np.shape(lam)
+    lam = np.asarray(lam, dtype=complex).ravel()
     a, b = p.alpha, p.beta
     b1, b2, b3 = p.b1, p.b2, p.b3
-    if lam == 0:
-        # degenerate piecewise basis {1, phi} on each sub-arc
-        m = np.array(
-            [
-                [1.0, b1, 0.0, 0.0],
-                [0.0, 0.0, 1.0, b3],
-                [1.0, b2, -1.0, -b2],
-                [0.0, 1.0 + a, 0.0, -1.0 - b],
-            ]
-        )
-        return complex(np.linalg.det(m))
     s1, s2 = _column_scales(lam, b3) if scaled else (0.0, 0.0)
-
-    def ep(phi):
-        return np.exp(lam * phi + s1)
-
-    def em(phi):
-        return np.exp(-lam * phi + s2)
-
+    ep1, ep2, ep3 = (np.exp(lam * phi + s1) for phi in (b1, b2, b3))
+    em1, em2, em3 = (np.exp(-lam * phi + s2) for phi in (b1, b2, b3))
+    o = np.zeros_like(lam)
     m = np.array(
         [
-            [ep(b1), em(b1), 0.0, 0.0],
-            [0.0, 0.0, ep(b3), em(b3)],
-            [ep(b2), em(b2), -ep(b2), -em(b2)],
+            [ep1, em1, o, o],
+            [o, o, ep3, em3],
+            [ep2, em2, -ep2, -em2],
             [
-                lam * (ep(b2) + a * ep(b1)),
-                -lam * (em(b2) + a * em(b1)),
-                -lam * (ep(b2) + b * ep(b3)),
-                lam * (em(b2) + b * em(b3)),
+                lam * (ep2 + a * ep1),
+                -lam * (em2 + a * em1),
+                -lam * (ep2 + b * ep3),
+                lam * (em2 + b * em3),
             ],
-        ],
-        dtype=complex,
-    )
-    return complex(np.linalg.det(m))
+        ]
+    ).transpose(2, 0, 1)
+    # degenerate piecewise basis {1, phi} on each sub-arc
+    m[lam == 0] = [
+        [1.0, b1, 0.0, 0.0],
+        [0.0, 0.0, 1.0, b3],
+        [1.0, b2, -1.0, -b2],
+        [0.0, 1.0 + a, 0.0, -1.0 - b],
+    ]
+    return np.linalg.det(m).reshape(shape)
 
 
 def _progression_in(lo, hi, offset, step, exclude_zero=False):
@@ -245,18 +248,11 @@ def eigenvalues_closed_form(p, strip):
 
 def _rect_contour(rect, n_per_edge):
     re_lo, re_hi, im_lo, im_hi = rect
-    corners = [
-        re_lo + 1j * im_lo,
-        re_hi + 1j * im_lo,
-        re_hi + 1j * im_hi,
-        re_lo + 1j * im_hi,
-    ]
-    pts = []
-    for k in range(4):
-        a, b = corners[k], corners[(k + 1) % 4]
-        t = np.arange(n_per_edge) / n_per_edge
-        pts.append(a + (b - a) * t)
-    return np.concatenate(pts)
+    corners = np.array(
+        [re_lo + 1j * im_lo, re_hi + 1j * im_lo, re_hi + 1j * im_hi, re_lo + 1j * im_hi]
+    )
+    t = np.arange(n_per_edge) / n_per_edge
+    return (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
 
 
 def _winding_number(f, rect, n_start=64, n_max=8192):
@@ -271,7 +267,7 @@ def _winding_number(f, rect, n_start=64, n_max=8192):
     prev = None
     while True:
         z = _rect_contour(rect, n)
-        vals = np.array([f(zz) for zz in z])
+        vals = f(z)
         scale = float(np.max(np.abs(vals)))
         if scale == 0.0 or np.min(np.abs(vals)) < 1e-12 * scale:
             raise ContourThroughZero("characteristic value vanishes on contour")
@@ -293,25 +289,26 @@ def _winding_number(f, rect, n_start=64, n_max=8192):
 
 
 def _newton_polish(f, z0, scale, max_iter=50):
-    z = z0
-    for _ in range(max_iter):
-        fz = f(z)
-        if abs(fz) < 1e-12 * scale:
+    """Newton iteration on f from all starts z0 at once, one call of f per step.
+
+    A point stays put once |f| < 1e-12*scale; NoConvergence names the starts
+    still unconverged after max_iter steps.
+    """
+    z = np.array(z0, dtype=complex)
+    todo = np.arange(z.size)  # indices of the unconverged points
+    for _ in range(max_iter + 1):
+        zt = z[todo]
+        h = 1e-7 * (1.0 + np.abs(zt))
+        fz, f_plus, f_minus = np.split(f(np.concatenate([zt, zt + h, zt - h])), 3)
+        dfz = (f_plus - f_minus) / (2.0 * h)
+        miss = np.abs(fz) >= 1e-12 * scale
+        # converged points and vanishing difference quotients do not move
+        step = np.divide(fz, dfz, out=np.zeros_like(fz), where=miss & (dfz != 0))
+        z[todo] = zt - step
+        todo = todo[miss]
+        if todo.size == 0:
             return z
-        h = 1e-7 * (1.0 + abs(z))
-        dfz = (f(z + h) - f(z - h)) / (2.0 * h)
-        if dfz == 0:
-            break
-        step = fz / dfz
-        z = z - step
-        if abs(step) < 1e-14 * (1.0 + abs(z)):
-            fz = f(z)
-            if abs(fz) < 1e-12 * scale:
-                return z
-    fz = f(z)
-    if abs(fz) < 1e-12 * scale:
-        return z
-    raise NoConvergence("Newton polish failed near %s" % z0)
+    raise NoConvergence("Newton polish failed near %s" % np.asarray(z0)[todo])
 
 
 def _winding_nudged(f, rect, max_tries=8):
@@ -347,7 +344,7 @@ def _laurent_coefficients(f, d):
     """
     n = N_SAMPLES
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    vals = np.array([f(1j * t / d) for t in theta])
+    vals = f(1j * theta / d)
     k = np.rint(np.fft.fftfreq(n) * n)
     c = np.fft.fft(vals) * np.exp(-1j * np.pi * k / n) / n
     noise = 1e-12 * np.max(np.abs(c))
@@ -389,27 +386,29 @@ def find_zeros(f, window, d):
     (except a candidate exactly at lambda = 0, where the determinants switch
     basis).  The argument-principle count on the window boundary must equal
     the number of unfolded candidates, with multiplicity, or NoConvergence
-    is raised.
+    is raised.  f is called with arrays of lambda only.  OutOfRange unless
+    re_lo < re_hi and im_lo < im_hi.
     """
     window = tuple(float(x) for x in window)
+    re_lo, re_hi, im_lo, im_hi = window
+    if not (re_lo < re_hi and im_lo < im_hi):
+        raise OutOfRange(
+            "empty search window %s: need re_lo < re_hi and im_lo < im_hi" % (window,)
+        )
     coefficients = _laurent_coefficients(f, d)
     count, scale, rect = _winding_nudged(f, window)
-    candidates = _unfold(np.roots(coefficients), d, rect)
-    if len(candidates) != count:
+    roots = np.array(_unfold(np.roots(coefficients), d, rect), dtype=complex)
+    if roots.size != count:
         raise NoConvergence(
             "%d zeros from the companion matrix, %d from the argument "
-            "principle" % (len(candidates), count)
+            "principle" % (roots.size, count)
         )
-    roots = [z if z == 0 else _newton_polish(f, z, scale) for z in candidates]
-    re_lo, re_hi, im_lo, im_hi = window
+    nonzero = roots != 0
+    roots[nonzero] = _newton_polish(f, roots[nonzero], scale)
     pad = WINDOW_PAD
-    inside = [
-        z
-        for z in roots
-        if re_lo - pad <= z.real <= re_hi + pad
-        and im_lo - pad <= z.imag <= im_hi + pad
-    ]
-    return _dedupe(inside)
+    in_re = (re_lo - pad <= roots.real) & (roots.real <= re_hi + pad)
+    in_im = (im_lo - pad <= roots.imag) & (roots.imag <= im_hi + pad)
+    return _dedupe(roots[in_re & in_im])
 
 
 def _numeric_eigenvalues(f, det_at_zero, p, window):
@@ -419,10 +418,10 @@ def _numeric_eigenvalues(f, det_at_zero, p, window):
     not it is an eigenvalue; it is kept only if det_at_zero, the relative
     determinant in the degenerate basis {1, phi}, vanishes.
     """
-    roots = find_zeros(f, window, p.d)
+    roots = np.array(find_zeros(f, window, p.d), dtype=complex)
     if abs(det_at_zero) > 1e-12:
-        roots = [z for z in roots if abs(z) >= 1e-6]
-    return EigenvalueSet(np.array(roots, dtype=complex), tuple(window), "numeric")
+        roots = roots[np.abs(roots) >= 1e-6]
+    return EigenvalueSet(roots, tuple(window), "numeric")
 
 
 def eigenvalues_numeric(p, window):
@@ -444,7 +443,7 @@ def adjoint_eigenvalues_numeric(p, window):
     """
 
     def f(lam):
-        if lam == 0:
+        if np.any(lam == 0):
             # f is undefined here; _winding_nudged moves the contour off it
             raise ContourThroughZero("lambda = 0 on the contour")
         return adjoint_transmission_characteristic(p, lam) / lam

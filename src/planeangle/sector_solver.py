@@ -59,10 +59,6 @@ class SolverFailure(PlaneAngleError):
     pass
 
 
-class TooLarge(PlaneAngleError):
-    pass
-
-
 def _check_problem(p):
     """Validation shared by the solver problem types."""
     if p.geometry.num_sectors != 2:
@@ -391,5 +387,5 @@ def discrete_coercivity(p, grid, dense_limit=500):
     try:
         val = spla.eigsh(sym, k=1, which="SA", return_eigenvectors=False)
         return float(val[0])
-    except Exception as exc:  # pragma: no cover - iterative fallback
-        raise TooLarge("extreme eigenvalue estimation failed: %s" % exc)
+    except spla.ArpackError as exc:
+        raise SolverFailure("extreme eigenvalue estimation failed: %s" % exc)

@@ -92,6 +92,15 @@ def test_eigs_dirichlet_window(tmp_path):
         assert min(abs(z - 1j * im) for z in numeric_vals) < 1e-8
 
 
+def test_eigs_empty_window_exit(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json")
+    code = main(["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs",
+                 "--im-min", "4", "--im-max", "-4"])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "empty search window (-0.5, 0.5, 4.0, -4.0)" in err
+
+
 def test_eigs_regime_exit(tmp_path):
     spec = write_spec(tmp_path / "s.json", alpha=1.5, beta=1.5)
     assert main(["--spec", spec, "--quiet", "eigs"]) == EXIT_REGIME
@@ -101,6 +110,18 @@ def test_parse_error_exit(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{]")
     assert main(["--spec", str(path), "--quiet", "eigs"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command", ["solve", "norms"])
+def test_missing_solver_key_exit(tmp_path, capsys, command):
+    path = write_spec(tmp_path / "s.json")
+    doc = json.loads(open(path).read())
+    del doc["solver"]["n_r"]
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    assert main(["--spec", path, "--out", str(tmp_path), "--quiet", command]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "section 'solver' missing keys ['n_r']" in err
 
 
 def test_solvability_exit_codes(tmp_path):

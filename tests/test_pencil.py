@@ -1,19 +1,23 @@
 """Pencil eigenvalues: closed forms, numeric root finding, adjoint mirror."""
 
+import re
+
 import numpy as np
 import pytest
 
-from planeangle.core import make_geometry
+from planeangle.core import OutOfRange, make_geometry
 from planeangle.pencil import (
     NoConvergence,
     PoissonPencilProblem,
     UnsupportedRegime,
+    _newton_polish,
     adjoint_eigenvalues_numeric,
     adjoint_transmission_characteristic,
     characteristic_value,
     eigenvalues_closed_form,
     eigenvalues_numeric,
     find_zeros,
+    lambda_zero_determinant,
     line_is_eigenvalue_free,
     solvability_report,
 )
@@ -58,6 +62,25 @@ def test_factorized_determinant_identity():
             ref = factorized(p, z)
             scale = max(abs(ref), 1.0)
             assert abs(raw - ref) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("scaled", [True, False])
+def test_determinants_on_arrays_match_scalar_calls(scaled):
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(-3, 3, (3, 7)) + 1j * rng.uniform(-4, 4, (3, 7))
+    lam[1, 2] = 0.0
+    lam[0, 0] = 2.5
+    for p in (P_MIX, PoissonPencilProblem(-0.8, 0.3, 0.4, 2.9)):
+        primal = characteristic_value(p, lam, scaled)
+        adjoint = adjoint_transmission_characteristic(p, lam, scaled)
+        assert primal.shape == adjoint.shape == lam.shape
+        for idx, z in np.ndenumerate(lam):
+            one = characteristic_value(p, z, scaled)
+            assert one.shape == () and one == primal[idx]
+            ref = adjoint_transmission_characteristic(p, z, scaled)
+            assert ref.shape == ()
+            assert abs(adjoint[idx] - ref) <= 1e-14 * abs(ref)
+        assert primal[1, 2] == lambda_zero_determinant(p)
 
 
 def test_closed_form_dirichlet_family():
@@ -121,6 +144,57 @@ def test_find_zeros_laurent_control():
 def test_find_zeros_rejects_degree_three():
     with pytest.raises(NoConvergence, match="not a Laurent polynomial"):
         find_zeros(lambda lam: np.exp(3.0 * lam) - 2.0, (-1.0, 1.0, -2.0, 2.0), 1.0)
+
+
+def test_find_zeros_calls_f_once_per_batch():
+    # one call for the Laurent samples, one per contour level, one per
+    # Newton step; the window edges are far from zeros, so one level and
+    # one step suffice
+    shapes = []
+
+    def f(lam):
+        shapes.append(np.shape(lam))
+        return characteristic_value(P_MIX, lam)
+
+    roots = find_zeros(f, (-0.5, 0.5, -3.9, 3.9), P_MIX.d)
+    assert len(roots) == 7
+    assert len(shapes) == 3 and all(len(shape) == 1 for shape in shapes)
+
+
+@pytest.mark.parametrize(
+    "window", [(-0.5, 0.5, 4.0, -4.0), (0.5, -0.5, -4.0, 4.0), (0.5, 0.5, -4.0, 4.0)]
+)
+def test_empty_window_is_out_of_range(window):
+    for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
+        with pytest.raises(OutOfRange, match="empty search window"):
+            search(P_MIX, window)
+
+
+@pytest.mark.parametrize("geo", GEOMETRIES)
+@pytest.mark.parametrize("alpha, beta", [(0.6, 0.4), (0.3, -0.8)])
+def test_newton_polish_converges_from_perturbed_eigenvalues(geo, alpha, beta):
+    p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+    closed = eigenvalues_closed_form(p, WINDOW[2:]).values
+    searches = (
+        lambda lam: characteristic_value(p, lam),
+        lambda lam: adjoint_transmission_characteristic(p, lam) / lam,
+    )
+    for f in searches:
+        polished = _newton_polish(f, closed + 1e-3, 1.0)
+        assert np.max(np.abs(polished - closed)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda lam: 1.0 + np.abs(lam) ** 2 + 0j,  # |f| >= 1 everywhere
+        lambda lam: np.full(np.shape(lam), 2.0 + 0j),  # zero difference quotient
+    ],
+)
+def test_newton_polish_no_convergence_names_the_starts(f):
+    starts = np.array([0.3 + 1.0j, -2.0 + 0.5j])
+    with pytest.raises(NoConvergence, match=re.escape(str(starts))):
+        _newton_polish(f, starts, 1.0)
 
 
 def test_adjoint_mirror_of_primal_zeros():

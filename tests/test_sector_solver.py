@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from planeangle.core import GridFunction, SectorGrid, make_geometry
 from planeangle.difference_ops import apply_on_grid, to_matrix, two_sector_operator
@@ -11,6 +12,7 @@ from planeangle.sector_solver import (
     DDProblem,
     NonlocalPoissonProblem,
     SingularSystem,
+    SolverFailure,
     _direct_solve,
     angular_matrix,
     assemble_dd_system,
@@ -363,3 +365,15 @@ def test_discrete_coercivity_sign(alpha, beta, positive):
         assert lam > 0.0
     else:
         assert lam < 0.0
+
+
+def test_discrete_coercivity_arpack_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
+    zero = GridFunction(grid, np.zeros((17, 17)))
+    p = DDProblem(0.6, 0.4, GEO, zero, R_MIN, R_MAX)
+    with pytest.raises(SolverFailure, match="extreme eigenvalue estimation failed"):
+        discrete_coercivity(p, grid, dense_limit=0)
