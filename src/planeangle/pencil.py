@@ -234,9 +234,11 @@ def eigenvalues_closed_form(p, strip):
     For alpha+beta = 0 the eigenvalues are i*pi*k/(b3-b1), k != 0.  For
     0 < |alpha+beta| < 2 they are i*2*pi*k/(b3-b1) (k != 0) together with
     the arctan family shifted by i*4*pi*p/(b3-b1), the branch offset
-    depending on the sign of alpha+beta.
+    depending on the sign of alpha+beta.  OutOfRange unless h_lo < h_hi.
     """
     lo, hi = float(strip[0]), float(strip[1])
+    if not lo < hi:
+        raise OutOfRange("empty strip %s: need h_lo < h_hi" % ((lo, hi),))
     parts = _closed_form_imag_parts(p, lo, hi)
     vals = _dedupe([1j * h for h in parts])
     return EigenvalueSet(np.array(vals, dtype=complex), (0.0, 0.0, lo, hi), "closed_form")

@@ -22,17 +22,21 @@ tridiagonal stencil, M_int the column shift on the interior columns (a
 2x2 block on each column pair (j, j+s), the identity on the middle column
 j = s) and T the angular second difference with the ray conditions
 v_0 = -alpha*v_s, v_2s = -beta*v_s of v = M w folded in (angular_matrix).
-solve_dd diagonalizes T = V diag(mu) V^-1 once, solves one tridiagonal
-radial system D_r + mu_k diag(1/r^2) per angular mode (all modes in one
-sparse LU of a block-diagonal matrix) and recovers w with the closed-form
-inverse of the 2x2 blocks: the tensor-product method of Lynch, Rice &
-Thomas (Numer. Math. 6, 1964).  The transform with V is not backward
-stable for S: its residual grows with cond(V), which is 2 to 45 for
-|alpha+beta| <= 1.998 and grows without bound as |alpha+beta| -> 2.  So the
-residual of S, recomputed after every solve and gated at 1e-8 * ||b||,
-decides: when T has a complex spectrum (|alpha+beta| > 2 or, by rounding,
-just below), when the separable transform hits a singular matrix, or when
-its solution fails the gate, solve_dd solves again with a sparse LU of S.
+solve_dd diagonalizes T = V diag(mu) V^-1, solves one tridiagonal radial
+system D_r + mu_k diag(1/r^2) per angular mode and recovers w with the
+closed-form inverse of the 2x2 blocks: the tensor-product method of Lynch,
+Rice & Thomas (Numer. Math. 6, 1964).  The eigenpairs of T are written
+down, not computed (_angular_basis): for |alpha+beta| < 2 they are the
+discrete pencil, theta = eta*h over the pencil eigenvalues i*eta, in
+O(n_phi^2) operations.  All radial systems go through one sparse LU of a
+block-diagonal matrix in natural order, which a tridiagonal block fills
+no further.  The transform with V is not backward stable for S: its
+residual grows with cond(V), which is 2 to 45 for |alpha+beta| <= 1.998
+and grows without bound as |alpha+beta| -> 2.  So the residual of S,
+recomputed after every solve and gated at 1e-8 * ||b||, decides: when T
+has no real eigenbasis (|alpha+beta| >= 2), when the separable transform
+hits a singular matrix, or when its solution fails the gate, solve_dd
+solves again with a sparse LU of S.
 """
 
 from dataclasses import dataclass, field
@@ -190,10 +194,14 @@ def _rhs_vector(rhs, grid):
     return GridFunction.from_callable(grid, rhs).values.ravel()
 
 
-def _direct_solve(S, b):
-    """Solve the real system S x = b for complex b with one real LU."""
+def _direct_solve(S, b, **splu_options):
+    """Solve the real system S x = b for complex b with one real LU.
+
+    splu_options go to scipy's splu unchanged; without them SuperLU uses its
+    defaults (COLAMD column ordering, supernode relaxation).
+    """
     try:
-        lu = spla.splu(S.tocsc())
+        lu = spla.splu(S.tocsc(), **splu_options)
     except RuntimeError as exc:  # exactly singular factor
         raise SingularSystem("sparse LU failed: %s" % exc)
     parts = lu.solve(np.column_stack([b.real, b.imag]))
@@ -209,14 +217,50 @@ def angular_matrix(alpha, beta, grid):
     T acts on the interior columns j = 1..n_phi-1 of v = M w; the ray
     columns are eliminated by the conditions v_0 = -alpha*v_s and
     v_2s = -beta*v_s (s = shift_columns) that v inherits from w = 0 on the
-    rays.  Its eigenvalues approximate (Im lambda)^2 for the pencil
-    eigenvalues lambda (pencil.eigenvalues_closed_form), at second order.
+    rays.  For |alpha+beta| < 2 its spectrum is exactly 4 sin^2(eta h/2)/h^2
+    (h = dphi) over the pencil eigenvalues lambda = i*eta with eta in
+    (0, pi/h) (pencil.eigenvalues_closed_form): theta = eta*h solves the
+    discrete characteristic equation sin(theta s)(2 cos(theta s) + alpha +
+    beta) = 0, the continuous one with lambda*d replaced by i*theta*s.  So
+    the eigenvalues tend to (Im lambda)^2 at second order in h.  The solver
+    uses the closed-form eigenpairs of _angular_basis; this matrix is their
+    reference.
     """
     m, s = grid.n_phi - 1, grid.shift_columns
     T = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
     T[0, s - 1] += alpha
     T[-1, s - 1] += beta
     return T / grid.dphi**2
+
+
+def _angular_basis(alpha, beta, grid):
+    """Closed-form eigenpairs (mu, V) of angular_matrix, or None.
+
+    Every eigenvector solves the recurrence of T on the columns j = 0..2s
+    with v_0 = -alpha*v_s and v_2s = -beta*v_s, so with mu = (2 - 2cos
+    theta)/h^2 there are two real families when |alpha+beta| < 2:
+    v_j = sin(theta j) with theta = pi*k/s (k = 1..s-1), which vanishes on
+    the middle column, and v_j = cos(theta(j-s)) + B sin(theta(j-s)) with
+    cos(theta s) = -(alpha+beta)/2 and B = (alpha-beta)/(2 sin(theta s)),
+    one root x = theta*s in each interval (m*pi, (m+1)*pi), m = 0..s-1.
+    The columns of V are the interior entries j = 1..2s-1, scaled to unit
+    2-norm as np.linalg.eig scales them.  For |alpha+beta| >= 2 the second
+    family has no real theta and None is returned.
+    """
+    c = -0.5 * (alpha + beta)
+    if not abs(c) < 1.0:
+        return None
+    s = grid.shift_columns
+    j = np.arange(1, 2 * s)[:, None]
+    t0 = np.arccos(c)
+    m = np.arange(s)
+    x1 = np.pi * np.arange(1, s)
+    x2 = np.where(m % 2 == 0, t0 + m * np.pi, (m + 1) * np.pi - t0)
+    B = (alpha - beta) / (2.0 * np.sin(x2))
+    V = np.hstack([np.sin(x1 / s * j), np.cos(x2 / s * (j - s)) + B * np.sin(x2 / s * (j - s))])
+    V /= np.linalg.norm(V, axis=0)
+    theta = np.concatenate([x1, x2]) / s
+    return (2.0 - 2.0 * np.cos(theta)) / grid.dphi**2, V
 
 
 def _separable_solve(p, grid, b, mu, V):
@@ -226,17 +270,25 @@ def _separable_solve(p, grid, b, mu, V):
     reads D_r v + diag(1/r^2) v T^T = b for the radial stencil D_r.  Column
     k of v V^-T then solves the tridiagonal system D_r + mu_k diag(1/r^2)
     with column k of b V^-T; all columns go through one sparse LU of the
-    block-diagonal matrix.  w is recovered from v column pair (j, j+s) by
-    column pair with the 2x2 sector matrix of the difference operator; the
-    middle column passes through unchanged.
+    block-diagonal matrix, factored in natural order.  w is recovered from
+    v column pair (j, j+s) by column pair with the 2x2 sector matrix of the
+    difference operator; the middle column passes through unchanged.
     """
     r = grid.r_nodes[1:-1]
     s = grid.shift_columns
     main, up, down = _radial_stencil(r, grid.dr)
-    D_r = sp.diags([main, up[:-1], down[1:]], [0, 1, -1])
-    radial = sp.kron(sp.identity(mu.size), D_r) + sp.diags((mu[:, None] / r**2).ravel())
+    # one tridiagonal block per mode, uncoupled: the last row of a block has
+    # no upper entry and the first row no lower one
+    up[-1] = down[0] = 0.0
+    up, down = np.tile(up, mu.size), np.tile(down, mu.size)
+    radial = sp.diags(
+        [(main + mu[:, None] / r**2).ravel(), up[:-1], down[1:]], [0, 1, -1], format="csc"
+    )
     modes = np.linalg.solve(V, b.reshape(r.size, mu.size).T)
-    v = (V @ _direct_solve(radial, modes.ravel()).reshape(mu.size, r.size)).T
+    # tridiagonal blocks take no fill in natural order, so a fill-reducing
+    # ordering and supernode relaxation only cost time
+    x = _direct_solve(radial, modes.ravel(), permc_spec="NATURAL", relax=1, panel_size=1)
+    v = (V @ x.reshape(mu.size, r.size)).T
     inv = inverse_matrix(p.operator())
     left, right = v[:, : s - 1], v[:, s:]
     w = v.copy()
@@ -249,20 +301,25 @@ def solve_dd(p, grid):
     """Solve the differential-difference Dirichlet problem on the grid.
 
     Only interior unknowns are solved for; the solution is zero on the rays
-    and the truncation arcs by construction.  The system is first solved by
-    the separable method of _separable_solve when the folded angular matrix
-    T has a real spectrum.  The equation residual is recomputed by applying
-    the assembled operator to the solution; when the separable path fails
-    or its residual exceeds 1e-8 * ||b||, the system is solved again by a
+    and the truncation arcs by construction.  For |alpha+beta| < 2 the
+    system is first solved by the separable method of _separable_solve in
+    the closed-form eigenbasis of the folded angular matrix T
+    (_angular_basis).  The equation residual is recomputed by applying the
+    assembled operator to the solution; when the separable path fails or
+    its residual exceeds 1e-8 * ||b||, the system is solved again by a
     sparse LU of the assembled matrix, whose residual must pass the same
-    gate.  info["method"] names the path whose solution is returned and
-    info["cond_V"] holds the condition number of the eigenvector matrix V.
+    gate.  For |alpha+beta| >= 2, T has no real eigenbasis and the sparse LU
+    is the only path.  info["method"] names the path whose solution is
+    returned and info["cond_V"] holds the 2-norm condition number of the
+    eigenvector matrix V with unit columns, inf when there is no real basis.
     """
     S, b = assemble_dd_system(p, grid)
     bnorm = np.linalg.norm(b)
-    mu, V = np.linalg.eig(angular_matrix(p.alpha, p.beta, grid))
-    method, eq_res = "separable", np.inf
-    if np.isrealobj(mu):
+    basis = _angular_basis(p.alpha, p.beta, grid)
+    method, eq_res, cond_V = "separable", np.inf, np.inf
+    if basis is not None:
+        mu, V = basis
+        cond_V = float(np.linalg.cond(V))
         try:
             x = _separable_solve(p, grid, b, mu, V)
             eq_res = float(np.linalg.norm(S @ x - b))
@@ -281,7 +338,7 @@ def solve_dd(p, grid):
         equation_residual=eq_res,
         boundary_residual=0.0,
         n_unknowns=S.shape[0],
-        info={"method": method, "cond_V": float(np.linalg.cond(V)), "rhs_norm": bnorm},
+        info={"method": method, "cond_V": cond_V, "rhs_norm": bnorm},
     )
 
 

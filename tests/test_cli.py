@@ -97,8 +97,10 @@ def test_eigs_empty_window_exit(tmp_path, capsys):
     code = main(["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs",
                  "--im-min", "4", "--im-max", "-4"])
     assert code == EXIT_PARSE
+    # the closed-form table runs first and rejects the strip before the
+    # numeric search sees the window
     err = capsys.readouterr().err
-    assert "empty search window (-0.5, 0.5, 4.0, -4.0)" in err
+    assert "empty strip (4.0, -4.0)" in err
 
 
 def test_eigs_regime_exit(tmp_path):

@@ -104,6 +104,12 @@ def test_closed_form_rejects_large_coupling():
         eigenvalues_closed_form(p, (-1.0, 1.0))
 
 
+@pytest.mark.parametrize("strip", [(4.0, -4.0), (1.0, 1.0)])
+def test_closed_form_rejects_empty_strip(strip):
+    with pytest.raises(OutOfRange, match=r"empty strip \(%s, %s\)" % strip):
+        eigenvalues_closed_form(P_MIX, strip)
+
+
 def test_numeric_matches_closed_form_mixed():
     closed = eigenvalues_closed_form(P_MIX, (0.1, 4.1))
     numeric = eigenvalues_numeric(P_MIX, (-0.1, 0.1, 0.1, 4.1))

@@ -13,6 +13,7 @@ from planeangle.sector_solver import (
     NonlocalPoissonProblem,
     SingularSystem,
     SolverFailure,
+    _angular_basis,
     _direct_solve,
     angular_matrix,
     assemble_dd_system,
@@ -119,10 +120,17 @@ def test_solve_dd_residual_certified():
     assert np.all(res.solution.values[:, -1] == 0.0)
 
 
-@pytest.mark.parametrize(
-    "alpha,beta",
-    [(0.3, -0.8), (1.5, 0.3), (-1.5, -0.3), (0.999, 0.999), (0.0, 0.0), (-0.9, 0.95)],
-)
+SEPARABLE_COUPLINGS = [
+    (0.3, -0.8),
+    (1.5, 0.3),
+    (-1.5, -0.3),
+    (0.999, 0.999),
+    (0.0, 0.0),
+    (-0.9, 0.95),
+]
+
+
+@pytest.mark.parametrize("alpha,beta", SEPARABLE_COUPLINGS)
 @pytest.mark.parametrize("n", [32, 64])
 def test_separable_solve_matches_sparse_lu(alpha, beta, n):
     # the sparse LU of the assembled system is the oracle; (0.999, 0.999)
@@ -143,7 +151,7 @@ def test_separable_solve_matches_sparse_lu(alpha, beta, n):
 def test_solve_dd_falls_back_to_sparse_lu():
     grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
     f = GridFunction(grid, np.random.default_rng(1).standard_normal((17, 17)))
-    # |alpha+beta| > 2: the folded angular matrix has a complex spectrum
+    # |alpha+beta| > 2: the folded angular matrix has no real eigenbasis
     res = solve_dd(DDProblem(1.5, 1.0, GEO, f, R_MIN, R_MAX), grid)
     assert res.info["method"] == "sparse_lu"
     assert 0.0 < res.equation_residual <= 1e-8 * res.info["rhs_norm"]
@@ -155,15 +163,69 @@ def test_solve_dd_falls_back_to_sparse_lu():
 @pytest.mark.parametrize("beta", [0.5 - 1e-8, 0.5 - 1e-10])
 def test_solve_dd_near_the_regime_edge_falls_back(beta):
     # alpha + beta just below 2 with alpha*beta far from 1: S is well
-    # conditioned, but cond(V) is about 2e8 or more, so the separable
-    # solution fails the residual gate (or eig returns a complex spectrum)
-    # and the sparse LU answers
+    # conditioned, but cond(V) is about 2e8 and 2e10, so the separable
+    # solution fails the residual gate and the sparse LU answers
     grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
     f = GridFunction(grid, np.random.default_rng(1).standard_normal((33, 33)))
     res = solve_dd(DDProblem(1.5, beta, GEO, f, R_MIN, R_MAX), grid)
     assert res.info["method"] == "sparse_lu"
     assert res.info["cond_V"] > 1e8
     assert 0.0 < res.equation_residual <= 1e-8 * res.info["rhs_norm"]
+
+
+@pytest.mark.parametrize("alpha,beta", SEPARABLE_COUPLINGS)
+@pytest.mark.parametrize("n_phi", [16, 64, 256])
+def test_angular_basis_matches_eig(alpha, beta, n_phi):
+    # np.linalg.eig of the dense angular matrix is the oracle
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 4, n_phi)
+    T = angular_matrix(alpha, beta, grid)
+    mu, V = _angular_basis(alpha, beta, grid)
+    assert mu.shape == (n_phi - 1,) and V.shape == (n_phi - 1, n_phi - 1)
+    assert np.linalg.norm(T @ V - V * mu) <= 1e-13 * np.linalg.norm(T)
+    assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0.0, atol=1e-14)
+    mu_eig, V_eig = np.linalg.eig(T)
+    assert np.isrealobj(mu_eig)
+    assert np.max(np.abs(np.sort(mu) - np.sort(mu_eig))) <= 1e-12 * np.max(mu_eig)
+    cond = np.linalg.cond(V)
+    if cond <= 50.0:
+        assert abs(cond - np.linalg.cond(V_eig)) <= 1e-6 * cond
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.5, 1.0), (1.0, 1.0), (-1.5, -0.6)])
+def test_angular_basis_none_outside_the_regime(alpha, beta):
+    # |alpha+beta| >= 2: the second family has no real angle
+    assert _angular_basis(alpha, beta, SectorGrid(GEO, R_MIN, R_MAX, 4, 16)) is None
+
+
+def test_solve_dd_makes_no_dense_eigendecomposition(monkeypatch):
+    def no_eig(*args, **kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
+    f = GridFunction(grid, np.random.default_rng(3).standard_normal((33, 33)))
+    res = solve_dd(DDProblem(0.3, -0.8, GEO, f, R_MIN, R_MAX), grid)
+    assert res.info["method"] == "separable"
+    res = solve_dd(DDProblem(1.5, 1.0, GEO, f, R_MIN, R_MAX), grid)
+    assert res.info["method"] == "sparse_lu"
+    assert res.info["cond_V"] == np.inf
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (-1.2, 0.5)])
+@pytest.mark.parametrize("n_phi", [32, 128])
+def test_angular_spectrum_is_the_discrete_pencil_spectrum(alpha, beta, n_phi):
+    # exact on every grid: the eigenvalues of the folded angular matrix are
+    # 4 sin^2(eta h/2)/h^2 over the pencil eigenvalues i*eta, 0 < eta < pi/h
+    b1, _, b3 = GEO.angles
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 4, n_phi)
+    h = grid.dphi
+    pencil = PoissonPencilProblem(alpha, beta, b1, b3)
+    eta = eigenvalues_closed_form(pencil, (0.0, np.pi / h)).values.imag
+    eta = np.sort(eta[(eta > 0.0) & (eta < np.pi / h)])
+    want = 4.0 * np.sin(eta * h / 2.0) ** 2 / h**2
+    mu = np.linalg.eigvals(angular_matrix(alpha, beta, grid))
+    assert np.isrealobj(mu) and mu.size == want.size
+    assert np.max(np.abs(np.sort(mu) - want) / want) <= 1e-10
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (-1.2, 0.5)])
