@@ -9,29 +9,20 @@ ties w to the homogeneous part of u through the inverse shift matrix.
 
 import numpy as np
 
-from planeangle.core import GridFunction, SectorGrid, make_geometry
+from planeangle.core import SectorGrid, make_geometry
 from planeangle.difference_ops import apply_on_grid, two_sector_operator
-from planeangle.manufactured import manufactured_nonlocal
-from planeangle.sector_solver import NonlocalPoissonProblem, solve_nonlocal_poisson
+from planeangle.manufactured import error_norm, nonlocal_problem
+from planeangle.sector_solver import solve_nonlocal_poisson
 
 B1 = np.pi / 6
 geo = make_geometry([B1, B1 + 0.5 * np.pi, B1 + np.pi])
 R_MIN, R_MAX = 0.5, 3.0
 alpha, beta = 0.6, 0.4
 
-u_exact, f_rhs = manufactured_nonlocal(geo, R_MIN, R_MAX)
-b1, b2, b3 = geo.angles
-g1 = lambda r: u_exact(r, b1) + alpha * u_exact(r, b2)
-g3 = lambda r: u_exact(r, b3) + beta * u_exact(r, b2)
-
 grid = SectorGrid(geo, R_MIN, R_MAX, 32, 32)
-f = GridFunction.from_callable(grid, f_rhs)
-problem = NonlocalPoissonProblem(alpha, beta, geo, f, g1, g3, R_MIN, R_MAX)
+problem, exact = nonlocal_problem(alpha, beta, grid)
 result = solve_nonlocal_poisson(problem, grid)
-
-exact = GridFunction.from_callable(grid, u_exact)
-r, _ = grid.meshgrid()
-err = np.sqrt(np.sum(r * grid.dr * grid.dphi * np.abs(result.solution.values - exact.values) ** 2))
+err = error_norm(result.solution, exact)
 
 print("grid 32 x 32, alpha = %.1f, beta = %.1f" % (alpha, beta))
 print("guaranteed solvable regime : %s" % problem.guaranteed_solvable)

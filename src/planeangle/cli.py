@@ -22,7 +22,6 @@ import numpy as np
 from .core import GridFunction, PlaneAngleError, SectorGrid, make_geometry
 from .difference_ops import (
     SingularMatrix,
-    apply_on_grid,
     inverse_matrix,
     spectrum,
     symmetric_part_positive_definite,
@@ -36,7 +35,10 @@ from .green_check import (
     green_residual_neumann,
     term_magnitudes,
 )
-from .manufactured import exp_bump, manufactured_dd, manufactured_nonlocal
+from .manufactured import dd_problem, error_norm, exp_bump, nonlocal_problem
+# perfbench/workloads.py imports this name from here; the re-export goes
+# with the next benchmark change
+from .manufactured import manufactured_nonlocal  # noqa: F401
 from .pencil import (
     PoissonPencilProblem,
     UnsupportedRegime,
@@ -280,55 +282,34 @@ def cmd_solvability(spec, args):
     return EXIT_OK if report.solvable else EXIT_BLOCKED
 
 
+def _expression_problem(spec, problem, alpha, beta, grid):
+    """Solver problem with the rhs and ray data of the spec's expressions."""
+    geo = grid.geometry
+    rhs = GridFunction.from_callable(grid, compile_expression(spec["solver"].get("rhs", "0")))
+    if problem == "dd":
+        return DDProblem(alpha, beta, geo, rhs, grid.r_min, grid.r_max)
+    bnd = spec.get("boundary", {})
+    g1_func = compile_expression(bnd.get("g1", "0"))
+    g3_func = compile_expression(bnd.get("g3", "0"))
+    b1, b3 = geo.angles[0], geo.angles[-1]
+    g1 = lambda r: g1_func(r, b1 * np.ones_like(r))
+    g3 = lambda r: g3_func(r, b3 * np.ones_like(r))
+    return NonlocalPoissonProblem(alpha, beta, geo, rhs, g1, g3, grid.r_min, grid.r_max)
+
+
 def _solve_once(spec, args, factor=1):
-    geo = _geometry(spec)
     pen = spec["pencil"]
     alpha, beta = float(pen["alpha"]), float(pen["beta"])
-    sol = spec["solver"]
-    r_min, r_max = float(sol["r_min"]), float(sol["r_max"])
     grid = _grid(spec, factor)
-    manufactured = sol.get("rhs", "0") == "manufactured"
-
-    if args.problem == "dd":
-        if manufactured:
-            w_exact, pde = manufactured_dd(geo, r_min, r_max)
-            op = two_sector_operator(alpha, beta, geo)
-            rhs = apply_on_grid(op, GridFunction.from_callable(grid, pde))
-            exact = GridFunction.from_callable(grid, w_exact)
-        else:
-            rhs_func = compile_expression(sol.get("rhs", "0"))
-            rhs = GridFunction.from_callable(grid, rhs_func)
-            exact = None
-        problem = DDProblem(alpha, beta, geo, rhs, r_min, r_max)
-        result = solve_dd(problem, grid)
-        warn = False
+    if spec["solver"].get("rhs", "0") == "manufactured":
+        build = dd_problem if args.problem == "dd" else nonlocal_problem
+        problem, exact = build(alpha, beta, grid)
     else:
-        if manufactured:
-            u_exact, f_func = manufactured_nonlocal(geo, r_min, r_max)
-            rhs = GridFunction.from_callable(grid, f_func)
-            b1, b2, b3 = geo.angles
-            g1 = lambda r: u_exact(r, b1) + alpha * u_exact(r, b2)
-            g3 = lambda r: u_exact(r, b3) + beta * u_exact(r, b2)
-            exact = GridFunction.from_callable(grid, u_exact)
-        else:
-            rhs_func = compile_expression(sol.get("rhs", "0"))
-            rhs = GridFunction.from_callable(grid, rhs_func)
-            bnd = spec.get("boundary", {"g1": "0", "g3": "0"})
-            g1_func = compile_expression(bnd.get("g1", "0"))
-            g3_func = compile_expression(bnd.get("g3", "0"))
-            b1, b3 = geo.angles[0], geo.angles[-1]
-            g1 = lambda r: g1_func(r, b1 * np.ones_like(r))
-            g3 = lambda r: g3_func(r, b3 * np.ones_like(r))
-            exact = None
-        problem = NonlocalPoissonProblem(alpha, beta, geo, rhs, g1, g3, r_min, r_max)
-        warn = not problem.guaranteed_solvable
-        result = solve_nonlocal_poisson(problem, grid)
-
-    err = None
-    if exact is not None:
-        r, _ = grid.meshgrid()
-        diff = result.solution.values - exact.values
-        err = float(np.sqrt(np.sum(r * grid.dr * grid.dphi * np.abs(diff) ** 2)))
+        problem, exact = _expression_problem(spec, args.problem, alpha, beta, grid), None
+    solve = solve_dd if args.problem == "dd" else solve_nonlocal_poisson
+    result = solve(problem, grid)
+    warn = args.problem == "nonlocal" and not problem.guaranteed_solvable
+    err = None if exact is None else error_norm(result.solution, exact)
     return grid, result, err, warn
 
 

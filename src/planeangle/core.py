@@ -28,10 +28,6 @@ class NonUniformSpacing(PlaneAngleError):
     pass
 
 
-class IndexOutOfBounds(PlaneAngleError):
-    pass
-
-
 class IncompatibleGrid(PlaneAngleError):
     pass
 
@@ -127,13 +123,6 @@ class SectorGrid:
     def meshgrid(self):
         """(r, phi) node coordinate arrays of shape (n_r+1, n_phi+1)."""
         return np.meshgrid(self.r_nodes, self.phi_nodes, indexing="ij")
-
-
-def node_coordinates(grid, i, j):
-    """Polar coordinates (r, phi) of node (i, j)."""
-    if not (0 <= i <= grid.n_r and 0 <= j <= grid.n_phi):
-        raise IndexOutOfBounds("node (%d, %d) outside grid" % (i, j))
-    return (grid.r_min + i * grid.dr, grid.geometry.angles[0] + j * grid.dphi)
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,3 @@ def apply_on_grid(op, u):
     if abs(grid.geometry.d - op.geometry.d) > 1e-12:
         raise IncompatibleGrid("operator and grid sector spacings differ")
     return GridFunction(grid, u.values @ column_shift_operator(op, grid).T)
-
-
-def column_shift_matrix(op, grid):
-    """Dense form of column_shift_operator, for inspecting the block structure."""
-    return column_shift_operator(op, grid).toarray()

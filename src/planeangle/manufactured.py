@@ -1,10 +1,11 @@
 """Manufactured solutions with compact radial support.
 
-These exact fields and their data back the CLI's built-in
-"rhs": "manufactured", the convergence tests and the demos.  The radial
-factor eta is a C^3 sin^4 bump supported strictly inside (r_min, r_max),
-8% of the radial range away from each end, so the Dirichlet data on the
-artificial arcs is 0.
+dd_problem and nonlocal_problem build a solver problem on a grid together
+with its exact solution on that grid, and error_norm measures a solve
+against it: the CLI's built-in "rhs": "manufactured", the convergence tests
+and the demos all go through them.  The radial factor eta is a C^3 sin^4
+bump supported strictly inside (r_min, r_max), 8% of the radial range away
+from each end, so the Dirichlet data on the artificial arcs is 0.
 
 exp_bump is the package's C-infinity bump: the Green identity test pair,
 the CLI expression function bump(r, r0, r1), the norm tests and the demos
@@ -12,6 +13,10 @@ all use it.
 """
 
 import numpy as np
+
+from .core import GridFunction
+from .difference_ops import apply_on_grid, two_sector_operator
+from .sector_solver import DDProblem, NonlocalPoissonProblem
 
 
 def _sin4_bump(r_min, r_max):
@@ -123,3 +128,32 @@ def manufactured_nonlocal(geometry, r_min, r_max):
         return (-(ddg + dg / r - g / r**2) + g) * np.cos(phi)
 
     return u, f
+
+
+def dd_problem(alpha, beta, grid):
+    """(DDProblem, exact w* on the grid); rhs = discrete R of (-Laplace + 1) w*."""
+    geo = grid.geometry
+    w, pde = manufactured_dd(geo, grid.r_min, grid.r_max)
+    rhs = apply_on_grid(two_sector_operator(alpha, beta, geo), GridFunction.from_callable(grid, pde))
+    problem = DDProblem(alpha, beta, geo, rhs, grid.r_min, grid.r_max)
+    return problem, GridFunction.from_callable(grid, w)
+
+
+def nonlocal_problem(alpha, beta, grid):
+    """(NonlocalPoissonProblem, exact u* on the grid); g1, g3 are u*'s ray traces."""
+    geo = grid.geometry
+    u, f = manufactured_nonlocal(geo, grid.r_min, grid.r_max)
+    b1, b2, b3 = geo.angles
+    g1 = lambda r: u(r, b1) + alpha * u(r, b2)
+    g3 = lambda r: u(r, b3) + beta * u(r, b2)
+    rhs = GridFunction.from_callable(grid, f)
+    problem = NonlocalPoissonProblem(alpha, beta, geo, rhs, g1, g3, grid.r_min, grid.r_max)
+    return problem, GridFunction.from_callable(grid, u)
+
+
+def error_norm(u, exact):
+    """Nodal weighted L2 error sqrt(sum r*dr*dphi*|u - exact|^2) on u's grid."""
+    grid = u.grid
+    r, _ = grid.meshgrid()
+    diff = u.values - exact.values
+    return float(np.sqrt(np.sum(r * grid.dr * grid.dphi * np.abs(diff) ** 2)))

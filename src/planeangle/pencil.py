@@ -9,9 +9,12 @@ nonlocal ray conditions u(b_1) + alpha*u(b_2) = 0, u(b_3) + beta*u(b_2) = 0
 whose eigenvalues are the zeros of a 2x2 determinant over the fundamental
 system {exp(lambda*phi), exp(-lambda*phi)}.  The determinant factorizes as
 -2*sinh(lambda*d)*(2*cosh(lambda*d) + alpha + beta) with d = (b_3-b_1)/2,
-which yields explicit purely imaginary eigenvalue families for
-|alpha+beta| < 2.  A horizontal line Im lambda = h free of eigenvalues
-certifies unique solvability in the weighted scale with a = h + l + 1.
+so for |alpha+beta| < 2 the eigenvalues are i*x/d over the nonzero roots
+x of sin(x)*(2*cos(x) + alpha + beta) = 0 (characteristic_roots, which the
+sector solver's angular basis shares).  A line Im lambda = h free of
+eigenvalues certifies unique solvability in the weighted scale with
+a = h + l + 1; the certificate names the nearest eigenvalue, the lower one
+on a tie, as on the line h = 0 of the symmetric spectrum.
 
 The module also provides the characteristic determinant of the formally
 adjoint nonlocal transmission pencil (piecewise solutions on the two
@@ -30,6 +33,7 @@ the 64 Laurent samples, each refinement level of the contour, and each
 Newton step, which updates all unconverged candidates together.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,59 +193,51 @@ def adjoint_transmission_characteristic(p, lam, scaled=True):
     return np.linalg.det(m).reshape(shape)
 
 
-def _progression_in(lo, hi, offset, step, exclude_zero=False):
-    """Values offset + step*k inside [lo, hi]; optionally drop the value 0."""
-    k_lo = int(np.ceil((lo - offset) / step - 1e-12))
-    k_hi = int(np.floor((hi - offset) / step + 1e-12))
-    vals = [offset + step * k for k in range(k_lo, k_hi + 1)]
-    if exclude_zero:
-        vals = [v for v in vals if abs(v) > 1e-14]
-    return vals
+def characteristic_roots(sigma, lo, hi):
+    """Roots x in [lo, hi] of sin(x)*(2*cos(x) + sigma) = 0, as (sine, cosine).
+
+    Both sorted: the sine family x = pi*k and the cosine family
+    x = +-(t0 + 2*pi*k), t0 = arccos(-sigma/2), exactly symmetric about 0
+    and disjoint from the first.  k may miss its range by 1e-12.
+    UnsupportedRegime unless |sigma| < 2.
+    """
+    if not abs(sigma) < 2.0:
+        raise UnsupportedRegime(
+            "closed-form eigenvalues need |alpha+beta| < 2, got %g" % sigma
+        )
+
+    def steps(k_lo, k_hi):
+        return range(math.ceil(k_lo - 1e-12), math.floor(k_hi + 1e-12) + 1)
+
+    # few roots per call: Python floats, which round as numpy's do
+    t0 = float(np.arccos(-0.5 * sigma))
+    period = 2.0 * np.pi
+    sine = [np.pi * k for k in steps(lo / np.pi, hi / np.pi)]
+    up = [t0 + period * k for k in steps((lo - t0) / period, (hi - t0) / period)]
+    down = [-(t0 + period * k) for k in steps((-hi - t0) / period, (-lo - t0) / period)]
+    return np.array(sine), np.array(sorted(down + up))
 
 
 def _closed_form_imag_parts(p, lo, hi):
-    """Imaginary parts of all closed-form eigenvalues with Im lambda in [lo, hi]."""
-    s = p.coupling_sum
-    if abs(s) >= 2.0:
-        raise UnsupportedRegime(
-            "closed-form eigenvalues need |alpha+beta| < 2, got %g" % s
-        )
-    L = p.opening
-    if s == 0.0:
-        return _progression_in(lo, hi, 0.0, np.pi / L, exclude_zero=True)
-    parts = _progression_in(lo, hi, 0.0, 2.0 * np.pi / L, exclude_zero=True)
-    t = 2.0 * np.arctan(np.sqrt(4.0 - s * s) / s)  # sign follows sign of s
-    if s > 0.0:
-        bases = (2.0 * np.pi + t, 2.0 * np.pi - t)
-    else:
-        bases = (t, -t)
-    for base in bases:
-        parts.extend(_progression_in(lo, hi, base / L, 4.0 * np.pi / L))
-    return parts
-
-
-def _dedupe(values, tol=DEDUPE_TOL):
-    out = []
-    for v in sorted(values, key=lambda z: (z.imag, z.real)):
-        if not any(abs(v - w) <= tol for w in out):
-            out.append(v)
-    return out
+    """Sorted Im lambda = x/d in [lo, hi] over the nonzero characteristic roots x."""
+    d = p.d
+    sine, cosine = characteristic_roots(p.coupling_sum, lo * d, hi * d)
+    return np.sort(np.concatenate([sine[sine != 0.0], cosine])) / d
 
 
 def eigenvalues_closed_form(p, strip):
     """All eigenvalues with Im lambda in strip = (h_lo, h_hi), |alpha+beta| < 2.
 
-    For alpha+beta = 0 the eigenvalues are i*pi*k/(b3-b1), k != 0.  For
-    0 < |alpha+beta| < 2 they are i*2*pi*k/(b3-b1) (k != 0) together with
-    the arctan family shifted by i*4*pi*p/(b3-b1), the branch offset
-    depending on the sign of alpha+beta.  OutOfRange unless h_lo < h_hi.
+    The eigenvalues are i*x/d over the nonzero roots x of
+    characteristic_roots(alpha+beta, ...): i*pi*k/d (k != 0) and
+    +-i*(arccos(-(alpha+beta)/2) + 2*pi*k)/d.  OutOfRange unless
+    h_lo < h_hi; UnsupportedRegime unless |alpha+beta| < 2.
     """
     lo, hi = float(strip[0]), float(strip[1])
     if not lo < hi:
         raise OutOfRange("empty strip %s: need h_lo < h_hi" % ((lo, hi),))
-    parts = _closed_form_imag_parts(p, lo, hi)
-    vals = _dedupe([1j * h for h in parts])
-    return EigenvalueSet(np.array(vals, dtype=complex), (0.0, 0.0, lo, hi), "closed_form")
+    vals = 1j * _closed_form_imag_parts(p, lo, hi)
+    return EigenvalueSet(vals, (0.0, 0.0, lo, hi), "closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +373,14 @@ def _unfold(roots, d, rect):
     return out
 
 
+def _dedupe(values, tol=DEDUPE_TOL):
+    out = []
+    for v in sorted(values, key=lambda z: (z.imag, z.real)):
+        if not any(abs(v - w) <= tol for w in out):
+            out.append(v)
+    return out
+
+
 def find_zeros(f, window, d):
     """All zeros of f inside the complex rectangle window.
 
@@ -467,17 +471,18 @@ class LineCertificate:
     nearest_eigenvalue: complex
     distance: float
 
-    def __bool__(self):
-        return self.free
-
 
 def line_is_eigenvalue_free(p, h, tol=1e-9):
-    """Certify that Im lambda = h contains no closed-form eigenvalue."""
+    """Certify that Im lambda = h contains no closed-form eigenvalue.
+
+    nearest_eigenvalue is the closed-form eigenvalue nearest to the line,
+    the lower one of two equally near.
+    """
     h = float(h)
     margin = 4.0 * np.pi / p.opening + 1.0
+    # sorted, so argmin takes the lower of two equally near
     parts = _closed_form_imag_parts(p, h - margin, h + margin)
-    parts = sorted(parts, key=lambda v: abs(v - h))
-    nearest = parts[0]
+    nearest = float(parts[np.argmin(np.abs(parts - h))])
     dist = abs(nearest - h)
     return LineCertificate(h, dist > tol, 1j * nearest, dist)
 

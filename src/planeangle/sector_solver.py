@@ -27,12 +27,14 @@ system D_r + mu_k diag(1/r^2) per angular mode and recovers w with the
 closed-form inverse of the 2x2 blocks: the tensor-product method of Lynch,
 Rice & Thomas (Numer. Math. 6, 1964).  The eigenpairs of T are written
 down, not computed (_angular_basis): for |alpha+beta| < 2 they are the
-discrete pencil, theta = eta*h over the pencil eigenvalues i*eta, in
-O(n_phi^2) operations.  All radial systems go through one sparse LU of a
-block-diagonal matrix in natural order, which a tridiagonal block fills
-no further.  The transform with V is not backward stable for S: its
-residual grows with cond(V), which is 2 to 45 for |alpha+beta| <= 1.998
-and grows without bound as |alpha+beta| -> 2.  So the residual of S,
+discrete pencil, theta = eta*h over the pencil eigenvalues i*eta, with
+x = theta*s taken from the pencil's own root routine
+pencil.characteristic_roots, in O(n_phi^2) operations.  All radial
+systems go through one sparse LU of a block-diagonal matrix in natural
+order, which a tridiagonal block fills no further.  The transform with V
+is not backward stable for S: its residual grows with cond(V), which is
+2 to 45 for |alpha+beta| <= 1.998 and grows without bound as
+|alpha+beta| -> 2.  So the residual of S,
 recomputed after every solve and gated at 1e-8 * ||b||, decides: when T
 has no real eigenbasis (|alpha+beta| >= 2), when the separable transform
 hits a singular matrix, or when its solution fails the gate, solve_dd
@@ -53,6 +55,7 @@ from .difference_ops import (
     inverse_matrix,
     two_sector_operator,
 )
+from .pencil import UnsupportedRegime, characteristic_roots
 
 
 class SingularSystem(PlaneAngleError):
@@ -173,12 +176,13 @@ def assemble_dd_system(p, grid):
     Returns (S, b) over the interior unknowns: S = A*M with rows and columns
     restricted to interior nodes (A the polar stencil of -Laplace + 1, M the
     discrete difference operator).  w = 0 on the rays and the truncation
-    arcs, so the dropped columns carry no data into b.
+    arcs, so the dropped columns carry no data into b.  IncompatibleGrid
+    unless the problem's rays, r_min and r_max are the grid's: solve_dd,
+    solve_nonlocal_poisson and discrete_coercivity all check here.
     """
-    if grid.geometry.angles != p.geometry.angles:
-        raise IncompatibleGrid("problem and grid geometries differ")
-    if grid.n_phi % 2 != 0:
-        raise IncompatibleGrid("n_phi must be even for the two-sector shift")
+    where = (p.geometry.angles, p.r_min, p.r_max)
+    if where != (grid.geometry.angles, grid.r_min, grid.r_max):
+        raise IncompatibleGrid("problem and grid differ in geometry or radii")
     keep = _interior(grid)
     A = laplacian_matrix(grid)
     M = shift_matrix_on_grid(p.operator(), grid)
@@ -219,12 +223,12 @@ def angular_matrix(alpha, beta, grid):
     v_2s = -beta*v_s (s = shift_columns) that v inherits from w = 0 on the
     rays.  For |alpha+beta| < 2 its spectrum is exactly 4 sin^2(eta h/2)/h^2
     (h = dphi) over the pencil eigenvalues lambda = i*eta with eta in
-    (0, pi/h) (pencil.eigenvalues_closed_form): theta = eta*h solves the
-    discrete characteristic equation sin(theta s)(2 cos(theta s) + alpha +
-    beta) = 0, the continuous one with lambda*d replaced by i*theta*s.  So
-    the eigenvalues tend to (Im lambda)^2 at second order in h.  The solver
-    uses the closed-form eigenpairs of _angular_basis; this matrix is their
-    reference.
+    (0, pi/h) (pencil.eigenvalues_closed_form): x = theta*s with
+    theta = eta*h is a root of sin(x)(2 cos(x) + alpha + beta) = 0, the
+    continuous characteristic equation with lambda*d replaced by i*x, and
+    pencil.characteristic_roots solves both.  So the eigenvalues tend to
+    (Im lambda)^2 at second order in h.  The solver uses the closed-form
+    eigenpairs of _angular_basis; this matrix is their reference.
     """
     m, s = grid.n_phi - 1, grid.shift_columns
     T = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
@@ -237,25 +241,23 @@ def _angular_basis(alpha, beta, grid):
     """Closed-form eigenpairs (mu, V) of angular_matrix, or None.
 
     Every eigenvector solves the recurrence of T on the columns j = 0..2s
-    with v_0 = -alpha*v_s and v_2s = -beta*v_s, so with mu = (2 - 2cos
-    theta)/h^2 there are two real families when |alpha+beta| < 2:
-    v_j = sin(theta j) with theta = pi*k/s (k = 1..s-1), which vanishes on
-    the middle column, and v_j = cos(theta(j-s)) + B sin(theta(j-s)) with
-    cos(theta s) = -(alpha+beta)/2 and B = (alpha-beta)/(2 sin(theta s)),
-    one root x = theta*s in each interval (m*pi, (m+1)*pi), m = 0..s-1.
+    with v_0 = -alpha*v_s and v_2s = -beta*v_s, so mu = (2 - 2cos theta)/h^2
+    with x = theta*s a root of sin(x)(2 cos(x) + alpha + beta) = 0 in
+    (0, s*pi), from pencil.characteristic_roots.  The s - 1 sine roots
+    x = pi*k give v_j = sin(theta j), which vanishes on the middle column;
+    the s cosine roots, one in each interval (m*pi, (m+1)*pi), give
+    v_j = cos(theta(j-s)) + B sin(theta(j-s)) with B = (alpha-beta)/(2 sin x).
     The columns of V are the interior entries j = 1..2s-1, scaled to unit
-    2-norm as np.linalg.eig scales them.  For |alpha+beta| >= 2 the second
+    2-norm as np.linalg.eig scales them.  For |alpha+beta| >= 2 the cosine
     family has no real theta and None is returned.
     """
-    c = -0.5 * (alpha + beta)
-    if not abs(c) < 1.0:
-        return None
     s = grid.shift_columns
+    try:
+        x1, x2 = characteristic_roots(alpha + beta, 0.0, s * np.pi)
+    except UnsupportedRegime:
+        return None
+    x1 = x1[1:-1]  # the roots 0 and s*pi give v = 0
     j = np.arange(1, 2 * s)[:, None]
-    t0 = np.arccos(c)
-    m = np.arange(s)
-    x1 = np.pi * np.arange(1, s)
-    x2 = np.where(m % 2 == 0, t0 + m * np.pi, (m + 1) * np.pi - t0)
     B = (alpha - beta) / (2.0 * np.sin(x2))
     V = np.hstack([np.sin(x1 / s * j), np.cos(x2 / s * (j - s)) + B * np.sin(x2 / s * (j - s))])
     V /= np.linalg.norm(V, axis=0)

@@ -15,7 +15,7 @@ from planeangle.difference_ops import (
     DifferenceOperator,
     adjoint,
     apply_on_grid,
-    column_shift_matrix,
+    column_shift_operator,
     inverse_matrix,
     spectrum,
     to_matrix,
@@ -28,7 +28,7 @@ from planeangle.green_check import (
     green_residual_neumann,
     term_magnitudes,
 )
-from planeangle.manufactured import exp_bump, manufactured_dd, manufactured_nonlocal
+from planeangle.manufactured import dd_problem, error_norm, exp_bump, nonlocal_problem
 from planeangle.pencil import (
     PoissonPencilProblem,
     adjoint_eigenvalues_numeric,
@@ -40,7 +40,6 @@ from planeangle.pencil import (
 )
 from planeangle.sector_solver import (
     DDProblem,
-    NonlocalPoissonProblem,
     discrete_coercivity,
     solve_dd,
     solve_nonlocal_poisson,
@@ -165,7 +164,7 @@ def test_criterion_05_shift_matrix_lemmas():
         for n_phi in (8, 16):
             grid = SectorGrid(geo, R_MIN, R_MAX, 8, n_phi)
             s = grid.shift_columns
-            m = column_shift_matrix(op, grid)
+            m = column_shift_operator(op, grid).toarray()
             for j0 in range(1, s):
                 block = m[np.ix_([j0, j0 + s], [j0, j0 + s])]
                 block_eigs = np.sort_complex(np.linalg.eigvals(block))
@@ -186,46 +185,24 @@ def test_criterion_06_discrete_coercivity_sign():
     assert time.monotonic() - t0 <= 30.0
 
 
-def _weighted_l2(grid, diff):
-    r, _ = grid.meshgrid()
-    return float(np.sqrt(np.sum(r * grid.dr * grid.dphi * np.abs(diff) ** 2)))
-
-
-def _nonlocal_data(alpha, beta):
-    u_exact, f_rhs = manufactured_nonlocal(GEO_SOLVE, R_MIN, R_MAX)
-    b1, b2, b3 = GEO_SOLVE.angles
-    g1 = lambda r: u_exact(r, b1) + alpha * u_exact(r, b2)
-    g3 = lambda r: u_exact(r, b3) + beta * u_exact(r, b2)
-    return u_exact, f_rhs, g1, g3
-
-
 @criterion(7, "both solvers converge at second order under grid doubling")
 def test_criterion_07_solver_convergence_orders():
     t0 = time.monotonic()
 
-    alpha, beta = 0.9, 0.9
-    w_exact, pde = manufactured_dd(GEO_SOLVE, R_MIN, R_MAX)
-    op = two_sector_operator(alpha, beta, GEO_SOLVE)
     errs = []
     for n in (16, 32, 64):
         grid = SectorGrid(GEO_SOLVE, R_MIN, R_MAX, n, n)
-        f = apply_on_grid(op, GridFunction.from_callable(grid, pde))
-        res = solve_dd(DDProblem(alpha, beta, GEO_SOLVE, f, R_MIN, R_MAX), grid)
-        exact = GridFunction.from_callable(grid, w_exact)
-        errs.append(_weighted_l2(grid, res.solution.values - exact.values))
+        p, exact = dd_problem(0.9, 0.9, grid)
+        errs.append(error_norm(solve_dd(p, grid).solution, exact))
     for i in range(2):
         assert 1.7 <= np.log2(errs[i] / errs[i + 1]) <= 2.3
 
-    alpha, beta = 0.3, -0.8
-    u_exact, f_rhs, g1, g3 = _nonlocal_data(alpha, beta)
     errs, bres = [], []
     for n in (16, 32, 64):
         grid = SectorGrid(GEO_SOLVE, R_MIN, R_MAX, n, n)
-        f = GridFunction.from_callable(grid, f_rhs)
-        p = NonlocalPoissonProblem(alpha, beta, GEO_SOLVE, f, g1, g3, R_MIN, R_MAX)
+        p, exact = nonlocal_problem(0.3, -0.8, grid)
         res = solve_nonlocal_poisson(p, grid)
-        exact = GridFunction.from_callable(grid, u_exact)
-        errs.append(_weighted_l2(grid, res.solution.values - exact.values))
+        errs.append(error_norm(res.solution, exact))
         bres.append(res.boundary_residual)
     for i in range(2):
         assert 1.7 <= np.log2(errs[i] / errs[i + 1]) <= 2.3
@@ -237,14 +214,12 @@ def test_criterion_07_solver_convergence_orders():
 @criterion(8, "recovered auxiliary field has exact ray traces and matching trace")
 def test_criterion_08_recovered_field_traces():
     alpha, beta = 0.6, 0.4
-    u_exact, f_rhs, g1, g3 = _nonlocal_data(alpha, beta)
     op = two_sector_operator(alpha, beta, GEO_SOLVE)
     factor = 1.0 / (1.0 - alpha * beta)
     mismatches = []
     for n in (16, 32):
         grid = SectorGrid(GEO_SOLVE, R_MIN, R_MAX, n, n)
-        f = GridFunction.from_callable(grid, f_rhs)
-        p = NonlocalPoissonProblem(alpha, beta, GEO_SOLVE, f, g1, g3, R_MIN, R_MAX)
+        p, exact = nonlocal_problem(alpha, beta, grid)
         res = solve_nonlocal_poisson(p, grid)
         w = res.info["w"].values
         assert np.all(w[:, 0] == 0.0)
@@ -261,11 +236,9 @@ def test_criterion_08_recovered_field_traces():
         assert np.max(np.abs(w[:, s] - other)) <= 1e-12 * scale
 
         # against the exact homogeneous part it is met to discretization order
-        r = grid.r_nodes
-        b1, b2, b3 = GEO_SOLVE.angles
         ug = res.info["lifting"].values
-        ut1 = u_exact(r, b2) - ug[:, s]
-        ut2 = u_exact(r, b3) - ug[:, -1]
+        ut1 = exact.values[:, s] - ug[:, s]
+        ut2 = exact.values[:, -1] - ug[:, -1]
         mismatches.append(
             float(np.max(np.abs(w[:, s] - factor * (ut1 + alpha * ut2))))
         )

@@ -7,13 +7,11 @@ from planeangle.core import (
     AngleGeometry,
     GridFunction,
     IncompatibleGrid,
-    IndexOutOfBounds,
     NonUniformSpacing,
     OutOfRange,
     SectorGrid,
     TooFewAngles,
     make_geometry,
-    node_coordinates,
 )
 
 
@@ -52,24 +50,6 @@ def test_make_geometry_idempotent_roundtrip():
     geo = make_geometry([0.3, 1.1, 1.9, 2.7])
     again = make_geometry(list(geo.angles))
     assert again == geo
-
-
-def test_node_coordinates_corners_and_midpoint():
-    geo = make_geometry([0.5, 1.0, 1.5])
-    grid = SectorGrid(geo, 1.0, 3.0, 4, 4)
-    assert node_coordinates(grid, 0, 0) == (1.0, 0.5)
-    assert node_coordinates(grid, 4, 4) == (3.0, 1.5)
-    r, phi = node_coordinates(grid, 2, 2)
-    assert abs(r - 2.0) < 1e-15 and abs(phi - 1.0) < 1e-15
-
-
-def test_node_coordinates_bounds():
-    geo = make_geometry([0.5, 1.0, 1.5])
-    grid = SectorGrid(geo, 1.0, 3.0, 4, 4)
-    with pytest.raises(IndexOutOfBounds):
-        node_coordinates(grid, 5, 0)
-    with pytest.raises(IndexOutOfBounds):
-        node_coordinates(grid, 0, -1)
 
 
 def test_grid_validation():

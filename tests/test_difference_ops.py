@@ -11,7 +11,7 @@ from planeangle.difference_ops import (
     SingularMatrix,
     adjoint,
     apply_on_grid,
-    column_shift_matrix,
+    column_shift_operator,
     inverse_matrix,
     spectrum,
     symmetric_part_positive_definite,
@@ -138,7 +138,7 @@ def test_apply_on_grid_pure_shift():
 def test_apply_on_grid_matches_block_matrix():
     grid = SectorGrid(GEO2, 0.5, 2.0, 4, 8)
     op = two_sector_operator(0.3, 0.7, GEO2)
-    m = column_shift_matrix(op, grid)
+    m = column_shift_operator(op, grid).toarray()
     rng = np.random.default_rng(11)
     u = GridFunction(grid, rng.standard_normal((5, 9)))
     v = apply_on_grid(op, u)
@@ -152,7 +152,7 @@ def test_discrete_block_spectrum():
     grid = SectorGrid(GEO2, 0.5, 2.0, 8, 16)
     op = two_sector_operator(0.4, -0.3, GEO2)
     s = grid.shift_columns
-    m = column_shift_matrix(op, grid)
+    m = column_shift_operator(op, grid).toarray()
     matrix_eigs = np.sort_complex(np.linalg.eigvals(to_matrix(op)))
     for j0 in range(1, s):
         cols = [j0, j0 + s]

@@ -13,6 +13,7 @@ from planeangle.pencil import (
     _newton_polish,
     adjoint_eigenvalues_numeric,
     adjoint_transmission_characteristic,
+    characteristic_roots,
     characteristic_value,
     eigenvalues_closed_form,
     eigenvalues_numeric,
@@ -249,6 +250,39 @@ def test_window_edge_through_lambda_zero():
 def test_adjoint_nonzero_on_real_axis():
     for x in (0.5, 1.0, 2.0, -1.5):
         assert abs(adjoint_transmission_characteristic(P_MIX, x)) > 1e-8
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, -0.5, -1.1, 1.999, -1.999])
+def test_characteristic_roots(sigma):
+    sine, cosine = characteristic_roots(sigma, -40.0, 40.0)
+    assert np.all(np.diff(sine) > 0.0) and np.all(np.diff(cosine) > 0.0)
+    assert np.all(np.abs(np.sin(sine)) <= 1e-13 * (1.0 + np.abs(sine)))
+    assert np.all(np.abs(2.0 * np.cos(cosine) + sigma) <= 1e-13 * (1.0 + np.abs(cosine)))
+    assert not set(sine.tolist()) & set(cosine.tolist())
+    for lo in 2.0 * np.pi * np.array([-3.0, 0.0, 5.0]):
+        # the closed interval also holds the next period's first sine root
+        sine, cosine = characteristic_roots(sigma, lo, lo + 2.0 * np.pi)
+        assert np.sum(sine < lo + 2.0 * np.pi) == 2 and cosine.size == 2
+    for lo, hi in [(-7.0, 13.5), (0.0, 10.0 * np.pi), (2.5, 2.6)]:
+        mirrored = characteristic_roots(sigma, -hi, -lo)
+        for got, want in zip(mirrored, characteristic_roots(sigma, lo, hi)):
+            assert np.array_equal(got, -want[::-1])
+
+
+@pytest.mark.parametrize("sigma", [2.0, -2.0, 2.5])
+def test_characteristic_roots_outside_the_regime(sigma):
+    with pytest.raises(UnsupportedRegime):
+        characteristic_roots(sigma, 0.0, 10.0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (0.0, 0.0), (-0.8, 1.1)])
+def test_line_zero_names_the_lower_of_the_tied_eigenvalues(alpha, beta):
+    # h = 0 is equally far from +-i*arccos(-(alpha+beta)/2)/d
+    p = PoissonPencilProblem(alpha, beta, B1, B1 + np.pi)
+    cert = line_is_eigenvalue_free(p, 0.0)
+    want = -np.arccos(-0.5 * (alpha + beta)) / p.d
+    assert cert.free and cert.nearest_eigenvalue.imag == want
+    assert cert.distance == -want
 
 
 def test_line_zero_is_free():

@@ -1,12 +1,14 @@
 """Sector solvers: assembly structure, manufactured convergence, coercivity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from planeangle.core import GridFunction, SectorGrid, make_geometry
-from planeangle.difference_ops import apply_on_grid, to_matrix, two_sector_operator
-from planeangle.manufactured import manufactured_dd, manufactured_nonlocal
+from planeangle.core import GridFunction, IncompatibleGrid, SectorGrid, make_geometry
+from planeangle.difference_ops import apply_on_grid, two_sector_operator
+from planeangle.manufactured import dd_problem, error_norm, nonlocal_problem
 from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form
 from planeangle.sector_solver import (
     DDProblem,
@@ -30,11 +32,6 @@ from planeangle.sector_solver import (
 B1 = np.pi / 6
 GEO = make_geometry([B1, B1 + 0.5 * np.pi, B1 + np.pi])
 R_MIN, R_MAX = 0.5, 3.0
-
-
-def weighted_l2(grid, diff):
-    r, _ = grid.meshgrid()
-    return float(np.sqrt(np.sum(r * grid.dr * grid.dphi * np.abs(diff) ** 2)))
 
 
 def test_assembly_reduces_to_laplacian_when_uncoupled():
@@ -110,11 +107,9 @@ def test_solve_dd_zero_rhs():
 
 def test_solve_dd_residual_certified():
     grid = SectorGrid(GEO, R_MIN, R_MAX, 24, 24)
-    w_exact, pde = manufactured_dd(GEO, R_MIN, R_MAX)
-    op = two_sector_operator(0.9, 0.9, GEO)
-    f = apply_on_grid(op, GridFunction.from_callable(grid, pde))
-    res = solve_dd(DDProblem(0.9, 0.9, GEO, f, R_MIN, R_MAX), grid)
-    b_norm = np.linalg.norm(f.values)
+    p, _ = dd_problem(0.9, 0.9, grid)
+    res = solve_dd(p, grid)
+    b_norm = np.linalg.norm(p.rhs.values)
     assert res.equation_residual <= 1e-10 * max(b_norm, 1.0)
     assert np.all(res.solution.values[:, 0] == 0.0)
     assert np.all(res.solution.values[:, -1] == 0.0)
@@ -249,26 +244,13 @@ def test_angular_spectrum_converges_to_pencil_eigenvalues(alpha, beta):
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.9, 0.9), (0.3, -0.8)])
 def test_solve_dd_second_order_convergence(alpha, beta):
-    w_exact, pde = manufactured_dd(GEO, R_MIN, R_MAX)
-    op = two_sector_operator(alpha, beta, GEO)
     errs = []
     for n in (16, 32, 64):
-        grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
-        f = apply_on_grid(op, GridFunction.from_callable(grid, pde))
-        res = solve_dd(DDProblem(alpha, beta, GEO, f, R_MIN, R_MAX), grid)
-        exact = GridFunction.from_callable(grid, w_exact)
-        errs.append(weighted_l2(grid, res.solution.values - exact.values))
+        p, exact = dd_problem(alpha, beta, SectorGrid(GEO, R_MIN, R_MAX, n, n))
+        errs.append(error_norm(solve_dd(p, exact.grid).solution, exact))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for o in orders:
         assert 1.7 <= o <= 2.3
-
-
-def nonlocal_manufactured(alpha, beta):
-    u_exact, f_rhs = manufactured_nonlocal(GEO, R_MIN, R_MAX)
-    b1, b2, b3 = GEO.angles
-    g1 = lambda r: u_exact(r, b1) + alpha * u_exact(r, b2)
-    g3 = lambda r: u_exact(r, b3) + beta * u_exact(r, b2)
-    return u_exact, f_rhs, g1, g3
 
 
 def test_nonlocal_zero_data():
@@ -283,15 +265,12 @@ def test_nonlocal_zero_data():
 
 @pytest.mark.parametrize("alpha,beta", [(0.9, 0.9), (0.3, -0.8)])
 def test_nonlocal_second_order_convergence(alpha, beta):
-    u_exact, f_rhs, g1, g3 = nonlocal_manufactured(alpha, beta)
     errs, bres = [], []
     for n in (16, 32, 64):
         grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
-        f = GridFunction.from_callable(grid, f_rhs)
-        p = NonlocalPoissonProblem(alpha, beta, GEO, f, g1, g3, R_MIN, R_MAX)
+        p, exact = nonlocal_problem(alpha, beta, grid)
         res = solve_nonlocal_poisson(p, grid)
-        exact = GridFunction.from_callable(grid, u_exact)
-        errs.append(weighted_l2(grid, res.solution.values - exact.values))
+        errs.append(error_norm(res.solution, exact))
         bres.append(res.boundary_residual)
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for o in orders:
@@ -302,35 +281,29 @@ def test_nonlocal_second_order_convergence(alpha, beta):
 
 def test_nonlocal_n512_second_order():
     # the finest level of the convergence study, on the separable path
-    u_exact, f_rhs, g1, g3 = nonlocal_manufactured(0.3, -0.8)
-    p = NonlocalPoissonProblem(0.3, -0.8, GEO, f_rhs, g1, g3, R_MIN, R_MAX)
     errs = []
     for n in (256, 512):
         grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
+        p, exact = nonlocal_problem(0.3, -0.8, grid)
         res = solve_nonlocal_poisson(p, grid)
         assert res.info["dd_method"] == "separable"
         assert res.boundary_residual <= 1e-10
-        exact = GridFunction.from_callable(grid, u_exact)
-        errs.append(weighted_l2(grid, res.solution.values - exact.values))
+        errs.append(error_norm(res.solution, exact))
     assert 1.7 <= np.log2(errs[0] / errs[1]) <= 2.3
 
 
 def test_nonlocal_equation_residual_at_roundoff():
     # the boundary values of w are known zeros, not unknowns, so nothing
     # after the factorization moves the interior residual off roundoff
-    u_exact, f_rhs, g1, g3 = nonlocal_manufactured(0.3, -0.8)
     grid = SectorGrid(GEO, R_MIN, R_MAX, 128, 128)
-    f = GridFunction.from_callable(grid, f_rhs)
-    p = NonlocalPoissonProblem(0.3, -0.8, GEO, f, g1, g3, R_MIN, R_MAX)
+    p, _ = nonlocal_problem(0.3, -0.8, grid)
     res = solve_nonlocal_poisson(p, grid)
-    assert res.equation_residual <= 1e-11 * np.linalg.norm(f.values[1:-1, 1:-1])
+    assert res.equation_residual <= 1e-11 * np.linalg.norm(p.rhs.values[1:-1, 1:-1])
 
 
 def test_nonlocal_boundary_conditions_discretely_exact():
-    u_exact, f_rhs, g1, g3 = nonlocal_manufactured(0.6, 0.4)
     grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
-    f = GridFunction.from_callable(grid, f_rhs)
-    p = NonlocalPoissonProblem(0.6, 0.4, GEO, f, g1, g3, R_MIN, R_MAX)
+    p, _ = nonlocal_problem(0.6, 0.4, grid)
     res = solve_nonlocal_poisson(p, grid)
     assert nonlocal_boundary_residual(p, grid, res.solution) <= 1e-11
 
@@ -338,10 +311,8 @@ def test_nonlocal_boundary_conditions_discretely_exact():
 def test_substitution_consistency_homogeneous_data():
     # with g1 = g3 = 0 the lifting vanishes and u = R_K w exactly
     grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
-    _, f_rhs, _, _ = nonlocal_manufactured(0.0, 0.0)
-    f = GridFunction.from_callable(grid, f_rhs)
     z = lambda r: np.zeros_like(r)
-    p = NonlocalPoissonProblem(0.5, -0.5, GEO, f, z, z, R_MIN, R_MAX)
+    p = dataclasses.replace(nonlocal_problem(0.5, -0.5, grid)[0], g1=z, g3=z)
     res = solve_nonlocal_poisson(p, grid)
     op = two_sector_operator(0.5, -0.5, GEO)
     w = res.info["w"]
@@ -354,10 +325,8 @@ def test_recovered_w_trace_identities():
     # w vanishes on both rays; its middle-ray trace matches the inverse
     # shift-matrix combination of the homogeneous-part traces
     alpha, beta = 0.6, 0.4
-    u_exact, f_rhs, g1, g3 = nonlocal_manufactured(alpha, beta)
     grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
-    f = GridFunction.from_callable(grid, f_rhs)
-    p = NonlocalPoissonProblem(alpha, beta, GEO, f, g1, g3, R_MIN, R_MAX)
+    p, _ = nonlocal_problem(alpha, beta, grid)
     res = solve_nonlocal_poisson(p, grid)
     w = res.info["w"].values
     s = grid.shift_columns
@@ -439,3 +408,36 @@ def test_discrete_coercivity_arpack_failure(monkeypatch):
     p = DDProblem(0.6, 0.4, GEO, zero, R_MIN, R_MAX)
     with pytest.raises(SolverFailure, match="extreme eigenvalue estimation failed"):
         discrete_coercivity(p, grid, dense_limit=0)
+
+
+@pytest.mark.parametrize(
+    "geo,r_min,r_max",
+    [
+        (make_geometry([0.3, 0.3 + 0.5 * np.pi, 0.3 + np.pi]), R_MIN, R_MAX),
+        # the problem lives on [0.5, 3], the grid covers [1, 2]
+        (GEO, 1.0, 2.0),
+    ],
+    ids=["geometry", "radii"],
+)
+def test_problem_grid_mismatch_raises(geo, r_min, r_max):
+    grid = SectorGrid(geo, r_min, r_max, 8, 8)
+    zero = GridFunction(grid, np.zeros((9, 9)))
+    z = lambda r: np.zeros_like(r)
+    dd = DDProblem(0.6, 0.4, GEO, zero, R_MIN, R_MAX)
+    nonlocal_ = NonlocalPoissonProblem(0.6, 0.4, GEO, zero, z, z, R_MIN, R_MAX)
+    for solve, p in ((solve_dd, dd), (discrete_coercivity, dd), (solve_nonlocal_poisson, nonlocal_)):
+        with pytest.raises(IncompatibleGrid, match="geometry or radii"):
+            solve(p, grid)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (1.5, 1.0)])
+def test_manufactured_builders_follow_the_grid(alpha, beta):
+    grid = SectorGrid(GEO, 0.7, 2.5, 12, 16)
+    p, exact = nonlocal_problem(alpha, beta, grid)
+    # the exact solution meets the nonlocal ray conditions at the nodes
+    assert nonlocal_boundary_residual(p, grid, exact) <= 1e-13
+    for p, exact in (nonlocal_problem(alpha, beta, grid), dd_problem(alpha, beta, grid)):
+        assert (p.alpha, p.beta, p.geometry) == (alpha, beta, grid.geometry)
+        assert (p.r_min, p.r_max) == (grid.r_min, grid.r_max)
+        assert p.rhs.grid == grid and exact.grid == grid
+    assert error_norm(exact, exact) == 0.0
