@@ -7,8 +7,6 @@ rotated adjoint contributions.  The residual is pure quadrature error and
 shrinks rapidly as the Gauss-Legendre order grows.
 """
 
-import numpy as np
-
 from planeangle.core import make_geometry
 from planeangle.green_check import (
     GreenConfig,

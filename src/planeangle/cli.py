@@ -226,7 +226,7 @@ def _write_eig_csv(path, rows):
     with open(path, "w") as f:
         f.write("method,re,im\n")
         for method, z in rows:
-            f.write("%s,%s,%s\n" % (method, repr(float(z.real)), repr(float(z.imag))))
+            f.write("%s,%s,%s\n" % (method, _f(z.real), _f(z.imag)))
 
 
 def _write_grid_csv(path, u):

@@ -16,13 +16,17 @@ The infinite angle is truncated to r_min <= r <= r_max with homogeneous
 Dirichlet data on the artificial arcs; manufactured and compactly supported
 data make the truncation exact.
 
+Matrix rows are the interior nodes and columns all nodes (laplacian_matrix);
+both solvers check the problem against the grid first (assemble_dd_system)
+and hand the interior system S x = b to one solve core (_solve_interior).
+
 The assembled system separates like the Mellin transform separates r from
 phi: S = (D_r x I + diag(1/r^2) x T)(I x M_int), with D_r the radial
 tridiagonal stencil, M_int the column shift on the interior columns (a
 2x2 block on each column pair (j, j+s), the identity on the middle column
 j = s) and T the angular second difference with the ray conditions
 v_0 = -alpha*v_s, v_2s = -beta*v_s of v = M w folded in (angular_matrix).
-solve_dd diagonalizes T = V diag(mu) V^-1, solves one tridiagonal radial
+The solve core diagonalizes T = V diag(mu) V^-1, solves one tridiagonal radial
 system D_r + mu_k diag(1/r^2) per angular mode and recovers w with the
 closed-form inverse of the 2x2 blocks: the tensor-product method of Lynch,
 Rice & Thomas (Numer. Math. 6, 1964).  The eigenpairs of T are written
@@ -37,7 +41,7 @@ is not backward stable for S: its residual grows with cond(V), which is
 |alpha+beta| -> 2.  So the residual of S,
 recomputed after every solve and gated at 1e-8 * ||b||, decides: when T
 has no real eigenbasis (|alpha+beta| >= 2), when the separable transform
-hits a singular matrix, or when its solution fails the gate, solve_dd
+hits a singular matrix, or when its solution fails the gate, the core
 solves again with a sparse LU of S.
 """
 
@@ -106,6 +110,9 @@ class NonlocalPoissonProblem:
 
     __post_init__ = _check_problem
 
+    def operator(self):
+        return two_sector_operator(self.alpha, self.beta, self.geometry)
+
     @property
     def guaranteed_solvable(self):
         return abs(self.alpha + self.beta) < 2.0
@@ -139,27 +146,21 @@ def _radial_stencil(r, dr):
 
 
 def laplacian_matrix(grid):
-    """Sparse matrix of -(d_rr + (1/r)d_r + (1/r^2)d_phiphi) + 1.
+    """Sparse matrix of -(d_rr + (1/r)d_r + (1/r^2)d_phiphi) + 1, interior rows.
 
-    Second-order central stencil at interior nodes; identity rows on the
-    boundary (rays and truncation arcs).
+    Second-order central stencil; row k is the equation at node
+    _interior(grid)[k], the columns are all nodes in row-major order.
     """
     width = grid.n_phi + 1
-    r = np.repeat(grid.r_nodes, width)
-    inner = np.zeros(r.shape, dtype=bool)
-    inner[_interior(grid)] = True
+    rows = _interior(grid)
+    r = np.repeat(grid.r_nodes[1:-1], grid.n_phi - 1)
     radial, up, down = _radial_stencil(r, grid.dr)
     cp = 1.0 / (r**2 * grid.dphi**2)
-    # row k reads nodes k+-1 (angular) and k+-width (radial); diags takes the
-    # entries of offset +m from rows 0..N-1-m and of offset -m from rows m..N-1
-    main = np.where(inner, radial + 2.0 * cp, 1.0)
-    ang = np.where(inner, -cp, 0.0)
-    up = np.where(inner, up, 0.0)
-    down = np.where(inner, down, 0.0)
-    return sp.diags(
-        [main, ang[:-1], ang[1:], up[:-width], down[width:]],
-        [0, 1, -1, width, -width],
-        format="csr",
+    cols = rows[:, None] + np.array([-width, -1, 0, 1, width])
+    vals = np.column_stack([down, -cp, radial + 2.0 * cp, -cp, up])
+    return sp.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, 5)),
+        shape=(rows.size, width * (grid.n_r + 1)),
     )
 
 
@@ -186,8 +187,7 @@ def assemble_dd_system(p, grid):
     keep = _interior(grid)
     A = laplacian_matrix(grid)
     M = shift_matrix_on_grid(p.operator(), grid)
-    S = A[keep] @ M[:, keep]
-    return S, _rhs_vector(p.rhs, grid)[keep]
+    return A @ M[:, keep], _rhs_vector(p.rhs, grid)[keep]
 
 
 def _rhs_vector(rhs, grid):
@@ -299,23 +299,22 @@ def _separable_solve(p, grid, b, mu, V):
     return w.ravel()
 
 
-def solve_dd(p, grid):
-    """Solve the differential-difference Dirichlet problem on the grid.
+def _solve_interior(p, grid, S, b):
+    """Solve S x = b on the interior nodes; returns (w, ||S x - b||, info).
 
-    Only interior unknowns are solved for; the solution is zero on the rays
-    and the truncation arcs by construction.  For |alpha+beta| < 2 the
-    system is first solved by the separable method of _separable_solve in
-    the closed-form eigenbasis of the folded angular matrix T
-    (_angular_basis).  The equation residual is recomputed by applying the
-    assembled operator to the solution; when the separable path fails or
-    its residual exceeds 1e-8 * ||b||, the system is solved again by a
-    sparse LU of the assembled matrix, whose residual must pass the same
-    gate.  For |alpha+beta| >= 2, T has no real eigenbasis and the sparse LU
-    is the only path.  info["method"] names the path whose solution is
-    returned and info["cond_V"] holds the 2-norm condition number of the
-    eigenvector matrix V with unit columns, inf when there is no real basis.
+    For |alpha+beta| < 2 the system is first solved by the separable method
+    of _separable_solve in the closed-form eigenbasis of the folded angular
+    matrix T (_angular_basis).  The residual is recomputed by applying S to
+    the solution; when the separable path fails or its residual exceeds
+    1e-8 * ||b||, the system is solved again by a sparse LU of S, whose
+    residual must pass the same gate.  For |alpha+beta| >= 2, T has no real
+    eigenbasis and the sparse LU is the only path.  w is the grid function
+    with x on the interior nodes and zero on the rays and the truncation
+    arcs.  info["method"] names the path whose solution is returned,
+    info["cond_V"] holds the 2-norm condition number of the eigenvector
+    matrix V with unit columns (inf when there is no real basis) and
+    info["rhs_norm"] is ||b||.
     """
-    S, b = assemble_dd_system(p, grid)
     bnorm = np.linalg.norm(b)
     basis = _angular_basis(p.alpha, p.beta, grid)
     method, eq_res, cond_V = "separable", np.inf, np.inf
@@ -333,14 +332,21 @@ def solve_dd(p, grid):
         eq_res = float(np.linalg.norm(S @ x - b))
         if bnorm > 0 and eq_res > 1e-8 * bnorm:
             raise SolverFailure("direct solve residual %g too large" % eq_res)
-    vals = np.zeros((grid.n_r + 1) * (grid.n_phi + 1), dtype=complex)
-    vals[_interior(grid)] = x
+    w = np.zeros((grid.n_r + 1, grid.n_phi + 1), dtype=complex)
+    w[1:-1, 1:-1] = x.reshape(grid.n_r - 1, grid.n_phi - 1)
+    return GridFunction(grid, w), eq_res, {"method": method, "cond_V": cond_V, "rhs_norm": bnorm}
+
+
+def solve_dd(p, grid):
+    """Solve the differential-difference Dirichlet problem on the grid (_solve_interior)."""
+    S, b = assemble_dd_system(p, grid)
+    w, eq_res, info = _solve_interior(p, grid, S, b)
     return SolveResult(
-        solution=GridFunction(grid, vals.reshape(grid.n_r + 1, grid.n_phi + 1)),
+        solution=w,
         equation_residual=eq_res,
         boundary_residual=0.0,
         n_unknowns=S.shape[0],
-        info={"method": method, "cond_V": cond_V, "rhs_norm": bnorm},
+        info=info,
     )
 
 
@@ -389,62 +395,53 @@ def solve_nonlocal_poisson(p, grid):
 
     u = u_g + R_K w where u_g is the cutoff lifting of the ray data and w
     solves the differential-difference problem with right-hand side
-    f - (discrete -Laplace + 1) u_g.  For |alpha+beta| >= 2 the solve is
-    still attempted but flagged in the result info.
+    f - (discrete -Laplace + 1) u_g on the interior nodes; the lifting is
+    built after the problem passes the grid check.  For |alpha+beta| >= 2
+    the solve is still attempted but flagged in the result info.
     """
-    flagged = not p.guaranteed_solvable
-    op = two_sector_operator(p.alpha, p.beta, p.geometry)
+    S, f = assemble_dd_system(p, grid)
     A = laplacian_matrix(grid)
     u_g = boundary_lifting(p, grid)
-    f = _rhs_vector(p.rhs, grid)
-    lifted = A @ u_g.values.ravel()
-    rhs = f - lifted
-    rhs_fun = GridFunction(grid, rhs.reshape(grid.n_r + 1, grid.n_phi + 1))
-    dd = DDProblem(p.alpha, p.beta, p.geometry, rhs_fun, p.r_min, p.r_max)
-    inner = solve_dd(dd, grid)
-    w = inner.solution
-    u = GridFunction(grid, u_g.values + apply_on_grid(op, w).values)
+    w, _, inner = _solve_interior(p, grid, S, f - A @ u_g.values.ravel())
+    u = GridFunction(grid, u_g.values + apply_on_grid(p.operator(), w).values)
     # recomputed equation residual of the full discrete operator
-    resid = A @ u.values.ravel() - f
-    eq_res = float(np.linalg.norm(resid[_interior(grid)]))
-    bc_res = nonlocal_boundary_residual(p, grid, u)
+    eq_res = float(np.linalg.norm(A @ u.values.ravel() - f))
     info = {
         "method": "lifting+substitution",
-        "regime_flag": "unsupported" if flagged else "ok",
-        "dd_method": inner.info["method"],
-        "cond_V": inner.info["cond_V"],
+        "regime_flag": "ok" if p.guaranteed_solvable else "unsupported",
+        "dd_method": inner["method"],
+        "cond_V": inner["cond_V"],
         "w": w,
         "lifting": u_g,
     }
     return SolveResult(
         solution=u,
         equation_residual=eq_res,
-        boundary_residual=bc_res,
-        n_unknowns=inner.n_unknowns,
+        boundary_residual=nonlocal_boundary_residual(p, grid, u),
+        n_unknowns=S.shape[0],
         info=info,
     )
 
 
-def discrete_coercivity(p, grid, dense_limit=500):
+def discrete_coercivity(p, grid):
     """Smallest eigenvalue of the symmetric part of the assembled operator.
 
     The interior operator S of assemble_dd_system is weighted by the discrete
-    inner product r_i*dr*dphi; returns lambda_min of (W S + (W S)^T)/2.  Up
-    to dense_limit interior nodes the symmetric part is densified for
-    eigvalsh; above it only sparse matrices are built and eigsh is used.
-    The default sits at the measured crossover (2-core VM, best of 5):
-    eigvalsh wins up to 441 nodes (0.016 s against 0.017 s), eigsh from 529
-    (0.02 s against 0.024 s); at 3969 nodes eigsh takes 0.2-0.3 s and
-    eigvalsh 3.5-4.2 s, agreeing to 6e-12 relative.
+    inner product r_i*dr*dphi; returns lambda_min of (W S + (W S)^T)/2 from
+    ARPACK (eigsh) on the sparse symmetric part, which is never densified.
+    ARPACK starts from one fixed pseudo-random vector, so equal inputs give
+    equal values.  A symmetric start vector would not do: for alpha = beta
+    the reflection about the middle ray commutes with the operator, and
+    from the all-ones vector ARPACK misses a lowest eigenvector that is odd
+    under it (at n = 16, alpha = beta = -1.9 it returned -11.92 for -12.04).
     """
     S, _ = assemble_dd_system(p, grid)
     r = np.repeat(grid.r_nodes, grid.n_phi + 1)[_interior(grid)]
     Sw = sp.diags(r * grid.dr * grid.dphi) @ S
     sym = 0.5 * (Sw + Sw.T)
-    if sym.shape[0] <= dense_limit:
-        return float(np.linalg.eigvalsh(sym.toarray())[0])
     try:
-        val = spla.eigsh(sym, k=1, which="SA", return_eigenvectors=False)
+        v0 = np.random.default_rng(0).standard_normal(sym.shape[0])
+        val = spla.eigsh(sym, 1, which="SA", v0=v0, return_eigenvectors=False)
         return float(val[0])
     except spla.ArpackError as exc:
         raise SolverFailure("extreme eigenvalue estimation failed: %s" % exc)

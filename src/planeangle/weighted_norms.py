@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, PlaneAngleError
+from .core import PlaneAngleError
 
 
 class UnsupportedOrder(PlaneAngleError):

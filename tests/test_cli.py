@@ -16,6 +16,7 @@ from planeangle.cli import (
     load_spec,
     main,
 )
+from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form, eigenvalues_numeric
 
 B1 = np.pi / 6
 
@@ -90,6 +91,20 @@ def test_eigs_dirichlet_window(tmp_path):
     numeric_vals = [complex(float(l.split(",")[1]), float(l.split(",")[2])) for l in numeric]
     for im in closed_im:
         assert min(abs(z - 1j * im) for z in numeric_vals) < 1e-8
+
+
+def test_eigs_csv_has_no_negative_zero(tmp_path):
+    # narrow geometry, (0.6, 0.4): closed-form eigenvalues with negative
+    # imaginary part have real part -0.0
+    spec = write_spec(tmp_path / "s.json", alpha=0.6, beta=0.4, opening=2 * np.pi / 3)
+    assert main(["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs"]) == EXIT_OK
+    rows = [l.split(",") for l in (tmp_path / "eigenvalues.csv").read_text().splitlines()[1:]]
+    assert "-0.0" not in [field for row in rows for field in row]
+    p = PoissonPencilProblem(0.6, 0.4, B1, B1 + 2 * np.pi / 3)
+    want = [("closed_form", z) for z in eigenvalues_closed_form(p, (-4.0, 4.0)).values]
+    want += [("numeric", z) for z in eigenvalues_numeric(p, (-0.5, 0.5, -4.0, 4.0)).values]
+    assert any(z.imag < 0.0 and z.real == 0.0 for _, z in want)
+    assert [(m, complex(float(re), float(im))) for m, re, im in rows] == want
 
 
 def test_eigs_empty_window_exit(tmp_path, capsys):

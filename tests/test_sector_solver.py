@@ -4,11 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from planeangle.core import GridFunction, IncompatibleGrid, SectorGrid, make_geometry
 from planeangle.difference_ops import apply_on_grid, two_sector_operator
 from planeangle.manufactured import dd_problem, error_norm, nonlocal_problem
+from planeangle import sector_solver
 from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form
 from planeangle.sector_solver import (
     DDProblem,
@@ -17,6 +19,7 @@ from planeangle.sector_solver import (
     SolverFailure,
     _angular_basis,
     _direct_solve,
+    _interior,
     angular_matrix,
     assemble_dd_system,
     boundary_lifting,
@@ -39,10 +42,7 @@ def test_assembly_reduces_to_laplacian_when_uncoupled():
     zero = GridFunction(grid, np.zeros((9, 9)))
     p = DDProblem(0.0, 0.0, GEO, zero, R_MIN, R_MAX)
     S, _ = assemble_dd_system(p, grid)
-    from planeangle.sector_solver import _interior
-
-    keep = _interior(grid)
-    A = laplacian_matrix(grid)[keep][:, keep]
+    A = laplacian_matrix(grid)[:, _interior(grid)]
     assert abs(S - A).max() < 1e-14
 
 
@@ -72,8 +72,11 @@ def test_laplacian_matrix_exact_on_quadratic():
     grid = SectorGrid(GEO, R_MIN, R_MAX, 12, 16)
     r, phi = grid.meshgrid()
     u = r**2 + phi**2
-    got = (laplacian_matrix(grid) @ u.ravel()).reshape(u.shape)[1:-1, 1:-1]
-    want = (-(4.0 + 2.0 / r**2) + u)[1:-1, 1:-1]
+    A = laplacian_matrix(grid)
+    # one row per interior node, one column per node
+    assert A.shape == (11 * 15, 13 * 17)
+    got = A @ u.ravel()
+    want = (-(4.0 + 2.0 / r**2) + u)[1:-1, 1:-1].ravel()
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -383,6 +386,9 @@ def test_lifting_vanishes_near_middle_ray():
         (-0.9, -0.9, True),
         (0.5, -0.5, True),
         (1.25, 1.25, False),
+        # alpha = beta: the lowest eigenvector is odd about the middle ray,
+        # which an even ARPACK start vector never reaches
+        (-1.9, -1.9, False),
     ],
 )
 def test_discrete_coercivity_sign(alpha, beta, positive):
@@ -390,8 +396,13 @@ def test_discrete_coercivity_sign(alpha, beta, positive):
     zero = GridFunction(grid, np.zeros((17, 17)))
     p = DDProblem(alpha, beta, GEO, zero, R_MIN, R_MAX)
     lam = discrete_coercivity(p, grid)
-    # dense_limit=0 takes the sparse eigsh branch
-    assert abs(discrete_coercivity(p, grid, dense_limit=0) - lam) <= 1e-10 * abs(lam)
+    assert discrete_coercivity(p, grid) == lam
+    # oracle: eigvalsh of the dense weighted symmetric part
+    S = assemble_dd_system(p, grid)[0].toarray()
+    r = np.repeat(grid.r_nodes, 17)[_interior(grid)]
+    Sw = (r * grid.dr * grid.dphi)[:, None] * S
+    want = np.linalg.eigvalsh(0.5 * (Sw + Sw.T))[0]
+    assert abs(want - lam) <= 1e-10 * abs(lam)
     if positive:
         assert lam > 0.0
     else:
@@ -407,7 +418,7 @@ def test_discrete_coercivity_arpack_failure(monkeypatch):
     zero = GridFunction(grid, np.zeros((17, 17)))
     p = DDProblem(0.6, 0.4, GEO, zero, R_MIN, R_MAX)
     with pytest.raises(SolverFailure, match="extreme eigenvalue estimation failed"):
-        discrete_coercivity(p, grid, dense_limit=0)
+        discrete_coercivity(p, grid)
 
 
 @pytest.mark.parametrize(
@@ -419,7 +430,11 @@ def test_discrete_coercivity_arpack_failure(monkeypatch):
     ],
     ids=["geometry", "radii"],
 )
-def test_problem_grid_mismatch_raises(geo, r_min, r_max):
+def test_problem_grid_mismatch_raises(geo, r_min, r_max, monkeypatch):
+    def no_lifting(*args):
+        raise AssertionError("lifting built before the problem was checked")
+
+    monkeypatch.setattr(sector_solver, "boundary_lifting", no_lifting)
     grid = SectorGrid(geo, r_min, r_max, 8, 8)
     zero = GridFunction(grid, np.zeros((9, 9)))
     z = lambda r: np.zeros_like(r)
@@ -428,6 +443,72 @@ def test_problem_grid_mismatch_raises(geo, r_min, r_max):
     for solve, p in ((solve_dd, dd), (discrete_coercivity, dd), (solve_nonlocal_poisson, nonlocal_)):
         with pytest.raises(IncompatibleGrid, match="geometry or radii"):
             solve(p, grid)
+
+
+def _wave(r, phi):
+    return r * np.sin(2.0 * phi) + 1j * np.cos(r)
+
+
+SOLVERS = pytest.mark.parametrize(
+    "build,solve",
+    [(dd_problem, solve_dd), (nonlocal_problem, solve_nonlocal_poisson)],
+    ids=["dd", "nonlocal"],
+)
+
+
+@SOLVERS
+def test_rhs_callable_and_grid_function_agree(build, solve):
+    # the two accepted rhs formats give bit-identical solves
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
+    p, _ = build(0.3, -0.8, grid)
+    by_call = solve(dataclasses.replace(p, rhs=_wave), grid)
+    sampled = dataclasses.replace(p, rhs=GridFunction.from_callable(grid, _wave))
+    by_grid = solve(sampled, grid)
+    assert by_call.solution.values.tobytes() == by_grid.solution.values.tobytes()
+    assert by_call.equation_residual == by_grid.equation_residual
+    assert by_call.boundary_residual == by_grid.boundary_residual
+    coarse = GridFunction.from_callable(SectorGrid(GEO, R_MIN, R_MAX, 8, 8), _wave)
+    with pytest.raises(IncompatibleGrid, match="rhs grid differs"):
+        solve(dataclasses.replace(p, rhs=coarse), grid)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,factored",
+    [
+        (0.3, -0.8, ["radial"]),
+        # separable solution fails the residual gate (cond(V) about 2e8)
+        (1.5, 0.5 - 1e-8, ["radial", "S"]),
+        # no real angular basis: the sparse LU of S is the only path
+        (1.5, 1.0, ["S"]),
+    ],
+)
+@SOLVERS
+def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
+    # the separable path factors only the block-tridiagonal radial matrix;
+    # the LU fallback factors S exactly once
+    seen = []
+    splu = spla.splu
+
+    def spy(M, *args, **kwargs):
+        seen.append(M.copy())
+        return splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
+    p, _ = build(alpha, beta, grid)
+    p = dataclasses.replace(p, rhs=_wave)
+    solve(p, grid)
+    S, _ = assemble_dd_system(p, grid)
+    kinds = []
+    for M in seen:
+        assert M.shape == S.shape
+        if abs(M - S).max() == 0.0:
+            kinds.append("S")
+        elif sp.triu(M, 2).nnz == 0 and sp.tril(M, -2).nnz == 0:
+            kinds.append("radial")
+        else:
+            kinds.append("other")
+    assert kinds == factored
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (1.5, 1.0)])
