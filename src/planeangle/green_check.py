@@ -21,11 +21,19 @@ integrated with tensor Gauss-Legendre panels and the residual |LHS - RHS| is
 returned; with analytic derivatives supplied the residual is pure quadrature
 error.
 
+The coupling alpha, phi12 and the flavour enter only the ray terms.  The
+sector integrals over K1 and K2 are independent of them, so they are
+computed once per key (ray angles, radial window, panels, order and the
+three fields) and memoized in a bounded cache shared by both flavours,
+every alpha and term_magnitudes.  Field callables must therefore be pure
+functions of (r, phi), and hashable (functions and lambdas are).
+
 Normals: n1 and n2 point counterclockwise, +(1/r) d/dphi; n3 points
 clockwise, -(1/r) d/dphi.  Area element r dr dphi, line element dr.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,8 +49,9 @@ class SupportViolation(PlaneAngleError):
 class Field(NamedTuple):
     """A function of (r, phi) with its analytic r, phi derivatives and Laplacian.
 
-    Every component is a callable (r, phi) -> array that broadcasts its
-    arguments and may return complex values.
+    Every component is a pure, hashable callable (r, phi) -> array that
+    broadcasts its arguments and may return complex values; the area
+    integrals are memoized on the component objects.
     """
 
     value: Callable
@@ -113,31 +122,47 @@ def _panel_rule(a, b, panels, order):
     return nodes, weights
 
 
+@lru_cache
+def _area_terms(angles, window, panels, order, u, v1, v2):
+    """LHS and RHS sector integrals over K1 and K2, as two 2-tuples.
+
+    -Lap(U) conj(V) and U conj(-Lap(V)) on a radius column times an angle
+    row: they depend on the rays, the radial window, the quadrature and the
+    fields, not on alpha, phi12 or the flavour, so one evaluation serves
+    both identities at every coupling.
+    """
+    b1, b2, b3 = angles
+    rn, rw = _panel_rule(*window, panels, order)
+    rc = rn[:, None]
+    lhs, rhs = [], []
+    for blo, bhi, v in ((b1, b2, v1), (b2, b3, v2)):
+        pn, pw = _panel_rule(blo, bhi, panels, order)
+        pr = pn[None, :]
+        w2 = rw[:, None] * pw[None, :] * rc
+        lhs.append(np.sum(w2 * (-u.lap(rc, pr)) * np.conj(v.value(rc, pr))))
+        rhs.append(np.sum(w2 * u.value(rc, pr) * np.conj(-v.lap(rc, pr))))
+    return tuple(lhs), tuple(rhs)
+
+
 def _identity_terms(cfg, pair, neumann):
     """LHS and RHS term lists of the chosen Green identity.
 
-    Returns (lhs_terms, rhs_terms); each is a list of complex integrals in a
-    fixed order: sector areas K1, K2, then line terms gamma_1, gamma_3,
-    gamma_2.  The residual is |sum(lhs) - sum(rhs)|.
+    Returns (lhs_terms, rhs_terms); each is a fresh list of complex integrals
+    in a fixed order: sector areas K1, K2 (memoized by _area_terms), then
+    line terms gamma_1, gamma_3, gamma_2.  The residual is
+    |sum(lhs) - sum(rhs)|.
     """
     b1, b2, b3 = cfg.geometry.angles
     alpha = cfg.alpha
     chi12 = cfg.chi12
     chi21 = 1.0 / chi12
     s_lo, s_hi = pair.support
-    rn, rw = _panel_rule(
-        min(s_lo, s_lo * chi21), max(s_hi, s_hi * chi21), cfg.panels, cfg.order
+    window = (min(s_lo, s_lo * chi21), max(s_hi, s_hi * chi21))
+    rn, rw = _panel_rule(*window, cfg.panels, cfg.order)
+    area_lhs, area_rhs = _area_terms(
+        cfg.geometry.angles, window, cfg.panels, cfg.order, pair.u, pair.v1, pair.v2
     )
-    lhs, rhs = [], []
-
-    # area terms, sector by sector, on a radius column times an angle row
-    rc = rn[:, None]
-    for blo, bhi, v in ((b1, b2, pair.v1), (b2, b3, pair.v2)):
-        pn, pw = _panel_rule(blo, bhi, cfg.panels, cfg.order)
-        pr = pn[None, :]
-        w2 = rw[:, None] * pw[None, :] * rc
-        lhs.append(np.sum(w2 * (-pair.u.lap(rc, pr)) * np.conj(v.value(rc, pr))))
-        rhs.append(np.sum(w2 * pair.u.value(rc, pr) * np.conj(-v.lap(rc, pr))))
+    lhs, rhs = list(area_lhs), list(area_rhs)
 
     def ray(f, b, sign):
         """Dirichlet data D and Neumann data N = sign (1/r) df/dphi on phi = b."""

@@ -215,6 +215,15 @@ def _direct_solve(S, b, **splu_options):
     return x
 
 
+def _real_matvec(S, x):
+    """S @ x for a real sparse S and complex x, without a complex copy of S.
+
+    S multiplies the stacked real and imaginary parts, as in _direct_solve.
+    """
+    parts = S @ np.column_stack([x.real, x.imag])
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
 def angular_matrix(alpha, beta, grid):
     """Dense (n_phi-1)^2 matrix T of -d_phiphi with the ray conditions folded in.
 
@@ -323,13 +332,13 @@ def _solve_interior(p, grid, S, b):
         cond_V = float(np.linalg.cond(V))
         try:
             x = _separable_solve(p, grid, b, mu, V)
-            eq_res = float(np.linalg.norm(S @ x - b))
+            eq_res = float(np.linalg.norm(_real_matvec(S, x) - b))
         except (SingularMatrix, SingularSystem, np.linalg.LinAlgError):
             pass
     # written so that a NaN residual also falls back
     if not eq_res <= 1e-8 * bnorm:
         method, x = "sparse_lu", _direct_solve(S, b)
-        eq_res = float(np.linalg.norm(S @ x - b))
+        eq_res = float(np.linalg.norm(_real_matvec(S, x) - b))
         if bnorm > 0 and eq_res > 1e-8 * bnorm:
             raise SolverFailure("direct solve residual %g too large" % eq_res)
     w = np.zeros((grid.n_r + 1, grid.n_phi + 1), dtype=complex)
@@ -402,10 +411,10 @@ def solve_nonlocal_poisson(p, grid):
     S, f = assemble_dd_system(p, grid)
     A = laplacian_matrix(grid)
     u_g = boundary_lifting(p, grid)
-    w, _, inner = _solve_interior(p, grid, S, f - A @ u_g.values.ravel())
+    w, _, inner = _solve_interior(p, grid, S, f - _real_matvec(A, u_g.values.ravel()))
     u = GridFunction(grid, u_g.values + apply_on_grid(p.operator(), w).values)
     # recomputed equation residual of the full discrete operator
-    eq_res = float(np.linalg.norm(A @ u.values.ravel() - f))
+    eq_res = float(np.linalg.norm(_real_matvec(A, u.values.ravel()) - f))
     info = {
         "method": "lifting+substitution",
         "regime_flag": "ok" if p.guaranteed_solvable else "unsupported",

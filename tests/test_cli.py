@@ -193,13 +193,46 @@ def test_solve_output_deterministic(tmp_path):
     ).read_bytes()
 
 
+GREEN_STDOUT = {
+    "1": (
+        "identity residual: 3.158470107678113e-08\n"
+        "  |term 0| = 7.86932424908118\n"
+        "  |term 1| = 12.527085311003198\n"
+        "  |term 2| = 0.5163639778533738\n"
+        "  |term 3| = 1.561417899073646\n"
+        "  |term 4| = 0.5980567316863227\n"
+        "  |term 5| = 4.682526514607787\n"
+        "  |term 6| = 10.508307409905346\n"
+        "  |term 7| = 1.69324344396389\n"
+        "  |term 8| = 1.159135305642777\n"
+        "  |term 9| = 3.1917423835941405\n"
+        "PASS\n"
+    ),
+    "2": (
+        "identity residual: 3.1593128113627245e-08\n"
+        "  |term 0| = 7.86932424908118\n"
+        "  |term 1| = 12.527085311003198\n"
+        "  |term 2| = 2.487442253469168\n"
+        "  |term 3| = 1.159135305642777\n"
+        "  |term 4| = 0.5980567316863227\n"
+        "  |term 5| = 4.682526514607787\n"
+        "  |term 6| = 10.508307409905346\n"
+        "  |term 7| = 0.4994327891618576\n"
+        "  |term 8| = 1.561417899073646\n"
+        "  |term 9| = 2.4144747627888012\n"
+        "PASS\n"
+    ),
+}
+
+
 def test_green_subcommand(tmp_path, capsys):
+    # golden stdout: the text output is byte-stable, and the memoized area
+    # integrals must not move a digit of it
     spec = write_spec(tmp_path / "s.json", alpha=0.7, beta=0.0)
     for example in ("1", "2"):
         code = main(["--spec", spec, "green", "--example", example, "--chi12", "1.5"])
         assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS" in out
+        assert capsys.readouterr().out == GREEN_STDOUT[example]
 
 
 def test_spectrum_subcommand(tmp_path, capsys):

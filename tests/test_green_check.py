@@ -1,5 +1,6 @@
 """Quadrature verification of the two nonlocal Green identities."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from planeangle.green_check import (
     Field,
     GreenConfig,
     SupportViolation,
+    _area_terms,
+    _identity_terms,
     bump_trig_pair,
     green_residual_dirichlet,
     green_residual_neumann,
@@ -101,3 +104,66 @@ def test_config_validation():
 def test_pair_support_validation():
     with pytest.raises(SupportViolation):
         bump_trig_pair(support=(-1.0, 2.0))
+
+
+def counting_pair():
+    """bump_trig_pair with every field component counting its area calls.
+
+    The area quadrature passes a radius column and an angle row (2-D
+    arguments), the ray terms 1-D vectors, so only 2-D calls are counted.
+    """
+    calls = Counter()
+
+    def counted(name, f):
+        def g(r, p):
+            if np.ndim(r) == 2:
+                calls[name] += 1
+            return f(r, p)
+
+        return g
+
+    base = bump_trig_pair()
+    fields = {
+        k: Field(*(counted(k + "." + c, f) for c, f in zip(Field._fields, getattr(base, k))))
+        for k in ("u", "v1", "v2")
+    }
+    return replace(base, **fields), calls
+
+
+def all_outputs(cfgs, pair, before_each=lambda: None):
+    out = []
+    for cfg in cfgs:
+        for neumann, residual in ((False, green_residual_dirichlet), (True, green_residual_neumann)):
+            before_each()
+            out.append(residual(cfg, pair))
+            before_each()
+            out.append(term_magnitudes(cfg, pair, neumann=neumann))
+    return out
+
+
+def test_area_integrals_evaluated_once_per_key():
+    pair, calls = counting_pair()
+    cfgs = [GreenConfig(GEO, alpha, 1.5, PHI12) for alpha in (0.7, -0.4)]
+    warm = all_outputs(cfgs, pair)
+    # 8 evaluations, one area key: each sector's fields once, U on both sectors
+    assert calls == {
+        "u.lap": 2, "u.value": 2,
+        "v1.value": 1, "v1.lap": 1,
+        "v2.value": 1, "v2.lap": 1,
+    }
+    cold = all_outputs(cfgs, pair, before_each=_area_terms.cache_clear)
+    assert calls["u.lap"] == 2 + 2 * len(cold)
+    assert warm == cold
+
+
+def test_returned_terms_are_fresh_lists():
+    cfg = GreenConfig(GEO, 0.7, 1.5, PHI12)
+    pair = bump_trig_pair()
+    mags = term_magnitudes(cfg, pair)
+    expected = list(mags)
+    mags[0] = -1.0
+    mags.append(0.0)
+    lhs, rhs = _identity_terms(cfg, pair, neumann=False)
+    lhs[0] = rhs[1] = 0.0
+    lhs.append(1.0)
+    assert term_magnitudes(cfg, pair) == expected
