@@ -54,7 +54,7 @@ from .sector_solver import (
     solve_dd,
     solve_nonlocal_poisson,
 )
-from .weighted_norms import WeightParams, e_norm, h_norm, trace_ratio
+from .weighted_norms import WeightParams, e_norm, h_norm, trace_integral
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -413,11 +413,14 @@ def cmd_norms(spec, args):
         u = GridFunction.from_callable(grid, rhs_func)
     w = spec["weights"]
     p = WeightParams(float(w["a"]), int(w["l"]))
-    _say(args, "e_norm: %s" % _f(e_norm(u, p)))
+    e = e_norm(u, p)
+    _say(args, "e_norm: %s" % _f(e))
     _say(args, "h_norm: %s" % _f(h_norm(u, p)))
     if p.l >= 1:
-        _say(args, "trace ratio gamma1: %s" % _f(trace_ratio(u, "gamma1", p)))
-        _say(args, "trace ratio gamma3: %s" % _f(trace_ratio(u, "gamma3", p)))
+        # trace_ratio(u, ray, p) without recomputing the E norm
+        for ray in ("gamma1", "gamma3"):
+            ratio = trace_integral(u, ray, p) / e if e != 0.0 else 0.0
+            _say(args, "trace ratio %s: %s" % (ray, _f(ratio)))
     return EXIT_OK
 
 

@@ -432,25 +432,64 @@ def solve_nonlocal_poisson(p, grid):
     )
 
 
+def _definite_lambda_min(H, v0):
+    """lambda_min of H by shift-invert at 0 when H is positive definite, else None.
+
+    One symmetric-mode LU with diagonal pivots only: if it kept perm_r ==
+    perm_c, H = P^T L U P with U = D L^T, and the signs of diag(U) are the
+    inertia of H (Sylvester).  All positive means H is positive definite,
+    and the same factor then serves as the shift-invert operator at 0.
+    """
+    try:
+        lu = spla.splu(
+            H.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # SuperLU: exactly singular factor
+        return None
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
+        return None
+    inv = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+    val = spla.eigsh(H, 1, sigma=0.0, which="LM", OPinv=inv, v0=v0, return_eigenvectors=False)
+    return val[0] if val[0] > 0.0 else None
+
+
 def discrete_coercivity(p, grid):
     """Smallest eigenvalue of the symmetric part of the assembled operator.
 
     The interior operator S of assemble_dd_system is weighted by the discrete
-    inner product r_i*dr*dphi; returns lambda_min of (W S + (W S)^T)/2 from
-    ARPACK (eigsh) on the sparse symmetric part, which is never densified.
-    ARPACK starts from one fixed pseudo-random vector, so equal inputs give
-    equal values.  A symmetric start vector would not do: for alpha = beta
-    the reflection about the middle ray commutes with the operator, and
-    from the all-ones vector ARPACK misses a lowest eigenvector that is odd
-    under it (at n = 16, alpha = beta = -1.9 it returned -11.92 for -12.04).
+    inner product r_i*dr*dphi; returns lambda_min of H = (W S + (W S)^T)/2,
+    the sparse symmetric part, which is never densified.
+
+    Definite path: one sparse symmetric-mode LU of H with diagonal pivots
+    counts its negative eigenvalues (Sylvester inertia).  When there are
+    none and no pivot is zero, H is positive definite, and ARPACK (eigsh)
+    in shift-invert mode at 0 with that same factor returns lambda_min in a
+    few iterations, however close to 0 it lies (Ericsson & Ruhe, Math.
+    Comp. 35, 1980).  Fallback path: when H is indefinite or singular, the
+    factor broke symmetry (perm_r != perm_c), SuperLU failed, or the
+    shift-invert value is not positive, the factor is dropped and eigsh
+    iterates for the smallest algebraic eigenvalue (which="SA") of H itself.
+
+    Both paths start ARPACK from one fixed pseudo-random vector, so equal
+    inputs give equal values.  A symmetric start vector would not do: for
+    alpha = beta the reflection about the middle ray commutes with the
+    operator, and from the all-ones vector ARPACK misses a lowest
+    eigenvector that is odd under it (at n = 16, alpha = beta = -1.9 it
+    returned -11.92 for -12.04).  An ARPACK failure on either path raises
+    SolverFailure.
     """
     S, _ = assemble_dd_system(p, grid)
     r = np.repeat(grid.r_nodes, grid.n_phi + 1)[_interior(grid)]
     Sw = sp.diags(r * grid.dr * grid.dphi) @ S
     sym = 0.5 * (Sw + Sw.T)
+    v0 = np.random.default_rng(0).standard_normal(sym.shape[0])
     try:
-        v0 = np.random.default_rng(0).standard_normal(sym.shape[0])
-        val = spla.eigsh(sym, 1, which="SA", v0=v0, return_eigenvectors=False)
-        return float(val[0])
+        val = _definite_lambda_min(sym, v0)
+        if val is None:
+            val = spla.eigsh(sym, 1, which="SA", v0=v0, return_eigenvectors=False)[0]
+        return float(val)
     except spla.ArpackError as exc:
         raise SolverFailure("extreme eigenvalue estimation failed: %s" % exc)

@@ -44,10 +44,12 @@ def _polar_gradient(grid, vals):
 
 def _cartesian_gradient(grid, vals):
     """(u_x, u_y) at the nodes via the polar chain rule."""
-    r, phi = grid.meshgrid()
+    r = grid.r_nodes[:, None]
+    phi = grid.phi_nodes[None, :]
+    cos, sin = np.cos(phi), np.sin(phi)
     u_r, u_phi = _polar_gradient(grid, vals)
-    u_x = np.cos(phi) * u_r - np.sin(phi) / r * u_phi
-    u_y = np.sin(phi) * u_r + np.cos(phi) / r * u_phi
+    u_x = cos * u_r - sin / r * u_phi
+    u_y = sin * u_r + cos / r * u_phi
     return u_x, u_y
 
 def cartesian_derivatives(u, l):
@@ -77,10 +79,11 @@ def _cell_integral(grid, nodal):
 def _weighted_norm(u, l, weight):
     """Root of the cell integral of sum weight(r, |alpha|) |D^alpha u|^2, |alpha| <= l."""
     grid = u.grid
-    r, _ = grid.meshgrid()
-    integrand = np.zeros(r.shape)
+    r = grid.r_nodes[:, None]
+    by_order = [weight(r, k) for k in range(l + 1)]
+    integrand = np.zeros(u.values.shape)
     for (i, j), d in cartesian_derivatives(u, l).items():
-        integrand += weight(r, i + j) * np.abs(d) ** 2
+        integrand += by_order[i + j] * np.abs(d) ** 2
     return np.sqrt(_cell_integral(grid, integrand))
 
 

@@ -21,7 +21,7 @@ from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form, eig
 B1 = np.pi / 6
 
 
-def write_spec(path, alpha=0.0, beta=0.0, rhs="manufactured", opening=np.pi):
+def write_spec(path, alpha=0.0, beta=0.0, rhs="manufactured", opening=np.pi, l=1):
     doc = {
         "geometry": {"angles": [B1, B1 + opening / 2, B1 + opening]},
         "pencil": {"alpha": alpha, "beta": beta},
@@ -32,7 +32,7 @@ def write_spec(path, alpha=0.0, beta=0.0, rhs="manufactured", opening=np.pi):
             "n_phi": 16,
             "rhs": rhs,
         },
-        "weights": {"a": 1.0, "l": 1},
+        "weights": {"a": 1.0, "l": l},
     }
     with open(path, "w") as f:
         json.dump(doc, f)
@@ -257,3 +257,29 @@ def test_norms_roundtrip_through_grid_csv(tmp_path, capsys):
     assert code == EXIT_OK
     text = capsys.readouterr().out
     assert "e_norm:" in text and "h_norm:" in text and "trace ratio" in text
+
+
+NORMS_STDOUT = {
+    1: (
+        "e_norm: 66.90571852111147\n"
+        "h_norm: 41.03607433376215\n"
+        "trace ratio gamma1: 0.14413568159827653\n"
+        "trace ratio gamma3: 0.14229126013708257\n"
+    ),
+    2: (
+        "e_norm: 60.67536469266636\n"
+        "h_norm: 24.188326549899568\n"
+        "trace ratio gamma1: 0.06540662579296222\n"
+        "trace ratio gamma3: 0.06329539377086671\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_norms_subcommand(tmp_path, capsys, l):
+    # golden stdout: the text output is byte-stable, however the norms and
+    # trace ratios share their derivative arrays
+    rhs = "r**2 * sin(2 * phi) + bump(r, 1.0, 2.0) * cos(phi)"
+    spec = write_spec(tmp_path / "s.json", rhs=rhs, l=l)
+    assert main(["--spec", spec, "norms"]) == EXIT_OK
+    assert capsys.readouterr().out == NORMS_STDOUT[l]

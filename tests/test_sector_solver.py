@@ -1,9 +1,11 @@
 """Sector solvers: assembly structure, manufactured convergence, coercivity."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -419,6 +421,117 @@ def test_discrete_coercivity_arpack_failure(monkeypatch):
     p = DDProblem(0.6, 0.4, GEO, zero, R_MIN, R_MAX)
     with pytest.raises(SolverFailure, match="extreme eigenvalue estimation failed"):
         discrete_coercivity(p, grid)
+
+
+def _coercivity_case(alpha, beta, n):
+    grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
+    zero = GridFunction(grid, np.zeros((n + 1, n + 1)))
+    return DDProblem(alpha, beta, GEO, zero, R_MIN, R_MAX), grid
+
+
+def _weighted_symmetric_part(p, grid):
+    S, _ = assemble_dd_system(p, grid)
+    r = np.repeat(grid.r_nodes, grid.n_phi + 1)[_interior(grid)]
+    Sw = sp.diags(r * grid.dr * grid.dphi) @ S
+    return 0.5 * (Sw + Sw.T)
+
+
+def _dense_lambda_min(p, grid):
+    H = _weighted_symmetric_part(p, grid).toarray()
+    return sla.eigh(H, eigvals_only=True, overwrite_a=True, subset_by_index=[0, 0])[0]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.999, 0.999), (-0.999, -0.999)])
+def test_discrete_coercivity_near_the_regime_edge(alpha, beta):
+    # |alpha+beta| = 1.998: lambda_min is about 1.3e-5, deep inside a
+    # cluster of the spectrum, where eigsh(which="SA") does not converge
+    p, grid = _coercivity_case(alpha, beta, 64)
+    lam = discrete_coercivity(p, grid)
+    want = _dense_lambda_min(p, grid)
+    assert lam > 0.0
+    assert abs(lam - want) <= 1e-9 * want
+
+
+class _Factor:
+    """A SuperLU factor with its row permutation rotated away from perm_c."""
+
+    def __init__(self, lu):
+        self.perm_c = lu.perm_c
+        self.perm_r = np.roll(lu.perm_r, 1)
+        self.U = lu.U
+        self.solve = lu.solve
+
+
+def _spy_eigsh(monkeypatch, factors=()):
+    # records each eigsh call as "SA" or "sigma=0" and checks that no
+    # factor is alive when the SA iteration starts
+    calls = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        if kwargs.get("sigma") is None:
+            assert all(ref() is None for ref in factors)
+            calls.append(kwargs["which"])
+        else:
+            calls.append("sigma=%g" % kwargs["sigma"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,paths",
+    [(0.6, 0.4, ["sigma=0"]), (0.5, -0.5, ["sigma=0"]), (1.25, 1.25, ["SA"])],
+    ids=["definite", "definite-opposite", "indefinite"],
+)
+def test_discrete_coercivity_factors_h_once(alpha, beta, paths, monkeypatch):
+    # one symmetric-mode factor of the weighted symmetric part H per call,
+    # and no factor of S; definite H goes to shift-invert at 0, indefinite
+    # H to the SA iteration
+    seen = []
+    splu = spla.splu
+
+    def spy(M, *args, **kwargs):
+        seen.append((M.copy(), kwargs))
+        return splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    calls = _spy_eigsh(monkeypatch)
+    p, grid = _coercivity_case(alpha, beta, 32)
+    lam = discrete_coercivity(p, grid)
+    H = _weighted_symmetric_part(p, grid)
+    assert len(seen) == 1
+    M, kwargs = seen[0]
+    assert M.shape == H.shape and abs(M - H).max() == 0.0
+    assert kwargs["options"] == {"SymmetricMode": True}
+    assert kwargs["diag_pivot_thresh"] == 0
+    assert calls == paths
+    assert (lam > 0.0) == (paths == ["sigma=0"])
+
+
+@pytest.mark.parametrize("fault", ["splu raises", "perm_r != perm_c"])
+def test_discrete_coercivity_fallback(fault, monkeypatch):
+    # a factor that cannot certify definiteness sends the call to the SA
+    # iteration, which still returns lambda_min, with the factor released
+    factors = []
+    splu = spla.splu
+
+    def faulty(M, *args, **kwargs):
+        if fault == "splu raises":
+            raise RuntimeError("Factor is exactly singular")
+        factor = _Factor(splu(M, *args, **kwargs))
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(spla, "splu", faulty)
+    calls = _spy_eigsh(monkeypatch, factors)
+    p, grid = _coercivity_case(0.6, 0.4, 16)
+    lam = discrete_coercivity(p, grid)
+    want = _dense_lambda_min(p, grid)
+    assert calls == ["SA"]
+    assert len(factors) == (fault == "perm_r != perm_c")
+    assert abs(lam - want) <= 1e-10 * want
 
 
 @pytest.mark.parametrize(
