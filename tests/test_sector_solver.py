@@ -443,8 +443,8 @@ def _dense_lambda_min(p, grid):
 
 @pytest.mark.parametrize("alpha,beta", [(0.999, 0.999), (-0.999, -0.999)])
 def test_discrete_coercivity_near_the_regime_edge(alpha, beta):
-    # |alpha+beta| = 1.998: lambda_min is about 1.3e-5, deep inside a
-    # cluster of the spectrum, where eigsh(which="SA") does not converge
+    # |alpha+beta| = 1.998: lambda_min is about 1.3e-5, tiny against the
+    # spread of the spectrum, and eigsh(which="SA") does not converge there
     p, grid = _coercivity_case(alpha, beta, 64)
     lam = discrete_coercivity(p, grid)
     want = _dense_lambda_min(p, grid)
