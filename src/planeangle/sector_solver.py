@@ -432,28 +432,62 @@ def solve_nonlocal_poisson(p, grid):
     )
 
 
-def _definite_lambda_min(H, v0):
-    """lambda_min of H by shift-invert at 0 when H is positive definite, else None.
+def _shift_invert(H, sigma, v0):
+    """Inertia of H - sigma*I and, when that is definite, lambda_min of H.
 
-    One symmetric-mode LU with diagonal pivots only: if it kept perm_r ==
-    perm_c, H = P^T L U P with U = D L^T, and the signs of diag(U) are the
-    inertia of H (Sylvester).  All positive means H is positive definite,
-    and the same factor then serves as the shift-invert operator at 0.
+    One symmetric-mode LU of H - sigma*I with diagonal pivots only: if it
+    kept perm_r == perm_c, H - sigma*I = P^T L U P with U = D L^T, and the
+    signs of diag(U) are its inertia (Sylvester).  Returns (n_below, value):
+    n_below counts the pivots <= 0, that is the eigenvalues of H at or below
+    sigma, and is None when the factor cannot certify (SuperLU failed or
+    perm_r != perm_c).  When n_below is 0, the same factor serves as the
+    shift-invert operator at sigma, and value is the eigenvalue of H nearest
+    sigma, so lambda_min, if it lies above sigma; otherwise value is None.
+    The factor is released on return.
     """
     try:
         lu = spla.splu(
-            H.tocsc(),
+            (H - sigma * sp.identity(H.shape[0], format="csr")).tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0,
             options={"SymmetricMode": True},
         )
     except RuntimeError:  # SuperLU: exactly singular factor
-        return None
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)):
-        return None
+        return None, None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None, None
+    n_below = int(np.count_nonzero(lu.U.diagonal() <= 0.0))
+    if n_below:
+        return n_below, None
     inv = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
-    val = spla.eigsh(H, 1, sigma=0.0, which="LM", OPinv=inv, v0=v0, return_eigenvectors=False)
-    return val[0] if val[0] > 0.0 else None
+    val = spla.eigsh(H, 1, sigma=sigma, which="LM", OPinv=inv, v0=v0, return_eigenvectors=False)
+    return 0, (val[0] if val[0] > sigma else None)
+
+
+def _indefinite_lambda_min(H, v0):
+    """lambda_min of an H proven indefinite, by shift-invert below a Ritz bound.
+
+    A loose SA iteration gives a Ritz value theta >= lambda_min (0 if it
+    does not converge, still an upper bound).  Shifts sigma = theta - delta,
+    delta growing 4x per try and sigma clamped at the Gershgorin floor
+    -||H||_inf, are tried until the inertia of H - sigma*I proves that no
+    eigenvalue lies at or below sigma; the eigenvalue nearest sigma is then
+    lambda_min.  theta and delta decide only the speed, the inertia decides
+    the answer.  Returns None when no shift down to the floor is certified,
+    or when the value does not lie above the certified shift.
+    """
+    try:
+        theta = spla.eigsh(H, 1, which="SA", v0=v0, tol=1e-2, maxiter=300, return_eigenvectors=False)[0]
+    except spla.ArpackNoConvergence:
+        theta = 0.0
+    h_norm = spla.norm(H, np.inf)
+    delta = 1e-2 * max(abs(theta), 1e-3 * h_norm)
+    while True:
+        sigma = max(theta - delta, -h_norm)
+        n_below, val = _shift_invert(H, sigma, v0)
+        if n_below == 0 or sigma == -h_norm:
+            return val
+        delta *= 4.0
 
 
 def discrete_coercivity(p, grid):
@@ -463,23 +497,34 @@ def discrete_coercivity(p, grid):
     inner product r_i*dr*dphi; returns lambda_min of H = (W S + (W S)^T)/2,
     the sparse symmetric part, which is never densified.
 
-    Definite path: one sparse symmetric-mode LU of H with diagonal pivots
-    counts its negative eigenvalues (Sylvester inertia).  When there are
-    none and no pivot is zero, H is positive definite, and ARPACK (eigsh)
-    in shift-invert mode at 0 with that same factor returns lambda_min in a
-    few iterations, however close to 0 it lies (Ericsson & Ruhe, Math.
-    Comp. 35, 1980).  Fallback path: when H is indefinite or singular, the
-    factor broke symmetry (perm_r != perm_c), SuperLU failed, or the
-    shift-invert value is not positive, the factor is dropped and eigsh
-    iterates for the smallest algebraic eigenvalue (which="SA") of H itself.
+    One sparse symmetric-mode LU of H with diagonal pivots counts its
+    negative eigenvalues (Sylvester inertia) and picks one of three paths:
 
-    Both paths start ARPACK from one fixed pseudo-random vector, so equal
+    * definite (no pivot <= 0): ARPACK (eigsh) in shift-invert mode at 0
+      with that same factor returns lambda_min in a few iterations, however
+      close to 0 it lies (Ericsson & Ruhe, Math. Comp. 35, 1980);
+    * proven indefinite (a negative pivot): the factor is released, a loose
+      SA iteration gives a Ritz upper bound theta, and shift-invert runs at
+      the first sigma below theta for which the inertia of H - sigma*I
+      proves that no eigenvalue lies below sigma (Grimes, Lewis & Simon,
+      SIAM J. Matrix Anal. Appl. 15, 1994), so the eigenvalue nearest sigma
+      is lambda_min;
+    * cannot certify (SuperLU failed or the factor broke symmetry,
+      perm_r != perm_c): the factor is released and eigsh iterates for the
+      smallest algebraic eigenvalue (which="SA") of H itself.
+
+    A shift-invert value that does not lie above its shift, or a shift that
+    no factor certifies down to the Gershgorin floor -||H||_inf, also sends
+    the call to the SA iteration.  At most one factor is alive at a time.
+
+    Every ARPACK run starts from one fixed pseudo-random vector, so equal
     inputs give equal values.  A symmetric start vector would not do: for
     alpha = beta the reflection about the middle ray commutes with the
     operator, and from the all-ones vector ARPACK misses a lowest
     eigenvector that is odd under it (at n = 16, alpha = beta = -1.9 it
-    returned -11.92 for -12.04).  An ARPACK failure on either path raises
-    SolverFailure.
+    returned -11.92 for -12.04).  An ARPACK failure raises SolverFailure;
+    only a loose SA iteration that does not converge is no failure, its
+    bound theta is then 0.
     """
     S, _ = assemble_dd_system(p, grid)
     r = np.repeat(grid.r_nodes, grid.n_phi + 1)[_interior(grid)]
@@ -487,7 +532,9 @@ def discrete_coercivity(p, grid):
     sym = 0.5 * (Sw + Sw.T)
     v0 = np.random.default_rng(0).standard_normal(sym.shape[0])
     try:
-        val = _definite_lambda_min(sym, v0)
+        n_below, val = _shift_invert(sym, 0.0, v0)
+        if n_below:
+            val = _indefinite_lambda_min(sym, v0)
         if val is None:
             val = spla.eigsh(sym, 1, which="SA", v0=v0, return_eigenvectors=False)[0]
         return float(val)

@@ -453,18 +453,20 @@ def test_discrete_coercivity_near_the_regime_edge(alpha, beta):
 
 
 class _Factor:
-    """A SuperLU factor with its row permutation rotated away from perm_c."""
+    """A SuperLU factor behind a wrapper that a weak reference can watch,
+    its row permutation rotated by roll (away from perm_c unless roll is 0)."""
 
-    def __init__(self, lu):
+    def __init__(self, lu, roll=1):
         self.perm_c = lu.perm_c
-        self.perm_r = np.roll(lu.perm_r, 1)
+        self.perm_r = np.roll(lu.perm_r, roll)
         self.U = lu.U
         self.solve = lu.solve
 
 
-def _spy_eigsh(monkeypatch, factors=()):
-    # records each eigsh call as "SA" or "sigma=0" and checks that no
-    # factor is alive when the SA iteration starts
+def _spy_eigsh(monkeypatch, factors=(), log=None):
+    # records each eigsh call as "SA" or "sigma=<shift>" and checks that no
+    # factor is alive when an SA iteration starts; log, when given, gets the
+    # keyword arguments and the returned values of each call that returns
     calls = []
     eigsh = spla.eigsh
 
@@ -474,40 +476,132 @@ def _spy_eigsh(monkeypatch, factors=()):
             calls.append(kwargs["which"])
         else:
             calls.append("sigma=%g" % kwargs["sigma"])
-        return eigsh(*args, **kwargs)
+        val = eigsh(*args, **kwargs)
+        if log is not None:
+            log.append((kwargs, val))
+        return val
 
     monkeypatch.setattr(spla, "eigsh", spy)
     return calls
 
 
-@pytest.mark.parametrize(
-    "alpha,beta,paths",
-    [(0.6, 0.4, ["sigma=0"]), (1.25, 1.25, ["SA"])],
-    ids=["definite", "indefinite"],
-)
-def test_discrete_coercivity_factors_h_once(alpha, beta, paths, monkeypatch):
-    # one symmetric-mode factor of the weighted symmetric part H per call,
-    # and no factor of S; definite H goes to shift-invert at 0, indefinite
-    # H to the SA iteration
-    seen = []
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.25, 1.25)], ids=["definite", "indefinite"])
+def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
+    # one symmetric-mode factor of the weighted symmetric part H decides the
+    # path, and no factor of S is made.  Definite H goes to shift-invert at
+    # 0 with that factor.  Indefinite H goes, with no factor alive, to a
+    # loose SA iteration for a Ritz bound theta, then to shift-invert with
+    # one factor of H - sigma*I, sigma < theta; one factor lives at a time
+    seen, factors, log = [], [], []
     splu = spla.splu
 
     def spy(M, *args, **kwargs):
+        assert all(ref() is None for ref in factors)
         seen.append((M.copy(), kwargs))
-        return splu(M, *args, **kwargs)
+        factor = _Factor(splu(M, *args, **kwargs), roll=0)
+        factors.append(weakref.ref(factor))
+        return factor
 
     monkeypatch.setattr(spla, "splu", spy)
-    calls = _spy_eigsh(monkeypatch)
+    calls = _spy_eigsh(monkeypatch, factors, log)
     p, grid = _coercivity_case(alpha, beta, 32)
     lam = discrete_coercivity(p, grid)
     H = _weighted_symmetric_part(p, grid)
-    assert len(seen) == 1
-    M, kwargs = seen[0]
+    M, _ = seen[0]
     assert M.shape == H.shape and abs(M - H).max() == 0.0
-    assert kwargs["options"] == {"SymmetricMode": True}
-    assert kwargs["diag_pivot_thresh"] == 0
-    assert calls == paths
-    assert (lam > 0.0) == (paths == ["sigma=0"])
+    for _, kwargs in seen:
+        assert kwargs["options"] == {"SymmetricMode": True}
+        assert kwargs["diag_pivot_thresh"] == 0
+    if alpha + beta < 2.0:
+        assert len(seen) == 1
+        assert calls == ["sigma=0"]
+        assert lam > 0.0
+    else:
+        (loose, theta), (shifted, _) = log
+        sigma = shifted["sigma"]
+        assert calls == ["SA", "sigma=%g" % sigma]
+        assert loose["tol"] == 1e-2
+        assert sigma < theta[0]
+        assert len(seen) == 2
+        M, _ = seen[1]
+        assert abs(M - (H - sigma * sp.identity(H.shape[0]))).max() == 0.0
+        assert lam < 0.0
+
+
+def test_discrete_coercivity_just_outside_the_regime():
+    # |alpha+beta| = 2.001: H is indefinite and its lowest eigenvalues
+    # cluster (-0.0074980, -0.0074939, -0.0074872), where the SA iteration
+    # does not converge; the loose Ritz bound fails too, so the shift starts
+    # just below 0 and is lowered until the inertia certifies it
+    p, grid = _coercivity_case(1.001, 1.0, 64)
+    lam = discrete_coercivity(p, grid)
+    want = _dense_lambda_min(p, grid)
+    assert lam < 0.0
+    assert abs(lam - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.416, 1.132), (-1.057, -1.358), (-1.164, -1.065)])
+def test_discrete_coercivity_outside_the_regime(alpha, beta):
+    # |alpha+beta| in [2.2, 2.8]: the certified shift below a Ritz bound
+    p, grid = _coercivity_case(alpha, beta, 32)
+    lam = discrete_coercivity(p, grid)
+    assert discrete_coercivity(p, grid) == lam
+    want = _dense_lambda_min(p, grid)
+    assert lam < 0.0
+    assert abs(lam - want) <= 1e-10 * abs(want)
+
+
+def test_discrete_coercivity_lowers_an_uncertified_shift(monkeypatch):
+    # a loose bound of 0, far above lambda_min: every shift above lambda_min
+    # has a negative pivot and is lowered, and the first definite factor of
+    # H - sigma*I gives the value
+    p, grid = _coercivity_case(1.25, 1.25, 32)
+    H = _weighted_symmetric_part(p, grid)
+    shifts = []
+    splu = spla.splu
+    eigsh = spla.eigsh
+
+    def spy(M, *args, **kwargs):
+        lu = splu(M, *args, **kwargs)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        shifts.append((np.mean((H - M).diagonal()), np.count_nonzero(lu.U.diagonal() <= 0.0)))
+        return lu
+
+    def zero_bound(*args, **kwargs):
+        if kwargs.get("sigma") is None and "tol" in kwargs:
+            return np.zeros(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    monkeypatch.setattr(spla, "eigsh", zero_bound)
+    lam = discrete_coercivity(p, grid)
+    want = _dense_lambda_min(p, grid)
+    sigmas = [s for s, _ in shifts]
+    below = [n for _, n in shifts]
+    assert sigmas[0] == 0.0 and np.all(np.diff(sigmas) < 0.0)
+    assert len(shifts) >= 3
+    assert all(n > 0 for n in below[:-1]) and below[-1] == 0
+    assert sigmas[-2] > want > sigmas[-1]
+    assert abs(lam - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.25, 1.25)], ids=["definite", "indefinite"])
+def test_discrete_coercivity_makes_no_dense_copy(alpha, beta, monkeypatch):
+    # no path densifies H or a shifted copy of it (a dense H is 126 MB at
+    # n = 64): every sparse toarray/todense raises during the call
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("dense copy of a sparse matrix")
+
+    for name in dir(sp):
+        cls = getattr(sp, name)
+        if isinstance(cls, type) and issubclass(cls, (sp.spmatrix, sp.sparray)):
+            for base in cls.__mro__:
+                for attr in ("toarray", "todense"):
+                    if attr in vars(base):
+                        monkeypatch.setattr(base, attr, no_dense)
+    p, grid = _coercivity_case(alpha, beta, 16)
+    lam = discrete_coercivity(p, grid)
+    assert (lam > 0.0) == (alpha + beta < 2.0)
 
 
 @pytest.mark.parametrize("fault", ["splu raises", "perm_r != perm_c"])
