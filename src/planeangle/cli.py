@@ -1,8 +1,9 @@
 """Command-line front end: JSON problem files in, tables and grids out.
 
 Subcommands: eigs | solvability | solve | green | spectrum | norms.  Exit
-codes are a stable contract: 0 ok, 2 spec parse error, 3 unsupported
-coefficient regime, 4 solvability blocked, 5 linear solver failure.
+codes are a stable contract: 0 ok, 1 Green identity FAIL, 2 malformed
+problem file, grid file or output directory, 3 unsupported coefficient
+regime, 4 solvability blocked, 5 linear solver failure.
 
 The problem file is JSON with sections geometry, pencil, solver, boundary,
 weights, output; unknown sections or keys are rejected.  Right-hand sides
@@ -16,6 +17,7 @@ import ast
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -57,6 +59,7 @@ from .sector_solver import (
 from .weighted_norms import WeightParams, e_norm, h_norm, trace_integral
 
 EXIT_OK = 0
+EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_REGIME = 3
 EXIT_BLOCKED = 4
@@ -89,6 +92,8 @@ def compile_expression(text):
     Allowed: numbers, r, phi, pi, + - * / % **, and the functions sin, cos,
     exp, bump(r, r0, r1).  Anything else raises SpecError.
     """
+    if not isinstance(text, str):
+        raise SpecError("expression must be a string, got %r" % (text,))
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -177,27 +182,42 @@ def _require(spec, *sections):
             raise SpecError("section %r missing keys %s" % (s, sorted(gaps)))
 
 
+def _number(spec, section, key, kind=float):
+    """spec[section][key] as a float (or int); SpecError if it is not a number."""
+    try:
+        return kind(spec[section][key])
+    except (TypeError, ValueError):
+        raise SpecError("%s.%s must be a number, got %r" % (section, key, spec[section][key]))
+
+
 def _geometry(spec):
-    return make_geometry(spec["geometry"]["angles"])
+    """The spec's two-sector geometry: three equally spaced rays."""
+    angles = spec["geometry"]["angles"]
+    if not isinstance(angles, list) or len(angles) != 3:
+        raise SpecError("geometry.angles must be a list of 3 rays (two sectors), got %r" % (angles,))
+    try:
+        rays = [float(b) for b in angles]
+    except (TypeError, ValueError):
+        raise SpecError("geometry.angles must be numbers, got %r" % (angles,))
+    return make_geometry(rays)
+
+
+def _coupling(spec):
+    return _number(spec, "pencil", "alpha"), _number(spec, "pencil", "beta")
 
 
 def _pencil_problem(spec):
     geo = _geometry(spec)
-    pen = spec["pencil"]
-    return PoissonPencilProblem(
-        float(pen["alpha"]), float(pen["beta"]), geo.angles[0], geo.angles[-1]
-    )
+    return PoissonPencilProblem(*_coupling(spec), geo.angles[0], geo.angles[-1])
 
 
 def _grid(spec, factor=1):
-    geo = _geometry(spec)
-    sol = spec["solver"]
     return SectorGrid(
-        geo,
-        float(sol["r_min"]),
-        float(sol["r_max"]),
-        int(sol["n_r"]) * factor,
-        int(sol["n_phi"]) * factor,
+        _geometry(spec),
+        _number(spec, "solver", "r_min"),
+        _number(spec, "solver", "r_max"),
+        _number(spec, "solver", "n_r", int) * factor,
+        _number(spec, "solver", "n_phi", int) * factor,
     )
 
 
@@ -241,7 +261,14 @@ def _write_grid_csv(path, u):
 
 
 def _read_grid_csv(path, grid):
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty file warns
+            data = np.genfromtxt(path, delimiter=",", names=True)
+    except (OSError, ValueError, UserWarning) as exc:
+        raise SpecError("cannot read grid file %s: %s" % (path, " ".join(str(exc).split())))
+    if not {"re", "im"} <= set(data.dtype.names or ()):
+        raise SpecError("grid file %s has no re and im columns" % path)
     expected = (grid.n_r + 1) * (grid.n_phi + 1)
     if data.shape != (expected,):
         raise SpecError(
@@ -298,8 +325,7 @@ def _expression_problem(spec, problem, alpha, beta, grid):
 
 
 def _solve_once(spec, args, factor=1):
-    pen = spec["pencil"]
-    alpha, beta = float(pen["alpha"]), float(pen["beta"])
+    alpha, beta = _coupling(spec)
     grid = _grid(spec, factor)
     if spec["solver"].get("rhs", "0") == "manufactured":
         build = dd_problem if args.problem == "dd" else nonlocal_problem
@@ -357,13 +383,7 @@ def cmd_green(spec, args):
     _require(spec, "geometry", "pencil")
     geo = _geometry(spec)
     b1, b2, _ = geo.angles
-    cfg = GreenConfig(
-        geo,
-        float(spec["pencil"]["alpha"]),
-        args.chi12,
-        b2 - b1,
-        order=args.order,
-    )
+    cfg = GreenConfig(geo, _number(spec, "pencil", "alpha"), args.chi12, b2 - b1, order=args.order)
     pair = bump_trig_pair()
     if args.example == 1:
         residual = green_residual_dirichlet(cfg, pair)
@@ -376,15 +396,12 @@ def cmd_green(spec, args):
         _say(args, "  |term %d| = %s" % (i, _f(t)))
     ok = residual < 1e-6 * max(terms)
     _say(args, "PASS" if ok else "FAIL")
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_spectrum(spec, args):
     _require(spec, "geometry", "pencil")
-    geo = _geometry(spec)
-    op = two_sector_operator(
-        float(spec["pencil"]["alpha"]), float(spec["pencil"]["beta"]), geo
-    )
+    op = two_sector_operator(*_coupling(spec), _geometry(spec))
     m = to_matrix(op)
     _say(args, "shift matrix:")
     for row in m:
@@ -411,8 +428,7 @@ def cmd_norms(spec, args):
     else:
         rhs_func = compile_expression(spec["solver"].get("rhs", "0"))
         u = GridFunction.from_callable(grid, rhs_func)
-    w = spec["weights"]
-    p = WeightParams(float(w["a"]), int(w["l"]))
+    p = WeightParams(_number(spec, "weights", "a"), _number(spec, "weights", "l", int))
     e = e_norm(u, p)
     _say(args, "e_norm: %s" % _f(e))
     _say(args, "h_norm: %s" % _f(h_norm(u, p)))
@@ -483,6 +499,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
+        if args.out and not os.path.isdir(args.out):
+            raise SpecError("output directory %s does not exist" % args.out)
         spec = load_spec(args.spec)
         return _COMMANDS[args.command](spec, args)
     except SpecError as exc:

@@ -14,6 +14,9 @@ import scipy.sparse as sp
 
 from .core import AngleGeometry, GridFunction, IncompatibleGrid, PlaneAngleError
 
+SINGULAR_TOL = 1e-14  # relative determinant below which a shift matrix is singular
+DEFINITE_TOL = 1e-12  # relative eigenvalue margin of a positive definite symmetric part
+
 
 class SingularMatrix(PlaneAngleError):
     pass
@@ -79,27 +82,26 @@ def spectrum(op):
     return vals[order]
 
 
-def inverse_matrix(op, tol=1e-14):
+def inverse_matrix(op):
     """Inverse of the shift matrix; SingularMatrix if det is negligible.
 
-    The determinant is compared against tol times the Frobenius-norm scale
-    of the matrix.
+    The determinant is compared against SINGULAR_TOL * max(||M||_F^R, 1).
     """
     m = to_matrix(op)
     R = m.shape[0]
     det = np.linalg.det(m)
     scale = max(np.linalg.norm(m) ** R, 1.0)
-    if abs(det) <= tol * scale:
+    if abs(det) <= SINGULAR_TOL * scale:
         raise SingularMatrix("shift matrix determinant %g is negligible" % det)
     return np.linalg.inv(m)
 
 
-def symmetric_part_positive_definite(op, tol=1e-12):
-    """True iff all eigenvalues of M + M^T are positive (strictly > tol*norm)."""
+def symmetric_part_positive_definite(op):
+    """True iff all eigenvalues of M + M^T exceed DEFINITE_TOL * its norm."""
     m = to_matrix(op)
     sym = m + m.T
     eigs = np.linalg.eigvalsh(sym)
-    return bool(np.min(eigs) > tol * max(np.linalg.norm(sym), 1.0))
+    return bool(np.min(eigs) > DEFINITE_TOL * max(np.linalg.norm(sym), 1.0))
 
 
 def column_shift_operator(op, grid):

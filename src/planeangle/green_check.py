@@ -256,18 +256,19 @@ def _harmonic_combo(coeffs):
     return Field(v, v_r, v_phi, v_lap)
 
 
+BUMP_SUPPORT = (0.8, 2.4)
 _V1_COEFFS = [(1.0, 2, 1, "cos"), (0.5, 3, 2, "sin"), (0.7, 1, 0, "cos")]
 _V2_COEFFS = [(0.8, 2, 2, "cos"), (-0.4, 1, 1, "sin"), (0.3, 3, 0, "cos")]
 
 
-def bump_trig_pair(support=(0.8, 2.4)):
+def bump_trig_pair():
     """Built-in test pair: radial bump times trig polynomial, smooth V pieces.
 
     U(r, phi) = eta(r) * (2 + cos(2 phi) + 0.3 sin(phi)) with eta the
-    exp_bump on the support annulus; V1 and V2 are different low-degree
+    exp_bump on the annulus BUMP_SUPPORT; V1 and V2 are different low-degree
     r^m trig(k phi) combinations so the gamma_2 jump terms are exercised.
     """
-    eta, deta, ddeta = exp_bump(*support)
+    eta, deta, ddeta = exp_bump(*BUMP_SUPPORT)
 
     def ang(p):
         return 2.0 + np.cos(2 * p) + 0.3 * np.sin(p)
@@ -290,5 +291,5 @@ def bump_trig_pair(support=(0.8, 2.4)):
         u=u,
         v1=_harmonic_combo(_V1_COEFFS),
         v2=_harmonic_combo(_V2_COEFFS),
-        support=tuple(support),
+        support=BUMP_SUPPORT,
     )

@@ -56,9 +56,13 @@ class NoConvergence(PlaneAngleError):
 
 
 DEDUPE_TOL = 1e-10
+FREE_LINE_TOL = 1e-9  # a line farther than this from every eigenvalue is free
 WINDOW_PAD = 1e-9  # zeros this far outside the search window still count
 N_SAMPLES = 64  # samples of a determinant on |exp(lambda*d)| = 1
 MAX_DEGREE = 2  # Laurent degree of the determinants in exp(lambda*d)
+CONTOUR_START, CONTOUR_MAX = 64, 8192  # contour points per edge, first and last
+MAX_NUDGES = 8  # outward moves of a contour that passes through a zero
+NEWTON_STEPS = 50  # Newton steps before a start counts as unconverged
 
 
 @dataclass(frozen=True)
@@ -103,19 +107,28 @@ class EigenvalueSet:
         object.__setattr__(self, "values", vals[order])
 
 
-def _column_scales(lam, phi_max):
-    """Per-column damping exponents keeping |exp(+-lam*phi)| <= 1 on [0, phi_max]."""
-    re = np.real(lam)
-    return -np.maximum(re, 0.0) * phi_max, -np.maximum(-re, 0.0) * phi_max
-
-
 def lambda_zero_determinant(p):
     """Determinant of the nonlocal conditions in the degenerate basis {1, phi}."""
     a, b = p.alpha, p.beta
     return (1.0 + a) * (p.b3 + b * p.b2) - (1.0 + b) * (p.b1 + a * p.b2)
 
 
-def characteristic_value(p, lam, scaled=True):
+def _fundamental_system(p, lam):
+    """(lam flattened, exp(lam*b_k), exp(-lam*b_k)) on the rays k = 1, 2, 3.
+
+    Each column is damped by exp(-max(+-Re lam, 0)*b3), so neither exceeds 1
+    on [0, b3] and a determinant over both is the undamped one times
+    exp(-|Re lambda|*b3), with the same zeros.
+    """
+    # flat, so that a scalar runs the same array loops as an array entry
+    lam = np.asarray(lam, dtype=complex).ravel()
+    s1 = -np.maximum(lam.real, 0.0) * p.b3
+    s2 = -np.maximum(-lam.real, 0.0) * p.b3
+    rays = (p.b1, p.b2, p.b3)
+    return lam, [np.exp(lam * phi + s1) for phi in rays], [np.exp(-lam * phi + s2) for phi in rays]
+
+
+def characteristic_value(p, lam):
     """Characteristic determinant of the pencil at lambda.
 
     For lambda != 0 this is the 2x2 determinant of the two nonlocal
@@ -124,26 +137,18 @@ def characteristic_value(p, lam, scaled=True):
     basis and is handled by the degenerate basis {1, phi}).
 
     lam is a scalar or an array; the result is a complex array of its shape
-    (0-d for a scalar), elementwise equal to scalar calls.  With scaled=True
-    each basis column is damped by exp(-|Re lambda|*b3) so the value never
-    overflows; zeros are unchanged.
+    (0-d for a scalar), elementwise equal to scalar calls.  The columns are
+    damped (_fundamental_system), so the value never overflows.
     """
     shape = np.shape(lam)
-    # flat, so that a scalar runs the same array loops as an array entry
-    lam = np.asarray(lam, dtype=complex).ravel()
+    lam, (ep1, ep2, ep3), (em1, em2, em3) = _fundamental_system(p, lam)
     a, b = p.alpha, p.beta
-    b1, b2, b3 = p.b1, p.b2, p.b3
-    s1, s2 = _column_scales(lam, b3) if scaled else (0.0, 0.0)
     # rows: condition at b1 (alpha-coupled), condition at b3 (beta-coupled)
-    m11 = np.exp(lam * b1 + s1) + a * np.exp(lam * b2 + s1)
-    m12 = np.exp(-lam * b1 + s2) + a * np.exp(-lam * b2 + s2)
-    m21 = np.exp(lam * b3 + s1) + b * np.exp(lam * b2 + s1)
-    m22 = np.exp(-lam * b3 + s2) + b * np.exp(-lam * b2 + s2)
-    det = m11 * m22 - m12 * m21
+    det = (ep1 + a * ep2) * (em3 + b * em2) - (em1 + a * em2) * (ep3 + b * ep2)
     return np.where(lam == 0, lambda_zero_determinant(p), det).reshape(shape)
 
 
-def adjoint_transmission_characteristic(p, lam, scaled=True):
+def adjoint_transmission_characteristic(p, lam):
     """Characteristic determinant of the adjoint nonlocal transmission pencil.
 
     Piecewise solutions V1 on (b1, b2) and V2 on (b2, b3), each spanned by
@@ -159,16 +164,13 @@ def adjoint_transmission_characteristic(p, lam, scaled=True):
     third, which flips the sign of the beta term.  Zeros of this determinant
     are the conjugates of the primal pencil eigenvalues.
 
-    lam and scaled act as in characteristic_value, with one stacked 4x4
-    determinant per entry of lam.
+    lam and the damping act as in characteristic_value, with one stacked
+    4x4 determinant per entry of lam.
     """
     shape = np.shape(lam)
-    lam = np.asarray(lam, dtype=complex).ravel()
+    lam, (ep1, ep2, ep3), (em1, em2, em3) = _fundamental_system(p, lam)
     a, b = p.alpha, p.beta
     b1, b2, b3 = p.b1, p.b2, p.b3
-    s1, s2 = _column_scales(lam, b3) if scaled else (0.0, 0.0)
-    ep1, ep2, ep3 = (np.exp(lam * phi + s1) for phi in (b1, b2, b3))
-    em1, em2, em3 = (np.exp(-lam * phi + s2) for phi in (b1, b2, b3))
     o = np.zeros_like(lam)
     m = np.array(
         [
@@ -253,15 +255,15 @@ def _rect_contour(rect, n_per_edge):
     return (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
 
 
-def _winding_number(f, rect, n_start=64, n_max=8192):
+def _winding_number(f, rect):
     """Winding number of f around the rectangle, with adaptive refinement.
 
-    The point count per edge is doubled until every phase step between
-    consecutive samples is small and the accumulated winding lies within
-    0.25 of an integer.  ContourThroughZero if a contour value is
-    negligibly small or the winding never settles.
+    The point count per edge doubles from CONTOUR_START until every phase
+    step between consecutive samples is small and the accumulated winding
+    lies within 0.25 of an integer.  ContourThroughZero if a contour value
+    is negligibly small or the winding is unsettled at CONTOUR_MAX.
     """
-    n = n_start
+    n = CONTOUR_START
     prev = None
     while True:
         z = _rect_contour(rect, n)
@@ -281,20 +283,20 @@ def _winding_number(f, rect, n_start=64, n_max=8192):
             prev = near
         else:
             prev = None
-        if n >= n_max:
+        if n >= CONTOUR_MAX:
             raise ContourThroughZero("winding number did not stabilize")
         n *= 2
 
 
-def _newton_polish(f, z0, scale, max_iter=50):
+def _newton_polish(f, z0, scale):
     """Newton iteration on f from all starts z0 at once, one call of f per step.
 
     A point stays put once |f| < 1e-12*scale; NoConvergence names the starts
-    still unconverged after max_iter steps.
+    still unconverged after NEWTON_STEPS steps.
     """
     z = np.array(z0, dtype=complex)
     todo = np.arange(z.size)  # indices of the unconverged points
-    for _ in range(max_iter + 1):
+    for _ in range(NEWTON_STEPS + 1):
         zt = z[todo]
         h = 1e-7 * (1.0 + np.abs(zt))
         fz, f_plus, f_minus = np.split(f(np.concatenate([zt, zt + h, zt - h])), 3)
@@ -309,7 +311,7 @@ def _newton_polish(f, z0, scale, max_iter=50):
     raise NoConvergence("Newton polish failed near %s" % np.asarray(z0)[todo])
 
 
-def _winding_nudged(f, rect, max_tries=8):
+def _winding_nudged(f, rect):
     """Winding number with the rectangle nudged outward away from zeros.
 
     The nudge grows geometrically: a zero sitting exactly on the contour
@@ -318,7 +320,7 @@ def _winding_nudged(f, rect, max_tries=8):
     below 3e-3 per side; any zero pulled in from just outside is discarded
     by the caller's final window filter.
     """
-    for k in range(max_tries):
+    for k in range(MAX_NUDGES):
         try:
             w, scale = _winding_number(f, rect)
             return w, scale, rect
@@ -327,7 +329,7 @@ def _winding_nudged(f, rect, max_tries=8):
             re_lo, re_hi, im_lo, im_hi = rect
             rect = (re_lo - eps, re_hi + eps, im_lo - eps, im_hi + eps)
     raise ContourThroughZero(
-        "contour still passes through a zero after %d nudges" % max_tries
+        "contour still passes through a zero after %d nudges" % MAX_NUDGES
     )
 
 
@@ -373,10 +375,10 @@ def _unfold(roots, d, rect):
     return out
 
 
-def _dedupe(values, tol=DEDUPE_TOL):
+def _dedupe(values):
     out = []
     for v in sorted(values, key=lambda z: (z.imag, z.real)):
-        if not any(abs(v - w) <= tol for w in out):
+        if not any(abs(v - w) <= DEDUPE_TOL for w in out):
             out.append(v)
     return out
 
@@ -472,11 +474,11 @@ class LineCertificate:
     distance: float
 
 
-def line_is_eigenvalue_free(p, h, tol=1e-9):
+def line_is_eigenvalue_free(p, h):
     """Certify that Im lambda = h contains no closed-form eigenvalue.
 
-    nearest_eigenvalue is the closed-form eigenvalue nearest to the line,
-    the lower one of two equally near.
+    Free: farther than FREE_LINE_TOL from nearest_eigenvalue, the closed-form
+    eigenvalue nearest to the line, the lower one of two equally near.
     """
     h = float(h)
     margin = 4.0 * np.pi / p.opening + 1.0
@@ -484,7 +486,7 @@ def line_is_eigenvalue_free(p, h, tol=1e-9):
     parts = _closed_form_imag_parts(p, h - margin, h + margin)
     nearest = float(parts[np.argmin(np.abs(parts - h))])
     dist = abs(nearest - h)
-    return LineCertificate(h, dist > tol, 1j * nearest, dist)
+    return LineCertificate(h, dist > FREE_LINE_TOL, 1j * nearest, dist)
 
 
 @dataclass(frozen=True)

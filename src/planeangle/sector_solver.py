@@ -78,6 +78,10 @@ def _check_problem(p):
         raise IncompatibleGrid("need 0 < r_min < r_max")
 
 
+def _operator(p):
+    return two_sector_operator(p.alpha, p.beta, p.geometry)
+
+
 @dataclass(frozen=True)
 class DDProblem:
     """Differential-difference Dirichlet problem data (two sectors)."""
@@ -90,9 +94,7 @@ class DDProblem:
     r_max: float
 
     __post_init__ = _check_problem
-
-    def operator(self):
-        return two_sector_operator(self.alpha, self.beta, self.geometry)
+    operator = _operator
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,7 @@ class NonlocalPoissonProblem:
     r_max: float
 
     __post_init__ = _check_problem
-
-    def operator(self):
-        return two_sector_operator(self.alpha, self.beta, self.geometry)
+    operator = _operator
 
     @property
     def guaranteed_solvable(self):
@@ -194,8 +194,15 @@ def _rhs_vector(rhs, grid):
     if isinstance(rhs, GridFunction):
         if rhs.grid is not grid and rhs.grid != grid:
             raise IncompatibleGrid("rhs grid differs from solve grid")
-        return rhs.values.ravel().astype(complex)
+        return rhs.values.ravel()
     return GridFunction.from_callable(grid, rhs).values.ravel()
+
+
+def _on_parts(real_map, x):
+    """real_map(x) for complex x: real_map, a real linear map, acts once on the
+    stacked real and imaginary parts, so it never meets a complex copy."""
+    parts = real_map(np.column_stack([x.real, x.imag]))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def _direct_solve(S, b, **splu_options):
@@ -208,20 +215,10 @@ def _direct_solve(S, b, **splu_options):
         lu = spla.splu(S.tocsc(), **splu_options)
     except RuntimeError as exc:  # exactly singular factor
         raise SingularSystem("sparse LU failed: %s" % exc)
-    parts = lu.solve(np.column_stack([b.real, b.imag]))
-    x = parts[:, 0] + 1j * parts[:, 1]
+    x = _on_parts(lu.solve, b)
     if not np.all(np.isfinite(x)):
         raise SingularSystem("direct sparse solve produced non-finite values")
     return x
-
-
-def _real_matvec(S, x):
-    """S @ x for a real sparse S and complex x, without a complex copy of S.
-
-    S multiplies the stacked real and imaginary parts, as in _direct_solve.
-    """
-    parts = S @ np.column_stack([x.real, x.imag])
-    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def angular_matrix(alpha, beta, grid):
@@ -332,13 +329,13 @@ def _solve_interior(p, grid, S, b):
         cond_V = float(np.linalg.cond(V))
         try:
             x = _separable_solve(p, grid, b, mu, V)
-            eq_res = float(np.linalg.norm(_real_matvec(S, x) - b))
+            eq_res = float(np.linalg.norm(_on_parts(S.dot, x) - b))
         except (SingularMatrix, SingularSystem, np.linalg.LinAlgError):
             pass
     # written so that a NaN residual also falls back
     if not eq_res <= 1e-8 * bnorm:
         method, x = "sparse_lu", _direct_solve(S, b)
-        eq_res = float(np.linalg.norm(_real_matvec(S, x) - b))
+        eq_res = float(np.linalg.norm(_on_parts(S.dot, x) - b))
         if bnorm > 0 and eq_res > 1e-8 * bnorm:
             raise SolverFailure("direct solve residual %g too large" % eq_res)
     w = np.zeros((grid.n_r + 1, grid.n_phi + 1), dtype=complex)
@@ -411,10 +408,10 @@ def solve_nonlocal_poisson(p, grid):
     S, f = assemble_dd_system(p, grid)
     A = laplacian_matrix(grid)
     u_g = boundary_lifting(p, grid)
-    w, _, inner = _solve_interior(p, grid, S, f - _real_matvec(A, u_g.values.ravel()))
+    w, _, inner = _solve_interior(p, grid, S, f - _on_parts(A.dot, u_g.values.ravel()))
     u = GridFunction(grid, u_g.values + apply_on_grid(p.operator(), w).values)
     # recomputed equation residual of the full discrete operator
-    eq_res = float(np.linalg.norm(_real_matvec(A, u.values.ravel()) - f))
+    eq_res = float(np.linalg.norm(_on_parts(A.dot, u.values.ravel()) - f))
     info = {
         "method": "lifting+substitution",
         "regime_flag": "ok" if p.guaranteed_solvable else "unsupported",

@@ -35,22 +35,18 @@ class WeightParams:
             raise UnsupportedOrder("smoothness order l=%r not in {0, 1, 2}" % (self.l,))
 
 
-def _polar_gradient(grid, vals):
-    """(d/dr, d/dphi) by second-order differences (central inside, one-sided at edges)."""
-    du_dr = np.gradient(vals, grid.dr, axis=0, edge_order=2)
-    du_dphi = np.gradient(vals, grid.dphi, axis=1, edge_order=2)
-    return du_dr, du_dphi
-
-
 def _cartesian_gradient(grid, vals):
-    """(u_x, u_y) at the nodes via the polar chain rule."""
+    """(u_x, u_y) at the nodes via the polar chain rule, on second-order
+    differences (central inside, one-sided at the edges)."""
     r = grid.r_nodes[:, None]
     phi = grid.phi_nodes[None, :]
     cos, sin = np.cos(phi), np.sin(phi)
-    u_r, u_phi = _polar_gradient(grid, vals)
+    u_r = np.gradient(vals, grid.dr, axis=0, edge_order=2)
+    u_phi = np.gradient(vals, grid.dphi, axis=1, edge_order=2)
     u_x = cos * u_r - sin / r * u_phi
     u_y = sin * u_r + cos / r * u_phi
     return u_x, u_y
+
 
 def cartesian_derivatives(u, l):
     """Nodal arrays of D^alpha u keyed by multi-index, all |alpha| <= l."""

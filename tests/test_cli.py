@@ -8,6 +8,7 @@ import pytest
 
 from planeangle.cli import (
     EXIT_BLOCKED,
+    EXIT_FAIL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_REGIME,
@@ -141,6 +142,70 @@ def test_missing_solver_key_exit(tmp_path, capsys, command):
     assert "section 'solver' missing keys ['n_r']" in err
 
 
+def edited_spec(tmp_path, edits):
+    """write_spec's file with the keys of each section in edits replaced."""
+    path = write_spec(tmp_path / "s.json")
+    with open(path) as f:
+        doc = json.load(f)
+    for section, keys in edits.items():
+        doc[section].update(keys)
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    return path
+
+
+SUBCOMMANDS = {
+    "eigs": ["eigs"],
+    "solvability": ["solvability", "--a", "2", "--l", "1"],
+    "solve": ["solve"],
+    "green": ["green"],
+    "spectrum": ["spectrum"],
+    "norms": ["norms"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_four_ray_spec_exit(tmp_path, capsys, command):
+    # three equal sectors; the pencil and the solver know two only
+    path = edited_spec(tmp_path, {"geometry": {"angles": [B1, B1 + 0.5, B1 + 1.0, B1 + 1.5]}})
+    args = ["--spec", path, "--out", str(tmp_path), "--quiet"] + SUBCOMMANDS[command]
+    assert main(args) == EXIT_PARSE
+    assert "must be a list of 3 rays" in capsys.readouterr().err
+
+
+# spec edits and the arguments after the global --spec and --quiet
+MALFORMED = {
+    "n_r-many": ({"solver": {"n_r": "many"}}, ["solve"]),
+    "alpha-list": ({"pencil": {"alpha": [0.6]}}, ["eigs"]),
+    "angles-string": ({"geometry": {"angles": "abc"}}, ["spectrum"]),
+    "angles-words": ({"geometry": {"angles": ["a", "b", "c"]}}, ["eigs"]),
+    "rhs-number": ({"solver": {"rhs": 5}}, ["solve"]),
+    "input-missing": ({}, ["norms", "--input", "{tmp}/none.csv"]),
+    "input-no-re-im": ({}, ["norms", "--input", "{tmp}/no_re_im.csv"]),
+    "input-empty": ({}, ["norms", "--input", "{tmp}/empty.csv"]),
+    "input-ragged": ({}, ["norms", "--input", "{tmp}/ragged.csv"]),
+    "out-missing-eigs": ({}, ["--out", "{tmp}/none", "eigs"]),
+    "out-missing-solve": ({}, ["--out", "{tmp}/none", "solve"]),
+}
+
+
+# a warning would be one more stderr line from the command-line process
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit(tmp_path, capsys, case):
+    edits, command = MALFORMED[case]
+    path = edited_spec(tmp_path, edits)
+    # one row per node of the 16 x 16 grid, so only the columns are wrong
+    (tmp_path / "no_re_im.csv").write_text("r,phi\n" + "1.0,0.5\n" * 17 * 17)
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "ragged.csv").write_text("r,phi,re,im\n1.0,0.5,0.0\n")
+    argv = ["--spec", path, "--quiet"] + [a.format(tmp=tmp_path) for a in command]
+    assert main(argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("problem file error: ") and err.count("\n") == 1
+
+
 def test_solvability_exit_codes(tmp_path):
     spec = write_spec(tmp_path / "s.json", alpha=0.6, beta=0.4)
     assert main(["--spec", spec, "--quiet", "solvability", "--a", "2", "--l", "1"]) == EXIT_OK
@@ -233,6 +298,14 @@ def test_green_subcommand(tmp_path, capsys):
         code = main(["--spec", spec, "green", "--example", example, "--chi12", "1.5"])
         assert code == EXIT_OK
         assert capsys.readouterr().out == GREEN_STDOUT[example]
+
+
+def test_green_fail_exit(tmp_path, capsys):
+    # two Gauss points per panel miss the identity by far more than the
+    # 1e-6 relative gate
+    spec = write_spec(tmp_path / "s.json", alpha=0.7, beta=0.0)
+    assert main(["--spec", spec, "green", "--order", "2"]) == EXIT_FAIL
+    assert capsys.readouterr().out.endswith("\nFAIL\n")
 
 
 def test_spectrum_subcommand(tmp_path, capsys):

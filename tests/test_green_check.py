@@ -103,7 +103,7 @@ def test_config_validation():
 
 def test_pair_support_validation():
     with pytest.raises(SupportViolation):
-        bump_trig_pair(support=(-1.0, 2.0))
+        replace(bump_trig_pair(), support=(-1.0, 2.0))
 
 
 def counting_pair():

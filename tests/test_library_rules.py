@@ -1,5 +1,5 @@
-"""Rules the library modules keep: only the CLI writes to the terminal, and
-every imported name is used."""
+"""Rules the code keeps: only the CLI writes to the terminal, and every name
+that the library, the demos and the tests import is used."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "planeangle"
 LIBRARY = sorted(p for p in SRC.glob("*.py") if p.name != "cli.py")
-CHECKED = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+CHECKED = [p for d in (SRC, ROOT / "demos", ROOT / "tests") for p in sorted(d.glob("*.py"))]
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.stem)
