@@ -183,11 +183,20 @@ def _require(spec, *sections):
 
 
 def _number(spec, section, key, kind=float):
-    """spec[section][key] as a float (or int); SpecError if it is not a number."""
+    """spec[section][key] as a float (or int); SpecError if it is not a number.
+
+    An int must be integral (16 or 16.0); 16.9 is an error, not 16.
+    """
+    value = spec[section][key]
     try:
-        return kind(spec[section][key])
+        number = float(value)
     except (TypeError, ValueError):
-        raise SpecError("%s.%s must be a number, got %r" % (section, key, spec[section][key]))
+        raise SpecError("%s.%s must be a number, got %r" % (section, key, value))
+    if kind is int:
+        if not number.is_integer():
+            raise SpecError("%s.%s must be an integer, got %r" % (section, key, value))
+        return int(number)
+    return number
 
 
 def _geometry(spec):

@@ -20,34 +20,22 @@ from .sector_solver import DDProblem, NonlocalPoissonProblem
 
 
 def _sin4_bump(r_min, r_max):
+    """jet(r) -> (eta, eta', eta'') of the sin^4 bump, one mask and one sin/cos pair."""
     a0 = r_min + 0.08 * (r_max - r_min)
     a1 = r_max - 0.08 * (r_max - r_min)
     k = np.pi / (a1 - a0)
 
-    def eta(r):
+    def jet(r):
         r = np.asarray(r, float)
-        out = np.zeros_like(r)
-        m = (r > a0) & (r < a1)
-        out[m] = np.sin(k * (r[m] - a0)) ** 4
-        return out
-
-    def deta(r):
-        r = np.asarray(r, float)
-        out = np.zeros_like(r)
+        eta, deta, ddeta = np.zeros_like(r), np.zeros_like(r), np.zeros_like(r)
         m = (r > a0) & (r < a1)
         s, c = np.sin(k * (r[m] - a0)), np.cos(k * (r[m] - a0))
-        out[m] = 4.0 * k * s**3 * c
-        return out
+        eta[m] = s**4
+        deta[m] = 4.0 * k * s**3 * c
+        ddeta[m] = 4.0 * k**2 * (3.0 * s**2 * c**2 - s**4)
+        return eta, deta, ddeta
 
-    def ddeta(r):
-        r = np.asarray(r, float)
-        out = np.zeros_like(r)
-        m = (r > a0) & (r < a1)
-        s, c = np.sin(k * (r[m] - a0)), np.cos(k * (r[m] - a0))
-        out[m] = 4.0 * k**2 * (3.0 * s**2 * c**2 - s**4)
-        return out
-
-    return eta, deta, ddeta
+    return jet
 
 
 def exp_bump(r0, r1):
@@ -98,33 +86,35 @@ def manufactured_dd(geometry, r_min, r_max):
     """
     b1 = geometry.angles[0]
     kappa = np.pi / geometry.opening
-    eta, deta, ddeta = _sin4_bump(r_min, r_max)
+    jet = _sin4_bump(r_min, r_max)
 
     def w(r, phi):
-        return eta(r) * np.sin(kappa * (phi - b1)) ** 3
+        return jet(r)[0] * np.sin(kappa * (phi - b1)) ** 3
 
     def pde_of_w(r, phi):
+        eta, deta, ddeta = jet(r)
         s = np.sin(kappa * (phi - b1))
         c = np.cos(kappa * (phi - b1))
         ang = s**3
         ddang = 3.0 * kappa**2 * (2.0 * s * c**2 - s**3)
-        lap = ddeta(r) * ang + deta(r) * ang / r + eta(r) * ddang / r**2
-        return -lap + eta(r) * ang
+        lap = ddeta * ang + deta * ang / r + eta * ddang / r**2
+        return -lap + eta * ang
 
     return w, pde_of_w
 
 
 def manufactured_nonlocal(geometry, r_min, r_max):
     """Exact solution u* = r^2 cos(phi) eta(r) and its data."""
-    eta, deta, ddeta = _sin4_bump(r_min, r_max)
+    jet = _sin4_bump(r_min, r_max)
 
     def u(r, phi):
-        return r**2 * np.cos(phi) * eta(r)
+        return r**2 * np.cos(phi) * jet(r)[0]
 
     def f(r, phi):
-        g = r**2 * eta(r)
-        dg = 2.0 * r * eta(r) + r**2 * deta(r)
-        ddg = 2.0 * eta(r) + 4.0 * r * deta(r) + r**2 * ddeta(r)
+        eta, deta, ddeta = jet(r)
+        g = r**2 * eta
+        dg = 2.0 * r * eta + r**2 * deta
+        ddg = 2.0 * eta + 4.0 * r * deta + r**2 * ddeta
         return (-(ddg + dg / r - g / r**2) + g) * np.cos(phi)
 
     return u, f

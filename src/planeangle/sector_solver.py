@@ -33,16 +33,19 @@ Rice & Thomas (Numer. Math. 6, 1964).  The eigenpairs of T are written
 down, not computed (_angular_basis): for |alpha+beta| < 2 they are the
 discrete pencil, theta = eta*h over the pencil eigenvalues i*eta, with
 x = theta*s taken from the pencil's own root routine
-pencil.characteristic_roots, in O(n_phi^2) operations.  All radial
-systems go through one sparse LU of a block-diagonal matrix in natural
-order, which a tridiagonal block fills no further.  The transform with V
-is not backward stable for S: its residual grows with cond(V), which is
-2 to 45 for |alpha+beta| <= 1.998 and grows without bound as
-|alpha+beta| -> 2.  So the residual of S,
-recomputed after every solve and gated at 1e-8 * ||b||, decides: when T
-has no real eigenbasis (|alpha+beta| >= 2), when the separable transform
-hits a singular matrix, or when its solution fails the gate, the core
-solves again with a sparse LU of S.
+pencil.characteristic_roots, in O(n_phi^2) operations.  So is V^-1: its
+rows are the left eigenvectors, the eigenvectors of the adjoint T^T, which
+are piecewise sines, scaled by biorthogonality.  Both transforms are real
+matrix products on the real and imaginary parts, and the separable path
+factors no dense matrix.  All radial systems go through one sparse LU of a
+block-diagonal matrix in natural order, which a tridiagonal block fills no
+further.  The transform with V is not backward stable for S: its residual
+grows with cond(V), which is 2 to 45 for |alpha+beta| <= 1.998 and grows
+without bound as |alpha+beta| -> 2.  So the residual of S, recomputed
+after every solve and gated at 1e-8 * ||b||, decides: when T has no real
+eigenbasis (|alpha+beta| >= 2), when the radial solve hits a singular
+matrix, or when the separable solution fails the gate, the core solves
+again with a sparse LU of S.
 """
 
 from dataclasses import dataclass, field
@@ -52,13 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import AngleGeometry, GridFunction, IncompatibleGrid, PlaneAngleError
-from .difference_ops import (
-    SingularMatrix,
-    apply_on_grid,
-    column_shift_operator,
-    inverse_matrix,
-    two_sector_operator,
-)
+from .difference_ops import apply_on_grid, column_shift_operator, two_sector_operator
 from .pencil import UnsupportedRegime, characteristic_roots
 
 
@@ -200,8 +197,10 @@ def _rhs_vector(rhs, grid):
 
 def _on_parts(real_map, x):
     """real_map(x) for complex x: real_map, a real linear map, acts once on the
-    stacked real and imaginary parts, so it never meets a complex copy."""
-    parts = real_map(np.column_stack([x.real, x.imag]))
+    (N, 2) float view of x, its real and imaginary parts side by side, so it
+    never meets a complex copy.  Real or strided x is copied to a contiguous
+    complex array first, which the view needs."""
+    parts = real_map(np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2))
     return parts[:, 0] + 1j * parts[:, 1]
 
 
@@ -244,18 +243,29 @@ def angular_matrix(alpha, beta, grid):
 
 
 def _angular_basis(alpha, beta, grid):
-    """Closed-form eigenpairs (mu, V) of angular_matrix, or None.
+    """Closed-form eigenpairs of angular_matrix and the inverse eigenbasis.
 
-    Every eigenvector solves the recurrence of T on the columns j = 0..2s
-    with v_0 = -alpha*v_s and v_2s = -beta*v_s, so mu = (2 - 2cos theta)/h^2
-    with x = theta*s a root of sin(x)(2 cos(x) + alpha + beta) = 0 in
-    (0, s*pi), from pencil.characteristic_roots.  The s - 1 sine roots
-    x = pi*k give v_j = sin(theta j), which vanishes on the middle column;
-    the s cosine roots, one in each interval (m*pi, (m+1)*pi), give
+    Returns (mu, V, W) with T = V diag(mu) W and W = V^-1, or None.  Every
+    eigenvector solves the recurrence of T on the columns j = 0..2s with
+    v_0 = -alpha*v_s and v_2s = -beta*v_s, so mu = (2 - 2cos theta)/h^2 with
+    x = theta*s a root of sin(x)(2 cos(x) + alpha + beta) = 0 in (0, s*pi),
+    from pencil.characteristic_roots.  The s - 1 sine roots x = pi*k give
+    v_j = sin(theta j), which vanishes on the middle column; the s cosine
+    roots, one in each interval (m*pi, (m+1)*pi), give
     v_j = cos(theta(j-s)) + B sin(theta(j-s)) with B = (alpha-beta)/(2 sin x).
     The columns of V are the interior entries j = 1..2s-1, scaled to unit
-    2-norm as np.linalg.eig scales them.  For |alpha+beta| >= 2 the cosine
-    family has no real theta and None is returned.
+    2-norm as np.linalg.eig scales them.
+
+    The rows of W are the adjoint (left) eigenvectors y, eigenvectors of T^T
+    for the same mu.  In T^T the ray conditions act only on the middle row,
+    as a point source, so y is a sine on each side of j = s that vanishes
+    at j = 0 and j = 2s: y_j = sin(theta*min(j, 2s-j)) for a cosine root,
+    and for a sine root (c = cos x = +-1) y_j = (c+beta) sin(theta j) for
+    j <= s and -(c+alpha) sin(theta(2s-j)) for j >= s.  Both are read off
+    the sine tables of V.  Left and right eigenvectors of distinct
+    eigenvalues are biorthogonal, so W = diag(1/(y_k . v_k)) Y^T.  For
+    |alpha+beta| >= 2 the cosine family has no real theta and None is
+    returned.
     """
     s = grid.shift_columns
     try:
@@ -264,23 +274,38 @@ def _angular_basis(alpha, beta, grid):
         return None
     x1 = x1[1:-1]  # the roots 0 and s*pi give v = 0
     j = np.arange(1, 2 * s)[:, None]
+    sin1 = np.sin(x1 / s * j)
+    sin2, cos2 = np.sin(x2 / s * (j - s)), np.cos(x2 / s * (j - s))
     B = (alpha - beta) / (2.0 * np.sin(x2))
-    V = np.hstack([np.sin(x1 / s * j), np.cos(x2 / s * (j - s)) + B * np.sin(x2 / s * (j - s))])
+    V = np.hstack([sin1, cos2 + B * sin2])
     V /= np.linalg.norm(V, axis=0)
+    # sin1 holds sin(theta j) at row j - 1, sin2 holds sin(theta t) at row t + s - 1
+    c = np.cos(x1)
+    Y = np.hstack([
+        np.vstack([(c + beta) * sin1[:s], -(c + alpha) * sin1[: s - 1][::-1]]),
+        np.vstack([sin2[s:], np.sin(x2), sin2[s:][::-1]]),
+    ])
+    W = Y.T / np.einsum("ij,ij->j", Y, V)[:, None]
     theta = np.concatenate([x1, x2]) / s
-    return (2.0 - 2.0 * np.cos(theta)) / grid.dphi**2, V
+    return (2.0 - 2.0 * np.cos(theta)) / grid.dphi**2, V, W
 
 
-def _separable_solve(p, grid, b, mu, V):
-    """Solve S x = b through T = V diag(mu) V^-1, one radial system per mode.
+def _separable_solve(p, grid, b, mu, V, W):
+    """Solve S x = b through T = V diag(mu) W, one radial system per mode.
 
     With v = M w and b as (radius x angle) arrays of interior nodes, S x = b
     reads D_r v + diag(1/r^2) v T^T = b for the radial stencil D_r.  Column
-    k of v V^-T then solves the tridiagonal system D_r + mu_k diag(1/r^2)
-    with column k of b V^-T; all columns go through one sparse LU of the
+    k of v W^T then solves the tridiagonal system D_r + mu_k diag(1/r^2)
+    with column k of b W^T; all columns go through one sparse LU of the
     block-diagonal matrix, factored in natural order.  w is recovered from
-    v column pair (j, j+s) by column pair with the 2x2 sector matrix of the
-    difference operator; the middle column passes through unchanged.
+    v column pair (j, j+s) by column pair with the closed-form inverse
+    [[1, alpha], [beta, 1]]/(1 - alpha*beta) of the 2x2 sector matrix, which
+    is never singular here: 1 - alpha*beta > (alpha-beta)^2/4 when
+    |alpha+beta| < 2.  The middle column passes through unchanged.  That
+    recovery acts on the angle index only, so it is folded into V before
+    the synthesis.  Both transforms are real products with one
+    (angle x 2*radius) array that holds the real and imaginary parts of
+    every radius side by side, the float view of a complex array.
     """
     r = grid.r_nodes[1:-1]
     s = grid.shift_columns
@@ -292,17 +317,27 @@ def _separable_solve(p, grid, b, mu, V):
     radial = sp.diags(
         [(main + mu[:, None] / r**2).ravel(), up[:-1], down[1:]], [0, 1, -1], format="csc"
     )
-    modes = np.linalg.solve(V, b.reshape(r.size, mu.size).T)
+    parts = np.ascontiguousarray(b.reshape(r.size, mu.size).T, dtype=complex).view(float)
+    modes = (W @ parts).view(complex)
     # tridiagonal blocks take no fill in natural order, so a fill-reducing
     # ordering and supernode relaxation only cost time
     x = _direct_solve(radial, modes.ravel(), permc_spec="NATURAL", relax=1, panel_size=1)
-    v = (V @ x.reshape(mu.size, r.size)).T
-    inv = inverse_matrix(p.operator())
-    left, right = v[:, : s - 1], v[:, s:]
-    w = v.copy()
-    w[:, : s - 1] = inv[0, 0] * left + inv[0, 1] * right
-    w[:, s:] = inv[1, 0] * left + inv[1, 1] * right
-    return w.ravel()
+    det = 1.0 - p.alpha * p.beta
+    left, right = V[: s - 1], V[s:]
+    Vw = V.copy()
+    Vw[: s - 1] = (left + p.alpha * right) / det
+    Vw[s:] = (right + p.beta * left) / det
+    w = (Vw @ x.view(float).reshape(mu.size, -1)).view(complex)
+    return w.T.ravel()
+
+
+def _norm_estimate(A):
+    """||A||_2 from below: 10 power steps on A^T A from a fixed start vector."""
+    x = np.random.default_rng(0).standard_normal(A.shape[1])
+    for _ in range(10):
+        x /= np.linalg.norm(x)
+        x = A.T @ (A @ x)
+    return float(np.sqrt(np.linalg.norm(x)))
 
 
 def _solve_interior(p, grid, S, b):
@@ -310,27 +345,30 @@ def _solve_interior(p, grid, S, b):
 
     For |alpha+beta| < 2 the system is first solved by the separable method
     of _separable_solve in the closed-form eigenbasis of the folded angular
-    matrix T (_angular_basis).  The residual is recomputed by applying S to
-    the solution; when the separable path fails or its residual exceeds
+    matrix T and its closed-form inverse (_angular_basis), with no dense
+    factorization.  The residual is recomputed by applying S to the
+    solution; when the separable path fails or its residual exceeds
     1e-8 * ||b||, the system is solved again by a sparse LU of S, whose
     residual must pass the same gate.  For |alpha+beta| >= 2, T has no real
     eigenbasis and the sparse LU is the only path.  w is the grid function
     with x on the interior nodes and zero on the rays and the truncation
     arcs.  info["method"] names the path whose solution is returned,
-    info["cond_V"] holds the 2-norm condition number of the eigenvector
-    matrix V with unit columns (inf when there is no real basis) and
+    info["cond_V"] estimates the 2-norm condition number of the eigenvector
+    matrix V with unit columns as ||V||_2 * ||W||_2, each norm from below by
+    a few power steps (_norm_estimate), so it does not exceed cond(V); it is
+    inf when there is no real basis.
     info["rhs_norm"] is ||b||.
     """
     bnorm = np.linalg.norm(b)
     basis = _angular_basis(p.alpha, p.beta, grid)
     method, eq_res, cond_V = "separable", np.inf, np.inf
     if basis is not None:
-        mu, V = basis
-        cond_V = float(np.linalg.cond(V))
+        mu, V, W = basis
+        cond_V = _norm_estimate(V) * _norm_estimate(W)
         try:
-            x = _separable_solve(p, grid, b, mu, V)
+            x = _separable_solve(p, grid, b, mu, V, W)
             eq_res = float(np.linalg.norm(_on_parts(S.dot, x) - b))
-        except (SingularMatrix, SingularSystem, np.linalg.LinAlgError):
+        except SingularSystem:
             pass
     # written so that a NaN residual also falls back
     if not eq_res <= 1e-8 * bnorm:

@@ -176,6 +176,9 @@ def test_four_ray_spec_exit(tmp_path, capsys, command):
 # spec edits and the arguments after the global --spec and --quiet
 MALFORMED = {
     "n_r-many": ({"solver": {"n_r": "many"}}, ["solve"]),
+    # an integer key takes integral values only, it does not truncate
+    "n_r-fraction": ({"solver": {"n_r": 16.9}}, ["solve", "--problem", "dd"]),
+    "l-fraction": ({"weights": {"l": 1.5}, "solver": {"rhs": "bump(r, 1.0, 2.0)"}}, ["norms"]),
     "alpha-list": ({"pencil": {"alpha": [0.6]}}, ["eigs"]),
     "angles-string": ({"geometry": {"angles": "abc"}}, ["spectrum"]),
     "angles-words": ({"geometry": {"angles": ["a", "b", "c"]}}, ["eigs"]),
@@ -204,6 +207,14 @@ def test_malformed_input_exit(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("problem file error: ") and err.count("\n") == 1
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    path = edited_spec(tmp_path, {"solver": {"n_r": 16.0}})
+    argv = ["--spec", path, "--out", str(tmp_path), "--quiet", "solve", "--problem", "dd"]
+    assert main(argv) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["n_unknowns"] == 15 * 15
 
 
 def test_solvability_exit_codes(tmp_path):
