@@ -37,10 +37,13 @@ from .green_check import (
     green_residual_neumann,
     term_magnitudes,
 )
-from .manufactured import dd_problem, error_norm, exp_bump, nonlocal_problem
-# perfbench/workloads.py imports this name from here; the re-export goes
-# with the next benchmark change
-from .manufactured import manufactured_nonlocal  # noqa: F401
+from .manufactured import (
+    dd_problem,
+    error_norm,
+    exp_bump,
+    manufactured_nonlocal,
+    nonlocal_problem,
+)
 from .pencil import (
     PoissonPencilProblem,
     UnsupportedRegime,
@@ -56,7 +59,7 @@ from .sector_solver import (
     solve_dd,
     solve_nonlocal_poisson,
 )
-from .weighted_norms import WeightParams, e_norm, h_norm, trace_integral
+from .weighted_norms import WeightParams, e_norm, h_norm, trace_ratio
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -432,20 +435,21 @@ def cmd_spectrum(spec, args):
 def cmd_norms(spec, args):
     _require(spec, "geometry", "solver", "weights")
     grid = _grid(spec)
+    rhs = spec["solver"].get("rhs", "0")
     if args.input:
         u = _read_grid_csv(args.input, grid)
+    elif rhs == "manufactured":
+        # the exact solution u* that `solve` converges to on this spec
+        u = GridFunction.from_callable(
+            grid, manufactured_nonlocal(grid.geometry, grid.r_min, grid.r_max)[0])
     else:
-        rhs_func = compile_expression(spec["solver"].get("rhs", "0"))
-        u = GridFunction.from_callable(grid, rhs_func)
+        u = GridFunction.from_callable(grid, compile_expression(rhs))
     p = WeightParams(_number(spec, "weights", "a"), _number(spec, "weights", "l", int))
-    e = e_norm(u, p)
-    _say(args, "e_norm: %s" % _f(e))
+    _say(args, "e_norm: %s" % _f(e_norm(u, p)))
     _say(args, "h_norm: %s" % _f(h_norm(u, p)))
     if p.l >= 1:
-        # trace_ratio(u, ray, p) without recomputing the E norm
         for ray in ("gamma1", "gamma3"):
-            ratio = trace_integral(u, ray, p) / e if e != 0.0 else 0.0
-            _say(args, "trace ratio %s: %s" % (ray, _f(ratio)))
+            _say(args, "trace ratio %s: %s" % (ray, _f(trace_ratio(u, ray, p))))
     return EXIT_OK
 
 

@@ -143,6 +143,13 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid, func):
-        """Sample func(r, phi) at the grid nodes."""
-        r, phi = grid.meshgrid()
-        return cls(grid, np.full(r.shape, func(r, phi), dtype=complex))
+        """Sample func(r, phi) at the grid nodes.
+
+        func is called once, on the radial nodes as an (n_r+1, 1) column and
+        the angular nodes as a (1, n_phi+1) row, so it must broadcast its
+        arguments like numpy arithmetic does: a term in r alone is evaluated
+        n_r+1 times, not at every node.  Its result, a scalar or any array
+        that broadcasts to the node shape, is spread over all nodes.
+        """
+        r, phi = np.meshgrid(grid.r_nodes, grid.phi_nodes, indexing="ij", sparse=True)
+        return cls(grid, np.full((grid.n_r + 1, grid.n_phi + 1), func(r, phi), dtype=complex))

@@ -86,7 +86,7 @@ class DDProblem:
     alpha: float
     beta: float
     geometry: AngleGeometry
-    rhs: object  # callable f(r, phi) or GridFunction
+    rhs: object  # GridFunction, or f(r, phi) sampled by GridFunction.from_callable
     r_min: float
     r_max: float
 

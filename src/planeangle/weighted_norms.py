@@ -10,8 +10,18 @@ computed, the extension's own volume norm stands in for it.
 
 Quadrature is midpoint over grid cells with polar area weight r dr dphi, so
 the integral of a nodal-constant integrand is exact.
+
+The norms of one field share its derivative table.  A one-entry memo holds
+the real squares |D^alpha u|^2 of the last field asked for, for every
+|alpha| up to the highest order asked for so far; the complex derivatives
+are not kept.  It is keyed by a weak reference to the GridFunction, its grid
+and a private copy of its values, so a field whose values were changed in
+place is differentiated afresh.  A higher order rebuilds the table, a lower
+one reads part of it, and the memo is emptied when its field is collected.
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +53,14 @@ def _cartesian_gradient(grid, vals):
     cos, sin = np.cos(phi), np.sin(phi)
     u_r = np.gradient(vals, grid.dr, axis=0, edge_order=2)
     u_phi = np.gradient(vals, grid.dphi, axis=1, edge_order=2)
-    u_x = cos * u_r - sin / r * u_phi
-    u_y = sin * u_r + cos / r * u_phi
-    return u_x, u_y
+    # u_x = cos u_r - sin/r u_phi, then u_y = sin u_r + cos/r u_phi in the
+    # arrays of u_r and u_phi: the same operations on fewer new arrays
+    u_x = cos * u_r
+    u_x -= sin / r * u_phi
+    np.multiply(sin, u_r, out=u_r)
+    np.multiply(cos / r, u_phi, out=u_phi)
+    u_r += u_phi
+    return u_x, u_r
 
 
 def cartesian_derivatives(u, l):
@@ -65,6 +80,52 @@ def cartesian_derivatives(u, l):
     return out
 
 
+class _SquaresMemo:
+    """|D^alpha u|^2, |alpha| <= order, of the one field that ref points to."""
+
+    def __init__(self):
+        # threads share the memo; reentrant, because the cyclic collector
+        # may run a field's finalizer, clear, inside squares_of
+        self._lock = threading.RLock()
+        self._release = None
+        self.clear()
+
+    def clear(self):
+        with self._lock:
+            self.ref = None
+            self.grid = None
+            self.values = None
+            self.order = -1
+            self.squares = {}
+
+    def _holds(self, u):
+        ref, grid, values = self.ref, self.grid, self.values
+        return ref is not None and ref() is u and u.grid == grid and np.array_equal(u.values, values)
+
+    def _start(self, u):
+        if self._release is not None:
+            self._release.detach()
+        self.clear()
+        self.ref = weakref.ref(u)
+        self.grid = u.grid
+        self.values = u.values.copy()
+        self._release = weakref.finalize(u, self.clear)
+
+    def squares_of(self, u, l):
+        """{alpha: |D^alpha u|^2} for |alpha| <= l, in cartesian_derivatives' order."""
+        with self._lock:
+            if not self._holds(u):
+                self._start(u)
+            if l > self.order:
+                self.squares = {}  # freed before the new table is built
+                self.squares = {alpha: np.abs(d) ** 2 for alpha, d in cartesian_derivatives(u, l).items()}
+                self.order = l
+            return {alpha: sq for alpha, sq in self.squares.items() if sum(alpha) <= l}
+
+
+_SQUARES = _SquaresMemo()
+
+
 def _cell_integral(grid, nodal):
     """Midpoint-cell quadrature sum of a nodal integrand with weight r dr dphi."""
     cell = 0.25 * (nodal[:-1, :-1] + nodal[1:, :-1] + nodal[:-1, 1:] + nodal[1:, 1:])
@@ -78,8 +139,8 @@ def _weighted_norm(u, l, weight):
     r = grid.r_nodes[:, None]
     by_order = [weight(r, k) for k in range(l + 1)]
     integrand = np.zeros(u.values.shape)
-    for (i, j), d in cartesian_derivatives(u, l).items():
-        integrand += by_order[i + j] * np.abs(d) ** 2
+    for (i, j), sq in _SQUARES.squares_of(u, l).items():
+        integrand += by_order[i + j] * sq
     return np.sqrt(_cell_integral(grid, integrand))
 
 

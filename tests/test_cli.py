@@ -17,7 +17,10 @@ from planeangle.cli import (
     load_spec,
     main,
 )
+from planeangle.core import SectorGrid, make_geometry
+from planeangle.manufactured import nonlocal_problem
 from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form, eigenvalues_numeric
+from planeangle.weighted_norms import WeightParams, e_norm
 
 B1 = np.pi / 6
 
@@ -344,6 +347,10 @@ def test_norms_roundtrip_through_grid_csv(tmp_path, capsys):
 
 
 NORMS_STDOUT = {
+    0: (
+        "e_norm: 51.01642103857342\n"
+        "h_norm: 36.074057268243315\n"
+    ),
     1: (
         "e_norm: 66.90571852111147\n"
         "h_norm: 41.03607433376215\n"
@@ -359,7 +366,7 @@ NORMS_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("l", [0, 1, 2])
 def test_norms_subcommand(tmp_path, capsys, l):
     # golden stdout: the text output is byte-stable, however the norms and
     # trace ratios share their derivative arrays
@@ -367,3 +374,18 @@ def test_norms_subcommand(tmp_path, capsys, l):
     spec = write_spec(tmp_path / "s.json", rhs=rhs, l=l)
     assert main(["--spec", spec, "norms"]) == EXIT_OK
     assert capsys.readouterr().out == NORMS_STDOUT[l]
+
+
+def test_norms_of_the_manufactured_spec(tmp_path, capsys):
+    # "rhs": "manufactured" names the exact solution u* that `solve` converges to
+    spec = write_spec(tmp_path / "s.json", alpha=0.3, beta=-0.2)
+    assert main(["--spec", spec, "norms"]) == EXIT_OK
+    lines = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    e = float(lines["e_norm"])
+    assert np.isfinite(e) and e > 0.0
+    with open(spec) as f:
+        doc = json.load(f)
+    s = doc["solver"]
+    grid = SectorGrid(make_geometry(doc["geometry"]["angles"]), s["r_min"], s["r_max"], s["n_r"], s["n_phi"])
+    exact = nonlocal_problem(0.3, -0.2, grid)[1]
+    assert e == e_norm(exact, WeightParams(1.0, 1))

@@ -13,6 +13,7 @@ from planeangle.core import (
     TooFewAngles,
     make_geometry,
 )
+from planeangle.manufactured import manufactured_dd, manufactured_nonlocal
 
 
 def test_make_geometry_two_sectors():
@@ -82,6 +83,36 @@ def test_grid_function_shape_check():
     u = GridFunction.from_callable(grid, lambda r, p: r * np.cos(p))
     assert u.values.shape == (5, 5)
     assert u.values.dtype == complex
+
+
+@pytest.mark.parametrize(
+    "func",
+    [lambda r, phi: r**2, lambda r, phi: np.sin(phi), lambda r, phi: 2.5 - 1j],
+    ids=["r-only", "phi-only", "scalar"],
+)
+def test_from_callable_spreads_a_broadcast_result(func):
+    # n_r != n_phi, so a transposed sample would not fit the grid
+    grid = SectorGrid(make_geometry([0.5, 1.0, 1.5]), 1.0, 3.0, 6, 4)
+    shapes = []
+
+    def spy(r, phi):
+        shapes.append((np.shape(r), np.shape(phi)))
+        return func(r, phi)
+
+    u = GridFunction.from_callable(grid, spy)
+    assert shapes == [((7, 1), (1, 5))]
+    assert u.values.shape == (7, 5) and u.values.dtype == complex
+    r, phi = grid.meshgrid()
+    assert np.array_equal(u.values, np.full(r.shape, func(r, phi), dtype=complex))
+
+
+def test_from_callable_manufactured_fields_match_the_full_node_arrays():
+    geo = make_geometry([np.pi / 6, np.pi / 6 + np.pi / 2, np.pi / 6 + np.pi])
+    grid = SectorGrid(geo, 0.5, 3.0, 64, 64)
+    r, phi = grid.meshgrid()
+    for func in manufactured_nonlocal(geo, 0.5, 3.0) + manufactured_dd(geo, 0.5, 3.0):
+        full = np.asarray(func(r, phi), dtype=complex)
+        assert GridFunction.from_callable(grid, func).values.tobytes() == full.tobytes()
 
 
 def test_geometry_is_frozen():

@@ -1,11 +1,16 @@
 """Weighted norms, weight algebra, trace-ratio boundedness probes."""
 
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planeangle.core import GridFunction, SectorGrid, make_geometry
+from planeangle import weighted_norms
 from planeangle.manufactured import exp_bump
 from planeangle.weighted_norms import (
     UnsupportedOrder,
@@ -132,3 +137,113 @@ def test_trace_ratio_bounded_for_shrinking_family():
         u = GridFunction.from_callable(grid, lambda r, phi: eta(r) * np.cos(phi))
         ratios.append(trace_ratio(u, "gamma1", p))
     assert max(ratios) <= 3.0 * np.median(ratios)
+
+
+def diagnostics_sequence(u, a=0.3):
+    """The norms of one field that a diagnostics round takes, in its order."""
+    es = [e_norm(u, WeightParams(a, l)) for l in (0, 1, 2)]
+    hs = [h_norm(u, WeightParams(a, l)) for l in (0, 1, 2)]
+    ts = [trace_ratio(u, "gamma1", WeightParams(a, l)) for l in (1, 2)]
+    return es + hs + ts
+
+
+def fresh(u):
+    """A new GridFunction with u's values: it never meets a memo of u."""
+    return GridFunction(u.grid, u.values.copy())
+
+
+def counted(monkeypatch, name):
+    calls = []
+    inner = getattr(weighted_norms, name)
+
+    def spy(*args):
+        calls.append(name)
+        return inner(*args)
+
+    monkeypatch.setattr(weighted_norms, name, spy)
+    return calls
+
+
+def test_one_field_is_differentiated_once_per_order(monkeypatch):
+    u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 32, 32))
+    tables = counted(monkeypatch, "cartesian_derivatives")
+    gradients = counted(monkeypatch, "_cartesian_gradient")
+    values = diagnostics_sequence(u)
+    # l = 0, then 1, then 2 each extend the table once; 8 and 12 without the memo
+    assert len(tables) <= 3
+    assert len(gradients) <= 4
+    monkeypatch.undo()
+    assert values == diagnostics_sequence(fresh(u))
+
+
+def test_values_changed_in_place_are_differentiated_again():
+    u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 16, 16))
+    p = WeightParams(0.3, 2)
+    before = e_norm(u, p)
+    u.values[5, 7] += 0.25
+    assert e_norm(u, p) == e_norm(fresh(u), p) != before
+    u.values[:] *= 2.0
+    assert h_norm(u, WeightParams(0.3, 1)) == h_norm(fresh(u), WeightParams(0.3, 1))
+
+
+def test_alternating_fields_match_memo_free_norms():
+    grid = SectorGrid(GEO, 0.3, 1.0, 24, 24)
+    fields = {
+        "u": smooth_u(grid),
+        "v": GridFunction.from_callable(grid, lambda r, p: r**2 * np.sin(2 * p) + 1j * np.cos(r * p)),
+    }
+    runs = [(a, l) for a in (0.3, 1.0) for l in (2, 0, 1)]
+
+    def norms(field, a, l):
+        # field() is the argument of each single call
+        p = WeightParams(a, l)
+        return e_norm(field(), p), h_norm(field(), p), trace_ratio(field(), "gamma3", p) if l else None
+
+    expected = {
+        (k, a, l): norms(lambda: fresh(w), a, l) for k, w in fields.items() for a, l in runs
+    }
+    # one field across orders (the memo hits), then both fields in turn (it misses)
+    for k in "uvuv":
+        for a, l in runs:
+            assert norms(lambda: fields[k], a, l) == expected[k, a, l]
+    for a, l in runs:
+        for k in "uvuv":
+            assert norms(lambda: fields[k], a, l) == expected[k, a, l]
+
+
+def test_memo_is_released_with_its_field():
+    u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 16, 16))
+    e_norm(u, WeightParams(0.3, 2))
+    memo = weighted_norms._SQUARES
+    assert memo.ref() is u and len(memo.squares) == 6
+    del u
+    gc.collect()
+    assert memo.ref is None and memo.values is None and memo.squares == {}
+
+
+def test_threads_sharing_the_memo_get_their_own_norms():
+    grid = SectorGrid(GEO, 0.3, 1.0, 16, 16)
+    fields = [
+        GridFunction.from_callable(grid, lambda r, p, k=k: r * np.cos(p) + 0.5 * np.sin((k + 2) * p))
+        for k in range(4)
+    ]
+    expected = [diagnostics_sequence(u) for u in fields]
+    wrong = []
+
+    def work(k):
+        for _ in range(20):
+            if diagnostics_sequence(fields[k]) != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(fields))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
