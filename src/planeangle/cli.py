@@ -93,7 +93,10 @@ def compile_expression(text):
     """Compile an arithmetic expression in r, phi to a numpy callable.
 
     Allowed: numbers, r, phi, pi, + - * / % **, and the functions sin, cos,
-    exp, bump(r, r0, r1).  Anything else raises SpecError.
+    exp, bump(r, r0, r1).  Anything else raises SpecError, and so does an
+    evaluation that raises an ArithmeticError (1/0, an overflowing power).
+    Numbers are floats, so a power of literals overflows at once instead of
+    running in exact integer arithmetic.
     """
     if not isinstance(text, str):
         raise SpecError("expression must be a string, got %r" % (text,))
@@ -116,6 +119,10 @@ def compile_expression(text):
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise SpecError("non-numeric constant in %r" % text)
+            try:
+                node.value = float(node.value)
+            except OverflowError as exc:
+                raise SpecError("bad number in %r: %s" % (text, exc))
             continue
         if isinstance(node, ast.Name):
             if id(node) in func_names and node.id in _EXPR_FUNCS:
@@ -137,7 +144,10 @@ def compile_expression(text):
         env.update(_EXPR_NAMES)
         env["r"] = r
         env["phi"] = phi
-        return eval(code, {"__builtins__": {}}, env)
+        try:
+            return eval(code, {"__builtins__": {}}, env)
+        except ArithmeticError as exc:
+            raise SpecError("cannot evaluate %r: %s" % (text, exc))
 
     return func
 

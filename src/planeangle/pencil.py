@@ -18,17 +18,21 @@ on a tie, as on the line h = 0 of the symmetric spectrum.
 
 The module also provides the characteristic determinant of the formally
 adjoint nonlocal transmission pencil (piecewise solutions on the two
-sub-arcs coupled through the middle ray) and a numeric zero finder that
-does not use the closed forms.  The middle ray bisects the arc, so both
-determinants (the adjoint one divided by lambda) are Laurent polynomials
-of degree <= 2 in z = exp(lambda*d): the finder reads their coefficients
-off samples on |z| = 1, takes the roots in z from the companion matrix,
-unfolds them to lambda = (log z + 2*pi*i*k)/d and polishes them by Newton
-iteration.  An argument-principle count on the window boundary checks the
-number of zeros found.
+sub-arcs coupled through the middle ray), a 4x4 determinant written out by
+its expansion along the two ray rows, and a numeric zero finder that does
+not use the closed forms.  At lambda = 0 both determinants switch to the
+degenerate basis {1, phi}, where they coincide (lambda_zero_determinant).
+The middle ray bisects the arc, so both determinants (the adjoint one
+divided by lambda) are Laurent polynomials of degree <= 2 in z =
+exp(lambda*d): the finder reads their coefficients off samples on |z| = 1,
+takes the roots in z from the companion matrix, unfolds them to lambda =
+(log z + 2*pi*i*k)/d and polishes them by Newton iteration.  An
+argument-principle count on the window boundary checks the number of zeros
+found.
 
-Both determinants map a scalar or an array of lambda to a complex array of
-the same shape (0-d for a scalar), so the finder makes one call per batch:
+Both determinants are elementwise products over one damped fundamental
+system and map a scalar or an array of lambda to a complex array of the
+same shape (0-d for a scalar), so the finder makes one call per batch:
 the 64 Laurent samples, each refinement level of the contour, and each
 Newton step, which updates all unconverged candidates together.
 """
@@ -117,8 +121,8 @@ def _fundamental_system(p, lam):
     """(lam flattened, exp(lam*b_k), exp(-lam*b_k)) on the rays k = 1, 2, 3.
 
     Each column is damped by exp(-max(+-Re lam, 0)*b3), so neither exceeds 1
-    on [0, b3] and a determinant over both is the undamped one times
-    exp(-|Re lambda|*b3), with the same zeros.
+    on [0, b3] and a determinant with k columns of each is the undamped one
+    times exp(-k*|Re lambda|*b3), with the same zeros.
     """
     # flat, so that a scalar runs the same array loops as an array entry
     lam = np.asarray(lam, dtype=complex).ravel()
@@ -164,35 +168,27 @@ def adjoint_transmission_characteristic(p, lam):
     third, which flips the sign of the beta term.  Zeros of this determinant
     are the conjugates of the primal pencil eigenvalues.
 
-    lam and the damping act as in characteristic_value, with one stacked
-    4x4 determinant per entry of lam.
+    The expansion along the first two rows leaves four 2x2 minors; with
+    e+k = exp(lambda*b_k) and e-k = exp(-lambda*b_k) the determinant is
+
+        2*lambda*[e+2 e-2 (e-1 e+3 - e+1 e-3) + alpha e+1 e-1 (e+3 e-2 - e+2 e-3)
+                  + beta e+3 e-3 (e+2 e-1 - e+1 e-2)].
+
+    At lambda = 0 the degenerate piecewise basis {1, phi} gives
+    b3(1+alpha) - b1(1+beta) - b2(alpha-beta) = lambda_zero_determinant(p).
+    lam acts as in characteristic_value.  Each term has two damped e+ and
+    two damped e- factors, so the value is the undamped determinant times
+    exp(-2*|Re lambda|*b3).
     """
     shape = np.shape(lam)
     lam, (ep1, ep2, ep3), (em1, em2, em3) = _fundamental_system(p, lam)
     a, b = p.alpha, p.beta
-    b1, b2, b3 = p.b1, p.b2, p.b3
-    o = np.zeros_like(lam)
-    m = np.array(
-        [
-            [ep1, em1, o, o],
-            [o, o, ep3, em3],
-            [ep2, em2, -ep2, -em2],
-            [
-                lam * (ep2 + a * ep1),
-                -lam * (em2 + a * em1),
-                -lam * (ep2 + b * ep3),
-                lam * (em2 + b * em3),
-            ],
-        ]
-    ).transpose(2, 0, 1)
-    # degenerate piecewise basis {1, phi} on each sub-arc
-    m[lam == 0] = [
-        [1.0, b1, 0.0, 0.0],
-        [0.0, 0.0, 1.0, b3],
-        [1.0, b2, -1.0, -b2],
-        [0.0, 1.0 + a, 0.0, -1.0 - b],
-    ]
-    return np.linalg.det(m).reshape(shape)
+    det = 2.0 * lam * (
+        ep2 * em2 * (em1 * ep3 - ep1 * em3)
+        + a * ep1 * em1 * (ep3 * em2 - ep2 * em3)
+        + b * ep3 * em3 * (ep2 * em1 - ep1 * em2)
+    )
+    return np.where(lam == 0, lambda_zero_determinant(p), det).reshape(shape)
 
 
 def characteristic_roots(sigma, lo, hi):
@@ -419,28 +415,24 @@ def find_zeros(f, window, d):
     return _dedupe(roots[in_re & in_im])
 
 
-def _numeric_eigenvalues(f, det_at_zero, p, window):
+def _numeric_eigenvalues(f, p, window):
     """EigenvalueSet of the zeros of f in the window.
 
     lambda = 0 is a zero of the exponential-basis determinants whether or
-    not it is an eigenvalue; it is kept only if det_at_zero, the relative
-    determinant in the degenerate basis {1, phi}, vanishes.
+    not it is an eigenvalue; it is kept only if the determinant in the
+    degenerate basis {1, phi}, which both pencils share
+    (lambda_zero_determinant), vanishes relative to the data.
     """
     roots = np.array(find_zeros(f, window, p.d), dtype=complex)
-    if abs(det_at_zero) > 1e-12:
+    scale0 = 1.0 + abs(p.alpha) + abs(p.beta) + p.b3
+    if abs(lambda_zero_determinant(p)) > 1e-12 * scale0:
         roots = roots[np.abs(roots) >= 1e-6]
     return EigenvalueSet(roots, tuple(window), "numeric")
 
 
 def eigenvalues_numeric(p, window):
     """Pencil eigenvalues inside the window, found without the closed forms."""
-    scale0 = 1.0 + abs(p.alpha) + abs(p.beta) + p.b3
-    return _numeric_eigenvalues(
-        lambda lam: characteristic_value(p, lam),
-        lambda_zero_determinant(p) / scale0,
-        p,
-        window,
-    )
+    return _numeric_eigenvalues(lambda lam: characteristic_value(p, lam), p, window)
 
 
 def adjoint_eigenvalues_numeric(p, window):
@@ -456,8 +448,7 @@ def adjoint_eigenvalues_numeric(p, window):
             raise ContourThroughZero("lambda = 0 on the contour")
         return adjoint_transmission_characteristic(p, lam) / lam
 
-    det_at_zero = adjoint_transmission_characteristic(p, 0.0)
-    return _numeric_eigenvalues(f, det_at_zero, p, window)
+    return _numeric_eigenvalues(f, p, window)
 
 
 # ---------------------------------------------------------------------------

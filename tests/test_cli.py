@@ -111,6 +111,55 @@ def test_eigs_csv_has_no_negative_zero(tmp_path):
     assert [(m, complex(float(re), float(im))) for m, re, im in rows] == want
 
 
+EIGS_CSV = {
+    "dirichlet": (
+        "method,re,im\n"
+        "closed_form,0.0,-3.0\n"
+        "closed_form,0.0,-2.0\n"
+        "closed_form,0.0,-1.0\n"
+        "closed_form,0.0,1.0\n"
+        "closed_form,0.0,2.0\n"
+        "closed_form,0.0,3.0\n"
+        "numeric,4.240739575284688e-16,-3.0\n"
+        "numeric,-5.654319433712922e-16,-2.0\n"
+        "numeric,2.827159716856459e-16,-0.9999999999999999\n"
+        "numeric,4.240739575284688e-16,1.0000000000000002\n"
+        "numeric,-5.654319433712922e-16,2.0\n"
+        "numeric,2.827159716856459e-16,3.0\n"
+    ),
+    "narrow": (
+        "method,re,im\n"
+        "closed_form,0.0,-4.0\n"
+        "closed_form,0.0,-3.0\n"
+        "closed_form,0.0,-2.0000000000000004\n"
+        "closed_form,0.0,2.0000000000000004\n"
+        "closed_form,0.0,3.0\n"
+        "closed_form,0.0,4.0\n"
+        "numeric,-3.046380164341675e-16,-4.000000000000001\n"
+        "numeric,1.0601848938211715e-15,-3.0000000000000004\n"
+        "numeric,-3.4724936935322605e-16,-1.9999999999999996\n"
+        "numeric,-3.046380164341675e-16,2.0\n"
+        "numeric,1.0601848938211715e-15,3.0000000000000004\n"
+        "numeric,-3.4724936935322605e-16,4.000000000000001\n"
+    ),
+}
+EIGS_CASES = {
+    "dirichlet": ({}, ["--im-min", "-3.5", "--im-max", "3.5"]),
+    "narrow": ({"alpha": 0.6, "beta": 0.4, "opening": 2 * np.pi / 3}, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EIGS_CASES))
+def test_eigs_csv_golden(tmp_path, case):
+    # golden bytes: the numeric column is the primal zero search, which must
+    # not move a digit however the search treats lambda = 0
+    kwargs, window = EIGS_CASES[case]
+    spec = write_spec(tmp_path / "s.json", **kwargs)
+    argv = ["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs"] + window
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "eigenvalues.csv").read_text() == EIGS_CSV[case]
+
+
 def test_eigs_empty_window_exit(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json")
     code = main(["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs",
@@ -151,7 +200,7 @@ def edited_spec(tmp_path, edits):
     with open(path) as f:
         doc = json.load(f)
     for section, keys in edits.items():
-        doc[section].update(keys)
+        doc.setdefault(section, {}).update(keys)
     with open(path, "w") as f:
         json.dump(doc, f)
     return path
@@ -186,6 +235,11 @@ MALFORMED = {
     "angles-string": ({"geometry": {"angles": "abc"}}, ["spectrum"]),
     "angles-words": ({"geometry": {"angles": ["a", "b", "c"]}}, ["eigs"]),
     "rhs-number": ({"solver": {"rhs": 5}}, ["solve"]),
+    # an expression that fails to evaluate is malformed input, not a FAIL;
+    # literals are floats, so the power overflows at once
+    "rhs-div-zero": ({"solver": {"rhs": "r + 1/0"}}, ["solve"]),
+    "rhs-huge-power": ({"solver": {"rhs": "r * 3**2**24"}}, ["norms"]),
+    "g1-overflow": ({"solver": {"rhs": "0"}, "boundary": {"g1": "r * 10.0**400"}}, ["solve"]),
     "input-missing": ({}, ["norms", "--input", "{tmp}/none.csv"]),
     "input-no-re-im": ({}, ["norms", "--input", "{tmp}/no_re_im.csv"]),
     "input-empty": ({}, ["norms", "--input", "{tmp}/empty.csv"]),
@@ -226,6 +280,29 @@ def test_solvability_exit_codes(tmp_path):
     # h = 1 hits the eigenvalue i for the Dirichlet family
     spec0 = write_spec(tmp_path / "s0.json")
     assert main(["--spec", spec0, "--quiet", "solvability", "--a", "3", "--l", "1"]) == EXIT_BLOCKED
+
+
+SOLVABILITY_STDOUT = {
+    "solvable": (
+        "pencil line Im lambda = 0.0\n"
+        "nearest eigenvalue (-0-1.3333333333333335j) at distance 1.3333333333333335\n"
+        "SOLVABLE\n"
+    ),
+    "blocked": (
+        "pencil line Im lambda = 1.0\n"
+        "nearest eigenvalue 1j at distance 0.0\n"
+        "BLOCKED\n"
+    ),
+}
+
+
+def test_solvability_stdout(tmp_path, capsys):
+    spec = write_spec(tmp_path / "s.json", alpha=0.6, beta=0.4)
+    assert main(["--spec", spec, "solvability", "--a", "2", "--l", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == SOLVABILITY_STDOUT["solvable"]
+    spec0 = write_spec(tmp_path / "s0.json")
+    assert main(["--spec", spec0, "solvability", "--a", "3", "--l", "1"]) == EXIT_BLOCKED
+    assert capsys.readouterr().out == SOLVABILITY_STDOUT["blocked"]
 
 
 def test_solve_zero_data(tmp_path):
@@ -322,18 +399,40 @@ def test_green_fail_exit(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("\nFAIL\n")
 
 
+SPECTRUM_STDOUT = {
+    "definite": (
+        "shift matrix:\n"
+        "  [1.0, -0.5]\n"
+        "  [-0.5, 1.0]\n"
+        "eigenvalues: (0.5000000000000001+0j), (1.5+0j)\n"
+        "det: 0.75\n"
+        "inverse:\n"
+        "  [1.3333333333333333, 0.6666666666666666]\n"
+        "  [0.6666666666666666, 1.3333333333333333]\n"
+        "symmetric part positive definite: yes\n"
+    ),
+    "singular": (
+        "shift matrix:\n"
+        "  [1.0, -2.0]\n"
+        "  [-0.5, 1.0]\n"
+        "eigenvalues: (2.220446049250313e-16+0j), (2+0j)\n"
+        "det: 0.0\n"
+        "inverse: SINGULAR\n"
+        "symmetric part positive definite: no\n"
+    ),
+}
+
+
 def test_spectrum_subcommand(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json", alpha=0.5, beta=0.5)
     assert main(["--spec", spec, "spectrum"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "positive definite: yes" in out
-    assert "0.5" in out and "1.5" in out
+    assert capsys.readouterr().out == SPECTRUM_STDOUT["definite"]
 
 
 def test_spectrum_singular_matrix(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json", alpha=2.0, beta=0.5)
     assert main(["--spec", spec, "spectrum"]) == EXIT_OK
-    assert "SINGULAR" in capsys.readouterr().out
+    assert capsys.readouterr().out == SPECTRUM_STDOUT["singular"]
 
 
 def test_norms_roundtrip_through_grid_csv(tmp_path, capsys):

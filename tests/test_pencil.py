@@ -81,9 +81,60 @@ def test_determinants_on_arrays_match_scalar_calls():
             one = characteristic_value(p, z)
             assert one.shape == () and one == primal[idx]
             ref = adjoint_transmission_characteristic(p, z)
-            assert ref.shape == ()
-            assert abs(adjoint[idx] - ref) <= 1e-14 * abs(ref)
-        assert primal[1, 2] == lambda_zero_determinant(p)
+            assert ref.shape == () and ref == adjoint[idx]
+        assert primal[1, 2] == adjoint[1, 2] == lambda_zero_determinant(p)
+
+
+def adjoint_matrix(p, lam):
+    """The four adjoint conditions on the undamped piecewise basis, as a 4x4 matrix.
+
+    Columns: exp(lam*phi) and exp(-lam*phi) on (b1, b2), then on (b2, b3);
+    at lam = 0 the degenerate basis 1 and phi on each sub-arc.
+    """
+    a, b = p.alpha, p.beta
+    b1, b2, b3 = p.b1, p.b2, p.b3
+    if lam == 0:
+        return np.array([
+            [1.0, b1, 0.0, 0.0],
+            [0.0, 0.0, 1.0, b3],
+            [1.0, b2, -1.0, -b2],
+            [0.0, 1.0 + a, 0.0, -1.0 - b],
+        ])
+    ep1, ep2, ep3 = np.exp(lam * np.array([b1, b2, b3]))
+    em1, em2, em3 = np.exp(-lam * np.array([b1, b2, b3]))
+    return np.array([
+        [ep1, em1, 0.0, 0.0],
+        [0.0, 0.0, ep3, em3],
+        [ep2, em2, -ep2, -em2],
+        [lam * (ep2 + a * ep1), -lam * (em2 + a * em1),
+         -lam * (ep2 + b * ep3), lam * (em2 + b * em3)],
+    ])
+
+
+@pytest.mark.parametrize("geo", GEOMETRIES, ids=("narrow", "wide"))
+def test_adjoint_determinant_matches_the_4x4_determinant(geo):
+    # the two-row expansion against LAPACK on the matrix it expands; each
+    # term of the 4x4 determinant takes two exp(+lam*phi) and two
+    # exp(-lam*phi) columns, so the damping is exp(-2*|Re lam|*b3)
+    rng = np.random.default_rng(11)
+    for alpha, beta in ((0.6, 0.4), (-0.8, 0.3), (1.2, -0.5), (1.4, 0.9)):
+        p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+        lam = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-8, 8, 200)
+        lam[0] = 0.0
+        got = adjoint_transmission_characteristic(p, lam)
+        for z, value in zip(lam, got):
+            ref = np.linalg.det(adjoint_matrix(p, z)) * np.exp(-2.0 * abs(z.real) * p.b3)
+            assert abs(value - ref) <= 1e-13 * (1.0 + abs(z))
+
+
+def test_degenerate_adjoint_determinant_is_the_primal_one():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        alpha, beta = rng.uniform(-3, 3, 2)
+        b1, b3 = np.sort(rng.uniform(0.0, 2.0 * np.pi, 2))
+        p = PoissonPencilProblem(alpha, beta, b1, b3)
+        ref = np.linalg.det(adjoint_matrix(p, 0.0))
+        assert abs(ref - lambda_zero_determinant(p)) <= 1e-13 * (1.0 + abs(ref))
 
 
 def test_closed_form_dirichlet_family():
