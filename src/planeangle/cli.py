@@ -94,7 +94,8 @@ def compile_expression(text):
 
     Allowed: numbers, r, phi, pi, + - * / % **, and the functions sin, cos,
     exp, bump(r, r0, r1).  Anything else raises SpecError, and so does an
-    evaluation that raises an ArithmeticError (1/0, an overflowing power).
+    evaluation that divides by zero, overflows or is invalid (r / 0,
+    exp(1000 * r), an overflowing power), or whose value is not finite.
     Numbers are floats, so a power of literals overflows at once instead of
     running in exact integer arithmetic.
     """
@@ -145,9 +146,14 @@ def compile_expression(text):
         env["r"] = r
         env["phi"] = phi
         try:
-            return eval(code, {"__builtins__": {}}, env)
+            # numpy raises FloatingPointError here instead of warning
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                value = eval(code, {"__builtins__": {}}, env)
         except ArithmeticError as exc:
             raise SpecError("cannot evaluate %r: %s" % (text, exc))
+        if not np.all(np.isfinite(value)):
+            raise SpecError("value of %r is not finite" % text)
+        return value
 
     return func
 
@@ -297,6 +303,8 @@ def _read_grid_csv(path, grid):
             "grid file has %d rows, the declared grid needs %d" % (data.size, expected)
         )
     vals = (data["re"] + 1j * data["im"]).reshape(grid.n_r + 1, grid.n_phi + 1)
+    if not np.all(np.isfinite(vals)):
+        raise SpecError("grid file %s holds values that are not finite numbers" % path)
     return GridFunction(grid, vals)
 
 

@@ -25,16 +25,17 @@ degenerate basis {1, phi}, where they coincide (lambda_zero_determinant).
 The middle ray bisects the arc, so both determinants (the adjoint one
 divided by lambda) are Laurent polynomials of degree <= 2 in z =
 exp(lambda*d): the finder reads their coefficients off samples on |z| = 1,
-takes the roots in z from the companion matrix, unfolds them to lambda =
-(log z + 2*pi*i*k)/d and polishes them by Newton iteration.  An
-argument-principle count on the window boundary checks the number of zeros
-found.
+takes the roots in z from the companion matrix, groups roots within a
+relative distance of 1e-4 into one multiple root at their mean (the
+eigenvalues at |alpha+beta| = 2, and distinct ones at alpha+beta =
++-(2 - delta), delta <= 1e-8) and unfolds each once to lambda =
+(log z + 2*pi*i*k)/d.  An argument-principle count on the window boundary
+checks the number of zeros found, with multiplicity.
 
 Both determinants are elementwise products over one damped fundamental
 system and map a scalar or an array of lambda to a complex array of the
 same shape (0-d for a scalar), so the finder makes one call per batch:
-the 64 Laurent samples, each refinement level of the contour, and each
-Newton step, which updates all unconverged candidates together.
+the 64 Laurent samples and each refinement level of the contour.
 """
 
 import math
@@ -59,14 +60,13 @@ class NoConvergence(PlaneAngleError):
     pass
 
 
-DEDUPE_TOL = 1e-10
 FREE_LINE_TOL = 1e-9  # a line farther than this from every eigenvalue is free
 WINDOW_PAD = 1e-9  # zeros this far outside the search window still count
 N_SAMPLES = 64  # samples of a determinant on |exp(lambda*d)| = 1
 MAX_DEGREE = 2  # Laurent degree of the determinants in exp(lambda*d)
 CONTOUR_START, CONTOUR_MAX = 64, 8192  # contour points per edge, first and last
 MAX_NUDGES = 8  # outward moves of a contour that passes through a zero
-NEWTON_STEPS = 50  # Newton steps before a start counts as unconverged
+GROUP_RADIUS = 1e-4  # companion roots this close, relative, are one multiple root
 
 
 @dataclass(frozen=True)
@@ -251,15 +251,14 @@ def _rect_contour(rect, n_per_edge):
     return (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
 
 
-def _winding_number(f, rect):
+def _winding_number(f, rect, n):
     """Winding number of f around the rectangle, with adaptive refinement.
 
-    The point count per edge doubles from CONTOUR_START until every phase
-    step between consecutive samples is small and the accumulated winding
-    lies within 0.25 of an integer.  ContourThroughZero if a contour value
-    is negligibly small or the winding is unsettled at CONTOUR_MAX.
+    The point count per edge doubles from n until every phase step between
+    consecutive samples is small and the accumulated winding lies within
+    0.25 of an integer.  ContourThroughZero if a contour value is
+    negligibly small or the winding is unsettled at CONTOUR_MAX.
     """
-    n = CONTOUR_START
     prev = None
     while True:
         z = _rect_contour(rect, n)
@@ -275,7 +274,7 @@ def _winding_number(f, rect):
         # winding to each neighboring cell and would corrupt the count
         if abs(w - near) < 0.25 and np.max(np.abs(steps)) < 3.0:
             if np.max(np.abs(steps)) < 1.2 or prev == near:
-                return near, scale
+                return near
             prev = near
         else:
             prev = None
@@ -284,31 +283,13 @@ def _winding_number(f, rect):
         n *= 2
 
 
-def _newton_polish(f, z0, scale):
-    """Newton iteration on f from all starts z0 at once, one call of f per step.
-
-    A point stays put once |f| < 1e-12*scale; NoConvergence names the starts
-    still unconverged after NEWTON_STEPS steps.
-    """
-    z = np.array(z0, dtype=complex)
-    todo = np.arange(z.size)  # indices of the unconverged points
-    for _ in range(NEWTON_STEPS + 1):
-        zt = z[todo]
-        h = 1e-7 * (1.0 + np.abs(zt))
-        fz, f_plus, f_minus = np.split(f(np.concatenate([zt, zt + h, zt - h])), 3)
-        dfz = (f_plus - f_minus) / (2.0 * h)
-        miss = np.abs(fz) >= 1e-12 * scale
-        # converged points and vanishing difference quotients do not move
-        step = np.divide(fz, dfz, out=np.zeros_like(fz), where=miss & (dfz != 0))
-        z[todo] = zt - step
-        todo = todo[miss]
-        if todo.size == 0:
-            return z
-    raise NoConvergence("Newton polish failed near %s" % np.asarray(z0)[todo])
-
-
-def _winding_nudged(f, rect):
+def _winding_nudged(f, rect, d):
     """Winding number with the rectangle nudged outward away from zeros.
+
+    The contour starts at CONTOUR_START doubled to n >= 4*MAX_DEGREE*d*L/pi
+    points per edge (L the longest edge), so that no term z^k turns by more
+    than about pi/4 between samples: coarser levels can alias alike.
+    OutOfRange, naming the window, if that n exceeds CONTOUR_MAX.
 
     The nudge grows geometrically: a zero sitting exactly on the contour
     must end up farther from the expanded contour than the sample spacing
@@ -316,10 +297,14 @@ def _winding_nudged(f, rect):
     below 3e-3 per side; any zero pulled in from just outside is discarded
     by the caller's final window filter.
     """
+    n = CONTOUR_START
+    while n < 4.0 * MAX_DEGREE * d * max(rect[1] - rect[0], rect[3] - rect[2]) / np.pi:
+        n *= 2
+    if n > CONTOUR_MAX:
+        raise OutOfRange("search window %s is too tall for the contour" % (rect,))
     for k in range(MAX_NUDGES):
         try:
-            w, scale = _winding_number(f, rect)
-            return w, scale, rect
+            return _winding_number(f, rect, n), rect
         except ContourThroughZero:
             eps = 1.25e-7 * 4.0**k
             re_lo, re_hi, im_lo, im_hi = rect
@@ -354,44 +339,52 @@ def _laurent_coefficients(f, d):
     return poly
 
 
-def _unfold(roots, d, rect):
-    """All lambda = (log z + 2*pi*i*k)/d inside rect, one per root and branch."""
+def _grouped_roots(coefficients):
+    """Roots of the polynomial as (mean, multiplicity), once per multiple root.
+
+    np.roots splits an m-fold root into m roots about eps^(1/m) apart (up to
+    3.5e-5 relative for the pencils at |alpha+beta| = 2); their mean is well
+    conditioned (Kahan 1972).  Roots chained by |z - w| <= GROUP_RADIUS*
+    max(|z|, |w|) form one group.
+    """
+    groups = []
+    for z in np.roots(coefficients):
+        near = [any(abs(z - w) <= GROUP_RADIUS * max(abs(z), abs(w)) for w in g) for g in groups]
+        merged = [z] + [w for g, linked in zip(groups, near) if linked for w in g]
+        groups = [g for g, linked in zip(groups, near) if not linked] + [merged]
+    return [(np.mean(g), len(g)) for g in groups]
+
+
+def _unfold(z, d, rect):
+    """All lambda = (log z + 2*pi*i*k)/d inside rect, one per branch k."""
     re_lo, re_hi, im_lo, im_hi = rect
     pad = WINDOW_PAD
-    out = []
-    for z in roots:
-        if z == 0:
-            continue  # lambda with real part -infinity
-        w = np.log(complex(z))
-        if not re_lo - pad <= w.real / d <= re_hi + pad:
-            continue
-        k_lo = int(np.ceil(((im_lo - pad) * d - w.imag) / (2.0 * np.pi)))
-        k_hi = int(np.floor(((im_hi + pad) * d - w.imag) / (2.0 * np.pi)))
-        out.extend((w + 2j * np.pi * k) / d for k in range(k_lo, k_hi + 1))
-    return out
-
-
-def _dedupe(values):
-    out = []
-    for v in sorted(values, key=lambda z: (z.imag, z.real)):
-        if not any(abs(v - w) <= DEDUPE_TOL for w in out):
-            out.append(v)
-    return out
+    if z == 0:
+        return []  # lambda with real part -infinity
+    w = np.log(complex(z))
+    if not re_lo - pad <= w.real / d <= re_hi + pad:
+        return []
+    k_lo = int(np.ceil(((im_lo - pad) * d - w.imag) / (2.0 * np.pi)))
+    k_hi = int(np.floor(((im_hi + pad) * d - w.imag) / (2.0 * np.pi)))
+    return [(w + 2j * np.pi * k) / d for k in range(k_lo, k_hi + 1)]
 
 
 def find_zeros(f, window, d):
-    """All zeros of f inside the complex rectangle window.
+    """All zeros of f inside the complex rectangle window, as an array.
 
     window = (re_lo, re_hi, im_lo, im_hi).  f must be a Laurent polynomial
     of degree <= 2 in z = exp(lambda*d), as the pencil determinants are for
     equally spaced rays.  The roots z of its coefficient polynomial come from
-    the companion matrix (np.roots), are unfolded to the branches
-    lambda = (log z + 2*pi*i*k)/d and polished by Newton iteration on f
-    (except a candidate exactly at lambda = 0, where the determinants switch
-    basis).  The argument-principle count on the window boundary must equal
-    the number of unfolded candidates, with multiplicity, or NoConvergence
-    is raised.  f is called with arrays of lambda only.  OutOfRange unless
-    re_lo < re_hi and im_lo < im_hi.
+    the companion matrix; roots within a relative distance GROUP_RADIUS =
+    1e-4 of one another, chained, are one multiple root at their mean, each
+    unfolded once to the branches lambda = (log z + 2*pi*i*k)/d.  Distinct
+    roots that close merge too: near alpha+beta = +-(2 - delta) they are
+    about sqrt(delta) apart, distinct for delta >= 1e-7, merged for
+    delta <= 1e-8.  The argument-principle count on the window boundary must
+    equal the zeros found, with multiplicity, or NoConvergence is raised.
+    f is called with arrays only: once for the Laurent samples, once per
+    contour level.  OutOfRange unless re_lo < re_hi and im_lo < im_hi, or
+    if the window is too tall for the contour.
     """
     window = tuple(float(x) for x in window)
     re_lo, re_hi, im_lo, im_hi = window
@@ -400,19 +393,19 @@ def find_zeros(f, window, d):
             "empty search window %s: need re_lo < re_hi and im_lo < im_hi" % (window,)
         )
     coefficients = _laurent_coefficients(f, d)
-    count, scale, rect = _winding_nudged(f, window)
-    roots = np.array(_unfold(np.roots(coefficients), d, rect), dtype=complex)
-    if roots.size != count:
+    count, rect = _winding_nudged(f, window, d)
+    unfolded = [(lam, m) for z, m in _grouped_roots(coefficients) for lam in _unfold(z, d, rect)]
+    total = sum(m for _, m in unfolded)
+    if total != count:
         raise NoConvergence(
             "%d zeros from the companion matrix, %d from the argument "
-            "principle" % (roots.size, count)
+            "principle" % (total, count)
         )
-    nonzero = roots != 0
-    roots[nonzero] = _newton_polish(f, roots[nonzero], scale)
+    zeros = np.array([lam for lam, _ in unfolded], dtype=complex)
     pad = WINDOW_PAD
-    in_re = (re_lo - pad <= roots.real) & (roots.real <= re_hi + pad)
-    in_im = (im_lo - pad <= roots.imag) & (roots.imag <= im_hi + pad)
-    return _dedupe(roots[in_re & in_im])
+    in_re = (re_lo - pad <= zeros.real) & (zeros.real <= re_hi + pad)
+    in_im = (im_lo - pad <= zeros.imag) & (zeros.imag <= im_hi + pad)
+    return zeros[in_re & in_im]
 
 
 def _numeric_eigenvalues(f, p, window):
@@ -423,7 +416,7 @@ def _numeric_eigenvalues(f, p, window):
     degenerate basis {1, phi}, which both pencils share
     (lambda_zero_determinant), vanishes relative to the data.
     """
-    roots = np.array(find_zeros(f, window, p.d), dtype=complex)
+    roots = find_zeros(f, window, p.d)
     scale0 = 1.0 + abs(p.alpha) + abs(p.beta) + p.b3
     if abs(lambda_zero_determinant(p)) > 1e-12 * scale0:
         roots = roots[np.abs(roots) >= 1e-6]

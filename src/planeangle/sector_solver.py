@@ -357,8 +357,10 @@ def _solve_interior(p, grid, S, b):
     matrix V with unit columns as ||V||_2 * ||W||_2, each norm from below by
     a few power steps (_norm_estimate), so it does not exceed cond(V); it is
     inf when there is no real basis.
-    info["rhs_norm"] is ||b||.
+    info["rhs_norm"] is ||b||.  SolverFailure if b is not finite.
     """
+    if not np.all(np.isfinite(b)):
+        raise SolverFailure("right-hand side is not finite")
     bnorm = np.linalg.norm(b)
     basis = _angular_basis(p.alpha, p.beta, grid)
     method, eq_res, cond_V = "separable", np.inf, np.inf

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +241,14 @@ MALFORMED = {
     "rhs-div-zero": ({"solver": {"rhs": "r + 1/0"}}, ["solve"]),
     "rhs-huge-power": ({"solver": {"rhs": "r * 3**2**24"}}, ["norms"]),
     "g1-overflow": ({"solver": {"rhs": "0"}, "boundary": {"g1": "r * 10.0**400"}}, ["solve"]),
+    # array arithmetic that numpy would only warn about, and infinite values
+    "rhs-array-div-zero": ({"solver": {"rhs": "r / 0"}}, ["solve"]),
+    "rhs-array-div-zero-norms": ({"solver": {"rhs": "r / 0"}}, ["norms"]),
+    "rhs-exp-overflow": ({"solver": {"rhs": "exp(1000 * r)"}}, ["solve", "--problem", "dd"]),
+    "rhs-exp-overflow-norms": ({"solver": {"rhs": "exp(1000 * r)"}}, ["norms"]),
+    "rhs-infinite-literal": ({"solver": {"rhs": "r * 1e400"}}, ["solve"]),
+    "g3-exp-overflow": ({"solver": {"rhs": "0"}, "boundary": {"g3": "exp(1000 * r)"}}, ["solve"]),
+    "input-nan": ({}, ["norms", "--input", "{tmp}/nan.csv"]),
     "input-missing": ({}, ["norms", "--input", "{tmp}/none.csv"]),
     "input-no-re-im": ({}, ["norms", "--input", "{tmp}/no_re_im.csv"]),
     "input-empty": ({}, ["norms", "--input", "{tmp}/empty.csv"]),
@@ -259,6 +268,7 @@ def test_malformed_input_exit(tmp_path, capsys, case):
     (tmp_path / "no_re_im.csv").write_text("r,phi\n" + "1.0,0.5\n" * 17 * 17)
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "ragged.csv").write_text("r,phi,re,im\n1.0,0.5,0.0\n")
+    (tmp_path / "nan.csv").write_text("r,phi,re,im\n" + "1.0,0.5,nan,0.0\n" * 17 * 17)
     argv = ["--spec", path, "--quiet"] + [a.format(tmp=tmp_path) for a in command]
     assert main(argv) == EXIT_PARSE
     err = capsys.readouterr().err
@@ -336,6 +346,23 @@ def test_solve_regime_warning_flag(tmp_path):
     assert code == EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert "regime_warning" in summary
+
+
+# golden bytes of solution.csv and summary.json: `solve --refine 1` on the
+# manufactured spec at n = 8 writes the n = 16 solution, 289 rows
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("problem", ["dd", "nonlocal"])
+def test_solve_golden(tmp_path, problem):
+    path = edited_spec(tmp_path, {"pencil": {"alpha": 0.6, "beta": 0.4},
+                                  "solver": {"n_r": 8, "n_phi": 8}})
+    argv = ["--spec", path, "--out", str(tmp_path), "--quiet", "solve",
+            "--problem", problem, "--refine", "1"]
+    assert main(argv) == EXIT_OK
+    for name in ("solution.csv", "summary.json"):
+        golden = (GOLDEN / ("solve_" + problem) / name).read_text()
+        assert (tmp_path / name).read_text() == golden
 
 
 def test_solve_output_deterministic(tmp_path):

@@ -1,5 +1,6 @@
-"""Rules the code keeps: only the CLI writes to the terminal, and every name
-that the library, the demos and the tests import is used."""
+"""Rules the code keeps: only the CLI writes to the terminal, every name
+that the library, the demos and the tests import is used, and every private
+function or class of the library is called by the library."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,22 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, "unused imports in %s: %s" % (path.name, unused)
+
+
+def test_private_definitions_are_used_by_the_library():
+    # a private top-level function or class that only its own body or the
+    # tests reach is code nothing calls
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))]
+    nodes = [node for tree in trees for node in tree.body]
+    private = [n for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+               and n.name.startswith("_") and not n.name.startswith("__")]
+    assert private
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    refs = [(node, names(node)) for node in nodes]
+    unused = [d.name for d in private
+              if not any(d.name in used for node, used in refs if node is not d)]
+    assert not unused, "private definitions nothing in the library uses: %s" % unused

@@ -10,7 +10,7 @@ from planeangle.pencil import (
     NoConvergence,
     PoissonPencilProblem,
     UnsupportedRegime,
-    _newton_polish,
+    _grouped_roots,
     adjoint_eigenvalues_numeric,
     adjoint_transmission_characteristic,
     characteristic_roots,
@@ -207,9 +207,8 @@ def test_find_zeros_rejects_degree_three():
 
 
 def test_find_zeros_calls_f_once_per_batch():
-    # one call for the Laurent samples, one per contour level, one per
-    # Newton step; the window edges are far from zeros, so one level and
-    # one step suffice
+    # one call for the Laurent samples and one per contour level; the
+    # window edges are far from zeros, so one level suffices
     shapes = []
 
     def f(lam):
@@ -218,7 +217,56 @@ def test_find_zeros_calls_f_once_per_batch():
 
     roots = find_zeros(f, (-0.5, 0.5, -3.9, 3.9), P_MIX.d)
     assert len(roots) == 7
-    assert len(shapes) == 3 and all(len(shape) == 1 for shape in shapes)
+    assert len(shapes) == 2 and all(len(shape) == 1 for shape in shapes)
+
+
+def test_grouped_roots_chain():
+    # the outer roots are 1.6e-4 apart, each 8e-5 from the middle one: one
+    # chain, one triple root at the mean; the root at 2 stays apart
+    z = np.array([1.0, 1.0 + 8e-5, 1.0 + 1.6e-4, 2.0])
+    groups = _grouped_roots(np.poly(z))
+    assert sorted(m for _, m in groups) == [1, 3]
+    for mean, m in groups:
+        assert abs(mean - (1.0 + 8e-5 if m == 3 else 2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("geo", GEOMETRIES)
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (-1.0, -1.0), (1.3, 0.7), (-1.2, -0.8)])
+def test_multiple_eigenvalues_come_back_once(geo, alpha, beta):
+    # at alpha+beta = +-2 every eigenvalue is i*pi*k/d, and triple where the
+    # double root of 2*cos(x) + alpha + beta meets a root of sin(x);
+    # lambda = 0 is one at alpha+beta = -2, where lambda_zero_determinant
+    # vanishes for every alpha
+    p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+    k_max = int(np.floor(WINDOW[3] * p.d / np.pi))
+    ks = [k for k in range(-k_max, k_max + 1) if k != 0 or alpha + beta < 0]
+    expected = 1j * np.pi * np.array(ks) / p.d
+    for search, conj in ((eigenvalues_numeric, False), (adjoint_eigenvalues_numeric, True)):
+        found = search(p, WINDOW).values
+        found = np.conj(found) if conj else found
+        assert len(found) == len(expected)
+        assert np.max(np.abs(np.sort(found.imag) - expected.imag)) <= 1e-12
+        assert np.max(np.abs(found.real)) <= 1e-12
+
+
+def test_tall_window():
+    # 216 zeros on the wide geometry; a contour started at 64 points per
+    # edge aliases the phase of exp(2*lambda*d) and miscounts them
+    geo = GEOMETRIES[1]
+    p = PoissonPencilProblem(0.6, 0.4, geo.angles[0], geo.angles[-1])
+    closed = eigenvalues_closed_form(p, (-60.0, 60.0)).values
+    window = (-0.5, 0.5, -60.0, 60.0)
+    for found in (eigenvalues_numeric(p, window).values,
+                  np.conj(adjoint_eigenvalues_numeric(p, window).values)):
+        assert len(found) == len(closed) == 216
+        for z in closed:
+            assert np.min(np.abs(found - z)) <= 1e-12
+
+
+def test_window_too_tall_for_the_contour():
+    window = (-0.5, 0.5, -1200.0, 1200.0)
+    with pytest.raises(OutOfRange, match=re.escape("search window %s" % (window,))):
+        eigenvalues_numeric(P_MIX, window)
 
 
 @pytest.mark.parametrize(
@@ -228,33 +276,6 @@ def test_empty_window_is_out_of_range(window):
     for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
         with pytest.raises(OutOfRange, match="empty search window"):
             search(P_MIX, window)
-
-
-@pytest.mark.parametrize("geo", GEOMETRIES)
-@pytest.mark.parametrize("alpha, beta", [(0.6, 0.4), (0.3, -0.8)])
-def test_newton_polish_converges_from_perturbed_eigenvalues(geo, alpha, beta):
-    p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
-    closed = eigenvalues_closed_form(p, WINDOW[2:]).values
-    searches = (
-        lambda lam: characteristic_value(p, lam),
-        lambda lam: adjoint_transmission_characteristic(p, lam) / lam,
-    )
-    for f in searches:
-        polished = _newton_polish(f, closed + 1e-3, 1.0)
-        assert np.max(np.abs(polished - closed)) <= 1e-12
-
-
-@pytest.mark.parametrize(
-    "f",
-    [
-        lambda lam: 1.0 + np.abs(lam) ** 2 + 0j,  # |f| >= 1 everywhere
-        lambda lam: np.full(np.shape(lam), 2.0 + 0j),  # zero difference quotient
-    ],
-)
-def test_newton_polish_no_convergence_names_the_starts(f):
-    starts = np.array([0.3 + 1.0j, -2.0 + 0.5j])
-    with pytest.raises(NoConvergence, match=re.escape(str(starts))):
-        _newton_polish(f, starts, 1.0)
 
 
 def test_adjoint_mirror_of_primal_zeros():
@@ -267,10 +288,14 @@ def test_adjoint_mirror_of_primal_zeros():
 
 
 @pytest.mark.parametrize(
-    "alpha, beta", [(1.2, 0.79), (-1.2, -0.79), (1.0, 0.9999), (-1.0, -0.9999)]
+    "alpha, beta",
+    [(1.2, 0.79), (-1.2, -0.79), (1.0, 0.9999), (-1.0, -0.9999), (1.0, 1.0 - 1e-6),
+     (-1.0, -1.0 + 1e-6)],
 )
 def test_near_double_zeros(alpha, beta):
-    # |alpha+beta| -> 2 merges the arctan family with the 2*pi*k/(b3-b1) one
+    # |alpha+beta| -> 2 merges the arctan family with the 2*pi*k/(b3-b1) one;
+    # at 2 - 1e-6 the roots in z are about 1e-3 apart, ten times the
+    # grouping radius, and stay distinct
     for geo in GEOMETRIES:
         p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
         closed = eigenvalues_closed_form(p, WINDOW[2:]).values

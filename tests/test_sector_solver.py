@@ -160,6 +160,19 @@ def test_solve_dd_falls_back_to_sparse_lu():
         solve_dd(DDProblem(1.0, 1.0, GEO, f, R_MIN, R_MAX), grid)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("alpha, beta", [(0.3, -0.8), (1.5, 1.0)])
+def test_non_finite_rhs_is_a_solver_failure(alpha, beta, bad):
+    # on both paths, the separable one and the sparse LU: with ||b|| = inf
+    # or nan, the residual gate 1e-8*||b|| cannot reject a solution
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 8, 8)
+    values = np.zeros((9, 9))
+    values[4, 4] = bad
+    f = GridFunction(grid, values)
+    with pytest.raises(SolverFailure, match="right-hand side is not finite"):
+        solve_dd(DDProblem(alpha, beta, GEO, f, R_MIN, R_MAX), grid)
+
+
 @pytest.mark.parametrize("beta", [0.5 - 1e-8, 0.5 - 1e-10])
 def test_solve_dd_near_the_regime_edge_falls_back(beta):
     # alpha + beta just below 2 with alpha*beta far from 1: S is well
