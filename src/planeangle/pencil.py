@@ -25,17 +25,19 @@ degenerate basis {1, phi}, where they coincide (lambda_zero_determinant).
 The middle ray bisects the arc, so both determinants (the adjoint one
 divided by lambda) are Laurent polynomials of degree <= 2 in z =
 exp(lambda*d): the finder reads their coefficients off samples on |z| = 1,
-takes the roots in z from the companion matrix, groups roots within a
-relative distance of 1e-4 into one multiple root at their mean (the
-eigenvalues at |alpha+beta| = 2, and distinct ones at alpha+beta =
-+-(2 - delta), delta <= 1e-8) and unfolds each once to lambda =
-(log z + 2*pi*i*k)/d.  An argument-principle count on the window boundary
-checks the number of zeros found, with multiplicity.
+takes the roots in z from the companion matrix, merges each cluster of
+roots that holds two within a relative distance of 1e-4 whole into one
+multiple root at its mean (the eigenvalues at |alpha+beta| = 2, and
+distinct ones at alpha+beta = +-(2 - delta), delta <= 1e-8) and unfolds
+each once to lambda = (log z + 2*pi*i*k)/d.  An argument-principle count
+on the window boundary checks the number of zeros found, with
+multiplicity.
 
 Both determinants are elementwise products over one damped fundamental
 system and map a scalar or an array of lambda to a complex array of the
 same shape (0-d for a scalar), so the finder makes one call per batch:
-the 64 Laurent samples and each refinement level of the contour.
+one for the 64 Laurent samples together with the first contour level,
+then one per refinement level and one per nudged retry of the contour.
 """
 
 import math
@@ -67,6 +69,16 @@ MAX_DEGREE = 2  # Laurent degree of the determinants in exp(lambda*d)
 CONTOUR_START, CONTOUR_MAX = 64, 8192  # contour points per edge, first and last
 MAX_NUDGES = 8  # outward moves of a contour that passes through a zero
 GROUP_RADIUS = 1e-4  # companion roots this close, relative, are one multiple root
+
+# the Laurent samples lambda = _LAURENT_NODES/d, theta offset by half a step
+# on |exp(lambda*d)| = 1; the FFT index k of each coefficient, the phase
+# exp(-i*pi*k/N_SAMPLES) that undoes the offset, the coefficients of degree
+# |k| > MAX_DEGREE and the positions of k = MAX_DEGREE ... -MAX_DEGREE
+_LAURENT_NODES = 1j * (2.0 * np.pi * (np.arange(N_SAMPLES) + 0.5) / N_SAMPLES)
+_FFT_INDEX = np.rint(np.fft.fftfreq(N_SAMPLES) * N_SAMPLES)
+_FFT_PHASE = np.exp(-1j * np.pi * _FFT_INDEX / N_SAMPLES)
+_HIGH_DEGREE = np.abs(_FFT_INDEX) > MAX_DEGREE
+_POLY_INDEX = np.arange(MAX_DEGREE, -MAX_DEGREE - 1, -1)
 
 
 @dataclass(frozen=True)
@@ -244,36 +256,38 @@ def eigenvalues_closed_form(p, strip):
 
 def _rect_contour(rect, n_per_edge):
     re_lo, re_hi, im_lo, im_hi = rect
+    # the corners counterclockwise, the first again at the end
     corners = np.array(
-        [re_lo + 1j * im_lo, re_hi + 1j * im_lo, re_hi + 1j * im_hi, re_lo + 1j * im_hi]
+        [re_lo + 1j * im_lo, re_hi + 1j * im_lo, re_hi + 1j * im_hi, re_lo + 1j * im_hi,
+         re_lo + 1j * im_lo]
     )
     t = np.arange(n_per_edge) / n_per_edge
-    return (corners[:, None] + (np.roll(corners, -1) - corners)[:, None] * t).ravel()
+    return (corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * t).ravel()
 
 
-def _winding_number(f, rect, n):
+def _winding_number(f, rect, n, vals):
     """Winding number of f around the rectangle, with adaptive refinement.
 
-    The point count per edge doubles from n until every phase step between
+    vals holds f at n points per edge.  The point count per edge doubles
+    from n, one call of f per level, until every phase step between
     consecutive samples is small and the accumulated winding lies within
     0.25 of an integer.  ContourThroughZero if a contour value is
     negligibly small or the winding is unsettled at CONTOUR_MAX.
     """
     prev = None
     while True:
-        z = _rect_contour(rect, n)
-        vals = f(z)
         scale = float(np.max(np.abs(vals)))
         if scale == 0.0 or np.min(np.abs(vals)) < 1e-12 * scale:
             raise ContourThroughZero("characteristic value vanishes on contour")
-        steps = np.angle(np.roll(vals, -1) / vals)
+        steps = np.angle(np.concatenate((vals[1:], vals[:1])) / vals)
         w = float(np.sum(steps)) / (2.0 * np.pi)
         near = round(w)
+        largest = np.max(np.abs(steps))
         # a phase step of nearly pi that survives refinement is the signature
         # of a zero sitting on the contour; such a zero contributes a half
         # winding to each neighboring cell and would corrupt the count
-        if abs(w - near) < 0.25 and np.max(np.abs(steps)) < 3.0:
-            if np.max(np.abs(steps)) < 1.2 or prev == near:
+        if abs(w - near) < 0.25 and largest < 3.0:
+            if largest < 1.2 or prev == near:
                 return near
             prev = near
         else:
@@ -281,30 +295,61 @@ def _winding_number(f, rect, n):
         if n >= CONTOUR_MAX:
             raise ContourThroughZero("winding number did not stabilize")
         n *= 2
+        vals = f(_rect_contour(rect, n))
 
 
-def _winding_nudged(f, rect, d):
-    """Winding number with the rectangle nudged outward away from zeros.
+def _laurent_coefficients(vals):
+    """Coefficients of z^2*f as a polynomial in z = exp(lambda*d), highest first.
 
-    The contour starts at CONTOUR_START doubled to n >= 4*MAX_DEGREE*d*L/pi
-    points per edge (L the longest edge), so that no term z^k turns by more
-    than about pi/4 between samples: coarser levels can alias alike.
-    OutOfRange, naming the window, if that n exceeds CONTOUR_MAX.
+    vals holds f at the N_SAMPLES points _LAURENT_NODES/d of |z| = 1, offset
+    by half a step so that z = 1 (lambda = 0) is never hit; the Fourier
+    coefficients c_k come from an FFT.  NoConvergence if a coefficient of
+    degree |k| > 2 exceeds 1e-12 of the largest: f is then not the Laurent
+    polynomial the search assumes.  Coefficients below that level are
+    roundoff and are set to 0.
+    """
+    c = np.fft.fft(vals) * _FFT_PHASE / N_SAMPLES
+    noise = 1e-12 * np.max(np.abs(c))
+    if np.any(np.abs(c[_HIGH_DEGREE]) > noise):
+        raise NoConvergence(
+            "determinant is not a Laurent polynomial of degree <= %d in "
+            "exp(lambda*d)" % MAX_DEGREE
+        )
+    poly = c[_POLY_INDEX]
+    poly[np.abs(poly) <= noise] = 0.0
+    return poly
 
-    The nudge grows geometrically: a zero sitting exactly on the contour
-    must end up farther from the expanded contour than the sample spacing
-    before the phase steps become unambiguous.  The total expansion stays
-    below 3e-3 per side; any zero pulled in from just outside is discarded
-    by the caller's final window filter.
+
+def _sampled_search(f, window, d):
+    """(Laurent coefficients, winding number, rectangle) of f on the window.
+
+    The first call of f takes the Laurent samples and the first contour
+    level in one batch; f is called again only to refine the contour or
+    after a nudge.  The contour starts at CONTOUR_START doubled to
+    n >= 4*MAX_DEGREE*d*L/pi points per edge (L the longest edge), so that
+    no term z^k turns by more than about pi/4 between samples: coarser
+    levels can alias alike.  OutOfRange, naming the window, if that n
+    exceeds CONTOUR_MAX.
+
+    A contour through a zero (or through lambda = 0, where the adjoint
+    search's f raises ContourThroughZero) is nudged outward and the whole
+    batch retried.  The nudge grows geometrically: a zero sitting exactly
+    on the contour must end up farther from the expanded contour than the
+    sample spacing before the phase steps become unambiguous.  The total
+    expansion stays below 3e-3 per side; any zero pulled in from just
+    outside is discarded by the caller's final window filter.
     """
     n = CONTOUR_START
-    while n < 4.0 * MAX_DEGREE * d * max(rect[1] - rect[0], rect[3] - rect[2]) / np.pi:
+    while n < 4.0 * MAX_DEGREE * d * max(window[1] - window[0], window[3] - window[2]) / np.pi:
         n *= 2
     if n > CONTOUR_MAX:
-        raise OutOfRange("search window %s is too tall for the contour" % (rect,))
+        raise OutOfRange("search window %s is too tall for the contour" % (window,))
+    rect = window
     for k in range(MAX_NUDGES):
         try:
-            return _winding_number(f, rect, n), rect
+            vals = f(np.concatenate((_LAURENT_NODES / d, _rect_contour(rect, n))))
+            coefficients = _laurent_coefficients(vals[:N_SAMPLES])
+            return coefficients, _winding_number(f, rect, n, vals[N_SAMPLES:]), rect
         except ContourThroughZero:
             eps = 1.25e-7 * 4.0**k
             re_lo, re_hi, im_lo, im_hi = rect
@@ -314,45 +359,33 @@ def _winding_nudged(f, rect, d):
     )
 
 
-def _laurent_coefficients(f, d):
-    """Coefficients of z^2*f as a polynomial in z = exp(lambda*d), highest first.
-
-    f is sampled at N_SAMPLES points of |z| = 1, offset by half a step so that z = 1
-    (lambda = 0) is never hit, and its Fourier coefficients c_k are read off
-    by an FFT.  NoConvergence if a coefficient of degree |k| > 2 exceeds
-    1e-12 of the largest: f is then not the Laurent polynomial the search
-    assumes.  Coefficients below that level are roundoff and are set to 0.
-    """
-    n = N_SAMPLES
-    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    vals = f(1j * theta / d)
-    k = np.rint(np.fft.fftfreq(n) * n)
-    c = np.fft.fft(vals) * np.exp(-1j * np.pi * k / n) / n
-    noise = 1e-12 * np.max(np.abs(c))
-    if np.any(np.abs(c[np.abs(k) > MAX_DEGREE]) > noise):
-        raise NoConvergence(
-            "determinant is not a Laurent polynomial of degree <= %d in "
-            "exp(lambda*d)" % MAX_DEGREE
-        )
-    poly = c[np.arange(MAX_DEGREE, -MAX_DEGREE - 1, -1)]
-    poly[np.abs(poly) <= noise] = 0.0
-    return poly
-
-
 def _grouped_roots(coefficients):
-    """Roots of the polynomial as (mean, multiplicity), once per multiple root.
+    """Roots of the polynomial as (root, multiplicity), once per multiple root.
 
     np.roots splits an m-fold root into m roots about eps^(1/m) apart (up to
     3.5e-5 relative for the pencils at |alpha+beta| = 2); their mean is well
-    conditioned (Kahan 1972).  Roots chained by |z - w| <= GROUP_RADIUS*
-    max(|z|, |w|) form one group.
+    conditioned (Kahan 1972).  Roots chained by |z - w| <= 2*GROUP_RADIUS*
+    max(|z|, |w|) form a cluster.  A cluster with two roots within
+    GROUP_RADIUS of each other is one root at its mean, with the cluster
+    size as multiplicity; otherwise its roots stay apart.  So a cluster
+    merges whole or not at all.
     """
+
+    def near(z, w, radius):
+        return abs(z - w) <= radius * max(abs(z), abs(w))
+
+    clusters = []
+    for z in np.roots(coefficients).tolist():
+        linked = [any(near(z, w, 2.0 * GROUP_RADIUS) for w in c) for c in clusters]
+        merged = [z] + [w for c, hit in zip(clusters, linked) if hit for w in c]
+        clusters = [c for c, hit in zip(clusters, linked) if not hit] + [merged]
     groups = []
-    for z in np.roots(coefficients):
-        near = [any(abs(z - w) <= GROUP_RADIUS * max(abs(z), abs(w)) for w in g) for g in groups]
-        merged = [z] + [w for g, linked in zip(groups, near) if linked for w in g]
-        groups = [g for g, linked in zip(groups, near) if not linked] + [merged]
-    return [(np.mean(g), len(g)) for g in groups]
+    for c in clusters:
+        if any(near(z, w, GROUP_RADIUS) for i, z in enumerate(c) for w in c[:i]):
+            groups.append((np.mean(c), len(c)))
+        else:
+            groups.extend((z, 1) for z in c)
+    return groups
 
 
 def _unfold(z, d, rect):
@@ -375,16 +408,20 @@ def find_zeros(f, window, d):
     window = (re_lo, re_hi, im_lo, im_hi).  f must be a Laurent polynomial
     of degree <= 2 in z = exp(lambda*d), as the pencil determinants are for
     equally spaced rays.  The roots z of its coefficient polynomial come from
-    the companion matrix; roots within a relative distance GROUP_RADIUS =
-    1e-4 of one another, chained, are one multiple root at their mean, each
-    unfolded once to the branches lambda = (log z + 2*pi*i*k)/d.  Distinct
-    roots that close merge too: near alpha+beta = +-(2 - delta) they are
-    about sqrt(delta) apart, distinct for delta >= 1e-7, merged for
-    delta <= 1e-8.  The argument-principle count on the window boundary must
-    equal the zeros found, with multiplicity, or NoConvergence is raised.
-    f is called with arrays only: once for the Laurent samples, once per
-    contour level.  OutOfRange unless re_lo < re_hi and im_lo < im_hi, or
-    if the window is too tall for the contour.
+    the companion matrix (_grouped_roots): a cluster of roots chained within
+    a relative distance of 2*GROUP_RADIUS merges whole into one multiple
+    root at its mean if two of them lie within GROUP_RADIUS = 1e-4 of each
+    other, and each root is unfolded once to the branches
+    lambda = (log z + 2*pi*i*k)/d.  Distinct roots that close merge too:
+    near alpha+beta = +-(2 - delta) three roots lie about sqrt(delta)
+    apart, distinct for delta >= 2e-8, merged for delta <= 1e-8, never in
+    part.  The argument-principle count on the window boundary must equal
+    the zeros found, with multiplicity, or NoConvergence is raised.
+    f is called with arrays only: once with the Laurent samples and the
+    first contour level in one batch, and again only per refinement level
+    or per nudge of a contour through a zero.  OutOfRange unless
+    re_lo < re_hi and im_lo < im_hi, or if the window is too tall for the
+    contour.
     """
     window = tuple(float(x) for x in window)
     re_lo, re_hi, im_lo, im_hi = window
@@ -392,8 +429,7 @@ def find_zeros(f, window, d):
         raise OutOfRange(
             "empty search window %s: need re_lo < re_hi and im_lo < im_hi" % (window,)
         )
-    coefficients = _laurent_coefficients(f, d)
-    count, rect = _winding_nudged(f, window, d)
+    coefficients, count, rect = _sampled_search(f, window, d)
     unfolded = [(lam, m) for z, m in _grouped_roots(coefficients) for lam in _unfold(z, d, rect)]
     total = sum(m for _, m in unfolded)
     if total != count:
@@ -437,7 +473,7 @@ def adjoint_eigenvalues_numeric(p, window):
 
     def f(lam):
         if np.any(lam == 0):
-            # f is undefined here; _winding_nudged moves the contour off it
+            # f is undefined here; _sampled_search moves the contour off it
             raise ContourThroughZero("lambda = 0 on the contour")
         return adjoint_transmission_characteristic(p, lam) / lam
 

@@ -131,8 +131,8 @@ class SolveResult:
 
 def _interior(grid):
     """Flat node indices off the rays and the truncation arcs, row-major."""
-    i, j = np.mgrid[1 : grid.n_r, 1 : grid.n_phi]
-    return (i * (grid.n_phi + 1) + j).ravel()
+    rows = np.arange(1, grid.n_r)[:, None] * (grid.n_phi + 1)
+    return (rows + np.arange(1, grid.n_phi)).ravel()
 
 
 def _radial_stencil(r, dr):
@@ -310,12 +310,24 @@ def _separable_solve(p, grid, b, mu, V, W):
     r = grid.r_nodes[1:-1]
     s = grid.shift_columns
     main, up, down = _radial_stencil(r, grid.dr)
-    # one tridiagonal block per mode, uncoupled: the last row of a block has
-    # no upper entry and the first row no lower one
-    up[-1] = down[0] = 0.0
-    up, down = np.tile(up, mu.size), np.tile(down, mu.size)
-    radial = sp.diags(
-        [(main + mu[:, None] / r**2).ravel(), up[:-1], down[1:]], [0, 1, -1], format="csc"
+    # one tridiagonal block per mode, uncoupled, in CSC form with the 32-bit
+    # indices SuperLU takes: column i of a block holds up[i-1], main[i] and
+    # down[i+1] at 3i-1, 3i and 3i+1 of the block's entries; the first
+    # column has no upper entry and the last no lower one
+    width = 3 * r.size - 2
+    data = np.empty((mu.size, width))
+    data[:, 0::3] = main + mu[:, None] / r**2
+    data[:, 1::3] = down[1:]
+    data[:, 2::3] = up[:-1]
+    diag = np.arange(mu.size * r.size, dtype=np.int32).reshape(mu.size, r.size)
+    rows = np.empty((mu.size, width), dtype=np.int32)
+    rows[:, 0::3] = diag
+    rows[:, 1::3] = diag[:, :-1] + 1
+    rows[:, 2::3] = diag[:, :-1]
+    starts = width * np.arange(mu.size)[:, None] + np.maximum(3 * np.arange(r.size) - 1, 0)
+    radial = sp.csc_matrix(
+        (data.ravel(), rows.ravel(), np.append(starts, width * mu.size).astype(np.int32)),
+        shape=(diag.size, diag.size),
     )
     parts = np.ascontiguousarray(b.reshape(r.size, mu.size).T, dtype=complex).view(float)
     modes = (W @ parts).view(complex)
@@ -415,10 +427,9 @@ def boundary_lifting(p, grid):
     """
     b1, b3 = p.geometry.angles[0], p.geometry.angles[-1]
     eps = 0.5 * p.geometry.d
-    r, phi = grid.meshgrid()
-    width = grid.n_r + 1
-    g1 = np.full(width, p.g1(r[:, 0]), dtype=complex)
-    g3 = np.full(width, p.g3(r[:, 0]), dtype=complex)
+    r, phi = grid.r_nodes, grid.phi_nodes
+    g1 = np.full(r.size, p.g1(r), dtype=complex)
+    g3 = np.full(r.size, p.g3(r), dtype=complex)
     vals = g1[:, None] * lifting_cutoff((phi - b1) / eps) + g3[:, None] * lifting_cutoff(
         (b3 - phi) / eps
     )

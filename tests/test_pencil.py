@@ -5,8 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from planeangle import pencil
 from planeangle.core import OutOfRange, make_geometry
 from planeangle.pencil import (
+    CONTOUR_START,
+    N_SAMPLES,
     NoConvergence,
     PoissonPencilProblem,
     UnsupportedRegime,
@@ -207,8 +210,8 @@ def test_find_zeros_rejects_degree_three():
 
 
 def test_find_zeros_calls_f_once_per_batch():
-    # one call for the Laurent samples and one per contour level; the
-    # window edges are far from zeros, so one level suffices
+    # one call takes the Laurent samples and the first contour level; the
+    # window edges are far from zeros, so that level suffices
     shapes = []
 
     def f(lam):
@@ -217,7 +220,38 @@ def test_find_zeros_calls_f_once_per_batch():
 
     roots = find_zeros(f, (-0.5, 0.5, -3.9, 3.9), P_MIX.d)
     assert len(roots) == 7
-    assert len(shapes) == 2 and all(len(shape) == 1 for shape in shapes)
+    assert shapes == [(N_SAMPLES + 4 * CONTOUR_START,)]
+
+
+def test_nudged_and_refined_searches(monkeypatch):
+    # the adjoint window's bottom edge passes through lambda = 0, where the
+    # search's f raises before any determinant call, and the primal window's
+    # top edge through the eigenvalue 4i: each contour is nudged outward and
+    # the whole batch retried, then refined once, which samples the contour
+    # only
+    batches = []
+    for name in ("characteristic_value", "adjoint_transmission_characteristic"):
+
+        def counted(p, lam, det=getattr(pencil, name)):
+            batches.append(np.size(lam))
+            return det(p, lam)
+
+        monkeypatch.setattr(pencil, name, counted)
+    first, refined = N_SAMPLES + 4 * CONTOUR_START, 8 * CONTOUR_START
+    cases = (
+        (adjoint_eigenvalues_numeric, (-0.5, 0.5, 0.0, 4.0), True, [first, refined]),
+        (eigenvalues_numeric, WINDOW, False, [first, first, refined]),
+    )
+    for search, window, conj, calls in cases:
+        batches.clear()
+        found = search(P_MIX, window).values
+        found = np.conj(found) if conj else found
+        found = found[np.argsort(found.imag)]
+        strip = (-window[3], -window[2]) if conj else window[2:]
+        closed = eigenvalues_closed_form(P_MIX, strip).values
+        assert batches == calls
+        assert len(found) == len(closed)
+        assert np.max(np.abs(found - closed)) <= 1e-12
 
 
 def test_grouped_roots_chain():
@@ -228,6 +262,42 @@ def test_grouped_roots_chain():
     assert sorted(m for _, m in groups) == [1, 3]
     for mean, m in groups:
         assert abs(mean - (1.0 + 8e-5 if m == 3 else 2.0)) <= 1e-12
+
+
+def test_grouped_roots_merge_whole_clusters():
+    # 1 + 9e-5 links to 1 within the grouping radius, so the cluster
+    # absorbs 1 - 1.1e-4, 1.1e-4 from 1; three roots 1.5e-4 apart have no
+    # pair that close and stay apart
+    merged = _grouped_roots(np.poly([1.0, 1.0 + 9e-5, 1.0 - 1.1e-4, 3.0]))
+    assert sorted(m for _, m in merged) == [1, 3]
+    for mean, m in merged:
+        assert abs(mean - (1.0 - 2e-5 / 3.0 if m == 3 else 3.0)) <= 1e-10
+    apart = _grouped_roots(np.poly([1.0, 1.0 + 1.5e-4, 1.0 + 3e-4]))
+    assert [m for _, m in apart] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("geo", GEOMETRIES)
+def test_merge_band_merges_whole_clusters(geo):
+    # at alpha+beta = +-(2 - delta) three roots in z lie about sqrt(delta)
+    # apart near -+1; a search returns either the distinct closed-form
+    # eigenvalues or, with the cluster merged whole, the multiple ones
+    # i*pi*k/d, k != 0 (lambda = 0 is an eigenvalue only at alpha+beta = -2),
+    # never the mean of part of a cluster
+    k_max = int(np.floor(WINDOW[3] * geo.d / np.pi))
+    merged = np.pi * np.array([k for k in range(-k_max, k_max + 1) if k != 0]) / geo.d
+    for delta in np.geomspace(1e-5, 1e-10, 26):
+        for sign in (1.0, -1.0):
+            half = sign * (1.0 - 0.5 * delta)
+            p = PoissonPencilProblem(half, half, geo.angles[0], geo.angles[-1])
+            distinct = np.sort(eigenvalues_closed_form(p, WINDOW[2:]).values.imag)
+            for search, conj in ((eigenvalues_numeric, 1.0), (adjoint_eigenvalues_numeric, -1.0)):
+                found = search(p, WINDOW).values
+                got = np.sort(conj * found.imag)
+                assert np.max(np.abs(found.real)) <= 1e-6
+                assert any(
+                    len(got) == len(ref) and np.max(np.abs(got - ref)) <= 1e-6
+                    for ref in (distinct, merged)
+                ), (delta, sign, search.__name__)
 
 
 @pytest.mark.parametrize("geo", GEOMETRIES)
