@@ -278,14 +278,15 @@ def _write_eig_csv(path, rows):
 
 
 def _write_grid_csv(path, u):
-    r, phi = u.grid.meshgrid()
+    """One line r,phi,re,im per node, r outermost, each number as _f writes it."""
+    phis = [_f(phi) for phi in u.grid.phi_nodes]
+    nodes = ["%s,%s," % (r, phi) for r in map(_f, u.grid.r_nodes) for phi in phis]
+    # adding 0.0 folds negative zero as _f does; tolist gives Python floats
+    re = (u.values.real + 0.0).ravel().tolist()
+    im = (u.values.imag + 0.0).ravel().tolist()
     with open(path, "w") as f:
         f.write("r,phi,re,im\n")
-        for rr, pp, vv in zip(r.ravel(), phi.ravel(), u.values.ravel()):
-            f.write(
-                "%s,%s,%s,%s\n"
-                % (_f(rr), _f(pp), _f(vv.real), _f(vv.imag))
-            )
+        f.writelines("%s%r,%r\n" % line for line in zip(nodes, re, im))
 
 
 def _read_grid_csv(path, grid):
@@ -372,9 +373,10 @@ def _solve_once(spec, args, factor=1):
 def cmd_solve(spec, args):
     _require(spec, "geometry", "pencil", "solver")
     refinements = max(0, args.refine)
+    # the coarser levels only feed the error table, which needs an exact solution
+    manufactured = spec["solver"].get("rhs", "0") == "manufactured"
     errors = []
-    warn = False
-    for level in range(refinements + 1):
+    for level in range(0 if manufactured else refinements, refinements + 1):
         grid, result, err, warn = _solve_once(spec, args, factor=2**level)
         if err is not None:
             errors.append(err)
@@ -484,7 +486,6 @@ def build_parser():
     )
     ap.add_argument("--spec", required=True, help="JSON problem file")
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--format", choices=("csv", "json"), default="csv")
     ap.add_argument("--quiet", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 

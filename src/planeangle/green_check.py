@@ -165,14 +165,13 @@ def _identity_terms(cfg, pair, neumann):
     lhs, rhs = list(area_lhs), list(area_rhs)
 
     def ray(f, b, sign):
-        """Dirichlet data D and Neumann data N = sign (1/r) df/dphi on phi = b."""
+        """Traces (D, N) on phi = b: D = f and N = sign (1/r) df/dphi."""
         ba = np.full_like(rn, b)
-        return (lambda r: f.value(r, ba)), (lambda r: sign * f.phi(r, ba) / r)
+        return f.value(rn, ba), sign * f.phi(rn, ba) / rn
 
-    def paired(dn):
+    def paired(d, n):
         """(P, Q): (D, N) for the Dirichlet identity, (N, -D) for the Neumann one."""
-        d, n = dn
-        return (n, lambda r: -d(r)) if neumann else (d, n)
+        return (n, -d) if neumann else (d, n)
 
     u1, u2, u3 = ray(pair.u, b1, 1.0), ray(pair.u, b2, 1.0), ray(pair.u, b3, -1.0)
     v1_1, v1_2 = ray(pair.v1, b1, 1.0), ray(pair.v1, b2, 1.0)
@@ -184,19 +183,19 @@ def _identity_terms(cfg, pair, neumann):
         v_far = alpha * chi21**2 * pair.v1.r(chi21 * rn, np.full_like(rn, b1))
     else:
         u_far = pair.u.value(chi12 * rn, np.full_like(rn, b2))
-        v_far = alpha * chi21 * v1_1[1](chi21 * rn)
+        v_far = alpha * chi21 * (pair.v1.phi(chi21 * rn, np.full_like(rn, b1)) / (chi21 * rn))
 
     # gamma_1: nonlocal trace; gamma_3: plain trace
-    (p_u, q_u), (p_v, q_v) = paired(u1), paired(v1_1)
-    lhs.append(np.sum(rw * (p_u(rn) + alpha * u_far) * np.conj(q_v(rn))))
-    rhs.append(np.sum(rw * q_u(rn) * np.conj(p_v(rn))))
-    (p_u, q_u), (p_v, q_v) = paired(u3), paired(v2_3)
-    lhs.append(np.sum(rw * p_u(rn) * np.conj(q_v(rn))))
-    rhs.append(np.sum(rw * q_u(rn) * np.conj(p_v(rn))))
+    (p_u, q_u), (p_v, q_v) = paired(*u1), paired(*v1_1)
+    lhs.append(np.sum(rw * (p_u + alpha * u_far) * np.conj(q_v)))
+    rhs.append(np.sum(rw * q_u * np.conj(p_v)))
+    (p_u, q_u), (p_v, q_v) = paired(*u3), paired(*v2_3)
+    lhs.append(np.sum(rw * p_u * np.conj(q_v)))
+    rhs.append(np.sum(rw * q_u * np.conj(p_v)))
 
     # gamma_2: jump of V against N(U), and the adjoint nonlocal term
-    lhs.append(np.sum(rw * u2[1](rn) * np.conj(v1_2[0](rn) - v2_2[0](rn))))
-    rhs.append(np.sum(rw * u2[0](rn) * np.conj(v1_2[1](rn) - v2_2[1](rn) + v_far)))
+    lhs.append(np.sum(rw * u2[1] * np.conj(v1_2[0] - v2_2[0])))
+    rhs.append(np.sum(rw * u2[0] * np.conj(v1_2[1] - v2_2[1] + v_far)))
 
     return lhs, rhs
 

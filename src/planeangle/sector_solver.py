@@ -516,7 +516,8 @@ def _indefinite_lambda_min(H, v0):
     """lambda_min of an H proven indefinite, by shift-invert below a Ritz bound.
 
     A loose SA iteration gives a Ritz value theta >= lambda_min (0 if it
-    does not converge, still an upper bound).  Shifts sigma = theta - delta,
+    does not converge within 40 restarts, still an upper bound; every
+    converging run seen needed at most 15).  Shifts sigma = theta - delta,
     delta growing 4x per try and sigma clamped at the Gershgorin floor
     -||H||_inf, are tried until the inertia of H - sigma*I proves that no
     eigenvalue lies at or below sigma; the eigenvalue nearest sigma is then
@@ -525,7 +526,7 @@ def _indefinite_lambda_min(H, v0):
     or when the value does not lie above the certified shift.
     """
     try:
-        theta = spla.eigsh(H, 1, which="SA", v0=v0, tol=1e-2, maxiter=300, return_eigenvectors=False)[0]
+        theta = spla.eigsh(H, 1, which="SA", v0=v0, tol=1e-2, maxiter=40, return_eigenvectors=False)[0]
     except spla.ArpackNoConvergence:
         theta = 0.0
     h_norm = spla.norm(H, np.inf)

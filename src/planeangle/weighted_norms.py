@@ -11,16 +11,17 @@ computed, the extension's own volume norm stands in for it.
 Quadrature is midpoint over grid cells with polar area weight r dr dphi, so
 the integral of a nodal-constant integrand is exact.
 
-The norms of one field share its derivative table.  A one-entry memo holds
-the real squares |D^alpha u|^2 of the last field asked for, for every
-|alpha| up to the highest order asked for so far; the complex derivatives
-are not kept.  It is keyed by a weak reference to the GridFunction, its grid
-and a private copy of its values, so a field whose values were changed in
-place is differentiated afresh.  A higher order rebuilds the table, a lower
-one reads part of it, and the memo is emptied when its field is collected.
+The norms of one field share its derivative table.  One module slot holds
+None or an immutable tuple for the last field asked for: a weak reference
+to it, a copy of its values, the order, and the real squares |D^alpha u|^2
+for every |alpha| up to that order.  A call hits only for the same object
+with equal values and an order at least its own, so a field whose values
+were changed in place is differentiated afresh; a higher order rebuilds the
+table, a lower one reads part of it.  Each call reads only the tuple it
+loaded, so threads need no lock, and the slot is emptied when its field is
+collected.
 """
 
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -80,50 +81,33 @@ def cartesian_derivatives(u, l):
     return out
 
 
-class _SquaresMemo:
-    """|D^alpha u|^2, |alpha| <= order, of the one field that ref points to."""
-
-    def __init__(self):
-        # threads share the memo; reentrant, because the cyclic collector
-        # may run a field's finalizer, clear, inside squares_of
-        self._lock = threading.RLock()
-        self._release = None
-        self.clear()
-
-    def clear(self):
-        with self._lock:
-            self.ref = None
-            self.grid = None
-            self.values = None
-            self.order = -1
-            self.squares = {}
-
-    def _holds(self, u):
-        ref, grid, values = self.ref, self.grid, self.values
-        return ref is not None and ref() is u and u.grid == grid and np.array_equal(u.values, values)
-
-    def _start(self, u):
-        if self._release is not None:
-            self._release.detach()
-        self.clear()
-        self.ref = weakref.ref(u)
-        self.grid = u.grid
-        self.values = u.values.copy()
-        self._release = weakref.finalize(u, self.clear)
-
-    def squares_of(self, u, l):
-        """{alpha: |D^alpha u|^2} for |alpha| <= l, in cartesian_derivatives' order."""
-        with self._lock:
-            if not self._holds(u):
-                self._start(u)
-            if l > self.order:
-                self.squares = {}  # freed before the new table is built
-                self.squares = {alpha: np.abs(d) ** 2 for alpha, d in cartesian_derivatives(u, l).items()}
-                self.order = l
-            return {alpha: sq for alpha, sq in self.squares.items() if sum(alpha) <= l}
+# None, or (weakref to the field, copy of its values, order, {alpha: |D^alpha u|^2});
+# replaced whole, never changed in place
+_TABLE = None
 
 
-_SQUARES = _SquaresMemo()
+def _release(ref):
+    """Empty the slot when the field of its table is collected.
+
+    A table stored by another thread between the test and the store is
+    dropped too, which costs its next call a rebuild and nothing else.
+    """
+    global _TABLE
+    table = _TABLE
+    if table is not None and table[0] is ref:
+        _TABLE = None
+
+
+def _squares(u, l):
+    """{alpha: |D^alpha u|^2} for |alpha| <= l, in cartesian_derivatives' order."""
+    global _TABLE
+    table = _TABLE
+    if table is None or table[0]() is not u or table[2] < l or not np.array_equal(u.values, table[1]):
+        _TABLE = table = None  # the old table is freed before the new one is built
+        values = u.values.copy()
+        squares = {alpha: np.abs(d) ** 2 for alpha, d in cartesian_derivatives(u, l).items()}
+        _TABLE = table = (weakref.ref(u, _release), values, l, squares)
+    return {alpha: sq for alpha, sq in table[3].items() if sum(alpha) <= l}
 
 
 def _cell_integral(grid, nodal):
@@ -139,7 +123,7 @@ def _weighted_norm(u, l, weight):
     r = grid.r_nodes[:, None]
     by_order = [weight(r, k) for k in range(l + 1)]
     integrand = np.zeros(u.values.shape)
-    for (i, j), sq in _SQUARES.squares_of(u, l).items():
+    for (i, j), sq in _squares(u, l).items():
         integrand += by_order[i + j] * sq
     return np.sqrt(_cell_integral(grid, integrand))
 

@@ -1,12 +1,15 @@
 """Command-line interface: spec parsing, subcommands, exit codes, formats."""
 
+import argparse
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from planeangle import cli
 from planeangle.cli import (
     EXIT_BLOCKED,
     EXIT_FAIL,
@@ -18,7 +21,7 @@ from planeangle.cli import (
     load_spec,
     main,
 )
-from planeangle.core import SectorGrid, make_geometry
+from planeangle.core import GridFunction, SectorGrid, make_geometry
 from planeangle.manufactured import nonlocal_problem
 from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form, eigenvalues_numeric
 from planeangle.weighted_norms import WeightParams, e_norm
@@ -337,6 +340,61 @@ def test_solve_manufactured_refinement_order(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     for order in summary["observed_orders"]:
         assert 1.7 <= order <= 2.3
+
+
+@pytest.mark.parametrize("rhs,levels", [("r * cos(phi)", [64]), ("manufactured", [16, 32, 64])],
+                         ids=["expression", "manufactured"])
+def test_solve_refine_solves_coarse_grids_only_for_errors(tmp_path, monkeypatch, rhs, levels):
+    # --refine N writes the finest solution; the N coarser solves feed only
+    # the error table, so expression data (no exact solution) skips them
+    spec = write_spec(tmp_path / "s.json", alpha=0.3, beta=-0.2, rhs=rhs)
+    sizes = []
+    solve = cli.solve_nonlocal_poisson
+
+    def spy(problem, grid):
+        sizes.append(grid.n_r)
+        return solve(problem, grid)
+
+    monkeypatch.setattr(cli, "solve_nonlocal_poisson", spy)
+    assert main(["--spec", spec, "--out", str(tmp_path), "--quiet", "solve", "--refine", "2"]) == EXIT_OK
+    assert sizes == levels
+    rows = (tmp_path / "solution.csv").read_text().splitlines()
+    assert len(rows) == 1 + 65 * 65
+
+
+def test_grid_csv_writes_every_number_as_f(tmp_path):
+    # the writer formats each r and phi node once and the values in bulk;
+    # every field must still read as _f of that number, -0.0 folded to 0.0
+    grid = SectorGrid(make_geometry([B1, B1 + 1.0, B1 + 2.0]), 0.5, 3.0, 3, 4)
+    values = np.random.default_rng(3).standard_normal((4, 5)) * 1j + np.linspace(-2.0, 2.0, 20).reshape(4, 5)
+    values.flat[::3] = complex(-0.0, -0.0)
+    values[1, 2] = complex(1e-300, -2.5e17)
+    path = tmp_path / "u.csv"
+    cli._write_grid_csv(str(path), GridFunction(grid, values))
+    r, phi = grid.meshgrid()
+    expected = ["r,phi,re,im"] + [
+        ",".join(map(cli._f, (rr, pp, v.real, v.imag)))
+        for rr, pp, v in zip(r.ravel(), phi.ravel(), values.ravel())
+    ]
+    rows = path.read_text().splitlines()
+    assert rows == expected
+    assert "-0.0" not in [field for row in rows for field in row.split(",")]
+
+
+def test_every_option_is_read():
+    # an option that parses but changes nothing is a promise the CLI does
+    # not keep: each dest of the parser is read as args.<dest> in cli.py
+    source = Path(cli.__file__).read_text()
+    parsers, dests = [cli.build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            if action.dest != "help":
+                dests.add(action.dest)
+    assert {"spec", "command", "refine"} <= dests
+    unread = sorted(d for d in dests if not re.search(r"\bargs\.%s\b" % d, source))
+    assert unread == []
 
 
 def test_solve_regime_warning_flag(tmp_path):

@@ -583,7 +583,7 @@ def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
         (loose, theta), (shifted, _) = log
         sigma = shifted["sigma"]
         assert calls == ["SA", "sigma=%g" % sigma]
-        assert loose["tol"] == 1e-2
+        assert loose["tol"] == 1e-2 and loose["maxiter"] == 40
         assert sigma < theta[0]
         assert len(seen) == 2
         M, _ = seen[1]

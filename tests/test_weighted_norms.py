@@ -214,11 +214,11 @@ def test_alternating_fields_match_memo_free_norms():
 def test_memo_is_released_with_its_field():
     u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 16, 16))
     e_norm(u, WeightParams(0.3, 2))
-    memo = weighted_norms._SQUARES
-    assert memo.ref() is u and len(memo.squares) == 6
+    ref, values, order, squares = weighted_norms._TABLE
+    assert ref() is u and np.array_equal(values, u.values) and order == 2 and len(squares) == 6
     del u
     gc.collect()
-    assert memo.ref is None and memo.values is None and memo.squares == {}
+    assert weighted_norms._TABLE is None
 
 
 def test_threads_sharing_the_memo_get_their_own_norms():
