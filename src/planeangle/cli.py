@@ -8,13 +8,16 @@ regime, 4 solvability blocked, 5 linear solver failure.
 The problem file is JSON with sections geometry, pencil, solver, boundary,
 weights, output; unknown sections or keys are rejected.  Right-hand sides
 and boundary data are written in a small expression language over r and phi
-with sin, cos, exp and bump(r, r0, r1).  All floats are printed with repr
-(shortest round-trip form) so identical inputs give byte-identical output.
+with sin(x), cos(x), exp(x) and bump(r, r0, r1); each is parsed once and runs
+from its checked tree.  A grid file (norms --input) is CSV whose header names
+its re and im columns.  All floats are printed with repr (shortest round-trip
+form) so identical inputs give byte-identical output.
 """
 
 import argparse
 import ast
 import json
+import operator
 import os
 import sys
 import warnings
@@ -77,79 +80,73 @@ class SpecError(PlaneAngleError):
 # expression mini-language
 
 
-_EXPR_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "bump": lambda r, r0, r1: exp_bump(r0, r1)[0](r),
+_EXPR_FUNCS = {  # name: (function, number of arguments)
+    "sin": (np.sin, 1),
+    "cos": (np.cos, 1),
+    "exp": (np.exp, 1),
+    "bump": (lambda r, r0, r1: exp_bump(r0, r1)[0](r), 3),
 }
-_EXPR_NAMES = {"pi": np.pi}
-_EXPR_OPS = (
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd, ast.Mod,
-)
+# the functions Python's own arithmetic calls, so every value stays the same
+_EXPR_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow, ast.Mod: operator.mod,
+    ast.USub: operator.neg, ast.UAdd: operator.pos,
+}
+
+
+def _expression_term(node, text):
+    """The function of (r, phi) that a node of the parsed text stands for."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        try:
+            value = float(node.value)
+        except OverflowError as exc:
+            raise SpecError("bad number in %r: %s" % (text, exc))
+        return lambda r, phi: value
+    if isinstance(node, ast.Name) and node.id in ("r", "phi", "pi"):
+        index = ("r", "phi", "pi").index(node.id)
+        return lambda r, phi: (r, phi, np.pi)[index]
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _EXPR_OPS:
+        func = _EXPR_OPS[type(node.op)]
+        args = [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _EXPR_FUNCS:
+        func, arity = _EXPR_FUNCS[node.func.id]
+        if node.keywords or len(node.args) != arity:
+            raise SpecError("%s takes %d argument(s) and no keywords, in %r"
+                            % (node.func.id, arity, text))
+        args = node.args
+    else:
+        raise SpecError("%r is not allowed in %r" % (ast.unparse(node), text))
+    terms = [_expression_term(arg, text) for arg in args]
+    return lambda r, phi: func(*[term(r, phi) for term in terms])
 
 
 def compile_expression(text):
     """Compile an arithmetic expression in r, phi to a numpy callable.
 
-    Allowed: numbers, r, phi, pi, + - * / % **, and the functions sin, cos,
-    exp, bump(r, r0, r1).  Anything else raises SpecError, and so does an
-    evaluation that divides by zero, overflows or is invalid (r / 0,
-    exp(1000 * r), an overflowing power), or whose value is not finite.
-    Numbers are floats, so a power of literals overflows at once instead of
-    running in exact integer arithmetic.
+    Allowed: numbers, r, phi, pi, + - * / % **, and the calls sin(x),
+    cos(x), exp(x) and bump(r, r0, r1) with exactly these arguments.  The
+    text is parsed once and its tree, checked node by node, becomes nested
+    functions.  Any other construct, a keyword, a wrong number of arguments
+    or nesting deeper than Python's recursion limit raises SpecError here.
+    The callable raises SpecError for an evaluation that divides by zero,
+    overflows or is invalid (r / 0, exp(1000 * r), an overflowing power),
+    or whose value is not finite.  Numbers are floats, so a power of
+    literals overflows at once instead of running in exact integer
+    arithmetic.
     """
     if not isinstance(text, str):
         raise SpecError("expression must be a string, got %r" % (text,))
     try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
+        term = _expression_term(ast.parse(text, mode="eval").body, text)
+    except (SyntaxError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SpecError("bad expression %r: %s" % (text, exc))
-    func_names = {
-        id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)
-    }
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Expression, ast.Load)):
-            continue
-        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
-            if not isinstance(node.op, _EXPR_OPS):
-                raise SpecError("operator not allowed in %r" % text)
-            continue
-        if isinstance(node, _EXPR_OPS):
-            continue
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
-                raise SpecError("non-numeric constant in %r" % text)
-            try:
-                node.value = float(node.value)
-            except OverflowError as exc:
-                raise SpecError("bad number in %r: %s" % (text, exc))
-            continue
-        if isinstance(node, ast.Name):
-            if id(node) in func_names and node.id in _EXPR_FUNCS:
-                continue
-            if node.id not in ("r", "phi") and node.id not in _EXPR_NAMES:
-                raise SpecError("unknown name %r in %r" % (node.id, text))
-            continue
-        if isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCS):
-                raise SpecError("unknown function call in %r" % text)
-            if node.keywords:
-                raise SpecError("keyword arguments not allowed in %r" % text)
-            continue
-        raise SpecError("construct %s not allowed in %r" % (type(node).__name__, text))
-    code = compile(tree, "<expression>", "eval")
 
     def func(r, phi):
-        env = dict(_EXPR_FUNCS)
-        env.update(_EXPR_NAMES)
-        env["r"] = r
-        env["phi"] = phi
         try:
             # numpy raises FloatingPointError here instead of warning
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                value = eval(code, {"__builtins__": {}}, env)
-        except ArithmeticError as exc:
+                value = term(r, phi)
+        except (ArithmeticError, RecursionError) as exc:
             raise SpecError("cannot evaluate %r: %s" % (text, exc))
         if not np.all(np.isfinite(value)):
             raise SpecError("value of %r is not finite" % text)
@@ -290,20 +287,21 @@ def _write_grid_csv(path, u):
 
 
 def _read_grid_csv(path, grid):
+    """The grid function in a grid file, from the columns its header names re and im."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # an empty file warns
-            data = np.genfromtxt(path, delimiter=",", names=True)
+        with open(path) as f, warnings.catch_warnings():
+            names = [name.strip() for name in f.readline().split(",")]
+            if "re" not in names or "im" not in names:
+                raise SpecError("grid file %s has no re and im columns" % path)
+            warnings.simplefilter("error", UserWarning)  # a file with no data rows warns
+            usecols = (names.index("re"), names.index("im"))
+            re, im = np.loadtxt(f, delimiter=",", usecols=usecols, ndmin=2, unpack=True)
     except (OSError, ValueError, UserWarning) as exc:
         raise SpecError("cannot read grid file %s: %s" % (path, " ".join(str(exc).split())))
-    if not {"re", "im"} <= set(data.dtype.names or ()):
-        raise SpecError("grid file %s has no re and im columns" % path)
     expected = (grid.n_r + 1) * (grid.n_phi + 1)
-    if data.shape != (expected,):
-        raise SpecError(
-            "grid file has %d rows, the declared grid needs %d" % (data.size, expected)
-        )
-    vals = (data["re"] + 1j * data["im"]).reshape(grid.n_r + 1, grid.n_phi + 1)
+    if re.size != expected:
+        raise SpecError("grid file has %d rows, the declared grid needs %d" % (re.size, expected))
+    vals = (re + 1j * im).reshape(grid.n_r + 1, grid.n_phi + 1)
     if not np.all(np.isfinite(vals)):
         raise SpecError("grid file %s holds values that are not finite numbers" % path)
     return GridFunction(grid, vals)

@@ -24,6 +24,7 @@ from planeangle.cli import (
 from planeangle.core import GridFunction, SectorGrid, make_geometry
 from planeangle.manufactured import nonlocal_problem
 from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form, eigenvalues_numeric
+from planeangle.sector_solver import solve_nonlocal_poisson
 from planeangle.weighted_norms import WeightParams, e_norm
 
 B1 = np.pi / 6
@@ -62,6 +63,12 @@ def test_expression_language_rejects_unknown_names():
         compile_expression("__import__('os')")
     with pytest.raises(SpecError):
         compile_expression("theta + 1")
+
+
+def test_expression_calls_take_their_number_of_arguments():
+    # numpy would take a second argument of exp as its output array and write into r
+    with pytest.raises(SpecError):
+        compile_expression("exp(r, r)")
 
 
 def test_load_spec_rejects_unknown_keys(tmp_path):
@@ -189,7 +196,7 @@ def test_parse_error_exit(tmp_path):
 @pytest.mark.parametrize("command", ["solve", "norms"])
 def test_missing_solver_key_exit(tmp_path, capsys, command):
     path = write_spec(tmp_path / "s.json")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     del doc["solver"]["n_r"]
     with open(path, "w") as f:
         json.dump(doc, f)
@@ -251,10 +258,16 @@ MALFORMED = {
     "rhs-exp-overflow-norms": ({"solver": {"rhs": "exp(1000 * r)"}}, ["norms"]),
     "rhs-infinite-literal": ({"solver": {"rhs": "r * 1e400"}}, ["solve"]),
     "g3-exp-overflow": ({"solver": {"rhs": "0"}, "boundary": {"g3": "exp(1000 * r)"}}, ["solve"]),
+    # each function takes its own number of arguments
+    "rhs-bump-arity": ({"solver": {"rhs": "bump(r, 1, 2, 3)"}}, ["solve"]),
+    "rhs-sin-two-args": ({"solver": {"rhs": "sin(r, phi)"}}, ["norms"]),
+    "rhs-exp-no-args": ({"solver": {"rhs": "exp()"}}, ["solve", "--problem", "dd"]),
+    "rhs-nested-too-deeply": ({"solver": {"rhs": "-" * 1000 + "r"}}, ["norms"]),
     "input-nan": ({}, ["norms", "--input", "{tmp}/nan.csv"]),
     "input-missing": ({}, ["norms", "--input", "{tmp}/none.csv"]),
     "input-no-re-im": ({}, ["norms", "--input", "{tmp}/no_re_im.csv"]),
     "input-empty": ({}, ["norms", "--input", "{tmp}/empty.csv"]),
+    "input-header-only": ({}, ["norms", "--input", "{tmp}/header_only.csv"]),
     "input-ragged": ({}, ["norms", "--input", "{tmp}/ragged.csv"]),
     "out-missing-eigs": ({}, ["--out", "{tmp}/none", "eigs"]),
     "out-missing-solve": ({}, ["--out", "{tmp}/none", "solve"]),
@@ -270,6 +283,7 @@ def test_malformed_input_exit(tmp_path, capsys, case):
     # one row per node of the 16 x 16 grid, so only the columns are wrong
     (tmp_path / "no_re_im.csv").write_text("r,phi\n" + "1.0,0.5\n" * 17 * 17)
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "header_only.csv").write_text("r,phi,re,im\n")
     (tmp_path / "ragged.csv").write_text("r,phi,re,im\n1.0,0.5,0.0\n")
     (tmp_path / "nan.csv").write_text("r,phi,re,im\n" + "1.0,0.5,nan,0.0\n" * 17 * 17)
     argv = ["--spec", path, "--quiet"] + [a.format(tmp=tmp_path) for a in command]
@@ -528,6 +542,11 @@ def test_norms_roundtrip_through_grid_csv(tmp_path, capsys):
     assert code == EXIT_OK
     text = capsys.readouterr().out
     assert "e_norm:" in text and "h_norm:" in text and "trace ratio" in text
+    # the writer prints each number with repr, so the values come back bit for bit
+    grid = cli._grid(load_spec(spec))
+    solved = solve_nonlocal_poisson(nonlocal_problem(0.3, -0.2, grid)[0], grid).solution.values
+    read = cli._read_grid_csv(str(tmp_path / "solution.csv"), grid).values
+    assert read.tobytes() == (solved + 0.0).tobytes()
 
 
 NORMS_STDOUT = {

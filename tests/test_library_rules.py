@@ -1,6 +1,7 @@
-"""Rules the code keeps: only the CLI writes to the terminal, every name
-that the library, the demos and the tests import is used, and every private
-function or class of the library is called by the library."""
+"""Rules the code keeps: only the CLI writes to the terminal, no module runs
+text as code, every name that the library, the demos and the tests import is
+used, and every private function or class of the library is called by the
+library."""
 
 import ast
 from pathlib import Path
@@ -13,12 +14,24 @@ LIBRARY = sorted(p for p in SRC.glob("*.py") if p.name != "cli.py")
 CHECKED = [p for d in (SRC, ROOT / "demos", ROOT / "tests") for p in sorted(d.glob("*.py"))]
 
 
+def builtin_calls(path, names):
+    """Line numbers of the calls of the built-in functions names in path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id in names]
+
+
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.stem)
 def test_library_does_not_print(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
-             and isinstance(n.func, ast.Name) and n.func.id == "print"]
+    calls = builtin_calls(path, ("print",))
     assert not calls, "print() in %s at lines %s" % (path.name, calls)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_text_runs_as_code(path):
+    # an expression from a problem file is interpreted from its checked tree
+    calls = builtin_calls(path, ("eval", "exec", "compile"))
+    assert not calls, "eval, exec or compile in %s at lines %s" % (path.name, calls)
 
 
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: "%s/%s" % (p.parent.name, p.stem))
