@@ -9,9 +9,9 @@ The problem file is JSON with sections geometry, pencil, solver, boundary,
 weights, output; unknown sections or keys are rejected.  Right-hand sides
 and boundary data are written in a small expression language over r and phi
 with sin(x), cos(x), exp(x) and bump(r, r0, r1); each is parsed once and runs
-from its checked tree.  A grid file (norms --input) is CSV whose header names
-its re and im columns.  All floats are printed with repr (shortest round-trip
-form) so identical inputs give byte-identical output.
+from its checked tree.  A grid file (norms --input) is CSV on the spec's grid
+whose header names its r, phi, re and im columns.  All floats are printed with
+repr (shortest round-trip form) so identical inputs give byte-identical output.
 """
 
 import argparse
@@ -287,15 +287,16 @@ def _write_grid_csv(path, u):
 
 
 def _read_grid_csv(path, grid):
-    """The grid function in a grid file, from the columns its header names re and im."""
+    """The grid function in a grid file, from the columns its header names r, phi, re and im."""
+    columns = ("r", "phi", "re", "im")
     try:
         with open(path) as f, warnings.catch_warnings():
             names = [name.strip() for name in f.readline().split(",")]
-            if "re" not in names or "im" not in names:
-                raise SpecError("grid file %s has no re and im columns" % path)
+            if not set(columns) <= set(names):
+                raise SpecError("grid file %s has no r, phi, re and im columns" % path)
             warnings.simplefilter("error", UserWarning)  # a file with no data rows warns
-            usecols = (names.index("re"), names.index("im"))
-            re, im = np.loadtxt(f, delimiter=",", usecols=usecols, ndmin=2, unpack=True)
+            usecols = [names.index(name) for name in columns]
+            r, phi, re, im = np.loadtxt(f, delimiter=",", usecols=usecols, ndmin=2, unpack=True)
     except (OSError, ValueError, UserWarning) as exc:
         raise SpecError("cannot read grid file %s: %s" % (path, " ".join(str(exc).split())))
     expected = (grid.n_r + 1) * (grid.n_phi + 1)
@@ -304,6 +305,9 @@ def _read_grid_csv(path, grid):
     vals = (re + 1j * im).reshape(grid.n_r + 1, grid.n_phi + 1)
     if not np.all(np.isfinite(vals)):
         raise SpecError("grid file %s holds values that are not finite numbers" % path)
+    for got, nodes in zip((r, phi), grid.meshgrid()):  # within 1e-9 relative
+        if not np.all(np.abs(got - nodes.ravel()) <= 1e-9 * np.abs(nodes).max()):
+            raise SpecError("grid file %s holds nodes off the declared grid" % path)
     return GridFunction(grid, vals)
 
 

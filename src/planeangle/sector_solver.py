@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .core import AngleGeometry, GridFunction, IncompatibleGrid, PlaneAngleError
 from .difference_ops import apply_on_grid, column_shift_operator, two_sector_operator
@@ -481,17 +482,15 @@ def solve_nonlocal_poisson(p, grid):
 
 
 def _shift_invert(H, sigma, v0):
-    """Inertia of H - sigma*I and, when that is definite, lambda_min of H.
+    """lambda_min of H if the inertia of H - sigma*I proves it above sigma, else None.
 
     One symmetric-mode LU of H - sigma*I with diagonal pivots only: if it
     kept perm_r == perm_c, H - sigma*I = P^T L U P with U = D L^T, and the
-    signs of diag(U) are its inertia (Sylvester).  Returns (n_below, value):
-    n_below counts the pivots <= 0, that is the eigenvalues of H at or below
-    sigma, and is None when the factor cannot certify (SuperLU failed or
-    perm_r != perm_c).  When n_below is 0, the same factor serves as the
-    shift-invert operator at sigma, and value is the eigenvalue of H nearest
-    sigma, so lambda_min, if it lies above sigma; otherwise value is None.
-    The factor is released on return.
+    signs of diag(U) are its inertia (Sylvester).  When every pivot is > 0,
+    the same factor serves as the shift-invert operator at sigma, and the
+    eigenvalue of H nearest sigma is lambda_min if it lies above sigma.
+    None when SuperLU fails, perm_r != perm_c, a pivot is <= 0 or the value
+    does not lie above sigma.  The factor is released on return.
     """
     try:
         lu = spla.splu(
@@ -501,42 +500,42 @@ def _shift_invert(H, sigma, v0):
             options={"SymmetricMode": True},
         )
     except RuntimeError:  # SuperLU: exactly singular factor
-        return None, None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None, None
-    n_below = int(np.count_nonzero(lu.U.diagonal() <= 0.0))
-    if n_below:
-        return n_below, None
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal() <= 0.0):
+        return None
     inv = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
     val = spla.eigsh(H, 1, sigma=sigma, which="LM", OPinv=inv, v0=v0, return_eigenvectors=False)
-    return 0, (val[0] if val[0] > sigma else None)
+    return val[0] if val[0] > sigma else None
 
 
-def _indefinite_lambda_min(H, v0):
-    """lambda_min of an H proven indefinite, by shift-invert below a Ritz bound.
+def _coercivity_bracket(p, grid):
+    """(floor, theta) with floor <= lambda_min(H) <= theta, H as in discrete_coercivity.
 
-    A loose SA iteration gives a Ritz value theta >= lambda_min (0 if it
-    does not converge within 40 restarts, still an upper bound; every
-    converging run seen needed at most 15).  Shifts sigma = theta - delta,
-    delta growing 4x per try and sigma clamped at the Gershgorin floor
-    -||H||_inf, are tried until the inertia of H - sigma*I proves that no
-    eigenvalue lies at or below sigma; the eigenvalue nearest sigma is then
-    lambda_min.  theta and delta decide only the speed, the inertia decides
-    the answer.  Returns None when no shift down to the floor is certified,
-    or when the value does not lie above the certified shift.
+    H = dr*dphi*(K x A1 + R^-1 x A2) over the interior radii R = diag(r):
+    K = R D_r is symmetric tridiagonal, A1 = sym(M_int) and A2 = sym(T M_int)
+    for the interior block M_int of the column shift.  With C = R^1/2 K R^1/2
+    = Q Lambda Q^T and Z = R^1/2 Q, (Z x I)^T H (Z x I) is block diagonal with
+    blocks sym((lambda_i I + T) M_int), and Z Z^T = R, so by Ostrowski's
+    theorem (Horn & Johnson, Thm 4.5.9) lambda_min(H) is dr*dphi*b over a
+    radius in [r_first, r_last], b the least block eigenvalue.  b is concave
+    in lambda_i, so the two end blocks attain it.  theta is the least Rayleigh
+    quotient of H at (R^1/2 q_i) x y_i, y_i the lowest eigenvector of end
+    block i.
     """
-    try:
-        theta = spla.eigsh(H, 1, which="SA", v0=v0, tol=1e-2, maxiter=40, return_eigenvectors=False)[0]
-    except spla.ArpackNoConvergence:
-        theta = 0.0
-    h_norm = spla.norm(H, np.inf)
-    delta = 1e-2 * max(abs(theta), 1e-3 * h_norm)
-    while True:
-        sigma = max(theta - delta, -h_norm)
-        n_below, val = _shift_invert(H, sigma, v0)
-        if n_below == 0 or sigma == -h_norm:
-            return val
-        delta *= 4.0
+    r = grid.r_nodes[1:-1]
+    main, up, _ = _radial_stencil(r, grid.dr)
+    diag, off = r**2 * main, r[:-1] * up[:-1] * np.sqrt(r[:-1] * r[1:])
+    T = angular_matrix(p.alpha, p.beta, grid)
+    M_int = column_shift_operator(p.operator(), grid)[1:-1, 1:-1]
+    scale = grid.dr * grid.dphi
+    b, theta = np.inf, np.inf
+    for k in (0, r.size - 1):
+        lam, q = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
+        block = (T + lam[0] * np.eye(T.shape[0])) @ M_int  # dense: ndarray @ sparse
+        b_k = np.linalg.eigvalsh(0.5 * (block + block.T))[0]
+        b = min(b, b_k)
+        theta = min(theta, scale * b_k / (q[:, 0] ** 2 @ r))
+    return scale * b / (r[0] if b < 0.0 else r[-1]), theta
 
 
 def discrete_coercivity(p, grid):
@@ -546,46 +545,42 @@ def discrete_coercivity(p, grid):
     inner product r_i*dr*dphi; returns lambda_min of H = (W S + (W S)^T)/2,
     the sparse symmetric part, which is never densified.
 
-    One sparse symmetric-mode LU of H with diagonal pivots counts its
-    negative eigenvalues (Sylvester inertia) and picks one of three paths:
-
-    * definite (no pivot <= 0): ARPACK (eigsh) in shift-invert mode at 0
-      with that same factor returns lambda_min in a few iterations, however
-      close to 0 it lies (Ericsson & Ruhe, Math. Comp. 35, 1980);
-    * proven indefinite (a negative pivot): the factor is released, a loose
-      SA iteration gives a Ritz upper bound theta, and shift-invert runs at
-      the first sigma below theta for which the inertia of H - sigma*I
-      proves that no eigenvalue lies below sigma (Grimes, Lewis & Simon,
-      SIAM J. Matrix Anal. Appl. 15, 1994), so the eigenvalue nearest sigma
-      is lambda_min;
-    * cannot certify (SuperLU failed or the factor broke symmetry,
-      perm_r != perm_c): the factor is released and eigsh iterates for the
-      smallest algebraic eigenvalue (which="SA") of H itself.
-
-    A shift-invert value that does not lie above its shift, or a shift that
-    no factor certifies down to the Gershgorin floor -||H||_inf, also sends
-    the call to the SA iteration.  At most one factor is alive at a time.
+    ARPACK (eigsh) runs in shift-invert mode at the first shift sigma whose
+    symmetric-mode LU of H - sigma*I proves by its inertia that no eigenvalue
+    lies at or below sigma (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
+    15, 1994), so the eigenvalue nearest sigma is lambda_min (Ericsson & Ruhe,
+    Math. Comp. 35, 1980).  The bracket floor <= lambda_min <= theta of
+    _coercivity_bracket places sigma: at 0 when floor > margin =
+    1e-12*||H||_inf proves H definite, else at theta - delta, delta =
+    0.01|theta| growing 4x per shift that does not certify, down to floor -
+    margin, where a shift that does not certify raises SolverFailure.  At
+    most one factor is alive at a time.
 
     Every ARPACK run starts from one fixed pseudo-random vector, so equal
     inputs give equal values.  A symmetric start vector would not do: for
     alpha = beta the reflection about the middle ray commutes with the
     operator, and from the all-ones vector ARPACK misses a lowest
     eigenvector that is odd under it (at n = 16, alpha = beta = -1.9 it
-    returned -11.92 for -12.04).  An ARPACK failure raises SolverFailure;
-    only a loose SA iteration that does not converge is no failure, its
-    bound theta is then 0.
+    returned -11.92 for -12.04).  An ARPACK failure raises SolverFailure.
     """
     S, _ = assemble_dd_system(p, grid)
     r = np.repeat(grid.r_nodes, grid.n_phi + 1)[_interior(grid)]
     Sw = sp.diags(r * grid.dr * grid.dphi) @ S
     sym = 0.5 * (Sw + Sw.T)
     v0 = np.random.default_rng(0).standard_normal(sym.shape[0])
+    floor, theta = _coercivity_bracket(p, grid)
+    margin = 1e-12 * spla.norm(sym, np.inf)
+    lowest = floor - margin
+    delta = 1e-2 * abs(theta) if theta else margin  # a zero delta never moves sigma
+    sigma = 0.0 if floor > margin else max(theta - delta, lowest)
     try:
-        n_below, val = _shift_invert(sym, 0.0, v0)
-        if n_below:
-            val = _indefinite_lambda_min(sym, v0)
-        if val is None:
-            val = spla.eigsh(sym, 1, which="SA", v0=v0, return_eigenvectors=False)[0]
-        return float(val)
+        while True:
+            val = _shift_invert(sym, sigma, v0)
+            if val is not None:
+                return float(val)
+            if sigma <= lowest:
+                raise SolverFailure("no certified shift down to the floor %g" % floor)
+            delta *= 4.0
+            sigma = max(theta - delta, lowest)
     except spla.ArpackError as exc:
         raise SolverFailure("extreme eigenvalue estimation failed: %s" % exc)

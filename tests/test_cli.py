@@ -266,6 +266,13 @@ MALFORMED = {
     "input-nan": ({}, ["norms", "--input", "{tmp}/nan.csv"]),
     "input-missing": ({}, ["norms", "--input", "{tmp}/none.csv"]),
     "input-no-re-im": ({}, ["norms", "--input", "{tmp}/no_re_im.csv"]),
+    "input-no-r-phi": ({}, ["norms", "--input", "{tmp}/no_r_phi.csv"]),
+    # a grid file written on write_spec's grid, read under another spec
+    # with as many nodes
+    "input-off-grid": (
+        {"geometry": {"angles": [0.2, 1.2, 2.2]}, "solver": {"r_max": 4.0}},
+        ["norms", "--input", "{tmp}/default_grid.csv"],
+    ),
     "input-empty": ({}, ["norms", "--input", "{tmp}/empty.csv"]),
     "input-header-only": ({}, ["norms", "--input", "{tmp}/header_only.csv"]),
     "input-ragged": ({}, ["norms", "--input", "{tmp}/ragged.csv"]),
@@ -282,6 +289,9 @@ def test_malformed_input_exit(tmp_path, capsys, case):
     path = edited_spec(tmp_path, edits)
     # one row per node of the 16 x 16 grid, so only the columns are wrong
     (tmp_path / "no_re_im.csv").write_text("r,phi\n" + "1.0,0.5\n" * 17 * 17)
+    (tmp_path / "no_r_phi.csv").write_text("re,im\n" + "0.0,0.0\n" * 17 * 17)
+    default_grid = cli._grid(load_spec(write_spec(tmp_path / "default.json")))
+    cli._write_grid_csv(str(tmp_path / "default_grid.csv"), GridFunction(default_grid, np.zeros((17, 17))))
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "header_only.csv").write_text("r,phi,re,im\n")
     (tmp_path / "ragged.csv").write_text("r,phi,re,im\n1.0,0.5,0.0\n")

@@ -1,7 +1,7 @@
 """Rules the code keeps: only the CLI writes to the terminal, no module runs
 text as code, every name that the library, the demos and the tests import is
-used, and every private function or class of the library is called by the
-library."""
+used, every private function or class of the library is called by the
+library, and every eigsh call of the library passes a start vector."""
 
 import ast
 from pathlib import Path
@@ -71,3 +71,15 @@ def test_private_definitions_are_used_by_the_library():
     unused = [d.name for d in private
               if not any(d.name in used for node, used in refs if node is not d)]
     assert not unused, "private definitions nothing in the library uses: %s" % unused
+
+
+def test_every_eigsh_call_passes_a_start_vector():
+    # ARPACK starts from a random vector unless v0 is given, so a call
+    # without one can give different values for equal inputs
+    calls = [(path.name, n.lineno, {k.arg for k in n.keywords})
+             for path in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(n, ast.Call) and "eigsh" in (getattr(n.func, "attr", None), getattr(n.func, "id", None))]
+    assert calls
+    missing = [(name, line) for name, line, keywords in calls if "v0" not in keywords]
+    assert not missing, "eigsh calls without v0: %s" % missing

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from planeangle.core import GridFunction, IncompatibleGrid, SectorGrid, make_geometry
-from planeangle.difference_ops import apply_on_grid, two_sector_operator
+from planeangle.difference_ops import apply_on_grid, column_shift_operator, two_sector_operator
 from planeangle.manufactured import dd_problem, error_norm, nonlocal_problem
 from planeangle import sector_solver
 from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form
@@ -20,6 +20,7 @@ from planeangle.sector_solver import (
     SingularSystem,
     SolverFailure,
     _angular_basis,
+    _coercivity_bracket,
     _direct_solve,
     _interior,
     angular_matrix,
@@ -486,10 +487,10 @@ def test_discrete_coercivity_arpack_failure(monkeypatch):
         discrete_coercivity(p, grid)
 
 
-def _coercivity_case(alpha, beta, n):
-    grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
+def _coercivity_case(alpha, beta, n, geo=GEO, r_min=R_MIN, r_max=R_MAX):
+    grid = SectorGrid(geo, r_min, r_max, n, n)
     zero = GridFunction(grid, np.zeros((n + 1, n + 1)))
-    return DDProblem(alpha, beta, GEO, zero, R_MIN, R_MAX), grid
+    return DDProblem(alpha, beta, geo, zero, r_min, r_max), grid
 
 
 def _weighted_symmetric_part(p, grid):
@@ -515,6 +516,50 @@ def test_discrete_coercivity_near_the_regime_edge(alpha, beta):
     assert abs(lam - want) <= 1e-9 * want
 
 
+def _h_norm(p, grid):
+    return spla.norm(_weighted_symmetric_part(p, grid), np.inf)
+
+
+GEO_NARROW = make_geometry([B1, B1 + np.pi / 6, B1 + np.pi / 3])
+GEO_WIDE = make_geometry([0.1, 0.1 + 0.9 * np.pi, 0.1 + 1.8 * np.pi])
+COUPLINGS = [
+    (0.0, 0.0), (0.6, 0.4), (0.999, 0.999), (-0.999, -0.999), (1.8, -1.7),
+    (1.0, 1.0), (-1.0, -1.0), (3.0, -1.0),
+    (1.001, 1.0), (1.25, 1.25), (-1.9, -1.9), (2.5, 1.5), (-3.0, 0.5), (5.0, -8.0),
+]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.0, 1.0), (-1.0, -1.0), (1.25, 1.25)])
+def test_weighted_symmetric_part_is_a_kronecker_sum(alpha, beta):
+    # H = dr*dphi*(K x A1 + R^-1 x A2): K = R D_r the symmetric radial matrix,
+    # A1 = sym(M_int), A2 = sym(T M_int), the structure _coercivity_bracket uses
+    p, grid = _coercivity_case(alpha, beta, 16)
+    r = grid.r_nodes[1:-1]
+    main, up, down = sector_solver._radial_stencil(r, grid.dr)
+    D_r = np.diag(main) + np.diag(up[:-1], 1) + np.diag(down[1:], -1)
+    K = r[:, None] * D_r
+    assert np.abs(K - K.T).max() <= 1e-14 * np.abs(K).max()
+    M_int = column_shift_operator(p.operator(), grid)[1:-1, 1:-1].toarray()
+    TM = angular_matrix(alpha, beta, grid) @ M_int
+    A1, A2 = 0.5 * (M_int + M_int.T), 0.5 * (TM + TM.T)
+    want = grid.dr * grid.dphi * (np.kron(K, A1) + np.kron(np.diag(1.0 / r), A2))
+    H = _weighted_symmetric_part(p, grid).toarray()
+    assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("r_min,r_max", [(0.5, 3.0), (0.1, 10.0)])
+@pytest.mark.parametrize("geo", [GEO_NARROW, GEO_WIDE], ids=["narrow", "wide"])
+def test_coercivity_bracket_holds_lambda_min(geo, r_min, r_max):
+    for alpha, beta in COUPLINGS:
+        p, grid = _coercivity_case(alpha, beta, 16, geo, r_min, r_max)
+        floor, theta = _coercivity_bracket(p, grid)
+        want = _dense_lambda_min(p, grid)
+        tol = 1e-12 * _h_norm(p, grid)
+        assert floor - tol <= want <= theta + tol
+        # inside the regime the floor proves H definite
+        assert (floor > tol) == (abs(alpha + beta) < 2.0)
+
+
 class _Factor:
     """A SuperLU factor behind a wrapper that a weak reference can watch,
     its row permutation rotated by roll (away from perm_c unless roll is 0)."""
@@ -526,76 +571,60 @@ class _Factor:
         self.solve = lu.solve
 
 
-def _spy_eigsh(monkeypatch, factors=(), log=None):
-    # records each eigsh call as "SA" or "sigma=<shift>" and checks that no
-    # factor is alive when an SA iteration starts; log, when given, gets the
-    # keyword arguments and the returned values of each call that returns
-    calls = []
-    eigsh = spla.eigsh
+def _spy_shifts(monkeypatch):
+    # the shift of every _shift_invert call and the value it returned
+    shifts = []
+    shift_invert = sector_solver._shift_invert
 
-    def spy(*args, **kwargs):
-        if kwargs.get("sigma") is None:
-            assert all(ref() is None for ref in factors)
-            calls.append(kwargs["which"])
-        else:
-            calls.append("sigma=%g" % kwargs["sigma"])
-        val = eigsh(*args, **kwargs)
-        if log is not None:
-            log.append((kwargs, val))
+    def spy(H, sigma, v0):
+        val = shift_invert(H, sigma, v0)
+        shifts.append((sigma, val))
         return val
 
-    monkeypatch.setattr(spla, "eigsh", spy)
-    return calls
+    monkeypatch.setattr(sector_solver, "_shift_invert", spy)
+    return shifts
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.25, 1.25)], ids=["definite", "indefinite"])
 def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
-    # one symmetric-mode factor of the weighted symmetric part H decides the
-    # path, and no factor of S is made.  Definite H goes to shift-invert at
-    # 0 with that factor.  Indefinite H goes, with no factor alive, to a
-    # loose SA iteration for a Ritz bound theta, then to shift-invert with
-    # one factor of H - sigma*I, sigma < theta; one factor lives at a time
-    seen, factors, log = [], [], []
-    splu = spla.splu
+    # one symmetric-mode factor, of H - sigma*I, and no factor of S: sigma
+    # is 0 when the bracket floor proves H definite, and lies between the
+    # floor and the upper bound theta otherwise.  eigsh runs once, in
+    # shift-invert mode with that factor, and never for which="SA"
+    seen, calls = [], []
+    splu, eigsh = spla.splu, spla.eigsh
 
     def spy(M, *args, **kwargs):
-        assert all(ref() is None for ref in factors)
         seen.append((M.copy(), kwargs))
-        factor = _Factor(splu(M, *args, **kwargs), roll=0)
-        factors.append(weakref.ref(factor))
-        return factor
+        return splu(M, *args, **kwargs)
+
+    def spy_eigsh(*args, **kwargs):
+        calls.append(kwargs)
+        return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", spy)
-    calls = _spy_eigsh(monkeypatch, factors, log)
+    monkeypatch.setattr(spla, "eigsh", spy_eigsh)
     p, grid = _coercivity_case(alpha, beta, 32)
     lam = discrete_coercivity(p, grid)
     H = _weighted_symmetric_part(p, grid)
-    M, _ = seen[0]
-    assert M.shape == H.shape and abs(M - H).max() == 0.0
-    for _, kwargs in seen:
-        assert kwargs["options"] == {"SymmetricMode": True}
-        assert kwargs["diag_pivot_thresh"] == 0
+    floor, theta = _coercivity_bracket(p, grid)
+    ((M, kwargs),) = seen
+    assert kwargs["options"] == {"SymmetricMode": True}
+    assert kwargs["diag_pivot_thresh"] == 0
+    (call,) = calls
+    sigma = call["sigma"]
+    assert call["which"] == "LM" and "v0" in call
+    assert M.shape == H.shape
+    assert abs(M - (H - sigma * sp.identity(H.shape[0]))).max() == 0.0
     if alpha + beta < 2.0:
-        assert len(seen) == 1
-        assert calls == ["sigma=0"]
-        assert lam > 0.0
+        assert sigma == 0.0 and floor > 0.0 and lam > 0.0
     else:
-        (loose, theta), (shifted, _) = log
-        sigma = shifted["sigma"]
-        assert calls == ["SA", "sigma=%g" % sigma]
-        assert loose["tol"] == 1e-2 and loose["maxiter"] == 40
-        assert sigma < theta[0]
-        assert len(seen) == 2
-        M, _ = seen[1]
-        assert abs(M - (H - sigma * sp.identity(H.shape[0]))).max() == 0.0
-        assert lam < 0.0
+        assert floor < sigma < theta and lam < 0.0
 
 
 def test_discrete_coercivity_just_outside_the_regime():
     # |alpha+beta| = 2.001: H is indefinite and its lowest eigenvalues
-    # cluster (-0.0074980, -0.0074939, -0.0074872), where the SA iteration
-    # does not converge; the loose Ritz bound fails too, so the shift starts
-    # just below 0 and is lowered until the inertia certifies it
+    # cluster (-0.0074980, -0.0074939, -0.0074872)
     p, grid = _coercivity_case(1.001, 1.0, 64)
     lam = discrete_coercivity(p, grid)
     want = _dense_lambda_min(p, grid)
@@ -605,7 +634,7 @@ def test_discrete_coercivity_just_outside_the_regime():
 
 @pytest.mark.parametrize("alpha,beta", [(1.416, 1.132), (-1.057, -1.358), (-1.164, -1.065)])
 def test_discrete_coercivity_outside_the_regime(alpha, beta):
-    # |alpha+beta| in [2.2, 2.8]: the certified shift below a Ritz bound
+    # |alpha+beta| in [2.2, 2.8]: the certified shift below the bound theta
     p, grid = _coercivity_case(alpha, beta, 32)
     lam = discrete_coercivity(p, grid)
     assert discrete_coercivity(p, grid) == lam
@@ -614,44 +643,48 @@ def test_discrete_coercivity_outside_the_regime(alpha, beta):
     assert abs(lam - want) <= 1e-10 * abs(want)
 
 
+@pytest.mark.parametrize("alpha,beta", [(3.0, -1.0), (1.0, 1.0), (-1.0, -1.0)])
+def test_discrete_coercivity_on_the_regime_boundary(alpha, beta):
+    # |alpha+beta| = 2: lambda_min is 0 up to rounding, so only an absolute
+    # bound on the scale of H makes sense
+    p, grid = _coercivity_case(alpha, beta, 32)
+    lam = discrete_coercivity(p, grid)
+    assert abs(lam - _dense_lambda_min(p, grid)) <= 1e-10 * _h_norm(p, grid)
+
+
 def test_discrete_coercivity_lowers_an_uncertified_shift(monkeypatch):
-    # a loose bound of 0, far above lambda_min: every shift above lambda_min
-    # has a negative pivot and is lowered, and the first definite factor of
-    # H - sigma*I gives the value
+    # an upper bound theta = 1 far above lambda_min: every shift above
+    # lambda_min has a negative pivot, and sigma = theta - 0.01*4^k falls
+    # until the first definite factor of H - sigma*I gives the value
     p, grid = _coercivity_case(1.25, 1.25, 32)
-    H = _weighted_symmetric_part(p, grid)
-    shifts = []
+    floor, _ = _coercivity_bracket(p, grid)
+    monkeypatch.setattr(sector_solver, "_coercivity_bracket", lambda p, grid: (floor, 1.0))
+    shifts = _spy_shifts(monkeypatch)
+    below = []
     splu = spla.splu
-    eigsh = spla.eigsh
 
     def spy(M, *args, **kwargs):
         lu = splu(M, *args, **kwargs)
         assert np.array_equal(lu.perm_r, lu.perm_c)
-        shifts.append((np.mean((H - M).diagonal()), np.count_nonzero(lu.U.diagonal() <= 0.0)))
+        below.append(np.count_nonzero(lu.U.diagonal() <= 0.0))
         return lu
 
-    def zero_bound(*args, **kwargs):
-        if kwargs.get("sigma") is None and "tol" in kwargs:
-            return np.zeros(1)
-        return eigsh(*args, **kwargs)
-
     monkeypatch.setattr(spla, "splu", spy)
-    monkeypatch.setattr(spla, "eigsh", zero_bound)
     lam = discrete_coercivity(p, grid)
     want = _dense_lambda_min(p, grid)
-    sigmas = [s for s, _ in shifts]
-    below = [n for _, n in shifts]
-    assert sigmas[0] == 0.0 and np.all(np.diff(sigmas) < 0.0)
-    assert len(shifts) >= 3
+    sigmas = [sigma for sigma, _ in shifts]
+    assert sigmas == [1.0 - 1e-2 * 4.0**k for k in range(len(shifts))]
+    assert len(below) == len(shifts) >= 3
     assert all(n > 0 for n in below[:-1]) and below[-1] == 0
-    assert sigmas[-2] > want > sigmas[-1]
+    assert sigmas[-2] > want > sigmas[-1] > floor
     assert abs(lam - want) <= 1e-10 * abs(want)
 
 
-@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.25, 1.25)], ids=["definite", "indefinite"])
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.25, 1.25), (1.0, 1.0)], ids=["definite", "indefinite", "boundary"])
 def test_discrete_coercivity_makes_no_dense_copy(alpha, beta, monkeypatch):
     # no path densifies H or a shifted copy of it (a dense H is 126 MB at
-    # n = 64): every sparse toarray/todense raises during the call
+    # n = 64), and neither does the bracket: every sparse toarray/todense
+    # raises during the call
     def no_dense(self, *args, **kwargs):
         raise AssertionError("dense copy of a sparse matrix")
 
@@ -669,26 +702,46 @@ def test_discrete_coercivity_makes_no_dense_copy(alpha, beta, monkeypatch):
 
 @pytest.mark.parametrize("fault", ["splu raises", "perm_r != perm_c"])
 def test_discrete_coercivity_fallback(fault, monkeypatch):
-    # a factor that cannot certify definiteness sends the call to the SA
-    # iteration, which still returns lambda_min, with the factor released
-    factors = []
+    # a factor that cannot certify lowers the shift; a shift at the floor
+    # that cannot certify raises SolverFailure.  One factor lives at a time,
+    # and none outlives the call
+    factors, faulty = [], [1]  # faulty[0]: how many first factors fault
     splu = spla.splu
 
-    def faulty(M, *args, **kwargs):
-        if fault == "splu raises":
+    def spy(M, *args, **kwargs):
+        assert all(ref is None or ref() is None for ref in factors)
+        fails = len(factors) < faulty[0]
+        if fails and fault == "splu raises":
+            factors.append(None)
             raise RuntimeError("Factor is exactly singular")
-        factor = _Factor(splu(M, *args, **kwargs))
+        factor = _Factor(splu(M, *args, **kwargs), roll=int(fails))
         factors.append(weakref.ref(factor))
         return factor
 
-    monkeypatch.setattr(spla, "splu", faulty)
-    calls = _spy_eigsh(monkeypatch, factors)
-    p, grid = _coercivity_case(0.6, 0.4, 16)
+    monkeypatch.setattr(spla, "splu", spy)
+    shifts = _spy_shifts(monkeypatch)
+    p, grid = _coercivity_case(1.25, 1.25, 16)
     lam = discrete_coercivity(p, grid)
-    want = _dense_lambda_min(p, grid)
-    assert calls == ["SA"]
-    assert len(factors) == (fault == "perm_r != perm_c")
-    assert abs(lam - want) <= 1e-10 * want
+    assert [val is None for _, val in shifts] == [True, False]
+    assert shifts[1][0] < shifts[0][0]
+    assert abs(lam - _dense_lambda_min(p, grid)) <= 1e-10 * abs(lam)
+    # every factor faults: the shift falls to the floor, then SolverFailure;
+    # a definite H faults at sigma = 0, below its floor, at once
+    faulty[0] = np.inf
+    for alpha, beta in ((1.25, 1.25), (0.6, 0.4)):
+        p, grid = _coercivity_case(alpha, beta, 16)
+        floor, _ = _coercivity_bracket(p, grid)
+        factors.clear()
+        shifts.clear()
+        with pytest.raises(SolverFailure, match="no certified shift"):
+            discrete_coercivity(p, grid)
+        assert all(ref is None or ref() is None for ref in factors)
+        assert all(val is None for _, val in shifts)
+        last = shifts[-1][0]
+        if alpha + beta < 2.0:
+            assert [sigma for sigma, _ in shifts] == [0.0] and floor > 0.0
+        else:
+            assert len(shifts) > 1 and last == floor - 1e-12 * _h_norm(p, grid)
 
 
 @pytest.mark.parametrize(
