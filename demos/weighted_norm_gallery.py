@@ -30,7 +30,7 @@ print("trace ratios for a shrinking bump family (a = 0.5, l = 1):")
 p = WeightParams(0.5, 1)
 wide = SectorGrid(geo, 0.5, 3.0, 256, 64)
 for s in (1.0, 0.5, 0.25, 0.125):
-    eta = exp_bump(0.6, 0.6 + s)[0]
-    v = GridFunction.from_callable(wide, lambda r, phi: eta(r) * np.cos(phi))
+    bump = exp_bump(0.6, 0.6 + s)
+    v = GridFunction.from_callable(wide, lambda r, phi: bump(r)[0] * np.cos(phi))
     print("  support width %.3f : ratio %.4f" % (s, trace_ratio(v, "gamma1", p)))
 print("the ratio stays bounded as the support concentrates")

@@ -2,8 +2,8 @@
 
 Subcommands: eigs | solvability | solve | green | spectrum | norms.  Exit
 codes are a stable contract: 0 ok, 1 Green identity FAIL, 2 malformed
-problem file, grid file or output directory, 3 unsupported coefficient
-regime, 4 solvability blocked, 5 linear solver failure.
+problem file, grid file, flag or output directory, 3 unsupported
+coefficient regime, 4 solvability blocked, 5 linear solver failure.
 
 The problem file is JSON with sections geometry, pencil, solver, boundary,
 weights, output; unknown sections or keys are rejected.  Right-hand sides
@@ -84,7 +84,7 @@ _EXPR_FUNCS = {  # name: (function, number of arguments)
     "sin": (np.sin, 1),
     "cos": (np.cos, 1),
     "exp": (np.exp, 1),
-    "bump": (lambda r, r0, r1: exp_bump(r0, r1)[0](r), 3),
+    "bump": (lambda r, r0, r1: exp_bump(r0, r1)(r)[0], 3),
 }
 # the functions Python's own arithmetic calls, so every value stays the same
 _EXPR_OPS = {
@@ -198,21 +198,27 @@ def _require(spec, *sections):
             raise SpecError("section %r missing keys %s" % (s, sorted(gaps)))
 
 
+def _finite(value, name):
+    """value as a float; SpecError naming it unless it is a finite number (not NaN or inf)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    if not np.isfinite(number):
+        raise SpecError("%s must be a finite number, got %r" % (name, value))
+    return number
+
+
 def _number(spec, section, key, kind=float):
-    """spec[section][key] as a float (or int); SpecError if it is not a number.
+    """spec[section][key] as a float (or int); SpecError if it is not a finite number.
 
     An int must be integral (16 or 16.0); 16.9 is an error, not 16.
     """
     value = spec[section][key]
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise SpecError("%s.%s must be a number, got %r" % (section, key, value))
-    if kind is int:
-        if not number.is_integer():
-            raise SpecError("%s.%s must be an integer, got %r" % (section, key, value))
-        return int(number)
-    return number
+    number = _finite(value, "%s.%s" % (section, key))
+    if kind is int and not number.is_integer():
+        raise SpecError("%s.%s must be an integer, got %r" % (section, key, value))
+    return kind(number)
 
 
 def _geometry(spec):
@@ -220,11 +226,7 @@ def _geometry(spec):
     angles = spec["geometry"]["angles"]
     if not isinstance(angles, list) or len(angles) != 3:
         raise SpecError("geometry.angles must be a list of 3 rays (two sectors), got %r" % (angles,))
-    try:
-        rays = [float(b) for b in angles]
-    except (TypeError, ValueError):
-        raise SpecError("geometry.angles must be numbers, got %r" % (angles,))
-    return make_geometry(rays)
+    return make_geometry([_finite(b, "each ray of geometry.angles") for b in angles])
 
 
 def _coupling(spec):
@@ -419,12 +421,12 @@ def cmd_green(spec, args):
     b1, b2, _ = geo.angles
     cfg = GreenConfig(geo, _number(spec, "pencil", "alpha"), args.chi12, b2 - b1, order=args.order)
     pair = bump_trig_pair()
-    if args.example == 1:
-        residual = green_residual_dirichlet(cfg, pair)
-        terms = term_magnitudes(cfg, pair, neumann=False)
-    else:
-        residual = green_residual_neumann(cfg, pair)
-        terms = term_magnitudes(cfg, pair, neumann=True)
+    neumann = args.example == 2
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        residual = (green_residual_neumann if neumann else green_residual_dirichlet)(cfg, pair)
+        terms = term_magnitudes(cfg, pair, neumann=neumann)
+    if not np.all(np.isfinite([residual] + terms)):
+        raise SpecError("the Green quadrature at --chi12 %r is not finite" % args.chi12)
     _say(args, "identity residual: %s" % _f(residual))
     for i, t in enumerate(terms):
         _say(args, "  |term %d| = %s" % (i, _f(t)))
@@ -535,6 +537,9 @@ def main(argv=None):
     try:
         if args.out and not os.path.isdir(args.out):
             raise SpecError("output directory %s does not exist" % args.out)
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                _finite(value, "--" + name.replace("_", "-"))
         spec = load_spec(args.spec)
         return _COMMANDS[args.command](spec, args)
     except SpecError as exc:

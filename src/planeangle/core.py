@@ -53,18 +53,16 @@ class AngleGeometry:
 def make_geometry(angles):
     """Build an AngleGeometry from a strictly increasing list of ray angles.
 
-    The angles must lie in (0, 2*pi) and be equally spaced to within
-    SPACING_TOL; the stored spacing d is the mean gap.
+    The angles must be numbers (not NaN) in (0, 2*pi), equally spaced to
+    within SPACING_TOL; the stored spacing d is the mean gap.
     """
     angles = tuple(float(b) for b in angles)
     if len(angles) < 2:
         raise TooFewAngles("need at least 2 ray angles, got %d" % len(angles))
     arr = np.asarray(angles)
-    if not (arr[0] > 0.0 and arr[-1] < 2.0 * np.pi):
-        raise OutOfRange("angles must lie strictly inside (0, 2*pi)")
     gaps = np.diff(arr)
-    if np.any(gaps <= 0.0):
-        raise OutOfRange("angles must be strictly increasing")
+    if not (arr[0] > 0.0 and arr[-1] < 2.0 * np.pi and np.all(gaps > 0.0)):
+        raise OutOfRange("angles must increase strictly inside (0, 2*pi), got %s" % (angles,))
     d = float(np.mean(gaps))
     if np.any(np.abs(gaps - d) >= SPACING_TOL):
         raise NonUniformSpacing(
@@ -89,8 +87,8 @@ class SectorGrid:
     n_phi: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise IncompatibleGrid("need 0 < r_min < r_max")
+        if not (0.0 < self.r_min < self.r_max < np.inf):
+            raise IncompatibleGrid("need 0 < r_min < r_max < inf")
         R = self.geometry.num_sectors
         if self.n_phi % R != 0:
             raise IncompatibleGrid(

@@ -84,13 +84,13 @@ class GreenTestPair:
 class GreenConfig:
     """Geometry, coupling and quadrature resolution for the identity check.
 
-    chi12 > 0 is the radial expansion, phi12 the rotation taking gamma_1 to
-    gamma_2 (b1 + phi12 = b2).  Quadrature: `order`-point Gauss-Legendre on
-    `panels` x `panels` panels per sector over the radial window, the hull
-    of the support annulus and its 1/chi12 image; line integrals reuse the
-    radial panels.  The default panel count is sized for the exponential
-    bump in bump_trig_pair, whose derivatives grow fast near the support
-    edges.
+    alpha is finite, chi12 > 0 the finite radial expansion, phi12 the
+    rotation taking gamma_1 to gamma_2 (b1 + phi12 = b2).  Quadrature:
+    `order`-point Gauss-Legendre on `panels` x `panels` panels per sector
+    over the radial window, the hull of the support annulus and its 1/chi12
+    image; line integrals reuse the radial panels.  The default panel count
+    is sized for the exponential bump in bump_trig_pair, whose derivatives
+    grow fast near the support edges.
     """
 
     geometry: AngleGeometry
@@ -103,8 +103,8 @@ class GreenConfig:
     def __post_init__(self):
         if self.geometry.num_sectors != 2:
             raise IncompatibleGrid("Green identity check needs R=2 geometry")
-        if not self.chi12 > 0.0:
-            raise PlaneAngleError("chi12 must be positive")
+        if not (np.isfinite(self.alpha) and 0.0 < self.chi12 < np.inf):
+            raise PlaneAngleError("need a finite alpha and a positive finite chi12")
         b1, b2, _ = self.geometry.angles
         if abs(b1 + self.phi12 - b2) >= 1e-12:
             raise PlaneAngleError("phi12 must satisfy b1 + phi12 = b2")
@@ -267,7 +267,7 @@ def bump_trig_pair():
     exp_bump on the annulus BUMP_SUPPORT; V1 and V2 are different low-degree
     r^m trig(k phi) combinations so the gamma_2 jump terms are exercised.
     """
-    eta, deta, ddeta = exp_bump(*BUMP_SUPPORT)
+    jet = exp_bump(*BUMP_SUPPORT)
 
     def ang(p):
         return 2.0 + np.cos(2 * p) + 0.3 * np.sin(p)
@@ -278,13 +278,15 @@ def bump_trig_pair():
     def ddang(p):
         return -4 * np.cos(2 * p) - 0.3 * np.sin(p)
 
+    def lap(r, p):
+        eta, deta, ddeta = jet(r)
+        return ddeta * ang(p) + deta * ang(p) / r + eta * ddang(p) / r**2
+
     u = Field(
-        lambda r, p: eta(r) * ang(p),
-        lambda r, p: deta(r) * ang(p),
-        lambda r, p: eta(r) * dang(p),
-        lambda r, p: (
-            ddeta(r) * ang(p) + deta(r) * ang(p) / r + eta(r) * ddang(p) / r**2
-        ),
+        lambda r, p: jet(r)[0] * ang(p),
+        lambda r, p: jet(r)[1] * ang(p),
+        lambda r, p: jet(r)[0] * dang(p),
+        lap,
     )
     return GreenTestPair(
         u=u,

@@ -83,7 +83,7 @@ _POLY_INDEX = np.arange(MAX_DEGREE, -MAX_DEGREE - 1, -1)
 
 @dataclass(frozen=True)
 class PoissonPencilProblem:
-    """Nonlocal pencil data: coefficients alpha, beta and opening rays b1 < b3."""
+    """Nonlocal pencil data: finite coefficients alpha, beta and opening rays b1 < b3."""
 
     alpha: float
     beta: float
@@ -91,8 +91,8 @@ class PoissonPencilProblem:
     b3: float
 
     def __post_init__(self):
-        if not (0.0 < self.b1 < self.b3 < 2.0 * np.pi):
-            raise OutOfRange("need 0 < b1 < b3 < 2*pi")
+        if not (0.0 < self.b1 < self.b3 < 2.0 * np.pi and np.isfinite([self.alpha, self.beta]).all()):
+            raise OutOfRange("need 0 < b1 < b3 < 2*pi and a finite coupling")
 
     @property
     def d(self):
@@ -229,7 +229,9 @@ def characteristic_roots(sigma, lo, hi):
 
 
 def _closed_form_imag_parts(p, lo, hi):
-    """Sorted Im lambda = x/d in [lo, hi] over the nonzero characteristic roots x."""
+    """Sorted Im lambda = x/d in finite [lo, hi] over the nonzero characteristic roots x."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise OutOfRange("Im lambda range %s is not finite" % ((lo, hi),))
     d = p.d
     sine, cosine = characteristic_roots(p.coupling_sum, lo * d, hi * d)
     return np.sort(np.concatenate([sine[sine != 0.0], cosine])) / d
@@ -241,7 +243,7 @@ def eigenvalues_closed_form(p, strip):
     The eigenvalues are i*x/d over the nonzero roots x of
     characteristic_roots(alpha+beta, ...): i*pi*k/d (k != 0) and
     +-i*(arccos(-(alpha+beta)/2) + 2*pi*k)/d.  OutOfRange unless
-    h_lo < h_hi; UnsupportedRegime unless |alpha+beta| < 2.
+    h_lo < h_hi, both finite; UnsupportedRegime unless |alpha+beta| < 2.
     """
     lo, hi = float(strip[0]), float(strip[1])
     if not lo < hi:
@@ -419,12 +421,14 @@ def find_zeros(f, window, d):
     the zeros found, with multiplicity, or NoConvergence is raised.
     f is called with arrays only: once with the Laurent samples and the
     first contour level in one batch, and again only per refinement level
-    or per nudge of a contour through a zero.  OutOfRange unless
-    re_lo < re_hi and im_lo < im_hi, or if the window is too tall for the
-    contour.
+    or per nudge of a contour through a zero.  OutOfRange unless re_lo <
+    re_hi and im_lo < im_hi are finite (f is not called), or if the window
+    is too tall for the contour.
     """
     window = tuple(float(x) for x in window)
     re_lo, re_hi, im_lo, im_hi = window
+    if not all(map(math.isfinite, window)):
+        raise OutOfRange("search window %s is not finite" % (window,))
     if not (re_lo < re_hi and im_lo < im_hi):
         raise OutOfRange(
             "empty search window %s: need re_lo < re_hi and im_lo < im_hi" % (window,)
@@ -499,6 +503,7 @@ def line_is_eigenvalue_free(p, h):
 
     Free: farther than FREE_LINE_TOL from nearest_eigenvalue, the closed-form
     eigenvalue nearest to the line, the lower one of two equally near.
+    OutOfRange unless h is finite.
     """
     h = float(h)
     margin = 4.0 * np.pi / p.opening + 1.0

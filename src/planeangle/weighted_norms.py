@@ -36,12 +36,14 @@ class UnsupportedOrder(PlaneAngleError):
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Weight exponent a and smoothness order l (l in {0, 1, 2})."""
+    """Finite weight exponent a and smoothness order l (l in {0, 1, 2})."""
 
     a: float
     l: int
 
     def __post_init__(self):
+        if not np.isfinite(self.a):
+            raise PlaneAngleError("weight exponent a=%r is not finite" % (self.a,))
         if self.l not in (0, 1, 2):
             raise UnsupportedOrder("smoothness order l=%r not in {0, 1, 2}" % (self.l,))
 

@@ -295,7 +295,7 @@ def test_criterion_10_weighted_norm_properties():
     wide = SectorGrid(GEO_SOLVE, 0.5, 3.0, 256, 64)
     ratios = []
     for s in (1.0, 0.5, 0.25, 0.125):
-        eta = exp_bump(0.6, 0.6 + s)[0]
-        v = GridFunction.from_callable(wide, lambda r, phi: eta(r) * np.cos(phi))
+        bump = exp_bump(0.6, 0.6 + s)
+        v = GridFunction.from_callable(wide, lambda r, phi: bump(r)[0] * np.cos(phi))
         ratios.append(trace_ratio(v, "gamma1", params))
     assert max(ratios) <= 3.0 * np.median(ratios)

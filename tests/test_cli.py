@@ -278,6 +278,17 @@ MALFORMED = {
     "input-ragged": ({}, ["norms", "--input", "{tmp}/ragged.csv"]),
     "out-missing-eigs": ({}, ["--out", "{tmp}/none", "eigs"]),
     "out-missing-solve": ({}, ["--out", "{tmp}/none", "solve"]),
+    # JSON's NaN and Infinity, and non-finite flags, are not numbers
+    "angles-nan": ({"geometry": {"angles": [B1, float("nan"), B1 + np.pi]}}, ["eigs"]),
+    "a-nan": ({"weights": {"a": float("nan")}}, ["norms"]),
+    "alpha-nan-eigs": ({"pencil": {"alpha": float("nan")}}, ["eigs"]),
+    "alpha-nan-green": ({"pencil": {"alpha": float("nan")}}, ["green"]),
+    "r_max-inf": ({"solver": {"r_max": float("inf")}}, ["solve"]),
+    "chi12-inf": ({}, ["green", "--chi12", "inf"]),
+    "im-max-inf": ({}, ["eigs", "--im-max", "inf"]),
+    "solvability-a-nan": ({}, ["solvability", "--a", "nan", "--l", "1"]),
+    # a quadrature that overflows is malformed input, not an identity FAIL
+    "chi12-tiny": ({}, ["green", "--chi12", "1e-300"]),
 }
 
 

@@ -40,6 +40,8 @@ def test_make_geometry_rejects_out_of_range():
         make_geometry([1.0, 2 * np.pi])
     with pytest.raises(OutOfRange):
         make_geometry([1.0, 0.5])
+    with pytest.raises(OutOfRange):  # every comparison with NaN is false
+        make_geometry([0.5, np.nan, 1.5])
 
 
 def test_make_geometry_rejects_short_lists():
@@ -61,6 +63,8 @@ def test_grid_validation():
         SectorGrid(geo, 1.0, 3.0, 4, 5)  # n_phi not divisible by R
     with pytest.raises(IncompatibleGrid):
         SectorGrid(geo, 1.0, 3.0, 2, 4)  # n_r too small
+    with pytest.raises(IncompatibleGrid):
+        SectorGrid(geo, 1.0, np.inf, 4, 4)
 
 
 def test_column_shift_matches_sector_spacing():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from planeangle.core import make_geometry
+from planeangle.core import PlaneAngleError, make_geometry
 from planeangle.green_check import (
     Field,
     GreenConfig,
@@ -99,6 +99,9 @@ def test_config_validation():
         GreenConfig(GEO, 0.5, -1.0, PHI12)
     with pytest.raises(Exception):
         GreenConfig(GEO, 0.5, 1.0, PHI12 + 0.1)
+    for alpha, chi12 in [(0.5, np.inf), (0.5, np.nan), (np.nan, 1.0), (np.inf, 1.0)]:
+        with pytest.raises(PlaneAngleError, match="finite"):
+            GreenConfig(GEO, alpha, chi12, PHI12)
 
 
 def test_pair_support_validation():

@@ -167,6 +167,21 @@ def test_closed_form_rejects_empty_strip(strip):
         eigenvalues_closed_form(P_MIX, strip)
 
 
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 0.4), (0.6, np.inf)])
+def test_non_finite_coupling_is_out_of_range(alpha, beta):
+    with pytest.raises(OutOfRange, match="finite coupling"):
+        PoissonPencilProblem(alpha, beta, B1, B1 + np.pi)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_non_finite_strip_and_line_are_out_of_range(x):
+    for strip in ((x, 1.0), (-1.0, x)):
+        with pytest.raises(OutOfRange):
+            eigenvalues_closed_form(P_MIX, strip)
+    with pytest.raises(OutOfRange):
+        solvability_report(P_MIX, x, 1.0)
+
+
 def test_numeric_matches_closed_form_mixed():
     closed = eigenvalues_closed_form(P_MIX, (0.1, 4.1))
     numeric = eigenvalues_numeric(P_MIX, (-0.1, 0.1, 0.1, 4.1))
@@ -346,6 +361,20 @@ def test_empty_window_is_out_of_range(window):
     for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
         with pytest.raises(OutOfRange, match="empty search window"):
             search(P_MIX, window)
+
+
+@pytest.mark.parametrize(
+    "window", [(-0.5, 0.5, 0.0, np.inf), (-np.inf, 0.5, -4.0, 4.0), (-0.5, 0.5, np.nan, 4.0)]
+)
+def test_non_finite_window_is_out_of_range_before_any_determinant_call(window, monkeypatch):
+    # an infinite edge would size the contour without end
+    calls = []
+    for name in ("characteristic_value", "adjoint_transmission_characteristic"):
+        monkeypatch.setattr(pencil, name, lambda p, lam: calls.append(lam))
+    for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
+        with pytest.raises(OutOfRange, match="not finite"):
+            search(P_MIX, window)
+    assert calls == []
 
 
 def test_adjoint_mirror_of_primal_zeros():

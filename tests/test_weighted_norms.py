@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planeangle.core import GridFunction, SectorGrid, make_geometry
+from planeangle.core import GridFunction, PlaneAngleError, SectorGrid, make_geometry
 from planeangle import weighted_norms
 from planeangle.manufactured import exp_bump
 from planeangle.weighted_norms import (
@@ -34,6 +34,12 @@ def test_order_validation():
         WeightParams(0.0, 3)
     with pytest.raises(UnsupportedOrder):
         WeightParams(0.0, -1)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf])
+def test_weight_exponent_must_be_finite(a):
+    with pytest.raises(PlaneAngleError, match="not finite"):
+        WeightParams(a, 1)
 
 
 def test_zero_function_zero_norms():
@@ -118,11 +124,11 @@ def test_trace_ratio_requires_l_geq_1():
 
 def test_trace_ratio_stable_under_refinement():
     p = WeightParams(0.5, 1)
-    eta = exp_bump(1.0, 2.5)[0]
+    bump = exp_bump(1.0, 2.5)
     ratios = []
     for n in (32, 64, 128):
         grid = SectorGrid(GEO, 0.5, 3.0, n, n)
-        u = GridFunction.from_callable(grid, lambda r, phi: eta(r) * np.cos(phi))
+        u = GridFunction.from_callable(grid, lambda r, phi: bump(r)[0] * np.cos(phi))
         ratios.append(trace_ratio(u, "gamma1", p))
     spread = (max(ratios) - min(ratios)) / np.median(ratios)
     assert spread < 0.2
@@ -133,8 +139,8 @@ def test_trace_ratio_bounded_for_shrinking_family():
     grid = SectorGrid(GEO, 0.5, 3.0, 256, 64)
     ratios = []
     for s in (1.0, 0.5, 0.25, 0.125):
-        eta = exp_bump(0.6, 0.6 + s)[0]
-        u = GridFunction.from_callable(grid, lambda r, phi: eta(r) * np.cos(phi))
+        bump = exp_bump(0.6, 0.6 + s)
+        u = GridFunction.from_callable(grid, lambda r, phi: bump(r)[0] * np.cos(phi))
         ratios.append(trace_ratio(u, "gamma1", p))
     assert max(ratios) <= 3.0 * np.median(ratios)
 
