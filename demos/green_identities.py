@@ -21,14 +21,14 @@ phi12 = 1.0
 pair = bump_trig_pair()
 
 print("term scale and residual at order 12, 48 radial panels:")
-for chi12 in (1.0, 1.5, 2.0):
+for chi12 in (0.1, 1.0, 1.5, 2.0, 10.0):
     cfg = GreenConfig(geo, 0.7, chi12, phi12)
     scale_d = sum(term_magnitudes(cfg, pair, neumann=False))
     scale_n = sum(term_magnitudes(cfg, pair, neumann=True))
     rd = green_residual_dirichlet(cfg, pair)
     rn = green_residual_neumann(cfg, pair)
     print(
-        "  chi12 = %.1f : dirichlet %.2e / %.2e   neumann %.2e / %.2e"
+        "  chi12 = %4.1f : dirichlet %.2e / %.2e   neumann %.2e / %.2e"
         % (chi12, rd, scale_d, rn, scale_n)
     )
 

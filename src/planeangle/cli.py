@@ -320,10 +320,10 @@ def _read_grid_csv(path, grid):
 def cmd_eigs(spec, args):
     _require(spec, "geometry", "pencil")
     p = _pencil_problem(spec)
-    strip = (args.im_min, args.im_max)
-    closed = eigenvalues_closed_form(p, strip)
-    window = (-0.5, 0.5, args.im_min, args.im_max)
-    numeric = eigenvalues_numeric(p, window)
+    # the numeric search refuses a window too tall for its contour before the
+    # closed form would list every root of so tall a strip
+    numeric = eigenvalues_numeric(p, (-0.5, 0.5, args.im_min, args.im_max))
+    closed = eigenvalues_closed_form(p, (args.im_min, args.im_max))
     rows = [("closed_form", z) for z in closed.values]
     rows += [("numeric", z) for z in numeric.values]
     path = _out_path(spec, args, "eigenvalues.csv")
@@ -376,11 +376,12 @@ def _solve_once(spec, args, factor=1):
 
 def cmd_solve(spec, args):
     _require(spec, "geometry", "pencil", "solver")
-    refinements = max(0, args.refine)
+    if args.refine < 0:
+        raise SpecError("--refine must be a count >= 0, got %d" % args.refine)
     # the coarser levels only feed the error table, which needs an exact solution
     manufactured = spec["solver"].get("rhs", "0") == "manufactured"
     errors = []
-    for level in range(0 if manufactured else refinements, refinements + 1):
+    for level in range(0 if manufactured else args.refine, args.refine + 1):
         grid, result, err, warn = _solve_once(spec, args, factor=2**level)
         if err is not None:
             errors.append(err)

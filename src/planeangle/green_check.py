@@ -16,16 +16,17 @@ gamma_1 the nonlocal trace adds alpha*U(chi12*r, b2) (Dirichlet) or
 alpha*U_r(chi12*r, b2) (Neumann).  On gamma_2 the LHS is N(U) against the
 jump V1 - V2, and the RHS pairs U with N(V1) - N(V2) plus the adjoint
 nonlocal term at (chi21*r, b1), chi21 = 1/chi12: alpha*chi21*N(V1) for the
-Dirichlet identity, alpha*chi21**2*V1_r for the Neumann one.  Both sides are
-integrated with tensor Gauss-Legendre panels and the residual |LHS - RHS| is
-returned; with analytic derivatives supplied the residual is pure quadrature
-error.
+Dirichlet identity, alpha*chi21**2*V1_r for the Neumann one.  Taken in
+rho = chi12*r, the nonlocal trace lives on U's support annulus like every
+other integrand, so both sides are integrated with tensor Gauss-Legendre
+panels on that annulus, whatever chi12 is, and the residual |LHS - RHS| is
+returned; with analytic derivatives it is pure quadrature error.
 
-The coupling alpha, phi12 and the flavour enter only the ray terms.  The
-sector integrals over K1 and K2 are independent of them, so they are
-computed once per key (ray angles, radial window, panels, order and the
-three fields) and memoized in a bounded cache shared by both flavours,
-every alpha and term_magnitudes.  Field callables must therefore be pure
+The coupling alpha, chi12, phi12 and the flavour enter only the ray terms.
+The sector integrals over K1 and K2 are independent of them, so they are
+computed once per key (ray angles, panels, order and the test pair) and
+memoized in a bounded cache shared by both flavours, every alpha, every
+chi12 and term_magnitudes.  Field callables must therefore be pure
 functions of (r, phi), and hashable (functions and lambdas are).
 
 Normals: n1 and n2 point counterclockwise, +(1/r) d/dphi; n3 points
@@ -87,8 +88,8 @@ class GreenConfig:
     alpha is finite, chi12 > 0 the finite radial expansion, phi12 the
     rotation taking gamma_1 to gamma_2 (b1 + phi12 = b2).  Quadrature:
     `order`-point Gauss-Legendre on `panels` x `panels` panels per sector
-    over the radial window, the hull of the support annulus and its 1/chi12
-    image; line integrals reuse the radial panels.  The default panel count
+    over the test pair's support annulus, whatever chi12 is; line integrals
+    reuse the radial panels.  The default panel count
     is sized for the exponential bump in bump_trig_pair, whose derivatives
     grow fast near the support edges.
     """
@@ -123,24 +124,24 @@ def _panel_rule(a, b, panels, order):
 
 
 @lru_cache
-def _area_terms(angles, window, panels, order, u, v1, v2):
+def _area_terms(angles, panels, order, pair):
     """LHS and RHS sector integrals over K1 and K2, as two 2-tuples.
 
-    -Lap(U) conj(V) and U conj(-Lap(V)) on a radius column times an angle
-    row: they depend on the rays, the radial window, the quadrature and the
-    fields, not on alpha, phi12 or the flavour, so one evaluation serves
-    both identities at every coupling.
+    -Lap(U) conj(V) and U conj(-Lap(V)) on a radius column over U's support
+    times an angle row: they depend on the rays, the quadrature and the
+    pair, not on alpha, chi12, phi12 or the flavour, so one evaluation
+    serves both identities at every coupling.
     """
     b1, b2, b3 = angles
-    rn, rw = _panel_rule(*window, panels, order)
+    rn, rw = _panel_rule(*pair.support, panels, order)
     rc = rn[:, None]
     lhs, rhs = [], []
-    for blo, bhi, v in ((b1, b2, v1), (b2, b3, v2)):
+    for blo, bhi, v in ((b1, b2, pair.v1), (b2, b3, pair.v2)):
         pn, pw = _panel_rule(blo, bhi, panels, order)
         pr = pn[None, :]
         w2 = rw[:, None] * pw[None, :] * rc
-        lhs.append(np.sum(w2 * (-u.lap(rc, pr)) * np.conj(v.value(rc, pr))))
-        rhs.append(np.sum(w2 * u.value(rc, pr) * np.conj(-v.lap(rc, pr))))
+        lhs.append(np.sum(w2 * (-pair.u.lap(rc, pr)) * np.conj(v.value(rc, pr))))
+        rhs.append(np.sum(w2 * pair.u.value(rc, pr) * np.conj(-v.lap(rc, pr))))
     return tuple(lhs), tuple(rhs)
 
 
@@ -154,20 +155,15 @@ def _identity_terms(cfg, pair, neumann):
     """
     b1, b2, b3 = cfg.geometry.angles
     alpha = cfg.alpha
-    chi12 = cfg.chi12
-    chi21 = 1.0 / chi12
-    s_lo, s_hi = pair.support
-    window = (min(s_lo, s_lo * chi21), max(s_hi, s_hi * chi21))
-    rn, rw = _panel_rule(*window, cfg.panels, cfg.order)
-    area_lhs, area_rhs = _area_terms(
-        cfg.geometry.angles, window, cfg.panels, cfg.order, pair.u, pair.v1, pair.v2
-    )
+    chi21 = 1.0 / cfg.chi12
+    rn, rw = _panel_rule(*pair.support, cfg.panels, cfg.order)
+    area_lhs, area_rhs = _area_terms(cfg.geometry.angles, cfg.panels, cfg.order, pair)
     lhs, rhs = list(area_lhs), list(area_rhs)
 
-    def ray(f, b, sign):
+    def ray(f, b, sign, r=rn):
         """Traces (D, N) on phi = b: D = f and N = sign (1/r) df/dphi."""
-        ba = np.full_like(rn, b)
-        return f.value(rn, ba), sign * f.phi(rn, ba) / rn
+        ba = np.full_like(r, b)
+        return f.value(r, ba), sign * f.phi(r, ba) / r
 
     def paired(d, n):
         """(P, Q): (D, N) for the Dirichlet identity, (N, -D) for the Neumann one."""
@@ -176,18 +172,21 @@ def _identity_terms(cfg, pair, neumann):
     u1, u2, u3 = ray(pair.u, b1, 1.0), ray(pair.u, b2, 1.0), ray(pair.u, b3, -1.0)
     v1_1, v1_2 = ray(pair.v1, b1, 1.0), ray(pair.v1, b2, 1.0)
     v2_2, v2_3 = ray(pair.v2, b2, 1.0), ray(pair.v2, b3, -1.0)
-    # the nonlocal pieces: U seen from gamma_1 at (chi12 r, b2), and the
-    # adjoint V1 seen from gamma_2 at (chi21 r, b1)
+    # the nonlocal pieces in rho = chi12 r, on U's support: U on gamma_2
+    # meets V1 on gamma_1 at (chi21 rho, b1)
+    v1_far = ray(pair.v1, b1, 1.0, chi21 * rn)
     if neumann:
-        u_far = pair.u.r(chi12 * rn, np.full_like(rn, b2))
-        v_far = alpha * chi21**2 * pair.v1.r(chi21 * rn, np.full_like(rn, b1))
+        u_near = pair.u.r(rn, np.full_like(rn, b2))
+        # a product, not chi21**2: a float power raises OverflowError
+        v_far = alpha * (chi21 * chi21) * pair.v1.r(chi21 * rn, np.full_like(rn, b1))
     else:
-        u_far = pair.u.value(chi12 * rn, np.full_like(rn, b2))
-        v_far = alpha * chi21 * (pair.v1.phi(chi21 * rn, np.full_like(rn, b1)) / (chi21 * rn))
+        u_near = u2[0]
+        v_far = alpha * chi21 * v1_far[1]
 
-    # gamma_1: nonlocal trace; gamma_3: plain trace
+    # gamma_1: nonlocal trace, its alpha U(chi12 r, b2) in rho; gamma_3: plain trace
     (p_u, q_u), (p_v, q_v) = paired(*u1), paired(*v1_1)
-    lhs.append(np.sum(rw * (p_u + alpha * u_far) * np.conj(q_v)))
+    nonlocal_trace = alpha * chi21 * np.sum(rw * u_near * np.conj(paired(*v1_far)[1]))
+    lhs.append(np.sum(rw * p_u * np.conj(q_v)) + nonlocal_trace)
     rhs.append(np.sum(rw * q_u * np.conj(p_v)))
     (p_u, q_u), (p_v, q_v) = paired(*u3), paired(*v2_3)
     lhs.append(np.sum(rw * p_u * np.conj(q_v)))

@@ -41,7 +41,7 @@ then one per refinement level and one per nudged retry of the contour.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # unused: perfbench/layers.py traces this name; drop both in the next benchmark change
@@ -113,9 +113,7 @@ class PoissonPencilProblem:
 
 @dataclass(frozen=True)
 class EigenvalueSet:
-    values: np.ndarray = field(repr=False)
-    search_window: tuple
-    method: str
+    values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex).ravel()
@@ -249,7 +247,7 @@ def eigenvalues_closed_form(p, strip):
     if not lo < hi:
         raise OutOfRange("empty strip %s: need h_lo < h_hi" % ((lo, hi),))
     vals = 1j * _closed_form_imag_parts(p, lo, hi)
-    return EigenvalueSet(vals, (0.0, 0.0, lo, hi), "closed_form")
+    return EigenvalueSet(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +458,7 @@ def _numeric_eigenvalues(f, p, window):
     scale0 = 1.0 + abs(p.alpha) + abs(p.beta) + p.b3
     if abs(lambda_zero_determinant(p)) > 1e-12 * scale0:
         roots = roots[np.abs(roots) >= 1e-6]
-    return EigenvalueSet(roots, tuple(window), "numeric")
+    return EigenvalueSet(roots)
 
 
 def eigenvalues_numeric(p, window):

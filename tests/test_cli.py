@@ -176,10 +176,22 @@ def test_eigs_empty_window_exit(tmp_path, capsys):
     code = main(["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs",
                  "--im-min", "4", "--im-max", "-4"])
     assert code == EXIT_PARSE
-    # the closed-form table runs first and rejects the strip before the
-    # numeric search sees the window
+    # the numeric search runs first and rejects the window before the
+    # closed-form table sees the strip
     err = capsys.readouterr().err
-    assert "empty strip (4.0, -4.0)" in err
+    assert "empty search window (-0.5, 0.5, 4.0, -4.0)" in err
+
+
+def test_eigs_too_tall_window_is_refused_before_the_closed_form(tmp_path, capsys, monkeypatch):
+    # the closed form would list about 1e9 roots of this strip
+    def closed_form(p, strip):
+        raise AssertionError("closed form asked for the strip %s" % (strip,))
+
+    monkeypatch.setattr(cli, "eigenvalues_closed_form", closed_form)
+    spec = write_spec(tmp_path / "s.json")
+    code = main(["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs", "--im-max", "1e9"])
+    assert code == EXIT_PARSE
+    assert "too tall for the contour" in capsys.readouterr().err
 
 
 def test_eigs_regime_exit(tmp_path):
@@ -289,6 +301,8 @@ MALFORMED = {
     "solvability-a-nan": ({}, ["solvability", "--a", "nan", "--l", "1"]),
     # a quadrature that overflows is malformed input, not an identity FAIL
     "chi12-tiny": ({}, ["green", "--chi12", "1e-300"]),
+    "chi12-tiny-neumann": ({}, ["green", "--example", "2", "--chi12", "1e-300"]),
+    "refine-negative": ({}, ["solve", "--refine", "-1"]),
 }
 
 
@@ -471,31 +485,31 @@ def test_solve_output_deterministic(tmp_path):
 
 GREEN_STDOUT = {
     "1": (
-        "identity residual: 3.158470107678113e-08\n"
-        "  |term 0| = 7.86932424908118\n"
-        "  |term 1| = 12.527085311003198\n"
-        "  |term 2| = 0.5163639778533738\n"
-        "  |term 3| = 1.561417899073646\n"
-        "  |term 4| = 0.5980567316863227\n"
-        "  |term 5| = 4.682526514607787\n"
-        "  |term 6| = 10.508307409905346\n"
-        "  |term 7| = 1.69324344396389\n"
-        "  |term 8| = 1.159135305642777\n"
-        "  |term 9| = 3.1917423835941405\n"
+        "identity residual: 3.955069161065694e-09\n"
+        "  |term 0| = 7.869324262568522\n"
+        "  |term 1| = 12.527085333055599\n"
+        "  |term 2| = 0.5163639778533737\n"
+        "  |term 3| = 1.5614178990736436\n"
+        "  |term 4| = 0.5980567316863211\n"
+        "  |term 5| = 4.682526514607779\n"
+        "  |term 6| = 10.508307409905328\n"
+        "  |term 7| = 1.6932434439638873\n"
+        "  |term 8| = 1.1591353056427751\n"
+        "  |term 9| = 3.1917423835941356\n"
         "PASS\n"
     ),
     "2": (
-        "identity residual: 3.1593128113627245e-08\n"
-        "  |term 0| = 7.86932424908118\n"
-        "  |term 1| = 12.527085311003198\n"
-        "  |term 2| = 2.487442253469168\n"
-        "  |term 3| = 1.159135305642777\n"
-        "  |term 4| = 0.5980567316863227\n"
-        "  |term 5| = 4.682526514607787\n"
-        "  |term 6| = 10.508307409905346\n"
-        "  |term 7| = 0.4994327891618576\n"
-        "  |term 8| = 1.561417899073646\n"
-        "  |term 9| = 2.4144747627888012\n"
+        "identity residual: 3.9550087649331545e-09\n"
+        "  |term 0| = 7.869324262568522\n"
+        "  |term 1| = 12.527085333055599\n"
+        "  |term 2| = 2.4874422534607983\n"
+        "  |term 3| = 1.1591353056427751\n"
+        "  |term 4| = 0.5980567316863211\n"
+        "  |term 5| = 4.682526514607779\n"
+        "  |term 6| = 10.508307409905328\n"
+        "  |term 7| = 0.4994327891618563\n"
+        "  |term 8| = 1.5614178990736436\n"
+        "  |term 9| = 2.414474762788798\n"
         "PASS\n"
     ),
 }
@@ -509,6 +523,16 @@ def test_green_subcommand(tmp_path, capsys):
         code = main(["--spec", spec, "green", "--example", example, "--chi12", "1.5"])
         assert code == EXIT_OK
         assert capsys.readouterr().out == GREEN_STDOUT[example]
+
+
+@pytest.mark.parametrize("example", ["1", "2"])
+@pytest.mark.parametrize("chi12", ["1e-10", "0.01"])
+def test_green_far_scaling_passes(tmp_path, capsys, chi12, example):
+    # the quadrature covers U's support whatever chi12 is, so a strong
+    # contraction passes as chi12 = 1 does
+    spec = write_spec(tmp_path / "s.json", alpha=0.7, beta=0.0)
+    assert main(["--spec", spec, "green", "--example", example, "--chi12", chi12]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("\nPASS\n")
 
 
 def test_green_fail_exit(tmp_path, capsys):

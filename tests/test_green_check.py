@@ -36,7 +36,7 @@ def test_zero_u_gives_zero_residual():
     assert green_residual_neumann(cfg, pair) == 0.0
 
 
-@pytest.mark.parametrize("chi12", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("chi12", [0.01, 1.0, 1.5, 2.0, 100.0])
 def test_dirichlet_identity_small_residual(chi12):
     cfg = GreenConfig(GEO, 0.7, chi12, PHI12)
     pair = bump_trig_pair()
@@ -44,7 +44,7 @@ def test_dirichlet_identity_small_residual(chi12):
     assert green_residual_dirichlet(cfg, pair) < 1e-8 * scale
 
 
-@pytest.mark.parametrize("chi12", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("chi12", [0.01, 1.0, 1.5, 2.0, 100.0])
 def test_neumann_identity_small_residual(chi12):
     cfg = GreenConfig(GEO, 0.4, chi12, PHI12)
     pair = bump_trig_pair()
@@ -146,9 +146,11 @@ def all_outputs(cfgs, pair, before_each=lambda: None):
 
 def test_area_integrals_evaluated_once_per_key():
     pair, calls = counting_pair()
-    cfgs = [GreenConfig(GEO, alpha, 1.5, PHI12) for alpha in (0.7, -0.4)]
+    cfgs = [GreenConfig(GEO, alpha, chi12, PHI12)
+            for alpha in (0.7, -0.4) for chi12 in (1.5, 0.01, 100.0)]
     warm = all_outputs(cfgs, pair)
-    # 8 evaluations, one area key: each sector's fields once, U on both sectors
+    # 24 evaluations, one area key whatever chi12 is: each sector's fields
+    # once, U on both sectors
     assert calls == {
         "u.lap": 2, "u.value": 2,
         "v1.value": 1, "v1.lap": 1,
