@@ -8,8 +8,7 @@ its interior norm and stay bounded for concentrating bump families.
 
 import numpy as np
 
-from planeangle.core import GridFunction, SectorGrid, make_geometry
-from planeangle.manufactured import exp_bump
+from planeangle.core import GridFunction, SectorGrid, exp_bump, make_geometry
 from planeangle.weighted_norms import WeightParams, e_norm, h_norm, trace_ratio
 
 geo = make_geometry([np.pi / 6, np.pi / 2, 5 * np.pi / 6])

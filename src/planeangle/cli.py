@@ -17,6 +17,7 @@ repr (shortest round-trip form) so identical inputs give byte-identical output.
 import argparse
 import ast
 import json
+import math
 import operator
 import os
 import sys
@@ -24,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .core import GridFunction, PlaneAngleError, SectorGrid, make_geometry
+from .core import GridFunction, PlaneAngleError, SectorGrid, exp_bump, make_geometry
 from .difference_ops import (
     SingularMatrix,
     inverse_matrix,
@@ -43,7 +44,6 @@ from .green_check import (
 from .manufactured import (
     dd_problem,
     error_norm,
-    exp_bump,
     manufactured_nonlocal,
     nonlocal_problem,
 )
@@ -70,6 +70,9 @@ EXIT_PARSE = 2
 EXIT_REGIME = 3
 EXIT_BLOCKED = 4
 EXIT_SOLVER = 5
+
+# a 1024 x 1024 `solve` takes 3.4 s at 0.6 GB peak RSS on a 2-vCPU VM
+MAX_INTERVALS = 1024  # per grid axis
 
 
 class SpecError(PlaneAngleError):
@@ -238,14 +241,15 @@ def _pencil_problem(spec):
     return PoissonPencilProblem(*_coupling(spec), geo.angles[0], geo.angles[-1])
 
 
-def _grid(spec, factor=1):
-    return SectorGrid(
-        _geometry(spec),
-        _number(spec, "solver", "r_min"),
-        _number(spec, "solver", "r_max"),
-        _number(spec, "solver", "n_r", int) * factor,
-        _number(spec, "solver", "n_phi", int) * factor,
-    )
+def _grid(spec, refine=0):
+    """The spec's grid with n_r and n_phi doubled refine times; SpecError past MAX_INTERVALS."""
+    geo = _geometry(spec)
+    r_min, r_max = _number(spec, "solver", "r_min"), _number(spec, "solver", "r_max")
+    n_r, n_phi = _number(spec, "solver", "n_r", int), _number(spec, "solver", "n_phi", int)
+    if max(n_r, n_phi) > math.ldexp(MAX_INTERVALS, -refine):
+        raise SpecError("grid %d x %d refined %d time(s) has more than %d intervals per axis"
+                        % (n_r, n_phi, refine, MAX_INTERVALS))
+    return SectorGrid(geo, r_min, r_max, n_r << refine, n_phi << refine)
 
 
 def _out_path(spec, args, default_name):
@@ -359,9 +363,9 @@ def _expression_problem(spec, problem, alpha, beta, grid):
     return NonlocalPoissonProblem(alpha, beta, geo, rhs, g1, g3, grid.r_min, grid.r_max)
 
 
-def _solve_once(spec, args, factor=1):
+def _solve_once(spec, args, level):
     alpha, beta = _coupling(spec)
-    grid = _grid(spec, factor)
+    grid = _grid(spec, level)
     if spec["solver"].get("rhs", "0") == "manufactured":
         build = dd_problem if args.problem == "dd" else nonlocal_problem
         problem, exact = build(alpha, beta, grid)
@@ -378,11 +382,12 @@ def cmd_solve(spec, args):
     _require(spec, "geometry", "pencil", "solver")
     if args.refine < 0:
         raise SpecError("--refine must be a count >= 0, got %d" % args.refine)
+    _grid(spec, args.refine)  # a grid too fine is refused before any level is solved
     # the coarser levels only feed the error table, which needs an exact solution
     manufactured = spec["solver"].get("rhs", "0") == "manufactured"
     errors = []
     for level in range(0 if manufactured else args.refine, args.refine + 1):
-        grid, result, err, warn = _solve_once(spec, args, factor=2**level)
+        grid, result, err, warn = _solve_once(spec, args, level)
         if err is not None:
             errors.append(err)
     orders = [

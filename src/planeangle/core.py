@@ -3,6 +3,7 @@
 A plane angle is split into R equal sectors by the rays phi = b_1 < ... <
 b_{R+1}, all gaps equal to d.  Grids live on a truncated annular piece
 r_min <= r <= r_max of the angle; the radius r = 0 is always excluded.
+exp_bump is the package's C-infinity bump, numpy only like the rest here.
 """
 
 from dataclasses import dataclass, field
@@ -123,12 +124,19 @@ class SectorGrid:
         return np.meshgrid(self.r_nodes, self.phi_nodes, indexing="ij")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex nodal values on a SectorGrid, indexed (radial, angular)."""
+    """Read-only complex nodal values on a SectorGrid, indexed (radial, angular).
+
+    A complex array is held, not copied, and made read-only in place (another
+    view of its memory can still write it).  Equality is identity.  derived
+    caches what is computed from the values (the norms' derivative table)
+    and dies with the field.
+    """
 
     grid: SectorGrid
     values: np.ndarray = field(repr=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -137,6 +145,7 @@ class GridFunction:
             raise IncompatibleGrid(
                 "value shape %s, grid wants %s" % (vals.shape, expected)
             )
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -151,3 +160,28 @@ class GridFunction:
         """
         r, phi = np.meshgrid(grid.r_nodes, grid.phi_nodes, indexing="ij", sparse=True)
         return cls(grid, np.full((grid.n_r + 1, grid.n_phi + 1), func(r, phi), dtype=complex))
+
+
+def exp_bump(r0, r1):
+    """jet(r) -> (eta, eta', eta'') of the C-infinity bump on (r0, r1).
+
+    eta(r) = exp(-1/q) with q = 1 - t^2 and t = (r - mid)/half, mid and
+    half the midpoint and half-width of (r0, r1); peak value 1/e, 0 outside.
+    One mask and one exp per call serve all three.
+    """
+    mid = 0.5 * (r0 + r1)
+    half = 0.5 * (r1 - r0)
+
+    def jet(r):
+        t = (np.asarray(r, float) - mid) / half
+        eta, deta, ddeta = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
+        m = np.abs(t) < 1.0
+        tm = t[m]
+        q = 1.0 - tm**2
+        e = np.exp(-1.0 / q)
+        eta[m] = e
+        deta[m] = e * (-2.0 * tm / q**2)
+        ddeta[m] = e * (4.0 * tm**2 / q**4 - 2.0 / q**2 - 8.0 * tm**2 / q**3)
+        return eta, deta / half, ddeta / half**2
+
+    return jet

@@ -39,8 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import AngleGeometry, IncompatibleGrid, PlaneAngleError
-from .manufactured import exp_bump
+from .core import AngleGeometry, IncompatibleGrid, PlaneAngleError, exp_bump
 
 
 class SupportViolation(PlaneAngleError):

@@ -5,11 +5,9 @@ with its exact solution on that grid, and error_norm measures a solve
 against it: the CLI's built-in "rhs": "manufactured", the convergence tests
 and the demos all go through them.  The radial factor eta is a C^3 sin^4
 bump supported strictly inside (r_min, r_max), 8% of the radial range away
-from each end, so the Dirichlet data on the artificial arcs is 0.
-
-exp_bump is the package's C-infinity bump, one jet r -> (eta, eta', eta'')
-like the sin^4 bump: the Green identity test pair reads all three, the CLI
-expression function bump(r, r0, r1), the norm tests and the demos read eta.
+from each end, so the Dirichlet data on the artificial arcs is 0.  It is
+one jet r -> (eta, eta', eta'') like core.exp_bump, the package's
+C-infinity bump.
 """
 
 import numpy as np
@@ -34,31 +32,6 @@ def _sin4_bump(r_min, r_max):
         deta[m] = 4.0 * k * s**3 * c
         ddeta[m] = 4.0 * k**2 * (3.0 * s**2 * c**2 - s**4)
         return eta, deta, ddeta
-
-    return jet
-
-
-def exp_bump(r0, r1):
-    """jet(r) -> (eta, eta', eta'') of the C-infinity bump on (r0, r1).
-
-    eta(r) = exp(-1/q) with q = 1 - t^2 and t = (r - mid)/half, mid and
-    half the midpoint and half-width of (r0, r1); peak value 1/e, 0 outside.
-    One mask and one exp per call serve all three.
-    """
-    mid = 0.5 * (r0 + r1)
-    half = 0.5 * (r1 - r0)
-
-    def jet(r):
-        t = (np.asarray(r, float) - mid) / half
-        eta, deta, ddeta = np.zeros_like(t), np.zeros_like(t), np.zeros_like(t)
-        m = np.abs(t) < 1.0
-        tm = t[m]
-        q = 1.0 - tm**2
-        e = np.exp(-1.0 / q)
-        eta[m] = e
-        deta[m] = e * (-2.0 * tm / q**2)
-        ddeta[m] = e * (4.0 * tm**2 / q**4 - 2.0 / q**2 - 8.0 * tm**2 / q**3)
-        return eta, deta / half, ddeta / half**2
 
     return jet
 

@@ -69,6 +69,7 @@ MAX_DEGREE = 2  # Laurent degree of the determinants in exp(lambda*d)
 CONTOUR_START, CONTOUR_MAX = 64, 8192  # contour points per edge, first and last
 MAX_NUDGES = 8  # outward moves of a contour that passes through a zero
 GROUP_RADIUS = 1e-4  # companion roots this close, relative, are one multiple root
+MAX_CLOSED_FORM_ROOTS = 10**5  # closed-form roots of one strip, about 5 MB
 
 # the Laurent samples lambda = _LAURENT_NODES/d, theta offset by half a step
 # on |exp(lambda*d)| = 1; the FFT index k of each coefficient, the phase
@@ -227,10 +228,14 @@ def characteristic_roots(sigma, lo, hi):
 
 
 def _closed_form_imag_parts(p, lo, hi):
-    """Sorted Im lambda = x/d in finite [lo, hi] over the nonzero characteristic roots x."""
+    """Sorted Im lambda = x/d in finite [lo, hi] over the nonzero characteristic roots x;
+    OutOfRange before any is listed if 2*(hi - lo)*d/pi + 3 > MAX_CLOSED_FORM_ROOTS."""
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise OutOfRange("Im lambda range %s is not finite" % ((lo, hi),))
     d = p.d
+    if 2.0 * (hi - lo) * d / np.pi + 3.0 > MAX_CLOSED_FORM_ROOTS:
+        raise OutOfRange("Im lambda range %s holds more than %d closed-form roots"
+                         % ((lo, hi), MAX_CLOSED_FORM_ROOTS))
     sine, cosine = characteristic_roots(p.coupling_sum, lo * d, hi * d)
     return np.sort(np.concatenate([sine[sine != 0.0], cosine])) / d
 
@@ -241,7 +246,8 @@ def eigenvalues_closed_form(p, strip):
     The eigenvalues are i*x/d over the nonzero roots x of
     characteristic_roots(alpha+beta, ...): i*pi*k/d (k != 0) and
     +-i*(arccos(-(alpha+beta)/2) + 2*pi*k)/d.  OutOfRange unless
-    h_lo < h_hi, both finite; UnsupportedRegime unless |alpha+beta| < 2.
+    h_lo < h_hi, both finite, with at most about MAX_CLOSED_FORM_ROOTS
+    roots in between; UnsupportedRegime unless |alpha+beta| < 2.
     """
     lo, hi = float(strip[0]), float(strip[1])
     if not lo < hi:

@@ -11,18 +11,13 @@ computed, the extension's own volume norm stands in for it.
 Quadrature is midpoint over grid cells with polar area weight r dr dphi, so
 the integral of a nodal-constant integrand is exact.
 
-The norms of one field share its derivative table.  One module slot holds
-None or an immutable tuple for the last field asked for: a weak reference
-to it, a copy of its values, the order, and the real squares |D^alpha u|^2
-for every |alpha| up to that order.  A call hits only for the same object
-with equal values and an order at least its own, so a field whose values
-were changed in place is differentiated afresh; a higher order rebuilds the
-table, a lower one reads part of it.  Each call reads only the tuple it
-loaded, so threads need no lock, and the slot is emptied when its field is
-collected.
+The norms of one field share its derivative table, which lives in the
+field's own derived dict: the order and the real squares |D^alpha u|^2 for
+every |alpha| up to that order.  A higher order rebuilds the table, a lower
+one reads part of it.  Grid function values are read-only, so a table never
+goes stale, and it dies with its field.
 """
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,33 +78,13 @@ def cartesian_derivatives(u, l):
     return out
 
 
-# None, or (weakref to the field, copy of its values, order, {alpha: |D^alpha u|^2});
-# replaced whole, never changed in place
-_TABLE = None
-
-
-def _release(ref):
-    """Empty the slot when the field of its table is collected.
-
-    A table stored by another thread between the test and the store is
-    dropped too, which costs its next call a rebuild and nothing else.
-    """
-    global _TABLE
-    table = _TABLE
-    if table is not None and table[0] is ref:
-        _TABLE = None
-
-
 def _squares(u, l):
     """{alpha: |D^alpha u|^2} for |alpha| <= l, in cartesian_derivatives' order."""
-    global _TABLE
-    table = _TABLE
-    if table is None or table[0]() is not u or table[2] < l or not np.array_equal(u.values, table[1]):
-        _TABLE = table = None  # the old table is freed before the new one is built
-        values = u.values.copy()
+    order, squares = u.derived.get("squares", (-1, None))
+    if order < l:
         squares = {alpha: np.abs(d) ** 2 for alpha, d in cartesian_derivatives(u, l).items()}
-        _TABLE = table = (weakref.ref(u, _release), values, l, squares)
-    return {alpha: sq for alpha, sq in table[3].items() if sum(alpha) <= l}
+        u.derived["squares"] = (l, squares)
+    return {alpha: sq for alpha, sq in squares.items() if sum(alpha) <= l}
 
 
 def _cell_integral(grid, nodal):

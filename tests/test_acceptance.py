@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from planeangle.core import GridFunction, SectorGrid, make_geometry
+from planeangle.core import GridFunction, SectorGrid, exp_bump, make_geometry
 from planeangle.difference_ops import (
     DifferenceOperator,
     adjoint,
@@ -28,7 +28,7 @@ from planeangle.green_check import (
     green_residual_neumann,
     term_magnitudes,
 )
-from planeangle.manufactured import dd_problem, error_norm, exp_bump, nonlocal_problem
+from planeangle.manufactured import dd_problem, error_norm, nonlocal_problem
 from planeangle.pencil import (
     PoissonPencilProblem,
     adjoint_eigenvalues_numeric,

@@ -194,6 +194,18 @@ def test_eigs_too_tall_window_is_refused_before_the_closed_form(tmp_path, capsys
     assert "too tall for the contour" in capsys.readouterr().err
 
 
+def test_solve_refuses_a_grid_too_fine_before_any_solve(tmp_path, capsys, monkeypatch):
+    # 16 x 16 refined 7 times is 2048 intervals per axis
+    def solve_once(spec, args, level):
+        raise AssertionError("level %d solved" % level)
+
+    monkeypatch.setattr(cli, "_solve_once", solve_once)
+    for rhs in ("manufactured", "r * cos(phi)"):
+        spec = write_spec(tmp_path / "s.json", rhs=rhs)
+        assert main(["--spec", spec, "--out", str(tmp_path), "--quiet", "solve", "--refine", "7"]) == EXIT_PARSE
+        assert "more than %d intervals" % cli.MAX_INTERVALS in capsys.readouterr().err
+
+
 def test_eigs_regime_exit(tmp_path):
     spec = write_spec(tmp_path / "s.json", alpha=1.5, beta=1.5)
     assert main(["--spec", spec, "--quiet", "eigs"]) == EXIT_REGIME
@@ -303,6 +315,7 @@ MALFORMED = {
     "chi12-tiny": ({}, ["green", "--chi12", "1e-300"]),
     "chi12-tiny-neumann": ({}, ["green", "--example", "2", "--chi12", "1e-300"]),
     "refine-negative": ({}, ["solve", "--refine", "-1"]),
+    "n_r-too-fine-norms": ({"solver": {"n_r": 2048}}, ["norms"]),
 }
 
 

@@ -1,5 +1,10 @@
 """Geometry and grid construction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,8 +124,41 @@ def test_from_callable_manufactured_fields_match_the_full_node_arrays():
         assert GridFunction.from_callable(grid, func).values.tobytes() == full.tobytes()
 
 
+def test_grid_function_holds_a_complex_array_read_only():
+    grid = SectorGrid(make_geometry([0.5, 1.0, 1.5]), 1.0, 3.0, 4, 4)
+    a = np.ones((5, 5), dtype=complex)
+    u = GridFunction(grid, a)
+    assert np.shares_memory(u.values, a)
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 2.0
+    real = np.ones((5, 5))
+    v = GridFunction(grid, real)
+    assert not np.shares_memory(v.values, real) and not v.values.flags.writeable
+    assert v.derived == {} and "derived" not in repr(v)
+
+
+def test_grid_function_equality_and_hash_are_by_identity():
+    grid = SectorGrid(make_geometry([0.5, 1.0, 1.5]), 1.0, 3.0, 4, 4)
+    a = GridFunction(grid, np.zeros((5, 5)))
+    b = GridFunction(grid, np.zeros((5, 5)))
+    assert a == a and not a != a and a in [a]
+    assert not a == b and a != b and a not in [b]
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_geometry_is_frozen():
     geo = make_geometry([0.5, 1.0, 1.5])
     with pytest.raises(Exception):
         geo.d = 2.0
     assert isinstance(geo, AngleGeometry)
+
+
+def test_green_check_imports_without_scipy():
+    # core holds the C-infinity bump, so the Green check needs numpy only
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys, planeangle.green_check; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -182,6 +182,16 @@ def test_non_finite_strip_and_line_are_out_of_range(x):
         solvability_report(P_MIX, x, 1.0)
 
 
+def test_closed_form_refuses_a_strip_with_too_many_roots(monkeypatch):
+    # about 1e7 roots; the refusal comes before any root is listed
+    def roots(sigma, lo, hi):
+        raise AssertionError("roots listed for (%g, %g)" % (lo, hi))
+
+    monkeypatch.setattr(pencil, "characteristic_roots", roots)
+    with pytest.raises(OutOfRange, match="more than %d closed-form roots" % pencil.MAX_CLOSED_FORM_ROOTS):
+        eigenvalues_closed_form(P_MIX, (0.0, 1e7))
+
+
 def test_numeric_matches_closed_form_mixed():
     closed = eigenvalues_closed_form(P_MIX, (0.1, 4.1))
     numeric = eigenvalues_numeric(P_MIX, (-0.1, 0.1, 0.1, 4.1))

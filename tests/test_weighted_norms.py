@@ -3,15 +3,15 @@
 import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planeangle.core import GridFunction, PlaneAngleError, SectorGrid, make_geometry
+from planeangle.core import GridFunction, PlaneAngleError, SectorGrid, exp_bump, make_geometry
 from planeangle import weighted_norms
-from planeangle.manufactured import exp_bump
 from planeangle.weighted_norms import (
     UnsupportedOrder,
     WeightParams,
@@ -182,14 +182,16 @@ def test_one_field_is_differentiated_once_per_order(monkeypatch):
     assert values == diagnostics_sequence(fresh(u))
 
 
-def test_values_changed_in_place_are_differentiated_again():
+def test_values_cannot_change_under_their_table():
     u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 16, 16))
     p = WeightParams(0.3, 2)
-    before = e_norm(u, p)
-    u.values[5, 7] += 0.25
-    assert e_norm(u, p) == e_norm(fresh(u), p) != before
-    u.values[:] *= 2.0
-    assert h_norm(u, WeightParams(0.3, 1)) == h_norm(fresh(u), WeightParams(0.3, 1))
+    before = e_norm(u, p), h_norm(u, WeightParams(0.3, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[5, 7] += 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[:] *= 2.0
+    assert (e_norm(u, p), h_norm(u, WeightParams(0.3, 1))) == before
+    assert before == (e_norm(fresh(u), p), h_norm(fresh(u), WeightParams(0.3, 1)))
 
 
 def test_alternating_fields_match_memo_free_norms():
@@ -217,14 +219,26 @@ def test_alternating_fields_match_memo_free_norms():
             assert norms(lambda: fields[k], a, l) == expected[k, a, l]
 
 
-def test_memo_is_released_with_its_field():
+def test_table_lives_on_its_field_and_dies_with_it():
     u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 16, 16))
     e_norm(u, WeightParams(0.3, 2))
-    ref, values, order, squares = weighted_norms._TABLE
-    assert ref() is u and np.array_equal(values, u.values) and order == 2 and len(squares) == 6
+    order, squares = u.derived["squares"]
+    assert order == 2 and len(squares) == 6
+    assert not hasattr(weighted_norms, "_TABLE")
+    ref = weakref.ref(u)
     del u
     gc.collect()
-    assert weighted_norms._TABLE is None
+    assert ref() is None
+
+
+def test_fields_with_equal_values_keep_separate_tables():
+    u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 16, 16))
+    v = fresh(u)
+    e_norm(u, WeightParams(0.3, 2))
+    assert "squares" not in v.derived
+    h_norm(v, WeightParams(0.3, 1))
+    assert u.derived["squares"][0] == 2 and v.derived["squares"][0] == 1
+    assert u.derived["squares"][1] is not v.derived["squares"][1]
 
 
 def test_threads_sharing_the_memo_get_their_own_norms():
