@@ -21,11 +21,15 @@ for h in (0.0, 0.5, 1.0, 1.5, 3.0):
     cert = line_is_eigenvalue_free(p, h)
     print(
         "  Im lambda = %4.1f : %-7s nearest eigenvalue %+.4fj at distance %.3e"
-        % (h, "free" if cert.free else "blocked", cert.nearest_eigenvalue.imag, cert.distance)
+        % (h, "free" if cert.solvable else "blocked", cert.nearest_eigenvalue.imag, cert.distance)
     )
 
 print()
 print("weighted-scale reports:")
 for a, l in [(1.0, 0), (2.0, 1), (3.0, 2), (4.0, 1), (2.5, 0)]:
     report = solvability_report(p, a, l)
-    print("  a = %3.1f, l = %d -> line %+4.1f : %s" % (a, l, report.line, report.message))
+    print(
+        "  a = %3.1f, l = %d -> line %+4.1f : %-9s nearest eigenvalue %s at distance %.3e"
+        % (a, l, report.line, "solvable" if report.solvable else "blocked",
+           report.nearest_eigenvalue, report.distance)
+    )

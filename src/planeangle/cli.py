@@ -343,7 +343,7 @@ def cmd_solvability(spec, args):
     report = solvability_report(p, args.a, args.l)
     _say(args, "pencil line Im lambda = %s" % _f(report.line))
     _say(args, "nearest eigenvalue %s at distance %s"
-         % (repr(complex(report.certificate.nearest_eigenvalue)), _f(report.certificate.distance)))
+         % (repr(complex(report.nearest_eigenvalue)), _f(report.distance)))
     _say(args, "SOLVABLE" if report.solvable else "BLOCKED")
     return EXIT_OK if report.solvable else EXIT_BLOCKED
 
@@ -554,7 +554,7 @@ def main(argv=None):
     except UnsupportedRegime as exc:
         print("unsupported regime: %s" % exc, file=sys.stderr)
         return EXIT_REGIME
-    except (SingularSystem, SolverFailure, SingularMatrix) as exc:
+    except (SingularSystem, SolverFailure) as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
     except PlaneAngleError as exc:

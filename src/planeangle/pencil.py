@@ -13,8 +13,9 @@ so for |alpha+beta| < 2 the eigenvalues are i*x/d over the nonzero roots
 x of sin(x)*(2*cos(x) + alpha + beta) = 0 (characteristic_roots, which the
 sector solver's angular basis shares).  A line Im lambda = h free of
 eigenvalues certifies unique solvability in the weighted scale with
-a = h + l + 1; the certificate names the nearest eigenvalue, the lower one
-on a tie, as on the line h = 0 of the symmetric spectrum.
+a = h + l + 1.  Both certificate functions return one flat LineCertificate
+that names the nearest eigenvalue, the lower one on a tie, as on the line
+h = 0 of the symmetric spectrum.
 
 The module also provides the characteristic determinant of the formally
 adjoint nonlocal transmission pencil (piecewise solutions on the two
@@ -63,6 +64,9 @@ class NoConvergence(PlaneAngleError):
 
 
 FREE_LINE_TOL = 1e-9  # a line farther than this from every eigenvalue is free
+# the listed roots round by about eps*|h| (at most 1.4 eps*|h| against 50-digit
+# mpmath), so below this height a distance is off by under FREE_LINE_TOL/45
+MAX_LINE_HEIGHT = FREE_LINE_TOL / (64.0 * np.finfo(float).eps)  # about 7.0e4
 WINDOW_PAD = 1e-9  # zeros this far outside the search window still count
 N_SAMPLES = 64  # samples of a determinant on |exp(lambda*d)| = 1
 MAX_DEGREE = 2  # Laurent degree of the determinants in exp(lambda*d)
@@ -497,7 +501,7 @@ class LineCertificate:
     """Whether the line Im lambda = h misses the eigenvalue set."""
 
     line: float
-    free: bool
+    solvable: bool
     nearest_eigenvalue: complex
     distance: float
 
@@ -505,11 +509,15 @@ class LineCertificate:
 def line_is_eigenvalue_free(p, h):
     """Certify that Im lambda = h contains no closed-form eigenvalue.
 
-    Free: farther than FREE_LINE_TOL from nearest_eigenvalue, the closed-form
-    eigenvalue nearest to the line, the lower one of two equally near.
-    OutOfRange unless h is finite.
+    Solvable: farther than FREE_LINE_TOL from nearest_eigenvalue, the
+    closed-form eigenvalue nearest to the line, the lower one of two equally
+    near.  OutOfRange unless |h| <= MAX_LINE_HEIGHT (so h is finite): above
+    it the rounding of the roots alone can exceed FREE_LINE_TOL.
     """
     h = float(h)
+    if not abs(h) <= MAX_LINE_HEIGHT:
+        raise OutOfRange("line Im lambda = %r is not within %.3g of the real axis; farther out "
+                         "the roots round by more than %g" % (h, MAX_LINE_HEIGHT, FREE_LINE_TOL))
     margin = 4.0 * np.pi / p.opening + 1.0
     # sorted, so argmin takes the lower of two equally near
     parts = _closed_form_imag_parts(p, h - margin, h + margin)
@@ -518,35 +526,12 @@ def line_is_eigenvalue_free(p, h):
     return LineCertificate(h, dist > FREE_LINE_TOL, 1j * nearest, dist)
 
 
-@dataclass(frozen=True)
-class SolvabilityReport:
-    weight: float
-    smoothness: float
-    line: float
-    solvable: bool
-    certificate: LineCertificate
-    message: str
-
-
 def solvability_report(p, a, l):
     """Unique-solvability certificate in the weighted scale (a, l).
 
     The pencil line for the second-order problem is Im lambda = a - l - 1;
     the problem is uniquely solvable in the scale iff that line is free of
-    eigenvalues.  In particular a = 1 + l always certifies solvability for
-    |alpha+beta| < 2.
+    eigenvalues, so this is line_is_eigenvalue_free on that line.  In
+    particular a = 1 + l always certifies solvability for |alpha+beta| < 2.
     """
-    h = float(a) - float(l) - 1.0
-    cert = line_is_eigenvalue_free(p, h)
-    if cert.free:
-        msg = (
-            "uniquely solvable in the weighted scale (a=%g, l=%g): line "
-            "Im lambda = %g is eigenvalue-free (nearest eigenvalue %s at "
-            "distance %.3e)" % (a, l, h, cert.nearest_eigenvalue, cert.distance)
-        )
-    else:
-        msg = "blocked: eigenvalue %s lies on the line Im lambda = %g" % (
-            cert.nearest_eigenvalue,
-            h,
-        )
-    return SolvabilityReport(float(a), float(l), h, cert.free, cert, msg)
+    return line_is_eigenvalue_free(p, float(a) - float(l) - 1.0)

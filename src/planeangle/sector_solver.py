@@ -455,23 +455,18 @@ def solve_nonlocal_poisson(p, grid):
     solves the differential-difference problem with right-hand side
     f - (discrete -Laplace + 1) u_g on the interior nodes; the lifting is
     built after the problem passes the grid check.  For |alpha+beta| >= 2
-    the solve is still attempted but flagged in the result info.
+    (p.guaranteed_solvable is False) the solve is still attempted.  info is
+    that of solve_dd for the w problem (_solve_interior: method, cond_V,
+    rhs_norm) plus info["w"] and info["lifting"] = u_g.
     """
     S, f = assemble_dd_system(p, grid)
     A = laplacian_matrix(grid)
     u_g = boundary_lifting(p, grid)
-    w, _, inner = _solve_interior(p, grid, S, f - _on_parts(A.dot, u_g.values.ravel()))
+    w, _, info = _solve_interior(p, grid, S, f - _on_parts(A.dot, u_g.values.ravel()))
     u = GridFunction(grid, u_g.values + apply_on_grid(p.operator(), w).values)
     # recomputed equation residual of the full discrete operator
     eq_res = float(np.linalg.norm(_on_parts(A.dot, u.values.ravel()) - f))
-    info = {
-        "method": "lifting+substitution",
-        "regime_flag": "ok" if p.guaranteed_solvable else "unsupported",
-        "dd_method": inner["method"],
-        "cond_V": inner["cond_V"],
-        "w": w,
-        "lifting": u_g,
-    }
+    info.update(w=w, lifting=u_g)
     return SolveResult(
         solution=u,
         equation_residual=eq_res,

@@ -130,7 +130,7 @@ def test_criterion_03_solvability_on_the_free_line():
     for alpha, beta in pairs:
         for geo in GEOMETRIES:
             p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
-            assert line_is_eigenvalue_free(p, 0.0).free
+            assert line_is_eigenvalue_free(p, 0.0).solvable
             for l in (0, 1, 2):
                 report = solvability_report(p, 1.0 + l, l)
                 assert report.line == 0.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planeangle import cli
+from planeangle import cli, green_check
 from planeangle.cli import (
     EXIT_BLOCKED,
     EXIT_FAIL,
@@ -380,6 +380,15 @@ def test_solvability_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == SOLVABILITY_STDOUT["blocked"]
 
 
+def test_solvability_refuses_a_line_too_far_from_the_axis(tmp_path, capsys):
+    # at 1e16 the roots round by about 1, so a free line used to read BLOCKED
+    spec = write_spec(tmp_path / "s.json", alpha=0.6, beta=0.4)
+    assert main(["--spec", spec, "solvability", "--a", "1e16", "--l", "0"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "real axis" in captured.err and captured.err.count("\n") == 1
+
+
 def test_solve_zero_data(tmp_path):
     spec = write_spec(tmp_path / "s.json", rhs="0")
     out = str(tmp_path)
@@ -554,6 +563,18 @@ def test_green_fail_exit(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json", alpha=0.7, beta=0.0)
     assert main(["--spec", spec, "green", "--order", "2"]) == EXIT_FAIL
     assert capsys.readouterr().out.endswith("\nFAIL\n")
+
+
+def test_green_refuses_a_quadrature_too_fine_before_integrating(tmp_path, capsys, monkeypatch):
+    # 48 panels of order 300 would need several GB; nothing is integrated
+    def area_terms(*key):
+        raise AssertionError("area integrals evaluated")
+
+    monkeypatch.setattr(green_check, "_area_terms", area_terms)
+    spec = write_spec(tmp_path / "s.json", alpha=0.7, beta=0.0)
+    assert main(["--spec", spec, "green", "--order", "300"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nodes per axis" in captured.err
 
 
 SPECTRUM_STDOUT = {

@@ -8,6 +8,7 @@ import pytest
 
 from planeangle.core import PlaneAngleError, make_geometry
 from planeangle.green_check import (
+    MAX_QUAD_NODES,
     Field,
     GreenConfig,
     SupportViolation,
@@ -102,6 +103,11 @@ def test_config_validation():
     for alpha, chi12 in [(0.5, np.inf), (0.5, np.nan), (np.nan, 1.0), (np.inf, 1.0)]:
         with pytest.raises(PlaneAngleError, match="finite"):
             GreenConfig(GEO, alpha, chi12, PHI12)
+    # constructing is cheap; the area arrays would hold (panels * order)^2 values
+    GreenConfig(GEO, 0.5, 1.0, PHI12, order=MAX_QUAD_NODES // 48, panels=48)
+    for order, panels in [(MAX_QUAD_NODES // 48 + 1, 48), (300, 48), (2, MAX_QUAD_NODES)]:
+        with pytest.raises(PlaneAngleError, match="nodes per axis"):
+            GreenConfig(GEO, 0.5, 1.0, PHI12, order=order, panels=panels)
 
 
 def test_pair_support_validation():

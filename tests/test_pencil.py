@@ -9,6 +9,9 @@ from planeangle import pencil
 from planeangle.core import OutOfRange, make_geometry
 from planeangle.pencil import (
     CONTOUR_START,
+    FREE_LINE_TOL,
+    LineCertificate,
+    MAX_LINE_HEIGHT,
     N_SAMPLES,
     NoConvergence,
     PoissonPencilProblem,
@@ -468,25 +471,25 @@ def test_line_zero_names_the_lower_of_the_tied_eigenvalues(alpha, beta):
     p = PoissonPencilProblem(alpha, beta, B1, B1 + np.pi)
     cert = line_is_eigenvalue_free(p, 0.0)
     want = -np.arccos(-0.5 * (alpha + beta)) / p.d
-    assert cert.free and cert.nearest_eigenvalue.imag == want
+    assert cert.solvable and cert.nearest_eigenvalue.imag == want
     assert cert.distance == -want
 
 
 def test_line_zero_is_free():
     cert = line_is_eigenvalue_free(P_MIX, 0.0)
-    assert cert.free
+    assert cert.solvable
     assert cert.distance > 0.5
 
 
 def test_line_hitting_eigenvalue():
     cert = line_is_eigenvalue_free(P_DIR, np.pi / P_DIR.opening)
-    assert not cert.free
+    assert not cert.solvable
     assert cert.distance <= 1e-9
 
 
 def test_line_between_eigenvalues():
     cert = line_is_eigenvalue_free(P_DIR, 0.5 * np.pi / P_DIR.opening)
-    assert cert.free
+    assert cert.solvable
 
 
 def test_solvability_weight_one_plus_l():
@@ -504,3 +507,44 @@ def test_solvability_blocked_line():
 def test_solvability_fractional_line():
     report = solvability_report(P_DIR, 2.5, 1.0)  # h = 0.5, between eigenvalues
     assert report.solvable
+
+
+def test_both_certificates_are_one_flat_record():
+    # the weighted-scale report is the line certificate on h = a - l - 1
+    report = solvability_report(P_MIX, 2.5, 1.0)
+    assert type(report) is LineCertificate
+    assert report == line_is_eigenvalue_free(P_MIX, 0.5)
+
+
+def test_no_certificate_verdict_is_wrong_up_to_the_line_height_cap():
+    # lines within 3e-9 of eigenvalues, against 50-digit roots: below the cap
+    # the distance is off by far less than FREE_LINE_TOL, so every verdict
+    # away from the threshold is right; above it the certificate refuses
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(7)
+    guard = FREE_LINE_TOL / 16
+    for height in (1.0, 1e3, 1e4, 0.999 * MAX_LINE_HEIGHT, 1.001 * MAX_LINE_HEIGHT, 1e8):
+        for _ in range(40):
+            alpha, beta = rng.uniform(-0.99, 0.99, 2)
+            b1 = rng.uniform(0.05, 1.0)
+            p = PoissonPencilProblem(alpha, beta, b1, b1 + rng.uniform(0.3, 5.0))
+            d = (mp.mpf(p.b3) - mp.mpf(p.b1)) / 2
+            t0 = mp.acos(-(mp.mpf(alpha) + mp.mpf(beta)) / 2)
+            x = height * float(d)
+            family = rng.integers(3)
+            if family == 0:
+                root = mp.pi * (mp.nint(x / mp.pi) or 1)  # lambda = 0 is not an eigenvalue
+            else:
+                root = (t0 + 2 * mp.pi * mp.nint((x - t0) / (2 * mp.pi))) * (1 if family == 1 else -1)
+            eigenvalue = rng.choice([-1, 1]) * root / d
+            h = float(eigenvalue + mp.mpf(rng.uniform(-3e-9, 3e-9)))
+            if abs(h) > MAX_LINE_HEIGHT:
+                with pytest.raises(OutOfRange, match="real axis"):
+                    line_is_eigenvalue_free(p, h)
+                continue
+            cert = line_is_eigenvalue_free(p, h)
+            true = float(abs(mp.mpf(h) - eigenvalue))  # the neighbours lie O(1/d) away
+            assert abs(cert.distance - true) <= guard
+            if abs(true - FREE_LINE_TOL) > guard:
+                assert cert.solvable == (true > FREE_LINE_TOL)

@@ -355,7 +355,7 @@ def test_nonlocal_n512_second_order():
         grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
         p, exact = nonlocal_problem(0.3, -0.8, grid)
         res = solve_nonlocal_poisson(p, grid)
-        assert res.info["dd_method"] == "separable"
+        assert res.info["method"] == "separable"
         assert res.boundary_residual <= 1e-10
         errs.append(error_norm(res.solution, exact))
     assert 1.7 <= np.log2(errs[0] / errs[1]) <= 2.3
@@ -420,8 +420,16 @@ def test_regime_flag_reported():
     p = NonlocalPoissonProblem(1.5, 1.0, GEO, zero, z, z, R_MIN, R_MAX)
     assert not p.guaranteed_solvable
     res = solve_nonlocal_poisson(p, grid)
-    assert res.info["regime_flag"] == "unsupported"
-    assert res.info["dd_method"] == "sparse_lu"
+    assert res.info["method"] == "sparse_lu"
+
+
+def test_both_solvers_report_one_info_schema():
+    # the nonlocal solve reports its w problem's info and adds w and u_g
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
+    dd = solve_dd(dd_problem(0.6, 0.4, grid)[0], grid)
+    nonlocal_ = solve_nonlocal_poisson(nonlocal_problem(0.6, 0.4, grid)[0], grid)
+    assert set(nonlocal_.info) == set(dd.info) | {"w", "lifting"}
+    assert nonlocal_.info["method"] == dd.info["method"] == "separable"
 
 
 def test_lifting_cutoff_shape():
