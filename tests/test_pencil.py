@@ -521,30 +521,31 @@ def test_no_certificate_verdict_is_wrong_up_to_the_line_height_cap():
     # the distance is off by far less than FREE_LINE_TOL, so every verdict
     # away from the threshold is right; above it the certificate refuses
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
     rng = np.random.default_rng(7)
     guard = FREE_LINE_TOL / 16
-    for height in (1.0, 1e3, 1e4, 0.999 * MAX_LINE_HEIGHT, 1.001 * MAX_LINE_HEIGHT, 1e8):
-        for _ in range(40):
-            alpha, beta = rng.uniform(-0.99, 0.99, 2)
-            b1 = rng.uniform(0.05, 1.0)
-            p = PoissonPencilProblem(alpha, beta, b1, b1 + rng.uniform(0.3, 5.0))
-            d = (mp.mpf(p.b3) - mp.mpf(p.b1)) / 2
-            t0 = mp.acos(-(mp.mpf(alpha) + mp.mpf(beta)) / 2)
-            x = height * float(d)
-            family = rng.integers(3)
-            if family == 0:
-                root = mp.pi * (mp.nint(x / mp.pi) or 1)  # lambda = 0 is not an eigenvalue
-            else:
-                root = (t0 + 2 * mp.pi * mp.nint((x - t0) / (2 * mp.pi))) * (1 if family == 1 else -1)
-            eigenvalue = rng.choice([-1, 1]) * root / d
-            h = float(eigenvalue + mp.mpf(rng.uniform(-3e-9, 3e-9)))
-            if abs(h) > MAX_LINE_HEIGHT:
-                with pytest.raises(OutOfRange, match="real axis"):
-                    line_is_eigenvalue_free(p, h)
-                continue
-            cert = line_is_eigenvalue_free(p, h)
-            true = float(abs(mp.mpf(h) - eigenvalue))  # the neighbours lie O(1/d) away
-            assert abs(cert.distance - true) <= guard
-            if abs(true - FREE_LINE_TOL) > guard:
-                assert cert.solvable == (true > FREE_LINE_TOL)
+    with mp.workdps(50):
+        for height in (1.0, 1e3, 1e4, 0.999 * MAX_LINE_HEIGHT, 1.001 * MAX_LINE_HEIGHT, 1e8):
+            for _ in range(40):
+                alpha, beta = rng.uniform(-0.99, 0.99, 2)
+                b1 = rng.uniform(0.05, 1.0)
+                p = PoissonPencilProblem(alpha, beta, b1, b1 + rng.uniform(0.3, 5.0))
+                d = (mp.mpf(p.b3) - mp.mpf(p.b1)) / 2
+                t0 = mp.acos(-(mp.mpf(alpha) + mp.mpf(beta)) / 2)
+                x = height * float(d)
+                family = rng.integers(3)
+                if family == 0:
+                    root = mp.pi * (mp.nint(x / mp.pi) or 1)  # lambda = 0 is not an eigenvalue
+                else:
+                    root = t0 + 2 * mp.pi * mp.nint((x - t0) / (2 * mp.pi))
+                    root = root if family == 1 else -root
+                eigenvalue = rng.choice([-1, 1]) * root / d
+                h = float(eigenvalue + mp.mpf(rng.uniform(-3e-9, 3e-9)))
+                if abs(h) > MAX_LINE_HEIGHT:
+                    with pytest.raises(OutOfRange, match="real axis"):
+                        line_is_eigenvalue_free(p, h)
+                    continue
+                cert = line_is_eigenvalue_free(p, h)
+                true = float(abs(mp.mpf(h) - eigenvalue))  # the neighbours lie O(1/d) away
+                assert abs(cert.distance - true) <= guard
+                if abs(true - FREE_LINE_TOL) > guard:
+                    assert cert.solvable == (true > FREE_LINE_TOL)
