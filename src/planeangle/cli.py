@@ -324,8 +324,6 @@ def _read_grid_csv(path, grid):
 def cmd_eigs(spec, args):
     _require(spec, "geometry", "pencil")
     p = _pencil_problem(spec)
-    # the numeric search refuses a window too tall for its contour before the
-    # closed form would list every root of so tall a strip
     numeric = eigenvalues_numeric(p, (-0.5, 0.5, args.im_min, args.im_max))
     closed = eigenvalues_closed_form(p, (args.im_min, args.im_max))
     rows = [("closed_form", z) for z in closed.values]

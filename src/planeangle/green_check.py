@@ -24,17 +24,16 @@ returned; with analytic derivatives it is pure quadrature error.
 
 The coupling alpha, chi12, phi12 and the flavour enter only the ray terms.
 The sector integrals over K1 and K2 are independent of them, so they are
-computed once per key (ray angles, panels, order and the test pair) and
-memoized in a bounded cache shared by both flavours, every alpha, every
-chi12 and term_magnitudes.  Field callables must therefore be pure
-functions of (r, phi), and hashable (functions and lambdas are).
+computed once per key (ray angles, panels, order) and kept on the test
+pair, shared by both flavours, every alpha, every chi12 and
+term_magnitudes, and freed with the pair.  Field callables must therefore
+be pure functions of (r, phi).
 
 Normals: n1 and n2 point counterclockwise, +(1/r) d/dphi; n3 points
 clockwise, -(1/r) d/dphi.  Area element r dr dphi, line element dr.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,9 +54,8 @@ MAX_QUAD_NODES = 2304
 class Field(NamedTuple):
     """A function of (r, phi) with its analytic r, phi derivatives and Laplacian.
 
-    Every component is a pure, hashable callable (r, phi) -> array that
-    broadcasts its arguments and may return complex values; the area
-    integrals are memoized on the component objects.
+    Every component is a pure callable (r, phi) -> array that broadcasts
+    its arguments and may return complex values.
     """
 
     value: Callable
@@ -72,13 +70,14 @@ class Field(NamedTuple):
 
 @dataclass(frozen=True)
 class GreenTestPair:
-    """Closed-form test pair: u compactly supported in the annulus
-    support = (s_lo, s_hi), v1 and v2 smooth on the closed sectors."""
+    """Closed-form test pair: u compactly supported in the annulus support = (s_lo, s_hi),
+    v1 and v2 smooth on the closed sectors; areas holds its sector integrals (_area_terms)."""
 
     u: Field
     v1: Field
     v2: Field
     support: tuple
+    areas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s_lo, s_hi = self.support
@@ -132,15 +131,17 @@ def _panel_rule(a, b, panels, order):
     return nodes, weights
 
 
-@lru_cache
 def _area_terms(angles, panels, order, pair):
     """LHS and RHS sector integrals over K1 and K2, as two 2-tuples.
 
     -Lap(U) conj(V) and U conj(-Lap(V)) on a radius column over U's support
     times an angle row: they depend on the rays, the quadrature and the
-    pair, not on alpha, chi12, phi12 or the flavour, so one evaluation
-    serves both identities at every coupling.
+    pair, not on alpha, chi12, phi12 or the flavour, so one evaluation,
+    kept in pair.areas, serves both identities at every coupling.
     """
+    key = (angles, panels, order)
+    if key in pair.areas:
+        return pair.areas[key]
     b1, b2, b3 = angles
     rn, rw = _panel_rule(*pair.support, panels, order)
     rc = rn[:, None]
@@ -151,14 +152,15 @@ def _area_terms(angles, panels, order, pair):
         w2 = rw[:, None] * pw[None, :] * rc
         lhs.append(np.sum(w2 * (-pair.u.lap(rc, pr)) * np.conj(v.value(rc, pr))))
         rhs.append(np.sum(w2 * pair.u.value(rc, pr) * np.conj(-v.lap(rc, pr))))
-    return tuple(lhs), tuple(rhs)
+    pair.areas[key] = tuple(lhs), tuple(rhs)
+    return pair.areas[key]
 
 
 def _identity_terms(cfg, pair, neumann):
     """LHS and RHS term lists of the chosen Green identity.
 
     Returns (lhs_terms, rhs_terms); each is a fresh list of complex integrals
-    in a fixed order: sector areas K1, K2 (memoized by _area_terms), then
+    in a fixed order: sector areas K1, K2 (kept by _area_terms), then
     line terms gamma_1, gamma_3, gamma_2.  The residual is
     |sum(lhs) - sum(rhs)|.
     """

@@ -16,6 +16,10 @@ eigenvalues certifies unique solvability in the weighted scale with
 a = h + l + 1.  Both certificate functions return one flat LineCertificate
 that names the nearest eigenvalue, the lower one on a tie, as on the line
 h = 0 of the symmetric spectrum.
+Every lambda-range taken here (a closed-form strip, the Im edges of a
+search window, a certificate line) must lie within MAX_HEIGHT of the real
+axis.  Both routes list the branches k of a root family by one rule
+(_branches), so they keep the same roots on a range's edges.
 
 The module also provides the characteristic determinant of the formally
 adjoint nonlocal transmission pencil (piecewise solutions on the two
@@ -66,14 +70,13 @@ class NoConvergence(PlaneAngleError):
 FREE_LINE_TOL = 1e-9  # a line farther than this from every eigenvalue is free
 # the listed roots round by about eps*|h| (at most 1.4 eps*|h| against 50-digit
 # mpmath), so below this height a distance is off by under FREE_LINE_TOL/45
-MAX_LINE_HEIGHT = FREE_LINE_TOL / (64.0 * np.finfo(float).eps)  # about 7.0e4
-WINDOW_PAD = 1e-9  # zeros this far outside the search window still count
+MAX_HEIGHT = FREE_LINE_TOL / (64.0 * np.finfo(float).eps)  # about 7.0e4
+WINDOW_PAD = 1e-9  # roots this far outside a range, in x = lambda*d, still count
 N_SAMPLES = 64  # samples of a determinant on |exp(lambda*d)| = 1
 MAX_DEGREE = 2  # Laurent degree of the determinants in exp(lambda*d)
 CONTOUR_START, CONTOUR_MAX = 64, 8192  # contour points per edge, first and last
 MAX_NUDGES = 8  # outward moves of a contour that passes through a zero
 GROUP_RADIUS = 1e-4  # companion roots this close, relative, are one multiple root
-MAX_CLOSED_FORM_ROOTS = 10**5  # closed-form roots of one strip, about 5 MB
 
 # the Laurent samples lambda = _LAURENT_NODES/d, theta offset by half a step
 # on |exp(lambda*d)| = 1; the FFT index k of each coefficient, the phase
@@ -206,40 +209,42 @@ def adjoint_transmission_characteristic(p, lam):
     return np.where(lam == 0, lambda_zero_determinant(p), det).reshape(shape)
 
 
+def _check_height(what, *heights):
+    """OutOfRange, naming what, unless every height is within MAX_HEIGHT of 0 (so finite)."""
+    if not all(abs(h) <= MAX_HEIGHT for h in heights):
+        raise OutOfRange("%s is not within %.3g of the real axis" % (what, MAX_HEIGHT))
+
+
+def _branches(offset, period, lo, hi):
+    """The k with offset + period*k in [lo - WINDOW_PAD, hi + WINDOW_PAD]."""
+    return range(math.ceil((lo - WINDOW_PAD - offset) / period),
+                 math.floor((hi + WINDOW_PAD - offset) / period) + 1)
+
+
 def characteristic_roots(sigma, lo, hi):
     """Roots x in [lo, hi] of sin(x)*(2*cos(x) + sigma) = 0, as (sine, cosine).
 
     Both sorted: the sine family x = pi*k and the cosine family
     x = +-(t0 + 2*pi*k), t0 = arccos(-sigma/2), exactly symmetric about 0
-    and disjoint from the first.  k may miss its range by 1e-12.
-    UnsupportedRegime unless |sigma| < 2.
+    and disjoint from the first.  A root within WINDOW_PAD outside [lo, hi]
+    counts (_branches).  UnsupportedRegime unless |sigma| < 2.
     """
     if not abs(sigma) < 2.0:
         raise UnsupportedRegime(
             "closed-form eigenvalues need |alpha+beta| < 2, got %g" % sigma
         )
-
-    def steps(k_lo, k_hi):
-        return range(math.ceil(k_lo - 1e-12), math.floor(k_hi + 1e-12) + 1)
-
     # few roots per call: Python floats, which round as numpy's do
     t0 = float(np.arccos(-0.5 * sigma))
     period = 2.0 * np.pi
-    sine = [np.pi * k for k in steps(lo / np.pi, hi / np.pi)]
-    up = [t0 + period * k for k in steps((lo - t0) / period, (hi - t0) / period)]
-    down = [-(t0 + period * k) for k in steps((-hi - t0) / period, (-lo - t0) / period)]
+    sine = [np.pi * k for k in _branches(0.0, np.pi, lo, hi)]
+    up = [t0 + period * k for k in _branches(t0, period, lo, hi)]
+    down = [-(t0 + period * k) for k in _branches(t0, period, -hi, -lo)]
     return np.array(sine), np.array(sorted(down + up))
 
 
 def _closed_form_imag_parts(p, lo, hi):
-    """Sorted Im lambda = x/d in finite [lo, hi] over the nonzero characteristic roots x;
-    OutOfRange before any is listed if 2*(hi - lo)*d/pi + 3 > MAX_CLOSED_FORM_ROOTS."""
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise OutOfRange("Im lambda range %s is not finite" % ((lo, hi),))
+    """Sorted Im lambda = x/d in [lo, hi] over the nonzero characteristic roots x."""
     d = p.d
-    if 2.0 * (hi - lo) * d / np.pi + 3.0 > MAX_CLOSED_FORM_ROOTS:
-        raise OutOfRange("Im lambda range %s holds more than %d closed-form roots"
-                         % ((lo, hi), MAX_CLOSED_FORM_ROOTS))
     sine, cosine = characteristic_roots(p.coupling_sum, lo * d, hi * d)
     return np.sort(np.concatenate([sine[sine != 0.0], cosine])) / d
 
@@ -249,15 +254,16 @@ def eigenvalues_closed_form(p, strip):
 
     The eigenvalues are i*x/d over the nonzero roots x of
     characteristic_roots(alpha+beta, ...): i*pi*k/d (k != 0) and
-    +-i*(arccos(-(alpha+beta)/2) + 2*pi*k)/d.  OutOfRange unless
-    h_lo < h_hi, both finite, with at most about MAX_CLOSED_FORM_ROOTS
-    roots in between; UnsupportedRegime unless |alpha+beta| < 2.
+    +-i*(arccos(-(alpha+beta)/2) + 2*pi*k)/d, within WINDOW_PAD/d of the
+    strip as in find_zeros.  OutOfRange before any root is listed unless
+    h_lo < h_hi, both within MAX_HEIGHT of the real axis (so at most about
+    2.8e5 roots); UnsupportedRegime unless |alpha+beta| < 2.
     """
     lo, hi = float(strip[0]), float(strip[1])
+    _check_height("strip %s" % ((lo, hi),), lo, hi)
     if not lo < hi:
         raise OutOfRange("empty strip %s: need h_lo < h_hi" % ((lo, hi),))
-    vals = 1j * _closed_form_imag_parts(p, lo, hi)
-    return EigenvalueSet(vals)
+    return EigenvalueSet(1j * _closed_form_imag_parts(p, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +281,21 @@ def _rect_contour(rect, n_per_edge):
     return (corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * t).ravel()
 
 
-def _winding_number(f, rect, n, vals):
+def _winding_number(f, rect, n, vals, d):
     """Winding number of f around the rectangle, with adaptive refinement.
 
     vals holds f at n points per edge.  The point count per edge doubles
     from n, one call of f per level, until every phase step between
     consecutive samples is small and the accumulated winding lies within
-    0.25 of an integer.  ContourThroughZero if a contour value is
-    negligibly small or the winding is unsettled at CONTOUR_MAX.
+    0.25 of an integer.  ContourThroughZero if a contour value is below
+    max(1e-12, 16*eps*d*max|edge|) of the largest, the rounding of f at the
+    contour's height, or the winding is unsettled at CONTOUR_MAX.
     """
+    tiny = max(1e-12, 16.0 * np.finfo(float).eps * d * max(map(abs, rect)))
     prev = None
     while True:
         scale = float(np.max(np.abs(vals)))
-        if scale == 0.0 or np.min(np.abs(vals)) < 1e-12 * scale:
+        if scale == 0.0 or np.min(np.abs(vals)) < tiny * scale:
             raise ContourThroughZero("characteristic value vanishes on contour")
         steps = np.angle(np.concatenate((vals[1:], vals[:1])) / vals)
         w = float(np.sum(steps)) / (2.0 * np.pi)
@@ -359,7 +367,7 @@ def _sampled_search(f, window, d):
         try:
             vals = f(np.concatenate((_LAURENT_NODES / d, _rect_contour(rect, n))))
             coefficients = _laurent_coefficients(vals[:N_SAMPLES])
-            return coefficients, _winding_number(f, rect, n, vals[N_SAMPLES:]), rect
+            return coefficients, _winding_number(f, rect, n, vals[N_SAMPLES:], d), rect
         except ContourThroughZero:
             eps = 1.25e-7 * 4.0**k
             re_lo, re_hi, im_lo, im_hi = rect
@@ -399,17 +407,14 @@ def _grouped_roots(coefficients):
 
 
 def _unfold(z, d, rect):
-    """All lambda = (log z + 2*pi*i*k)/d inside rect, one per branch k."""
+    """All lambda = (log z + 2*pi*i*k)/d within WINDOW_PAD/d of rect, one per branch k."""
     re_lo, re_hi, im_lo, im_hi = rect
-    pad = WINDOW_PAD
     if z == 0:
         return []  # lambda with real part -infinity
     w = np.log(complex(z))
-    if not re_lo - pad <= w.real / d <= re_hi + pad:
+    if not re_lo * d - WINDOW_PAD <= w.real <= re_hi * d + WINDOW_PAD:
         return []
-    k_lo = int(np.ceil(((im_lo - pad) * d - w.imag) / (2.0 * np.pi)))
-    k_hi = int(np.floor(((im_hi + pad) * d - w.imag) / (2.0 * np.pi)))
-    return [(w + 2j * np.pi * k) / d for k in range(k_lo, k_hi + 1)]
+    return [(w + 2j * np.pi * k) / d for k in _branches(w.imag, 2.0 * np.pi, im_lo * d, im_hi * d)]
 
 
 def find_zeros(f, window, d):
@@ -418,20 +423,18 @@ def find_zeros(f, window, d):
     window = (re_lo, re_hi, im_lo, im_hi).  f must be a Laurent polynomial
     of degree <= 2 in z = exp(lambda*d), as the pencil determinants are for
     equally spaced rays.  The roots z of its coefficient polynomial come from
-    the companion matrix (_grouped_roots): a cluster of roots chained within
-    a relative distance of 2*GROUP_RADIUS merges whole into one multiple
-    root at its mean if two of them lie within GROUP_RADIUS = 1e-4 of each
-    other, and each root is unfolded once to the branches
-    lambda = (log z + 2*pi*i*k)/d.  Distinct roots that close merge too:
-    near alpha+beta = +-(2 - delta) three roots lie about sqrt(delta)
-    apart, distinct for delta >= 2e-8, merged for delta <= 1e-8, never in
-    part.  The argument-principle count on the window boundary must equal
-    the zeros found, with multiplicity, or NoConvergence is raised.
-    f is called with arrays only: once with the Laurent samples and the
-    first contour level in one batch, and again only per refinement level
-    or per nudge of a contour through a zero.  OutOfRange unless re_lo <
-    re_hi and im_lo < im_hi are finite (f is not called), or if the window
-    is too tall for the contour.
+    the companion matrix, multiple ones merged by _grouped_roots (near
+    alpha+beta = +-(2 - delta) three roots about sqrt(delta) apart merge for
+    delta <= 1e-8, never in part), and each is unfolded once to the branches
+    lambda = (log z + 2*pi*i*k)/d within WINDOW_PAD/d of the window, by the
+    branch rule of the closed form.  The argument-principle count on the
+    window boundary must equal the zeros found, with multiplicity, or
+    NoConvergence is raised.  f is called with arrays only: once with the
+    Laurent samples and the first contour level in one batch, and again
+    only per refinement level or per nudge of a contour through a zero.
+    OutOfRange before f is called unless re_lo < re_hi and im_lo < im_hi
+    are finite and im_lo, im_hi lie within MAX_HEIGHT of the real axis, or
+    if the window is too tall for the contour.
     """
     window = tuple(float(x) for x in window)
     re_lo, re_hi, im_lo, im_hi = window
@@ -441,19 +444,19 @@ def find_zeros(f, window, d):
         raise OutOfRange(
             "empty search window %s: need re_lo < re_hi and im_lo < im_hi" % (window,)
         )
+    _check_height("search window %s" % (window,), im_lo, im_hi)
     coefficients, count, rect = _sampled_search(f, window, d)
-    unfolded = [(lam, m) for z, m in _grouped_roots(coefficients) for lam in _unfold(z, d, rect)]
+    groups = _grouped_roots(coefficients)
+    unfolded = [(lam, m) for z, m in groups for lam in _unfold(z, d, rect)]
     total = sum(m for _, m in unfolded)
     if total != count:
         raise NoConvergence(
             "%d zeros from the companion matrix, %d from the argument "
             "principle" % (total, count)
         )
-    zeros = np.array([lam for lam, _ in unfolded], dtype=complex)
-    pad = WINDOW_PAD
-    in_re = (re_lo - pad <= zeros.real) & (zeros.real <= re_hi + pad)
-    in_im = (im_lo - pad <= zeros.imag) & (zeros.imag <= im_hi + pad)
-    return zeros[in_re & in_im]
+    if rect != window:  # a nudged contour may have taken in zeros from outside
+        unfolded = [(lam, m) for z, m in groups for lam in _unfold(z, d, window)]
+    return np.array([lam for lam, _ in unfolded], dtype=complex)
 
 
 def _numeric_eigenvalues(f, p, window):
@@ -511,13 +514,10 @@ def line_is_eigenvalue_free(p, h):
 
     Solvable: farther than FREE_LINE_TOL from nearest_eigenvalue, the
     closed-form eigenvalue nearest to the line, the lower one of two equally
-    near.  OutOfRange unless |h| <= MAX_LINE_HEIGHT (so h is finite): above
-    it the rounding of the roots alone can exceed FREE_LINE_TOL.
+    near.  OutOfRange unless |h| <= MAX_HEIGHT (so h is finite).
     """
     h = float(h)
-    if not abs(h) <= MAX_LINE_HEIGHT:
-        raise OutOfRange("line Im lambda = %r is not within %.3g of the real axis; farther out "
-                         "the roots round by more than %g" % (h, MAX_LINE_HEIGHT, FREE_LINE_TOL))
+    _check_height("line Im lambda = %r" % h, h)
     margin = 4.0 * np.pi / p.opening + 1.0
     # sorted, so argmin takes the lower of two equally near
     parts = _closed_form_imag_parts(p, h - margin, h + margin)

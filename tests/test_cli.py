@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planeangle import cli, green_check
+from planeangle import cli, green_check, pencil
 from planeangle.cli import (
     EXIT_BLOCKED,
     EXIT_FAIL,
@@ -183,15 +183,17 @@ def test_eigs_empty_window_exit(tmp_path, capsys):
 
 
 def test_eigs_too_tall_window_is_refused_before_the_closed_form(tmp_path, capsys, monkeypatch):
-    # the closed form would list about 1e9 roots of this strip
-    def closed_form(p, strip):
-        raise AssertionError("closed form asked for the strip %s" % (strip,))
+    # Im 1e9 is above the height bound of both routes: whichever runs first
+    # refuses it before any root is listed or any determinant is called
+    def refused(*args):
+        raise AssertionError("called with %s" % (args,))
 
-    monkeypatch.setattr(cli, "eigenvalues_closed_form", closed_form)
+    for name in ("characteristic_roots", "characteristic_value"):
+        monkeypatch.setattr(pencil, name, refused)
     spec = write_spec(tmp_path / "s.json")
     code = main(["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs", "--im-max", "1e9"])
     assert code == EXIT_PARSE
-    assert "too tall for the contour" in capsys.readouterr().err
+    assert "not within %.3g of the real axis" % pencil.MAX_HEIGHT in capsys.readouterr().err
 
 
 def test_solve_refuses_a_grid_too_fine_before_any_solve(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Quadrature verification of the two nonlocal Green identities."""
 
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -12,7 +14,6 @@ from planeangle.green_check import (
     Field,
     GreenConfig,
     SupportViolation,
-    _area_terms,
     _identity_terms,
     bump_trig_pair,
     green_residual_dirichlet,
@@ -139,14 +140,12 @@ def counting_pair():
     return replace(base, **fields), calls
 
 
-def all_outputs(cfgs, pair, before_each=lambda: None):
+def all_outputs(cfgs, next_pair):
     out = []
     for cfg in cfgs:
         for neumann, residual in ((False, green_residual_dirichlet), (True, green_residual_neumann)):
-            before_each()
-            out.append(residual(cfg, pair))
-            before_each()
-            out.append(term_magnitudes(cfg, pair, neumann=neumann))
+            out.append(residual(cfg, next_pair()))
+            out.append(term_magnitudes(cfg, next_pair(), neumann=neumann))
     return out
 
 
@@ -154,7 +153,7 @@ def test_area_integrals_evaluated_once_per_key():
     pair, calls = counting_pair()
     cfgs = [GreenConfig(GEO, alpha, chi12, PHI12)
             for alpha in (0.7, -0.4) for chi12 in (1.5, 0.01, 100.0)]
-    warm = all_outputs(cfgs, pair)
+    warm = all_outputs(cfgs, lambda: pair)
     # 24 evaluations, one area key whatever chi12 is: each sector's fields
     # once, U on both sectors
     assert calls == {
@@ -162,9 +161,21 @@ def test_area_integrals_evaluated_once_per_key():
         "v1.value": 1, "v1.lap": 1,
         "v2.value": 1, "v2.lap": 1,
     }
-    cold = all_outputs(cfgs, pair, before_each=_area_terms.cache_clear)
+    # a copy of the pair shares its fields but starts without area integrals
+    cold = all_outputs(cfgs, lambda: replace(pair))
     assert calls["u.lap"] == 2 + 2 * len(cold)
     assert warm == cold
+
+
+def test_area_integrals_die_with_their_pair():
+    # no module keeps the pair, or its memo, alive after the caller drops it
+    pair = bump_trig_pair()
+    term_magnitudes(GreenConfig(GEO, 0.7, 1.5, PHI12), pair)
+    assert len(pair.areas) == 1
+    gone = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert gone() is None
 
 
 def test_returned_terms_are_fresh_lists():

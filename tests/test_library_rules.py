@@ -1,7 +1,8 @@
 """Rules the code keeps: only the CLI writes to the terminal, no module runs
 text as code, every name that the library, the demos and the tests import is
 used, every private function or class of the library is called by the
-library, and every eigsh call of the library passes a start vector."""
+library, every eigsh call of the library passes a start vector, and no
+module holds a function cache."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,17 @@ def test_every_eigsh_call_passes_a_start_vector():
     assert calls
     missing = [(name, line) for name, line, keywords in calls if "v0" not in keywords]
     assert not missing, "eigsh calls without v0: %s" % missing
+
+
+def test_library_holds_no_function_cache():
+    # a module-level memo outlives the objects it describes; a memo lives on
+    # its object instead (GridFunction.derived, GreenTestPair.areas)
+    caches = {"cache", "lru_cache"}
+    hits = [(path.name, n.lineno)
+            for path in sorted(SRC.glob("*.py"))
+            for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(n, ast.ImportFrom) and n.module == "functools"
+            and caches & {a.name for a in n.names}
+            or isinstance(n, ast.Attribute) and n.attr in caches
+            and isinstance(n.value, ast.Name) and n.value.id == "functools"]
+    assert not hits, "functools caches in the library: %s" % hits

@@ -1,5 +1,6 @@
 """Pencil eigenvalues: closed forms, numeric root finding, adjoint mirror."""
 
+import itertools
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ from planeangle.pencil import (
     CONTOUR_START,
     FREE_LINE_TOL,
     LineCertificate,
-    MAX_LINE_HEIGHT,
+    MAX_HEIGHT,
     N_SAMPLES,
     NoConvergence,
     PoissonPencilProblem,
@@ -186,13 +187,35 @@ def test_non_finite_strip_and_line_are_out_of_range(x):
 
 
 def test_closed_form_refuses_a_strip_with_too_many_roots(monkeypatch):
-    # about 1e7 roots; the refusal comes before any root is listed
+    # about 1e7 roots; the height bound refuses the strip before any is listed
     def roots(sigma, lo, hi):
         raise AssertionError("roots listed for (%g, %g)" % (lo, hi))
 
     monkeypatch.setattr(pencil, "characteristic_roots", roots)
-    with pytest.raises(OutOfRange, match="more than %d closed-form roots" % pencil.MAX_CLOSED_FORM_ROOTS):
+    with pytest.raises(OutOfRange, match=re.escape("strip (0.0, 10000000.0) is not within")):
         eigenvalues_closed_form(P_MIX, (0.0, 1e7))
+
+
+def test_ranges_just_above_the_height_bound_are_refused_first(monkeypatch):
+    # strips, windows and lines: no root listed, no determinant called
+    def refused(*args):
+        raise AssertionError("called with %s" % (args,))
+
+    for name in ("characteristic_roots", "characteristic_value",
+                 "adjoint_transmission_characteristic"):
+        monkeypatch.setattr(pencil, name, refused)
+    top = 1.001 * MAX_HEIGHT
+    for lo, hi in ((top - 4.0, top), (-top, 4.0), (-top, -top + 4.0)):
+        with pytest.raises(OutOfRange, match="real axis"):
+            eigenvalues_closed_form(P_MIX, (lo, hi))
+        for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
+            with pytest.raises(OutOfRange, match="real axis"):
+                search(P_MIX, (-0.5, 0.5, lo, hi))
+        with pytest.raises(OutOfRange, match="real axis"):
+            find_zeros(refused, (-0.5, 0.5, lo, hi), P_MIX.d)
+    for h in (top, -top):
+        with pytest.raises(OutOfRange, match="real axis"):
+            line_is_eigenvalue_free(P_MIX, h)
 
 
 def test_numeric_matches_closed_form_mixed():
@@ -390,6 +413,33 @@ def test_non_finite_window_is_out_of_range_before_any_determinant_call(window, m
     assert calls == []
 
 
+def test_both_routes_agree_on_windows_with_edges_on_eigenvalues():
+    # windows whose Im edges are eigenvalues, from height 10 to the bound,
+    # on both geometries and both sides of the real axis: the closed form,
+    # the primal search and the conjugated adjoint search keep the same set
+    couplings = ((0.6, 0.4), (0.3, -0.8), (0.0, 0.0), (-0.8, 1.1), (1.2, 0.5),
+                 (0.999, 0.999), (-1.5, 0.3))
+    heights = (10.0, 100.0, 1e3, 3e3, 1e4, 3e4, 0.999 * MAX_HEIGHT)
+    failures = []
+    cases = list(itertools.product(GEOMETRIES, couplings, heights, (1.0, -1.0)))
+    for geo, (alpha, beta), height, sign in cases:
+        p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+        # the eigenvalues in a period of x = lambda*d below the height
+        ims = eigenvalues_closed_form(p, (height - 2.0 * np.pi / p.d - 1.0, height)).values.imag
+        lo, hi = (ims[0], ims[-1]) if sign > 0 else (-ims[-1], -ims[0])
+        try:
+            closed = eigenvalues_closed_form(p, (lo, hi)).values
+            found = (eigenvalues_numeric(p, (-0.5, 0.5, lo, hi)).values,
+                     np.conj(adjoint_eigenvalues_numeric(p, (-0.5, 0.5, -hi, -lo)).values))
+        except NoConvergence as exc:
+            failures.append((geo.angles, alpha, beta, lo, hi, str(exc)))
+            continue
+        if not all(len(v) == len(closed) and np.max(np.abs(v[np.argsort(v.imag)] - closed))
+                   <= 1e-12 * max(-lo, hi) for v in found):
+            failures.append((geo.angles, alpha, beta, lo, hi, found, closed))
+    assert not failures, "%d of %d windows: %s" % (len(failures), len(cases), failures[:3])
+
+
 def test_adjoint_mirror_of_primal_zeros():
     primal = eigenvalues_numeric(P_MIX, (-0.2, 0.2, -3.0, 3.0))
     adj = adjoint_eigenvalues_numeric(P_MIX, (-0.2, 0.2, -3.0, 3.0))
@@ -524,7 +574,7 @@ def test_no_certificate_verdict_is_wrong_up_to_the_line_height_cap():
     rng = np.random.default_rng(7)
     guard = FREE_LINE_TOL / 16
     with mp.workdps(50):
-        for height in (1.0, 1e3, 1e4, 0.999 * MAX_LINE_HEIGHT, 1.001 * MAX_LINE_HEIGHT, 1e8):
+        for height in (1.0, 1e3, 1e4, 0.999 * MAX_HEIGHT, 1.001 * MAX_HEIGHT, 1e8):
             for _ in range(40):
                 alpha, beta = rng.uniform(-0.99, 0.99, 2)
                 b1 = rng.uniform(0.05, 1.0)
@@ -540,7 +590,7 @@ def test_no_certificate_verdict_is_wrong_up_to_the_line_height_cap():
                     root = root if family == 1 else -root
                 eigenvalue = rng.choice([-1, 1]) * root / d
                 h = float(eigenvalue + mp.mpf(rng.uniform(-3e-9, 3e-9)))
-                if abs(h) > MAX_LINE_HEIGHT:
+                if abs(h) > MAX_HEIGHT:
                     with pytest.raises(OutOfRange, match="real axis"):
                         line_is_eigenvalue_free(p, h)
                     continue
