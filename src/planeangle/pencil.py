@@ -18,6 +18,7 @@ that names the nearest eigenvalue, the lower one on a tie, as on the line
 h = 0 of the symmetric spectrum.
 Every lambda-range taken here (a closed-form strip, the Im edges of a
 search window, a certificate line) must lie within MAX_HEIGHT of the real
+axis, and a search window's Re edges within MAX_HEIGHT of the imaginary
 axis.  Both routes list the branches k of a root family by one rule
 (_branches), so they keep the same roots on a range's edges.
 
@@ -38,9 +39,9 @@ each once to lambda = (log z + 2*pi*i*k)/d.  An argument-principle count
 on the window boundary checks the number of zeros found, with
 multiplicity.
 
-Both determinants are elementwise products over one damped fundamental
-system and map a scalar or an array of lambda to a complex array of the
-same shape (0-d for a scalar), so the finder makes one call per batch:
+Both determinants, damped alike by exp(-|Re lambda|*(b3 - b1)), map a
+scalar or an array of lambda to a complex array of the same shape (0-d for
+a scalar), so the finder makes one call per batch:
 one for the 64 Laurent samples together with the first contour level,
 then one per refinement level and one per nudged retry of the contour.
 """
@@ -138,14 +139,14 @@ def lambda_zero_determinant(p):
 def _fundamental_system(p, lam):
     """(lam flattened, exp(lam*b_k), exp(-lam*b_k)) on the rays k = 1, 2, 3.
 
-    Each column is damped by exp(-max(+-Re lam, 0)*b3), so neither exceeds 1
-    on [0, b3] and a determinant with k columns of each is the undamped one
-    times exp(-k*|Re lambda|*b3), with the same zeros.
+    Each column is damped to modulus 1 at the end of [b1, b3] where it peaks,
+    so a product of one of each is the undamped one times
+    exp(-|Re lambda|*(b3 - b1)), the largest of modulus 1.
     """
     # flat, so that a scalar runs the same array loops as an array entry
     lam = np.asarray(lam, dtype=complex).ravel()
-    s1 = -np.maximum(lam.real, 0.0) * p.b3
-    s2 = -np.maximum(-lam.real, 0.0) * p.b3
+    peak = np.where(lam.real > 0.0, p.b3, p.b1)  # where exp(lam*phi) peaks on the arc
+    s1, s2 = -lam.real * peak, lam.real * (p.b1 + p.b3 - peak)
     rays = (p.b1, p.b2, p.b3)
     return lam, [np.exp(lam * phi + s1) for phi in rays], [np.exp(-lam * phi + s2) for phi in rays]
 
@@ -159,8 +160,8 @@ def characteristic_value(p, lam):
     basis and is handled by the degenerate basis {1, phi}).
 
     lam is a scalar or an array; the result is a complex array of its shape
-    (0-d for a scalar), elementwise equal to scalar calls.  The columns are
-    damped (_fundamental_system), so the value never overflows.
+    (0-d for a scalar), elementwise equal to scalar calls.  It is the undamped
+    determinant times exp(-|Re lambda|*(b3 - b1)) (_fundamental_system).
     """
     shape = np.shape(lam)
     lam, (ep1, ep2, ep3), (em1, em2, em3) = _fundamental_system(p, lam)
@@ -189,22 +190,22 @@ def adjoint_transmission_characteristic(p, lam):
     The expansion along the first two rows leaves four 2x2 minors; with
     e+k = exp(lambda*b_k) and e-k = exp(-lambda*b_k) the determinant is
 
-        2*lambda*[e+2 e-2 (e-1 e+3 - e+1 e-3) + alpha e+1 e-1 (e+3 e-2 - e+2 e-3)
-                  + beta e+3 e-3 (e+2 e-1 - e+1 e-2)].
+        2*lambda*[(e-1 e+3 - e+1 e-3) + alpha (e+3 e-2 - e+2 e-3)
+                  + beta (e+2 e-1 - e+1 e-2)],
 
+    the prefactors e+k e-k (k = 2, 1, 3) of the minors being exactly 1.
     At lambda = 0 the degenerate piecewise basis {1, phi} gives
     b3(1+alpha) - b1(1+beta) - b2(alpha-beta) = lambda_zero_determinant(p).
-    lam acts as in characteristic_value.  Each term has two damped e+ and
-    two damped e- factors, so the value is the undamped determinant times
-    exp(-2*|Re lambda|*b3).
+    lam acts as in characteristic_value.  With one e+ and one e- per product,
+    the value is the undamped determinant times exp(-|Re lambda|*(b3 - b1)).
     """
     shape = np.shape(lam)
     lam, (ep1, ep2, ep3), (em1, em2, em3) = _fundamental_system(p, lam)
     a, b = p.alpha, p.beta
     det = 2.0 * lam * (
-        ep2 * em2 * (em1 * ep3 - ep1 * em3)
-        + a * ep1 * em1 * (ep3 * em2 - ep2 * em3)
-        + b * ep3 * em3 * (ep2 * em1 - ep1 * em2)
+        (em1 * ep3 - ep1 * em3)
+        + a * (ep3 * em2 - ep2 * em3)
+        + b * (ep2 * em1 - ep1 * em2)
     )
     return np.where(lam == 0, lambda_zero_determinant(p), det).reshape(shape)
 
@@ -433,8 +434,9 @@ def find_zeros(f, window, d):
     Laurent samples and the first contour level in one batch, and again
     only per refinement level or per nudge of a contour through a zero.
     OutOfRange before f is called unless re_lo < re_hi and im_lo < im_hi
-    are finite and im_lo, im_hi lie within MAX_HEIGHT of the real axis, or
-    if the window is too tall for the contour.
+    are finite and im_lo, im_hi (re_lo, re_hi) lie within MAX_HEIGHT of the
+    real (imaginary) axis, or if the window is too tall for the contour.
+    NoConvergence, naming f, if a batch of f values is not finite.
     """
     window = tuple(float(x) for x in window)
     re_lo, re_hi, im_lo, im_hi = window
@@ -445,7 +447,15 @@ def find_zeros(f, window, d):
             "empty search window %s: need re_lo < re_hi and im_lo < im_hi" % (window,)
         )
     _check_height("search window %s" % (window,), im_lo, im_hi)
-    coefficients, count, rect = _sampled_search(f, window, d)
+    if not max(abs(re_lo), abs(re_hi)) <= MAX_HEIGHT:  # exp(lam*phi) rounds by eps*|lam|*b3
+        raise OutOfRange("search window %s is not within %.3g of the imaginary axis" % (window, MAX_HEIGHT))
+
+    def checked(lam):  # every batch of f values, before it is used
+        vals = f(lam)
+        if not np.isfinite(vals).all():
+            raise NoConvergence("f is not finite at some of %d points" % np.size(vals))
+        return vals
+    coefficients, count, rect = _sampled_search(checked, window, d)
     groups = _grouped_roots(coefficients)
     unfolded = [(lam, m) for z, m in groups for lam in _unfold(z, d, rect)]
     total = sum(m for _, m in unfolded)

@@ -111,9 +111,9 @@ def test_criterion_02_determinant_product_form():
             d = geo.d
             s = alpha + beta
             for lam in lams:
-                # the determinant is damped by exp(-|Re lambda|*b3), and so
-                # is the relative bound
-                damp = np.exp(-abs(lam.real) * p.b3)
+                # the determinant is damped by exp(-|Re lambda|*(b3 - b1)),
+                # and so is the relative bound
+                damp = np.exp(-abs(lam.real) * (p.b3 - p.b1))
                 exact = -2.0 * np.sinh(2.0 * lam * d) - 2.0 * s * np.sinh(lam * d)
                 got = characteristic_value(p, lam)
                 mag = 2.0 * abs(np.sinh(2.0 * lam * d)) + 2.0 * abs(s) * abs(

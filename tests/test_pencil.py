@@ -62,13 +62,14 @@ def test_characteristic_nonzero_on_real_axis():
 
 
 def test_factorized_determinant_identity():
-    # the damped determinant is the product form times exp(-|Re lambda|*b3);
-    # the bound is the undamped relative one, damped alike
+    # the damped determinant is the product form times
+    # exp(-|Re lambda|*(b3 - b1)); the bound is the undamped relative one,
+    # damped alike
     rng = np.random.default_rng(42)
     for p in (P_DIR, P_MIX, PoissonPencilProblem(-0.8, 0.3, 0.4, 2.9)):
         lam = rng.uniform(-3, 3, 120) + 1j * rng.uniform(-3, 3, 120)
         for z in lam:
-            damp = np.exp(-abs(z.real) * p.b3)
+            damp = np.exp(-abs(z.real) * (p.b3 - p.b1))
             got = characteristic_value(p, z)
             ref = factorized(p, z)
             scale = max(abs(ref), 1.0)
@@ -121,8 +122,8 @@ def adjoint_matrix(p, lam):
 @pytest.mark.parametrize("geo", GEOMETRIES, ids=("narrow", "wide"))
 def test_adjoint_determinant_matches_the_4x4_determinant(geo):
     # the two-row expansion against LAPACK on the matrix it expands; each
-    # term of the 4x4 determinant takes two exp(+lam*phi) and two
-    # exp(-lam*phi) columns, so the damping is exp(-2*|Re lam|*b3)
+    # product of the expansion takes one exp(+lam*phi) and one
+    # exp(-lam*phi) column, so the damping is exp(-|Re lam|*(b3 - b1))
     rng = np.random.default_rng(11)
     for alpha, beta in ((0.6, 0.4), (-0.8, 0.3), (1.2, -0.5), (1.4, 0.9)):
         p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
@@ -130,7 +131,7 @@ def test_adjoint_determinant_matches_the_4x4_determinant(geo):
         lam[0] = 0.0
         got = adjoint_transmission_characteristic(p, lam)
         for z, value in zip(lam, got):
-            ref = np.linalg.det(adjoint_matrix(p, z)) * np.exp(-2.0 * abs(z.real) * p.b3)
+            ref = np.linalg.det(adjoint_matrix(p, z)) * np.exp(-abs(z.real) * (p.b3 - p.b1))
             assert abs(value - ref) <= 1e-13 * (1.0 + abs(z))
 
 
@@ -216,6 +217,12 @@ def test_ranges_just_above_the_height_bound_are_refused_first(monkeypatch):
     for h in (top, -top):
         with pytest.raises(OutOfRange, match="real axis"):
             line_is_eigenvalue_free(P_MIX, h)
+    for lo, hi in ((top - 1.0, top), (-top, -top + 1.0)):
+        for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
+            with pytest.raises(OutOfRange, match="imaginary axis"):
+                search(P_MIX, (lo, hi, 0.0, 4.0))
+        with pytest.raises(OutOfRange, match="imaginary axis"):
+            find_zeros(refused, (lo, hi, 0.0, 4.0), P_MIX.d)
 
 
 def test_numeric_matches_closed_form_mixed():
@@ -411,6 +418,69 @@ def test_non_finite_window_is_out_of_range_before_any_determinant_call(window, m
         with pytest.raises(OutOfRange, match="not finite"):
             search(P_MIX, window)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda lam: np.full(np.shape(lam), np.nan),
+     lambda lam: np.where(lam.real > 0.4, np.inf, characteristic_value(P_MIX, lam))],
+    ids=("nan", "inf_on_an_edge"),
+)
+def test_find_zeros_refuses_values_of_f_that_are_not_finite(f):
+    # NaN everywhere, or inf on the right edge of the contour only (the
+    # Laurent samples lie on Re lambda = 0)
+    with pytest.raises(NoConvergence, match="f is not finite"):
+        find_zeros(f, WINDOW, P_MIX.d)
+
+
+@pytest.mark.parametrize("geo", GEOMETRIES, ids=("narrow", "wide"))
+@pytest.mark.parametrize("alpha, beta", [(0.6, 0.4), (3.0, 2.0)])
+def test_windows_far_from_the_imaginary_axis(geo, alpha, beta):
+    # no zeros there; the damped determinants stay of modulus about 1, so
+    # the contour is not read as passing through a zero
+    p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+    for window in ((300.0, 301.0, 0.0, 4.0), (1000.0, 1001.0, 0.0, 4.0),
+                   (-1001.0, -1000.0, 0.0, 4.0)):
+        for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
+            assert len(search(p, window).values) == 0, (window, search.__name__)
+
+
+@pytest.mark.parametrize("geo", GEOMETRIES, ids=("narrow", "wide"))
+def test_damped_columns_peak_at_one_far_from_the_imaginary_axis(geo):
+    # the largest product of a damped exp(lam*phi) and a damped
+    # exp(-lam*phi) column is exp(|Re lam|*(b3 - b1)) undamped, so 1 damped,
+    # up to the rounding of the exponents, about eps*|lam|*b3
+    p = PoissonPencilProblem(0.6, 0.4, geo.angles[0], geo.angles[-1])
+    for re in (300.0, 1e3, 0.999 * MAX_HEIGHT):
+        for lam in (re + 0.5j, -re + 0.5j):
+            for det in (characteristic_value, adjoint_transmission_characteristic):
+                value = det(p, lam)
+                assert np.isfinite(value) and value != 0.0, (lam, det.__name__)
+            _, up, down = pencil._fundamental_system(p, lam)
+            largest = max(abs(u[0] * v[0]) for u in up for v in down)
+            assert abs(largest - 1.0) <= 4.0 * np.finfo(float).eps * abs(lam) * p.b3
+
+
+@pytest.mark.parametrize("geo", GEOMETRIES, ids=("narrow", "wide"))
+@pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (-1.5, -1.0), (3.0, 2.0), (-2.0, -1.5)])
+def test_searches_outside_the_regime(geo, alpha, beta):
+    # |alpha+beta| > 2: the cosine family leaves the imaginary axis in pairs,
+    # lambda = +-arccosh(sigma/2)/d + i*pi*(2k+1)/d for sigma > 2 and
+    # +-arccosh(|sigma|/2)/d + 2*pi*i*k/d for sigma < -2; the sine family
+    # i*pi*k/d, k != 0, stays.  Window edges off every eigenvalue.
+    p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+    d, sigma = p.d, alpha + beta
+    shift = np.arccosh(abs(sigma) / 2.0)
+    k = np.arange(-3, 4)  # the k with |pi*k| < 12
+    cosine = 1j * np.pi * k[k % 2 == (1 if sigma > 0 else 0)]
+    expected = np.concatenate([1j * np.pi * k[k != 0], shift + cosine, -shift + cosine]) / d
+    window = (-4.0 / d, 4.0 / d, -12.0 / d, 12.0 / d)
+    for search, conj in ((eigenvalues_numeric, False), (adjoint_eigenvalues_numeric, True)):
+        found = search(p, window).values
+        found = np.conj(found) if conj else found
+        assert len(found) == len(expected), search.__name__
+        for z in expected:
+            assert np.min(np.abs(found - z)) <= 1e-12 * max(1.0, abs(z)), (z, search.__name__)
 
 
 def test_both_routes_agree_on_windows_with_edges_on_eigenvalues():
