@@ -43,7 +43,7 @@ Both determinants, damped alike by exp(-|Re lambda|*(b3 - b1)), map a
 scalar or an array of lambda to a complex array of the same shape (0-d for
 a scalar), so the finder makes one call per batch:
 one for the 64 Laurent samples together with the first contour level,
-then one per refinement level and one per nudged retry of the contour.
+then one per refinement level and one per retry on a moved contour.
 """
 
 import math
@@ -77,6 +77,7 @@ N_SAMPLES = 64  # samples of a determinant on |exp(lambda*d)| = 1
 MAX_DEGREE = 2  # Laurent degree of the determinants in exp(lambda*d)
 CONTOUR_START, CONTOUR_MAX = 64, 8192  # contour points per edge, first and last
 MAX_NUDGES = 8  # outward moves of a contour that passes through a zero
+CLEARANCE = 2  # sample spacings between the contour and a known multiple zero
 GROUP_RADIUS = 1e-4  # companion roots this close, relative, are one multiple root
 
 # the Laurent samples lambda = _LAURENT_NODES/d, theta offset by half a step
@@ -339,37 +340,106 @@ def _laurent_coefficients(vals):
     return poly
 
 
+def _clear_of_multiple_zeros(rect, groups, d, n):
+    """rect with edges moved outward until no crowded zero lies near an edge.
+
+    groups are the (root z, multiplicity) of _grouped_roots.  With h the
+    sample spacing along the longest edge at n points per edge, a root is
+    crowded when its multiplicity and those of the roots with zeros within
+    h of its zeros sum to 2 or more.  Between two samples h apart, m zeros
+    at a distance delta turn the phase of f by up to 2*m*atan(h/(2*delta)),
+    which for m >= 2 can exceed pi: the step then aliases.  Refinement does
+    not reveal it, because every level keeps the samples of the one before,
+    the one nearest the zeros included, so two levels agree on the same
+    wrong count.  An edge within CLEARANCE*h of a zero of a crowded root
+    moves to 2*CLEARANCE*h beyond it, so the zero ends up at least
+    CLEARANCE sample spacings from the contour, where m zeros turn the
+    phase by at most 2*m*atan(1/4), below pi for m <= 3.
+    """
+    roots = [(z, np.log(complex(z)), m) for z, m in groups if z != 0]
+    while True:
+        re_lo, re_hi, im_lo, im_hi = rect
+        h = max(re_hi - re_lo, im_hi - im_lo) / n
+        crowded = {i for i, (_, _, m) in enumerate(roots) if m > 1}
+        for i, (_, w, _) in enumerate(roots):
+            for j in range(i):
+                # the zeros of two roots come as close as the difference of
+                # their logs, its imaginary part reduced mod 2*pi, over d
+                delta = w - roots[j][1]
+                if math.hypot(delta.real, math.remainder(delta.imag, 2.0 * math.pi)) <= d * h:
+                    crowded |= {i, j}
+        if not crowded:
+            return rect
+        gap = CLEARANCE * h
+        near = (re_lo - gap, re_hi + gap, im_lo - gap, im_hi + gap)
+        for lam in [lam for i in crowded for lam in _unfold(roots[i][0], d, near)]:
+            x, y = lam.real, lam.imag
+            if x < re_lo + gap:
+                re_lo = min(re_lo, x - 2.0 * gap)
+            if x > re_hi - gap:
+                re_hi = max(re_hi, x + 2.0 * gap)
+            if y < im_lo + gap:
+                im_lo = min(im_lo, y - 2.0 * gap)
+            if y > im_hi - gap:
+                im_hi = max(im_hi, y + 2.0 * gap)
+        if (re_lo, re_hi, im_lo, im_hi) == rect:
+            return rect
+        rect = (re_lo, re_hi, im_lo, im_hi)
+
+
 def _sampled_search(f, window, d):
-    """(Laurent coefficients, winding number, rectangle) of f on the window.
+    """The (lambda, multiplicity) of f's zeros in the window, counted twice.
 
-    The first call of f takes the Laurent samples and the first contour
-    level in one batch; f is called again only to refine the contour or
-    after a nudge.  The contour starts at CONTOUR_START doubled to
-    n >= 4*MAX_DEGREE*d*L/pi points per edge (L the longest edge), so that
-    no term z^k turns by more than about pi/4 between samples: coarser
-    levels can alias alike.  OutOfRange, naming the window, if that n
-    exceeds CONTOUR_MAX.
+    The roots of the Laurent coefficients (_grouped_roots), unfolded onto
+    the contour's rectangle, must have multiplicities that sum to the
+    winding number of f around it.  The first call of f takes the Laurent
+    samples and the first contour level in one batch; f is called again
+    only to refine the contour or after a move of the contour.  The contour
+    starts at CONTOUR_START doubled to n >= 4*MAX_DEGREE*d*L/pi points per
+    edge (L the longest edge), so that no term z^k turns by more than about
+    pi/4 between samples: coarser levels can alias alike.  OutOfRange,
+    naming the window, if that n exceeds CONTOUR_MAX.
 
-    A contour through a zero (or through lambda = 0, where the adjoint
-    search's f raises ContourThroughZero) is nudged outward and the whole
-    batch retried.  The nudge grows geometrically: a zero sitting exactly
-    on the contour must end up farther from the expanded contour than the
-    sample spacing before the phase steps become unambiguous.  The total
-    expansion stays below 3e-3 per side; any zero pulled in from just
-    outside is discarded by the caller's final window filter.
+    When the count fails, the contour is moved and the whole batch
+    retried: off a multiple zero among the roots already known by a few
+    sample spacings (_clear_of_multiple_zeros); otherwise a count that
+    disagrees with the roots raises NoConvergence, and a contour through a
+    zero (or through lambda = 0, where the adjoint search's f raises
+    ContourThroughZero) is nudged outward.  The nudge grows geometrically:
+    a zero sitting exactly on the contour must end up farther from the
+    expanded contour than the sample spacing before the phase steps become
+    unambiguous.  The total nudge stays below 3e-3 per side.  Zeros that a
+    moved contour takes in from outside the window are dropped.
     """
     n = CONTOUR_START
     while n < 4.0 * MAX_DEGREE * d * max(window[1] - window[0], window[3] - window[2]) / np.pi:
         n *= 2
     if n > CONTOUR_MAX:
         raise OutOfRange("search window %s is too tall for the contour" % (window,))
-    rect = window
+    rect, groups = window, None
     for k in range(MAX_NUDGES):
         try:
             vals = f(np.concatenate((_LAURENT_NODES / d, _rect_contour(rect, n))))
-            coefficients = _laurent_coefficients(vals[:N_SAMPLES])
-            return coefficients, _winding_number(f, rect, n, vals[N_SAMPLES:], d), rect
-        except ContourThroughZero:
+            groups = _grouped_roots(_laurent_coefficients(vals[:N_SAMPLES]))
+            count = _winding_number(f, rect, n, vals[N_SAMPLES:], d)
+            zeros = [(lam, m) for z, m in groups for lam in _unfold(z, d, rect)]
+            total = sum(m for _, m in zeros)
+            if total == count:
+                if rect != window:
+                    zeros = [(lam, m) for z, m in groups for lam in _unfold(z, d, window)]
+                return zeros
+            failure = NoConvergence(
+                "%d zeros from the companion matrix, %d from the argument "
+                "principle" % (total, count)
+            )
+        except ContourThroughZero as exc:
+            failure = exc
+        clear = rect if groups is None else _clear_of_multiple_zeros(rect, groups, d, n)
+        if clear != rect:
+            rect = clear
+        elif isinstance(failure, NoConvergence):
+            raise failure
+        else:
             eps = 1.25e-7 * 4.0**k
             re_lo, re_hi, im_lo, im_hi = rect
             rect = (re_lo - eps, re_hi + eps, im_lo - eps, im_hi + eps)
@@ -430,9 +500,11 @@ def find_zeros(f, window, d):
     lambda = (log z + 2*pi*i*k)/d within WINDOW_PAD/d of the window, by the
     branch rule of the closed form.  The argument-principle count on the
     window boundary must equal the zeros found, with multiplicity, or
-    NoConvergence is raised.  f is called with arrays only: once with the
-    Laurent samples and the first contour level in one batch, and again
-    only per refinement level or per nudge of a contour through a zero.
+    NoConvergence is raised; a contour near a multiple zero, where the count
+    can alias, is first moved off it (_sampled_search).  f is called with
+    arrays only: once with the Laurent samples and the first contour level
+    in one batch, and again only per refinement level or per move of the
+    contour.
     OutOfRange before f is called unless re_lo < re_hi and im_lo < im_hi
     are finite and im_lo, im_hi (re_lo, re_hi) lie within MAX_HEIGHT of the
     real (imaginary) axis, or if the window is too tall for the contour.
@@ -455,18 +527,7 @@ def find_zeros(f, window, d):
         if not np.isfinite(vals).all():
             raise NoConvergence("f is not finite at some of %d points" % np.size(vals))
         return vals
-    coefficients, count, rect = _sampled_search(checked, window, d)
-    groups = _grouped_roots(coefficients)
-    unfolded = [(lam, m) for z, m in groups for lam in _unfold(z, d, rect)]
-    total = sum(m for _, m in unfolded)
-    if total != count:
-        raise NoConvergence(
-            "%d zeros from the companion matrix, %d from the argument "
-            "principle" % (total, count)
-        )
-    if rect != window:  # a nudged contour may have taken in zeros from outside
-        unfolded = [(lam, m) for z, m in groups for lam in _unfold(z, d, window)]
-    return np.array([lam for lam, _ in unfolded], dtype=complex)
+    return np.array([lam for lam, _ in _sampled_search(checked, window, d)], dtype=complex)
 
 
 def _numeric_eigenvalues(f, p, window):

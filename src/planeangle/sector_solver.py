@@ -19,6 +19,10 @@ data make the truncation exact.
 Matrix rows are the interior nodes and columns all nodes (laplacian_matrix);
 both solvers check the problem against the grid first (assemble_dd_system)
 and hand the interior system S x = b to one solve core (_solve_interior).
+The stencil A and the node shift M are written straight into CSR arrays
+with 32-bit indices while the grid allows: A from one value array per
+stencil slot and the interior node indices, M = kron(I, C) by copies of
+the CSR arrays of the column shift C, one per radial line.
 
 The assembled system separates like the Mellin transform separates r from
 phi: S = (D_r x I + diag(1/r^2) x T)(I x M_int), with D_r the radial
@@ -45,7 +49,7 @@ without bound as |alpha+beta| -> 2.  So the residual of S, recomputed
 after every solve and gated at 1e-8 * ||b||, decides: when T has no real
 eigenbasis (|alpha+beta| >= 2), when the radial solve hits a singular
 matrix, or when the separable solution fails the gate, the core solves
-again with a sparse LU of S.
+again with a sparse LU of S, ordered by minimum degree on S + S^T.
 """
 
 from dataclasses import dataclass, field
@@ -143,29 +147,51 @@ def _radial_stencil(r, dr):
     return np.full(r.shape, 2.0 * cr + 1.0), -cr - cr1, -cr + cr1
 
 
+def _index_dtype(largest):
+    """int32 if indices and counts up to largest fit it, else int64: scipy's
+    CSR constructor chooses alike and so keeps such arrays uncopied."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
 def laplacian_matrix(grid):
     """Sparse matrix of -(d_rr + (1/r)d_r + (1/r^2)d_phiphi) + 1, interior rows.
 
     Second-order central stencil; row k is the equation at node
-    _interior(grid)[k], the columns are all nodes in row-major order.
+    _interior(grid)[k], the columns are all nodes in row-major order.  The
+    CSR arrays are written directly: one stencil coefficient per slot of an
+    (n_r-1, n_phi-1, 5) value array, taken per radius and broadcast over the
+    angle, and the column indices _interior(grid) plus the five offsets.
     """
     width = grid.n_phi + 1
-    rows = _interior(grid)
-    r = np.repeat(grid.r_nodes[1:-1], grid.n_phi - 1)
+    shape = ((grid.n_r - 1) * (grid.n_phi - 1), width * (grid.n_r + 1))
+    idx = _index_dtype(max(5 * shape[0], shape[1]))
+    r = grid.r_nodes[1:-1, None]
     radial, up, down = _radial_stencil(r, grid.dr)
     cp = 1.0 / (r**2 * grid.dphi**2)
-    cols = rows[:, None] + np.array([-width, -1, 0, 1, width])
-    vals = np.column_stack([down, -cp, radial + 2.0 * cp, -cp, up])
+    vals = np.empty((grid.n_r - 1, grid.n_phi - 1, 5))
+    for k, coefficient in enumerate((down, -cp, radial + 2.0 * cp, -cp, up)):
+        vals[:, :, k] = coefficient
+    cols = _interior(grid).astype(idx)[:, None] + np.array([-width, -1, 0, 1, width], dtype=idx)
     return sp.csr_matrix(
-        (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, 5)),
-        shape=(rows.size, width * (grid.n_r + 1)),
+        (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, 5, dtype=idx)), shape=shape
     )
 
 
 def shift_matrix_on_grid(op, grid):
-    """Sparse matrix of apply_on_grid acting on flattened node vectors."""
-    return sp.kron(
-        sp.identity(grid.n_r + 1), column_shift_operator(op, grid), format="csr"
+    """Sparse matrix of apply_on_grid acting on flattened node vectors.
+
+    kron(I_{n_r+1}, C) for the column shift C of one radial line, by index
+    arithmetic on the CSR arrays of C: one copy of its data, indices and
+    row pointers per radial line, offset by the line's first node and entry.
+    """
+    C = column_shift_operator(op, grid)
+    lines, width = grid.n_r + 1, grid.n_phi + 1
+    idx = _index_dtype(max(lines * C.nnz, lines * width))
+    line = np.arange(lines, dtype=idx)[:, None]
+    indptr = np.append(C.indptr[:-1] + C.nnz * line, idx(lines * C.nnz))
+    return sp.csr_matrix(
+        (np.tile(C.data, lines), (C.indices + width * line).ravel(), indptr),
+        shape=(lines * width, lines * width),
     )
 
 
@@ -387,7 +413,9 @@ def _solve_interior(p, grid, S, b):
             pass
     # written so that a NaN residual also falls back
     if not eq_res <= 1e-8 * bnorm:
-        method, x = "sparse_lu", _direct_solve(S, b)
+        # minimum degree on the pattern of S + S^T fills about half as much
+        # as the default COLAMD on this nearly symmetric pattern
+        method, x = "sparse_lu", _direct_solve(S, b, permc_spec="MMD_AT_PLUS_A")
         eq_res = float(np.linalg.norm(_on_parts(S.dot, x) - b))
         if bnorm > 0 and eq_res > 1e-8 * bnorm:
             raise SolverFailure("direct solve residual %g too large" % eq_res)

@@ -13,9 +13,11 @@ the integral of a nodal-constant integrand is exact.
 
 The norms of one field share its derivative table, which lives in the
 field's own derived dict: the order and the real squares |D^alpha u|^2 for
-every |alpha| up to that order.  A higher order rebuilds the table, a lower
-one reads part of it.  Grid function values are read-only, so a table never
-goes stale, and it dies with its field.
+every |alpha| up to that order.  A higher order extends the table, a lower
+one reads part of it.  The first derivatives are kept there too, so order 2
+after order 1 takes only the gradients of u_x and u_y.  Grid function
+values are read-only, so a table never goes stale, and it dies with its
+field.
 """
 
 from dataclasses import dataclass
@@ -62,13 +64,20 @@ def _cartesian_gradient(grid, vals):
 
 
 def cartesian_derivatives(u, l):
-    """Nodal arrays of D^alpha u keyed by multi-index, all |alpha| <= l."""
+    """Nodal arrays of D^alpha u keyed by multi-index, all |alpha| <= l.
+
+    The first derivatives are computed once per field and kept, read-only
+    like its values, in u.derived["gradient"].
+    """
     grid = u.grid
     out = {(0, 0): u.values}
     if l >= 1:
-        u_x, u_y = _cartesian_gradient(grid, u.values)
-        out[(1, 0)] = u_x
-        out[(0, 1)] = u_y
+        if "gradient" not in u.derived:
+            gradient = _cartesian_gradient(grid, u.values)
+            for d in gradient:
+                d.flags.writeable = False
+            u.derived["gradient"] = gradient
+        out[(1, 0)], out[(0, 1)] = u.derived["gradient"]
     if l >= 2:
         u_xx, u_xy = _cartesian_gradient(grid, out[(1, 0)])
         _, u_yy = _cartesian_gradient(grid, out[(0, 1)])
@@ -80,9 +89,10 @@ def cartesian_derivatives(u, l):
 
 def _squares(u, l):
     """{alpha: |D^alpha u|^2} for |alpha| <= l, in cartesian_derivatives' order."""
-    order, squares = u.derived.get("squares", (-1, None))
+    order, squares = u.derived.get("squares", (-1, {}))
     if order < l:
-        squares = {alpha: np.abs(d) ** 2 for alpha, d in cartesian_derivatives(u, l).items()}
+        derivatives = cartesian_derivatives(u, l).items()
+        squares = {**squares, **{a: np.abs(d) ** 2 for a, d in derivatives if sum(a) > order}}
         u.derived["squares"] = (l, squares)
     return {alpha: sq for alpha, sq in squares.items() if sum(alpha) <= l}
 

@@ -358,6 +358,36 @@ def test_merge_band_merges_whole_clusters(geo):
                 ), (delta, sign, search.__name__)
 
 
+@pytest.mark.parametrize("geo", GEOMETRIES, ids=("narrow", "wide"))
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (-1.0, -1.0)])
+def test_window_edges_through_triple_eigenvalues(geo, alpha, beta):
+    # at alpha+beta = 2 the product form -2 sinh(lambda d)(2 cosh(lambda d)
+    # + alpha + beta) has triple zeros at i*pi*(2k+1)/d, at -2 at 2*pi*i*k/d,
+    # lambda = 0 included; every zero is some i*pi*k/d.  Windows with an Im
+    # edge on a triple zero, or 2e-4 inside or outside of one, once aliased
+    # the argument-principle count (7 zeros from the companion matrix, 3
+    # from the count on (-0.5, 0.5, -3, 3) of the narrow geometry)
+    d = geo.d
+    if alpha + beta > 0:
+        t = np.pi / d  # the lowest triple zero above the real axis
+        windows = [(-0.5, 0.5, -3.0, 3.0), (-0.5, 0.5, -t, t), (-0.5, 0.5, -t - 2e-4, t - 2e-4)]
+    else:
+        t = 2.0 * np.pi / d
+        windows = [(-0.5, 0.5, 0.0, 4.0), (-0.5, 0.5, -t, 0.0), (-0.5, 0.5, 2e-4, t + 2e-4)]
+    p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+    for window in windows:
+        lo, hi = window[2] * d / np.pi, window[3] * d / np.pi
+        ks = range(int(np.ceil(lo - 1e-9)), int(np.floor(hi + 1e-9)) + 1)
+        # lambda = 0 is an eigenvalue only where lambda_zero_determinant vanishes
+        expected = np.array([np.pi * k / d for k in ks if k != 0 or alpha + beta < 0])
+        assert np.max(np.abs(factorized(p, 1j * expected))) <= 1e-12
+        for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
+            found = search(p, window).values
+            assert len(found) == len(expected), (window, search.__name__)
+            assert np.max(np.abs(np.sort(found.imag) - expected)) <= 1e-9
+            assert np.max(np.abs(found.real)) <= 1e-9
+
+
 @pytest.mark.parametrize("geo", GEOMETRIES)
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (-1.0, -1.0), (1.3, 0.7), (-1.2, -0.8)])
 def test_multiple_eigenvalues_come_back_once(geo, alpha, beta):

@@ -10,7 +10,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from planeangle.core import GridFunction, IncompatibleGrid, SectorGrid, make_geometry
-from planeangle.difference_ops import apply_on_grid, column_shift_operator, two_sector_operator
+from planeangle.difference_ops import (
+    DifferenceOperator,
+    apply_on_grid,
+    column_shift_operator,
+    two_sector_operator,
+)
 from planeangle.manufactured import dd_problem, error_norm, nonlocal_problem
 from planeangle import sector_solver
 from planeangle.pencil import PoissonPencilProblem, eigenvalues_closed_form
@@ -81,6 +86,57 @@ def test_laplacian_matrix_exact_on_quadratic():
     got = A @ u.ravel()
     want = (-(4.0 + 2.0 / r**2) + u)[1:-1, 1:-1].ravel()
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def _laplacian_by_columns(grid):
+    """The stencil as first assembled: coefficients repeated over every
+    interior node and stacked by np.column_stack, int64 column indices that
+    the CSR constructor casts down."""
+    width = grid.n_phi + 1
+    rows = _interior(grid)
+    r = np.repeat(grid.r_nodes[1:-1], grid.n_phi - 1)
+    radial, up, down = sector_solver._radial_stencil(r, grid.dr)
+    cp = 1.0 / (r**2 * grid.dphi**2)
+    cols = rows[:, None] + np.array([-width, -1, 0, 1, width])
+    vals = np.column_stack([down, -cp, radial + 2.0 * cp, -cp, up])
+    return sp.csr_matrix(
+        (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, 5)),
+        shape=(rows.size, width * (grid.n_r + 1)),
+    )
+
+
+def _shift_by_kron(op, grid):
+    """The node shift matrix as first assembled, by scipy's kron."""
+    return sp.kron(sp.identity(grid.n_r + 1), column_shift_operator(op, grid), format="csr")
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("n_r, n_phi", [(3, 4), (12, 4), (6, 10), (20, 12), (256, 256)])
+def test_direct_csr_assembly_is_bit_identical(n_r, n_phi):
+    # laplacian_matrix and shift_matrix_on_grid write their CSR arrays
+    # directly; they must equal the column_stack and kron constructions
+    # array for array, n_phi = 4 (s = 2) and the operator with no
+    # coefficients included, and so must the composite S
+    grid = SectorGrid(GEO, R_MIN, R_MAX, n_r, n_phi)
+    keep = _interior(grid)
+    _assert_same_csr(laplacian_matrix(grid), _laplacian_by_columns(grid))
+    _assert_same_csr(
+        shift_matrix_on_grid(DifferenceOperator({}, GEO), grid),
+        _shift_by_kron(DifferenceOperator({}, GEO), grid),
+    )
+    zero = GridFunction(grid, np.zeros((n_r + 1, n_phi + 1)))
+    for alpha, beta in ((0.3, -0.8), (0.0, 0.0), (1.5, 1.0)):
+        p = DDProblem(alpha, beta, GEO, zero, R_MIN, R_MAX)
+        _assert_same_csr(shift_matrix_on_grid(p.operator(), grid), _shift_by_kron(p.operator(), grid))
+        S, _ = assemble_dd_system(p, grid)
+        _assert_same_csr(S, _laplacian_by_columns(grid) @ _shift_by_kron(p.operator(), grid)[:, keep])
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.7, -0.3), (-1.2, 0.5)])
@@ -159,6 +215,30 @@ def test_solve_dd_falls_back_to_sparse_lu():
     # alpha = beta = 1: defective angular matrix and a singular system
     with pytest.raises(SingularSystem):
         solve_dd(DDProblem(1.0, 1.0, GEO, f, R_MIN, R_MAX), grid)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (-1.5, -1.0)])
+def test_sparse_lu_fallback_orders_by_minimum_degree(alpha, beta, monkeypatch):
+    # outside the regime S is factored once, ordered by minimum degree on
+    # the pattern of S + S^T, which fills about half as much as the default
+    # COLAMD; the residual gate still holds with room to spare
+    seen = []
+    splu = spla.splu
+
+    def spy(M, *args, **kwargs):
+        seen.append(kwargs)
+        return splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 128, 128)
+    p, _ = dd_problem(alpha, beta, grid)
+    res = solve_dd(p, grid)
+    assert res.info["method"] == "sparse_lu"
+    assert seen == [{"permc_spec": "MMD_AT_PLUS_A"}]
+    assert 0.0 < res.equation_residual <= 1e-11 * res.info["rhs_norm"]
+    # alpha = beta = 1: the ordered factor still finds S singular
+    with pytest.raises(SingularSystem):
+        solve_dd(dd_problem(1.0, 1.0, grid)[0], grid)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

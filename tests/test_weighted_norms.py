@@ -175,9 +175,10 @@ def test_one_field_is_differentiated_once_per_order(monkeypatch):
     tables = counted(monkeypatch, "cartesian_derivatives")
     gradients = counted(monkeypatch, "_cartesian_gradient")
     values = diagnostics_sequence(u)
-    # l = 0, then 1, then 2 each extend the table once; 8 and 12 without the memo
+    # l = 0, then 1, then 2 each extend the table once; 8 and 12 without the
+    # memo.  Order 1 takes the gradient of u, order 2 those of u_x and u_y
     assert len(tables) <= 3
-    assert len(gradients) <= 4
+    assert len(gradients) == 3
     monkeypatch.undo()
     assert values == diagnostics_sequence(fresh(u))
 
@@ -224,6 +225,8 @@ def test_table_lives_on_its_field_and_dies_with_it():
     e_norm(u, WeightParams(0.3, 2))
     order, squares = u.derived["squares"]
     assert order == 2 and len(squares) == 6
+    # the first derivatives that order 2 was built from stay, read-only
+    assert not any(d.flags.writeable for d in u.derived["gradient"])
     assert not hasattr(weighted_norms, "_TABLE")
     ref = weakref.ref(u)
     del u
