@@ -30,20 +30,20 @@ not use the closed forms.  At lambda = 0 both determinants switch to the
 degenerate basis {1, phi}, where they coincide (lambda_zero_determinant).
 The middle ray bisects the arc, so both determinants (the adjoint one
 divided by lambda) are Laurent polynomials of degree <= 2 in z =
-exp(lambda*d): the finder reads their coefficients off samples on |z| = 1,
-takes the roots in z from the companion matrix, merges each cluster of
-roots that holds two within a relative distance of 1e-4 whole into one
-multiple root at its mean (the eigenvalues at |alpha+beta| = 2, and
-distinct ones at alpha+beta = +-(2 - delta), delta <= 1e-8) and unfolds
-each once to lambda = (log z + 2*pi*i*k)/d.  An argument-principle count
-on the window boundary checks the number of zeros found, with
-multiplicity.
+exp(lambda*d): the finder reads their coefficients off 64 samples on
+|z| = 1, refuses any term of higher degree, takes the roots in z from the
+companion matrix, merges each cluster of roots that holds two within a
+relative distance of 1e-4 whole into one multiple root at its mean (the
+eigenvalues at |alpha+beta| = 2, and distinct ones at alpha+beta =
++-(2 - delta), delta <= 1e-8) and unfolds each once onto the window,
+lambda = (log z + 2*pi*i*k)/d.  The degree check is what makes these
+exactly the zeros of the determinant; companion-matrix roots are backward
+stable (Edelman & Murakami, Math. Comp. 64, 1995).
 
 Both determinants, damped alike by exp(-|Re lambda|*(b3 - b1)), map a
 scalar or an array of lambda to a complex array of the same shape (0-d for
-a scalar), so the finder makes one call per batch:
-one for the 64 Laurent samples together with the first contour level,
-then one per refinement level and one per retry on a moved contour.
+a scalar), so the finder calls one of them once per search, on the array
+of its 64 Laurent samples.
 """
 
 import math
@@ -60,10 +60,6 @@ class UnsupportedRegime(PlaneAngleError):
     pass
 
 
-class ContourThroughZero(PlaneAngleError):
-    pass
-
-
 class NoConvergence(PlaneAngleError):
     pass
 
@@ -75,9 +71,6 @@ MAX_HEIGHT = FREE_LINE_TOL / (64.0 * np.finfo(float).eps)  # about 7.0e4
 WINDOW_PAD = 1e-9  # roots this far outside a range, in x = lambda*d, still count
 N_SAMPLES = 64  # samples of a determinant on |exp(lambda*d)| = 1
 MAX_DEGREE = 2  # Laurent degree of the determinants in exp(lambda*d)
-CONTOUR_START, CONTOUR_MAX = 64, 8192  # contour points per edge, first and last
-MAX_NUDGES = 8  # outward moves of a contour that passes through a zero
-CLEARANCE = 2  # sample spacings between the contour and a known multiple zero
 GROUP_RADIUS = 1e-4  # companion roots this close, relative, are one multiple root
 
 # the Laurent samples lambda = _LAURENT_NODES/d, theta offset by half a step
@@ -269,53 +262,7 @@ def eigenvalues_closed_form(p, strip):
 
 
 # ---------------------------------------------------------------------------
-# zero finding: companion-matrix roots, checked by the argument principle
-
-
-def _rect_contour(rect, n_per_edge):
-    re_lo, re_hi, im_lo, im_hi = rect
-    # the corners counterclockwise, the first again at the end
-    corners = np.array(
-        [re_lo + 1j * im_lo, re_hi + 1j * im_lo, re_hi + 1j * im_hi, re_lo + 1j * im_hi,
-         re_lo + 1j * im_lo]
-    )
-    t = np.arange(n_per_edge) / n_per_edge
-    return (corners[:-1, None] + (corners[1:] - corners[:-1])[:, None] * t).ravel()
-
-
-def _winding_number(f, rect, n, vals, d):
-    """Winding number of f around the rectangle, with adaptive refinement.
-
-    vals holds f at n points per edge.  The point count per edge doubles
-    from n, one call of f per level, until every phase step between
-    consecutive samples is small and the accumulated winding lies within
-    0.25 of an integer.  ContourThroughZero if a contour value is below
-    max(1e-12, 16*eps*d*max|edge|) of the largest, the rounding of f at the
-    contour's height, or the winding is unsettled at CONTOUR_MAX.
-    """
-    tiny = max(1e-12, 16.0 * np.finfo(float).eps * d * max(map(abs, rect)))
-    prev = None
-    while True:
-        scale = float(np.max(np.abs(vals)))
-        if scale == 0.0 or np.min(np.abs(vals)) < tiny * scale:
-            raise ContourThroughZero("characteristic value vanishes on contour")
-        steps = np.angle(np.concatenate((vals[1:], vals[:1])) / vals)
-        w = float(np.sum(steps)) / (2.0 * np.pi)
-        near = round(w)
-        largest = np.max(np.abs(steps))
-        # a phase step of nearly pi that survives refinement is the signature
-        # of a zero sitting on the contour; such a zero contributes a half
-        # winding to each neighboring cell and would corrupt the count
-        if abs(w - near) < 0.25 and largest < 3.0:
-            if largest < 1.2 or prev == near:
-                return near
-            prev = near
-        else:
-            prev = None
-        if n >= CONTOUR_MAX:
-            raise ContourThroughZero("winding number did not stabilize")
-        n *= 2
-        vals = f(_rect_contour(rect, n))
+# zero finding: companion-matrix roots of the Laurent coefficients
 
 
 def _laurent_coefficients(vals):
@@ -330,6 +277,8 @@ def _laurent_coefficients(vals):
     """
     c = np.fft.fft(vals) * _FFT_PHASE / N_SAMPLES
     noise = 1e-12 * np.max(np.abs(c))
+    if noise == 0.0:
+        raise NoConvergence("f vanishes at every Laurent sample")
     if np.any(np.abs(c[_HIGH_DEGREE]) > noise):
         raise NoConvergence(
             "determinant is not a Laurent polynomial of degree <= %d in "
@@ -338,114 +287,6 @@ def _laurent_coefficients(vals):
     poly = c[_POLY_INDEX]
     poly[np.abs(poly) <= noise] = 0.0
     return poly
-
-
-def _clear_of_multiple_zeros(rect, groups, d, n):
-    """rect with edges moved outward until no crowded zero lies near an edge.
-
-    groups are the (root z, multiplicity) of _grouped_roots.  With h the
-    sample spacing along the longest edge at n points per edge, a root is
-    crowded when its multiplicity and those of the roots with zeros within
-    h of its zeros sum to 2 or more.  Between two samples h apart, m zeros
-    at a distance delta turn the phase of f by up to 2*m*atan(h/(2*delta)),
-    which for m >= 2 can exceed pi: the step then aliases.  Refinement does
-    not reveal it, because every level keeps the samples of the one before,
-    the one nearest the zeros included, so two levels agree on the same
-    wrong count.  An edge within CLEARANCE*h of a zero of a crowded root
-    moves to 2*CLEARANCE*h beyond it, so the zero ends up at least
-    CLEARANCE sample spacings from the contour, where m zeros turn the
-    phase by at most 2*m*atan(1/4), below pi for m <= 3.
-    """
-    roots = [(z, np.log(complex(z)), m) for z, m in groups if z != 0]
-    while True:
-        re_lo, re_hi, im_lo, im_hi = rect
-        h = max(re_hi - re_lo, im_hi - im_lo) / n
-        crowded = {i for i, (_, _, m) in enumerate(roots) if m > 1}
-        for i, (_, w, _) in enumerate(roots):
-            for j in range(i):
-                # the zeros of two roots come as close as the difference of
-                # their logs, its imaginary part reduced mod 2*pi, over d
-                delta = w - roots[j][1]
-                if math.hypot(delta.real, math.remainder(delta.imag, 2.0 * math.pi)) <= d * h:
-                    crowded |= {i, j}
-        if not crowded:
-            return rect
-        gap = CLEARANCE * h
-        near = (re_lo - gap, re_hi + gap, im_lo - gap, im_hi + gap)
-        for lam in [lam for i in crowded for lam in _unfold(roots[i][0], d, near)]:
-            x, y = lam.real, lam.imag
-            if x < re_lo + gap:
-                re_lo = min(re_lo, x - 2.0 * gap)
-            if x > re_hi - gap:
-                re_hi = max(re_hi, x + 2.0 * gap)
-            if y < im_lo + gap:
-                im_lo = min(im_lo, y - 2.0 * gap)
-            if y > im_hi - gap:
-                im_hi = max(im_hi, y + 2.0 * gap)
-        if (re_lo, re_hi, im_lo, im_hi) == rect:
-            return rect
-        rect = (re_lo, re_hi, im_lo, im_hi)
-
-
-def _sampled_search(f, window, d):
-    """The (lambda, multiplicity) of f's zeros in the window, counted twice.
-
-    The roots of the Laurent coefficients (_grouped_roots), unfolded onto
-    the contour's rectangle, must have multiplicities that sum to the
-    winding number of f around it.  The first call of f takes the Laurent
-    samples and the first contour level in one batch; f is called again
-    only to refine the contour or after a move of the contour.  The contour
-    starts at CONTOUR_START doubled to n >= 4*MAX_DEGREE*d*L/pi points per
-    edge (L the longest edge), so that no term z^k turns by more than about
-    pi/4 between samples: coarser levels can alias alike.  OutOfRange,
-    naming the window, if that n exceeds CONTOUR_MAX.
-
-    When the count fails, the contour is moved and the whole batch
-    retried: off a multiple zero among the roots already known by a few
-    sample spacings (_clear_of_multiple_zeros); otherwise a count that
-    disagrees with the roots raises NoConvergence, and a contour through a
-    zero (or through lambda = 0, where the adjoint search's f raises
-    ContourThroughZero) is nudged outward.  The nudge grows geometrically:
-    a zero sitting exactly on the contour must end up farther from the
-    expanded contour than the sample spacing before the phase steps become
-    unambiguous.  The total nudge stays below 3e-3 per side.  Zeros that a
-    moved contour takes in from outside the window are dropped.
-    """
-    n = CONTOUR_START
-    while n < 4.0 * MAX_DEGREE * d * max(window[1] - window[0], window[3] - window[2]) / np.pi:
-        n *= 2
-    if n > CONTOUR_MAX:
-        raise OutOfRange("search window %s is too tall for the contour" % (window,))
-    rect, groups = window, None
-    for k in range(MAX_NUDGES):
-        try:
-            vals = f(np.concatenate((_LAURENT_NODES / d, _rect_contour(rect, n))))
-            groups = _grouped_roots(_laurent_coefficients(vals[:N_SAMPLES]))
-            count = _winding_number(f, rect, n, vals[N_SAMPLES:], d)
-            zeros = [(lam, m) for z, m in groups for lam in _unfold(z, d, rect)]
-            total = sum(m for _, m in zeros)
-            if total == count:
-                if rect != window:
-                    zeros = [(lam, m) for z, m in groups for lam in _unfold(z, d, window)]
-                return zeros
-            failure = NoConvergence(
-                "%d zeros from the companion matrix, %d from the argument "
-                "principle" % (total, count)
-            )
-        except ContourThroughZero as exc:
-            failure = exc
-        clear = rect if groups is None else _clear_of_multiple_zeros(rect, groups, d, n)
-        if clear != rect:
-            rect = clear
-        elif isinstance(failure, NoConvergence):
-            raise failure
-        else:
-            eps = 1.25e-7 * 4.0**k
-            re_lo, re_hi, im_lo, im_hi = rect
-            rect = (re_lo - eps, re_hi + eps, im_lo - eps, im_hi + eps)
-    raise ContourThroughZero(
-        "contour still passes through a zero after %d nudges" % MAX_NUDGES
-    )
 
 
 def _grouped_roots(coefficients):
@@ -493,22 +334,19 @@ def find_zeros(f, window, d):
 
     window = (re_lo, re_hi, im_lo, im_hi).  f must be a Laurent polynomial
     of degree <= 2 in z = exp(lambda*d), as the pencil determinants are for
-    equally spaced rays.  The roots z of its coefficient polynomial come from
-    the companion matrix, multiple ones merged by _grouped_roots (near
-    alpha+beta = +-(2 - delta) three roots about sqrt(delta) apart merge for
-    delta <= 1e-8, never in part), and each is unfolded once to the branches
+    equally spaced rays.  f is called once, with the array of the N_SAMPLES
+    Laurent samples _LAURENT_NODES/d on Re lambda = 0; its coefficients come
+    from them (_laurent_coefficients, which refuses any term of higher
+    degree), the roots z of the coefficient polynomial from the companion
+    matrix, multiple ones merged by _grouped_roots (near alpha+beta =
+    +-(2 - delta) three roots about sqrt(delta) apart merge for delta <=
+    1e-8, never in part), and each is unfolded once to the branches
     lambda = (log z + 2*pi*i*k)/d within WINDOW_PAD/d of the window, by the
-    branch rule of the closed form.  The argument-principle count on the
-    window boundary must equal the zeros found, with multiplicity, or
-    NoConvergence is raised; a contour near a multiple zero, where the count
-    can alias, is first moved off it (_sampled_search).  f is called with
-    arrays only: once with the Laurent samples and the first contour level
-    in one batch, and again only per refinement level or per move of the
-    contour.
+    branch rule of the closed form (_unfold).
     OutOfRange before f is called unless re_lo < re_hi and im_lo < im_hi
     are finite and im_lo, im_hi (re_lo, re_hi) lie within MAX_HEIGHT of the
-    real (imaginary) axis, or if the window is too tall for the contour.
-    NoConvergence, naming f, if a batch of f values is not finite.
+    real (imaginary) axis.  NoConvergence, naming f, if the samples of f
+    are not finite.
     """
     window = tuple(float(x) for x in window)
     re_lo, re_hi, im_lo, im_hi = window
@@ -521,13 +359,11 @@ def find_zeros(f, window, d):
     _check_height("search window %s" % (window,), im_lo, im_hi)
     if not max(abs(re_lo), abs(re_hi)) <= MAX_HEIGHT:  # exp(lam*phi) rounds by eps*|lam|*b3
         raise OutOfRange("search window %s is not within %.3g of the imaginary axis" % (window, MAX_HEIGHT))
-
-    def checked(lam):  # every batch of f values, before it is used
-        vals = f(lam)
-        if not np.isfinite(vals).all():
-            raise NoConvergence("f is not finite at some of %d points" % np.size(vals))
-        return vals
-    return np.array([lam for lam, _ in _sampled_search(checked, window, d)], dtype=complex)
+    vals = f(_LAURENT_NODES / d)
+    if not np.isfinite(vals).all():
+        raise NoConvergence("f is not finite at some of %d points" % np.size(vals))
+    groups = _grouped_roots(_laurent_coefficients(vals))
+    return np.array([lam for z, _ in groups for lam in _unfold(z, d, window)], dtype=complex)
 
 
 def _numeric_eigenvalues(f, p, window):
@@ -557,10 +393,7 @@ def adjoint_eigenvalues_numeric(p, window):
     condition); the search runs on the determinant divided by lambda.
     """
 
-    def f(lam):
-        if np.any(lam == 0):
-            # f is undefined here; _sampled_search moves the contour off it
-            raise ContourThroughZero("lambda = 0 on the contour")
+    def f(lam):  # the Laurent samples never include lambda = 0
         return adjoint_transmission_characteristic(p, lam) / lam
 
     return _numeric_eigenvalues(f, p, window)

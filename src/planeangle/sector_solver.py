@@ -49,7 +49,9 @@ without bound as |alpha+beta| -> 2.  So the residual of S, recomputed
 after every solve and gated at 1e-8 * ||b||, decides: when T has no real
 eigenbasis (|alpha+beta| >= 2), when the radial solve hits a singular
 matrix, or when the separable solution fails the gate, the core solves
-again with a sparse LU of S, ordered by minimum degree on S + S^T.
+again with a sparse LU of S, ordered by minimum degree on S + S^T.  A
+coupling with 1 - alpha*beta = 0 makes M_int, and so S, singular; the core
+refuses it before any factor.
 """
 
 from dataclasses import dataclass, field
@@ -396,10 +398,14 @@ def _solve_interior(p, grid, S, b):
     matrix V with unit columns as ||V||_2 * ||W||_2, each norm from below by
     a few power steps (_norm_estimate), so it does not exceed cond(V); it is
     inf when there is no real basis.
-    info["rhs_norm"] is ||b||.  SolverFailure if b is not finite.
+    info["rhs_norm"] is ||b||.  SolverFailure if b is not finite;
+    SingularSystem before any factor if 1 - alpha*beta = 0, which makes
+    the 2x2 blocks of M_int, and so S, singular.
     """
     if not np.all(np.isfinite(b)):
         raise SolverFailure("right-hand side is not finite")
+    if 1.0 - p.alpha * p.beta == 0.0:
+        raise SingularSystem("1 - alpha*beta = 0: the column shift is singular")
     bnorm = np.linalg.norm(b)
     basis = _angular_basis(p.alpha, p.beta, grid)
     method, eq_res, cond_V = "separable", np.inf, np.inf

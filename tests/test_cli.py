@@ -16,6 +16,7 @@ from planeangle.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_REGIME,
+    EXIT_SOLVER,
     SpecError,
     compile_expression,
     load_spec,
@@ -389,6 +390,16 @@ def test_solvability_refuses_a_line_too_far_from_the_axis(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "real axis" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("problem", ["dd", "nonlocal"])
+def test_solve_singular_shift_exit(tmp_path, capsys, problem):
+    # 1 - alpha*beta = 0: the system is singular, refused before any factor
+    spec = write_spec(tmp_path / "s.json", alpha=2.0, beta=0.5)
+    code = main(["--spec", spec, "--out", str(tmp_path), "--quiet", "solve", "--problem", problem])
+    assert code == EXIT_SOLVER
+    assert "1 - alpha*beta = 0" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_solve_zero_data(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from planeangle import pencil
 from planeangle.core import OutOfRange, make_geometry
 from planeangle.pencil import (
-    CONTOUR_START,
     FREE_LINE_TOL,
     LineCertificate,
     MAX_HEIGHT,
@@ -267,9 +266,14 @@ def test_find_zeros_rejects_degree_three():
         find_zeros(lambda lam: np.exp(3.0 * lam) - 2.0, (-1.0, 1.0, -2.0, 2.0), 1.0)
 
 
+def test_find_zeros_refuses_f_that_vanishes_at_every_sample():
+    # every lambda would be a zero, and no coefficient is left to take roots of
+    with pytest.raises(NoConvergence, match="vanishes at every Laurent sample"):
+        find_zeros(lambda lam: np.zeros(np.shape(lam), dtype=complex), WINDOW, P_MIX.d)
+
+
 def test_find_zeros_calls_f_once_per_batch():
-    # one call takes the Laurent samples and the first contour level; the
-    # window edges are far from zeros, so that level suffices
+    # one call takes the Laurent samples, the only batch of a search
     shapes = []
 
     def f(lam):
@@ -278,15 +282,14 @@ def test_find_zeros_calls_f_once_per_batch():
 
     roots = find_zeros(f, (-0.5, 0.5, -3.9, 3.9), P_MIX.d)
     assert len(roots) == 7
-    assert shapes == [(N_SAMPLES + 4 * CONTOUR_START,)]
+    assert shapes == [(N_SAMPLES,)]
 
 
-def test_nudged_and_refined_searches(monkeypatch):
+def test_searches_with_edges_on_zeros_take_one_batch(monkeypatch):
     # the adjoint window's bottom edge passes through lambda = 0, where the
-    # search's f raises before any determinant call, and the primal window's
-    # top edge through the eigenvalue 4i: each contour is nudged outward and
-    # the whole batch retried, then refined once, which samples the contour
-    # only
+    # adjoint determinant divided by lambda is undefined, and the primal
+    # window's top edge through the eigenvalue 4i: neither edge is sampled,
+    # so each search makes the one call of its Laurent samples
     batches = []
     for name in ("characteristic_value", "adjoint_transmission_characteristic"):
 
@@ -295,19 +298,18 @@ def test_nudged_and_refined_searches(monkeypatch):
             return det(p, lam)
 
         monkeypatch.setattr(pencil, name, counted)
-    first, refined = N_SAMPLES + 4 * CONTOUR_START, 8 * CONTOUR_START
     cases = (
-        (adjoint_eigenvalues_numeric, (-0.5, 0.5, 0.0, 4.0), True, [first, refined]),
-        (eigenvalues_numeric, WINDOW, False, [first, first, refined]),
+        (adjoint_eigenvalues_numeric, (-0.5, 0.5, 0.0, 4.0), True),
+        (eigenvalues_numeric, WINDOW, False),
     )
-    for search, window, conj, calls in cases:
+    for search, window, conj in cases:
         batches.clear()
         found = search(P_MIX, window).values
         found = np.conj(found) if conj else found
         found = found[np.argsort(found.imag)]
         strip = (-window[3], -window[2]) if conj else window[2:]
         closed = eigenvalues_closed_form(P_MIX, strip).values
-        assert batches == calls
+        assert batches == [N_SAMPLES]
         assert len(found) == len(closed)
         assert np.max(np.abs(found - closed)) <= 1e-12
 
@@ -358,24 +360,36 @@ def test_merge_band_merges_whole_clusters(geo):
                 ), (delta, sign, search.__name__)
 
 
+TRIPLE_COUPLINGS = ((1.0, 1.0), (-1.0, -1.0))
+
+
+def triple_zero_windows(d, sigma):
+    """Windows with an Im edge on a triple zero at sigma = +-2, or 2e-4 inside or outside of one.
+
+    Each comes with its gap: no zero lies closer than that to its boundary,
+    except on it.
+    """
+    if sigma > 0:
+        t = np.pi / d  # the lowest triple zero above the real axis
+        return [((-0.5, 0.5, -3.0, 3.0), 0.2), ((-0.5, 0.5, -t, t), 0.2),
+                ((-0.5, 0.5, -t - 2e-4, t - 2e-4), 2e-4)]
+    t = 2.0 * np.pi / d
+    return [((-0.5, 0.5, 0.0, 4.0), 0.2), ((-0.5, 0.5, -t, 0.0), 0.2),
+            ((-0.5, 0.5, 2e-4, t + 2e-4), 2e-4)]
+
+
 @pytest.mark.parametrize("geo", GEOMETRIES, ids=("narrow", "wide"))
-@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (-1.0, -1.0)])
+@pytest.mark.parametrize("alpha, beta", TRIPLE_COUPLINGS)
 def test_window_edges_through_triple_eigenvalues(geo, alpha, beta):
     # at alpha+beta = 2 the product form -2 sinh(lambda d)(2 cosh(lambda d)
     # + alpha + beta) has triple zeros at i*pi*(2k+1)/d, at -2 at 2*pi*i*k/d,
-    # lambda = 0 included; every zero is some i*pi*k/d.  Windows with an Im
-    # edge on a triple zero, or 2e-4 inside or outside of one, once aliased
-    # the argument-principle count (7 zeros from the companion matrix, 3
-    # from the count on (-0.5, 0.5, -3, 3) of the narrow geometry)
+    # lambda = 0 included; every zero is some i*pi*k/d.  These windows once
+    # aliased an argument-principle count on their boundary (7 zeros from
+    # the companion matrix, 3 from the count on (-0.5, 0.5, -3, 3) of the
+    # narrow geometry)
     d = geo.d
-    if alpha + beta > 0:
-        t = np.pi / d  # the lowest triple zero above the real axis
-        windows = [(-0.5, 0.5, -3.0, 3.0), (-0.5, 0.5, -t, t), (-0.5, 0.5, -t - 2e-4, t - 2e-4)]
-    else:
-        t = 2.0 * np.pi / d
-        windows = [(-0.5, 0.5, 0.0, 4.0), (-0.5, 0.5, -t, 0.0), (-0.5, 0.5, 2e-4, t + 2e-4)]
     p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
-    for window in windows:
+    for window, _ in triple_zero_windows(d, alpha + beta):
         lo, hi = window[2] * d / np.pi, window[3] * d / np.pi
         ks = range(int(np.ceil(lo - 1e-9)), int(np.floor(hi + 1e-9)) + 1)
         # lambda = 0 is an eigenvalue only where lambda_zero_determinant vanishes
@@ -388,8 +402,11 @@ def test_window_edges_through_triple_eigenvalues(geo, alpha, beta):
             assert np.max(np.abs(found.real)) <= 1e-9
 
 
+MULTIPLE_COUPLINGS = ((1.0, 1.0), (-1.0, -1.0), (1.3, 0.7), (-1.2, -0.8))
+
+
 @pytest.mark.parametrize("geo", GEOMETRIES)
-@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (-1.0, -1.0), (1.3, 0.7), (-1.2, -0.8)])
+@pytest.mark.parametrize("alpha, beta", MULTIPLE_COUPLINGS)
 def test_multiple_eigenvalues_come_back_once(geo, alpha, beta):
     # at alpha+beta = +-2 every eigenvalue is i*pi*k/d, and triple where the
     # double root of 2*cos(x) + alpha + beta meets a root of sin(x);
@@ -421,10 +438,17 @@ def test_tall_window():
             assert np.min(np.abs(found - z)) <= 1e-12
 
 
-def test_window_too_tall_for_the_contour():
-    window = (-0.5, 0.5, -1200.0, 1200.0)
-    with pytest.raises(OutOfRange, match=re.escape("search window %s" % (window,))):
-        eigenvalues_numeric(P_MIX, window)
+@pytest.mark.parametrize("height", [1200.0, 7.0e4])
+def test_windows_up_to_the_height_bound(height):
+    # one Laurent batch serves a window of any height: 2400 and 140000
+    # eigenvalues, each within the rounding of the closed form at its height
+    window = (-0.5, 0.5, -height, height)
+    closed = eigenvalues_closed_form(P_MIX, window[2:]).values
+    for found in (eigenvalues_numeric(P_MIX, window).values,
+                  np.conj(adjoint_eigenvalues_numeric(P_MIX, window).values)):
+        found = found[np.argsort(found.imag)]
+        assert len(found) == len(closed) == round(2.0 * height)
+        assert np.all(np.abs(found - closed) <= 1e-9 * np.maximum(1.0, np.abs(closed)))
 
 
 @pytest.mark.parametrize(
@@ -453,12 +477,12 @@ def test_non_finite_window_is_out_of_range_before_any_determinant_call(window, m
 @pytest.mark.parametrize(
     "f",
     [lambda lam: np.full(np.shape(lam), np.nan),
-     lambda lam: np.where(lam.real > 0.4, np.inf, characteristic_value(P_MIX, lam))],
-    ids=("nan", "inf_on_an_edge"),
+     lambda lam: np.where(lam.imag > 2.0, np.inf, characteristic_value(P_MIX, lam))],
+    ids=("nan", "inf_on_some_samples"),
 )
 def test_find_zeros_refuses_values_of_f_that_are_not_finite(f):
-    # NaN everywhere, or inf on the right edge of the contour only (the
-    # Laurent samples lie on Re lambda = 0)
+    # NaN everywhere, or inf on the upper half of the Laurent samples only
+    # (they lie on Re lambda = 0 with 0 < Im lambda < 2*pi/d = 4)
     with pytest.raises(NoConvergence, match="f is not finite"):
         find_zeros(f, WINDOW, P_MIX.d)
 
@@ -491,8 +515,15 @@ def test_damped_columns_peak_at_one_far_from_the_imaginary_axis(geo):
             assert abs(largest - 1.0) <= 4.0 * np.finfo(float).eps * abs(lam) * p.b3
 
 
+OUTSIDE_COUPLINGS = ((1.5, 1.0), (-1.5, -1.0), (3.0, 2.0), (-2.0, -1.5))
+
+
+def outside_regime_window(d):
+    return (-4.0 / d, 4.0 / d, -12.0 / d, 12.0 / d)
+
+
 @pytest.mark.parametrize("geo", GEOMETRIES, ids=("narrow", "wide"))
-@pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (-1.5, -1.0), (3.0, 2.0), (-2.0, -1.5)])
+@pytest.mark.parametrize("alpha, beta", OUTSIDE_COUPLINGS)
 def test_searches_outside_the_regime(geo, alpha, beta):
     # |alpha+beta| > 2: the cosine family leaves the imaginary axis in pairs,
     # lambda = +-arccosh(sigma/2)/d + i*pi*(2k+1)/d for sigma > 2 and
@@ -504,7 +535,7 @@ def test_searches_outside_the_regime(geo, alpha, beta):
     k = np.arange(-3, 4)  # the k with |pi*k| < 12
     cosine = 1j * np.pi * k[k % 2 == (1 if sigma > 0 else 0)]
     expected = np.concatenate([1j * np.pi * k[k != 0], shift + cosine, -shift + cosine]) / d
-    window = (-4.0 / d, 4.0 / d, -12.0 / d, 12.0 / d)
+    window = outside_regime_window(d)
     for search, conj in ((eigenvalues_numeric, False), (adjoint_eigenvalues_numeric, True)):
         found = search(p, window).values
         found = np.conj(found) if conj else found
@@ -513,31 +544,116 @@ def test_searches_outside_the_regime(geo, alpha, beta):
             assert np.min(np.abs(found - z)) <= 1e-12 * max(1.0, abs(z)), (z, search.__name__)
 
 
-def test_both_routes_agree_on_windows_with_edges_on_eigenvalues():
-    # windows whose Im edges are eigenvalues, from height 10 to the bound,
-    # on both geometries and both sides of the real axis: the closed form,
-    # the primal search and the conjugated adjoint search keep the same set
+def windows_with_edges_on_eigenvalues():
+    """(p, lo, hi): Im edges on the eigenvalues lo and hi, from height 10 to the bound.
+
+    Over both sides of the real axis; lo and hi bound a period of
+    x = lambda*d below the height.
+    """
     couplings = ((0.6, 0.4), (0.3, -0.8), (0.0, 0.0), (-0.8, 1.1), (1.2, 0.5),
                  (0.999, 0.999), (-1.5, 0.3))
     heights = (10.0, 100.0, 1e3, 3e3, 1e4, 3e4, 0.999 * MAX_HEIGHT)
-    failures = []
-    cases = list(itertools.product(GEOMETRIES, couplings, heights, (1.0, -1.0)))
-    for geo, (alpha, beta), height, sign in cases:
+    for geo, (alpha, beta), height, sign in itertools.product(
+            GEOMETRIES, couplings, heights, (1.0, -1.0)):
         p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
-        # the eigenvalues in a period of x = lambda*d below the height
         ims = eigenvalues_closed_form(p, (height - 2.0 * np.pi / p.d - 1.0, height)).values.imag
-        lo, hi = (ims[0], ims[-1]) if sign > 0 else (-ims[-1], -ims[0])
+        yield (p, ims[0], ims[-1]) if sign > 0 else (p, -ims[-1], -ims[0])
+
+
+def test_both_routes_agree_on_windows_with_edges_on_eigenvalues():
+    # the closed form, the primal search and the conjugated adjoint search
+    # keep the same set
+    failures = []
+    cases = list(windows_with_edges_on_eigenvalues())
+    for p, lo, hi in cases:
         try:
             closed = eigenvalues_closed_form(p, (lo, hi)).values
             found = (eigenvalues_numeric(p, (-0.5, 0.5, lo, hi)).values,
                      np.conj(adjoint_eigenvalues_numeric(p, (-0.5, 0.5, -hi, -lo)).values))
         except NoConvergence as exc:
-            failures.append((geo.angles, alpha, beta, lo, hi, str(exc)))
+            failures.append((p, lo, hi, str(exc)))
             continue
         if not all(len(v) == len(closed) and np.max(np.abs(v[np.argsort(v.imag)] - closed))
                    <= 1e-12 * max(-lo, hi) for v in found):
-            failures.append((geo.angles, alpha, beta, lo, hi, found, closed))
+            failures.append((p, lo, hi, found, closed))
     assert not failures, "%d of %d windows: %s" % (len(failures), len(cases), failures[:3])
+
+
+def winding_number(f, rect, h):
+    """Zeros of f inside the rectangle, with multiplicity, by the argument principle.
+
+    f is sampled counterclockwise along the edges at a spacing of at most h.
+    Between two samples, m zeros at least 2h from the contour turn the phase
+    of f by at most 2*m*atan(1/4), below pi for m <= 3, so each phase step
+    is the true one and their sum is 2*pi times the count.  The largest step
+    is asserted below 2, which a zero closer to the contour would break.
+    """
+    re_lo, re_hi, im_lo, im_hi = rect
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi),
+               complex(re_lo, im_hi)]
+    edges = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        n = int(np.ceil(abs(b - a) / h))
+        edges.append(a + (b - a) * np.arange(n) / n)
+    vals = f(np.concatenate(edges))
+    steps = np.angle(np.roll(vals, -1) / vals)
+    assert np.max(np.abs(steps)) < 2.0, rect
+    turns = np.sum(steps) / (2.0 * np.pi)
+    assert abs(turns - round(turns)) <= 1e-6, rect
+    return round(turns)
+
+
+# the function each search samples
+SEARCHED = {
+    eigenvalues_numeric: characteristic_value,
+    adjoint_eigenvalues_numeric: lambda p, lam: adjoint_transmission_characteristic(p, lam) / lam,
+}
+
+
+def assert_the_argument_principle_counts(search, p, window, gap):
+    """The zeros found, with multiplicity, are those the argument principle counts.
+
+    gap: no zero lies closer than that to the window's boundary, except on
+    it.  The count runs on the window widened by gap/2, so it takes in the
+    zeros on the edges, which the search keeps.  The multiplicity of each
+    zero found is the count on a square around it that holds no other; so
+    is that of lambda = 0, a zero of both f that the search drops unless it
+    is an eigenvalue.
+    """
+    def f(lam):
+        return SEARCHED[search](p, lam)
+
+    pad = 0.5 * gap
+    rect = (window[0] - pad, window[1] + pad, window[2] - pad, window[3] + pad)
+    zeros = list(search(p, window).values)
+    if rect[0] < 0.0 < rect[1] and rect[2] < 0.0 < rect[3] and min(map(abs, zeros), default=1.0) >= 1e-6:
+        zeros.append(0j)
+    r = 0.5 * min([gap] + [abs(z - w) for i, z in enumerate(zeros) for w in zeros[:i]])
+    multiplicities = [winding_number(f, (z.real - r, z.real + r, z.imag - r, z.imag + r), 0.125 * r)
+                      for z in zeros]
+    assert min(multiplicities, default=1) >= 1, (window, search.__name__)
+    assert sum(multiplicities) == winding_number(f, rect, 0.25 * gap), (window, search.__name__)
+
+
+def test_argument_principle_counts_the_zeros_found():
+    # the windows of the tests above, for both searches; the count is
+    # independent of the Laurent coefficients and of the closed forms
+    for p, lo, hi in windows_with_edges_on_eigenvalues():
+        # the nearest zeros of (0.999, 0.999) lie 0.0158 apart on the wide geometry
+        assert_the_argument_principle_counts(eigenvalues_numeric, p, (-0.5, 0.5, lo, hi), 0.01)
+        assert_the_argument_principle_counts(adjoint_eigenvalues_numeric, p, (-0.5, 0.5, -hi, -lo), 0.01)
+    for geo in GEOMETRIES:
+        for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
+            for alpha, beta in OUTSIDE_COUPLINGS:
+                p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+                assert_the_argument_principle_counts(search, p, outside_regime_window(p.d), 0.1)
+            for alpha, beta in MULTIPLE_COUPLINGS:
+                p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+                assert_the_argument_principle_counts(search, p, WINDOW, 0.4)
+            for alpha, beta in TRIPLE_COUPLINGS:
+                p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
+                for window, gap in triple_zero_windows(p.d, alpha + beta):
+                    assert_the_argument_principle_counts(search, p, window, gap)
 
 
 def test_adjoint_mirror_of_primal_zeros():

@@ -236,9 +236,24 @@ def test_sparse_lu_fallback_orders_by_minimum_degree(alpha, beta, monkeypatch):
     assert res.info["method"] == "sparse_lu"
     assert seen == [{"permc_spec": "MMD_AT_PLUS_A"}]
     assert 0.0 < res.equation_residual <= 1e-11 * res.info["rhs_norm"]
-    # alpha = beta = 1: the ordered factor still finds S singular
+    # alpha = beta = 1: 1 - alpha*beta = 0 makes S singular, refused before
+    # any factor
     with pytest.raises(SingularSystem):
         solve_dd(dd_problem(1.0, 1.0, grid)[0], grid)
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.5), (-1.0, -1.0)])
+def test_singular_shift_is_refused_before_any_factor(alpha, beta, monkeypatch):
+    # 1 - alpha*beta = 0 makes the 2x2 blocks of the column shift singular;
+    # an ordered LU of S took 5-9 s to find that at n = 128, minutes at 256
+    calls = []
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: calls.append(args))
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 256, 256)
+    for build, solve in ((dd_problem, solve_dd), (nonlocal_problem, solve_nonlocal_poisson)):
+        with pytest.raises(SingularSystem, match="1 - alpha\\*beta = 0"):
+            solve(build(alpha, beta, grid)[0], grid)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
