@@ -19,10 +19,11 @@ data make the truncation exact.
 Matrix rows are the interior nodes and columns all nodes (laplacian_matrix);
 both solvers check the problem against the grid first (assemble_dd_system)
 and hand the interior system S x = b to one solve core (_solve_interior).
-The stencil A and the node shift M are written straight into CSR arrays
-with 32-bit indices while the grid allows: A from one value array per
-stencil slot and the interior node indices, M = kron(I, C) by copies of
-the CSR arrays of the column shift C, one per radial line.
+The stencil A and the composite S = A M[:, interior] are written straight
+into CSR arrays with 32-bit indices while the grid allows: A from one value
+array per stencil slot and the interior node indices, S from A's slot
+values per radius and the diagonals of the column shift C, in the entry
+order of scipy's sparse product, so no sparse matrix product is formed.
 
 The assembled system separates like the Mellin transform separates r from
 phi: S = (D_r x I + diag(1/r^2) x T)(I x M_int), with D_r the radial
@@ -39,13 +40,16 @@ discrete pencil, theta = eta*h over the pencil eigenvalues i*eta, with
 x = theta*s taken from the pencil's own root routine
 pencil.characteristic_roots, in O(n_phi^2) operations.  So is V^-1: its
 rows are the left eigenvectors, the eigenvectors of the adjoint T^T, which
-are piecewise sines, scaled by biorthogonality.  Both transforms are real
-matrix products on the real and imaginary parts, and the separable path
-factors no dense matrix.  All radial systems go through one sparse LU of a
-block-diagonal matrix in natural order, which a tridiagonal block fills no
-further.  The transform with V is not backward stable for S: its residual
-grows with cond(V), which is 2 to 45 for |alpha+beta| <= 1.998 and grows
-without bound as |alpha+beta| -> 2.  So the residual of S, recomputed
+are piecewise sines, scaled by biorthogonality.  S, V and the radial
+factor are real, so every solve and matrix-vector product is a real map
+on the real and imaginary parts of the data that are not all zero
+(_on_parts): real data, stored as complex, are solved in real arithmetic
+on one part.  Both transforms are real matrix products, and the
+separable path factors no dense matrix.  All radial systems go through one
+sparse LU of a block-diagonal matrix in natural order, which a tridiagonal
+block fills no further.  The transform with V is not backward stable for
+S: its residual grows with cond(V), which is 2 to 45 for
+|alpha+beta| <= 1.998 and grows without bound as |alpha+beta| -> 2.  So the residual of S, recomputed
 after every solve and gated at 1e-8 * ||b||, decides: when T has no real
 eigenbasis (|alpha+beta| >= 2), when the radial solve hits a singular
 matrix, or when the separable solution fails the gate, the core solves
@@ -185,6 +189,8 @@ def shift_matrix_on_grid(op, grid):
     kron(I_{n_r+1}, C) for the column shift C of one radial line, by index
     arithmetic on the CSR arrays of C: one copy of its data, indices and
     row pointers per radial line, offset by the line's first node and entry.
+    The solvers do not build it: assemble_dd_system writes A M[:, interior]
+    directly (_stencil_times_shift), and this matrix is its reference.
     """
     C = column_shift_operator(op, grid)
     lines, width = grid.n_r + 1, grid.n_phi + 1
@@ -197,23 +203,100 @@ def shift_matrix_on_grid(op, grid):
     )
 
 
+def _stencil_times_shift(A, C, grid):
+    """S = A M[:, interior] in CSR form, with no sparse matrix product.
+
+    A is laplacian_matrix(grid) and M = kron(I, C) the node shift of the
+    column shift C (shift_matrix_on_grid).  The arrays equal those of
+    scipy's product A @ M[:, interior] byte for byte.  For row (a, j) that
+    product takes A's five slots in order, at nodes (a-1, j), (a, j-1),
+    (a, j), (a, j+1) and (a+1, j), each times the entries of C row j + dj
+    in column order, and keeps the products that land on an interior
+    column of an interior line.  Products on one entry are summed in that
+    order, starting from 0; the row lists its entries last inserted first,
+    and an entry whose sum is 0 is dropped.
+
+    C holds each coefficient on a whole diagonal, so where a product lands,
+    relative to (a, j), depends on its slot and diagonal only, and its value
+    on the radius too, through A's slot values.  So the entries of a row and
+    their order are found once, the sums once per line, and each row keeps
+    the entries on interior columns.  Lines with a zero sum, and the first
+    and last line, which have no line below or above, keep only their
+    nonzero entries.
+    """
+    n_a, m = grid.n_r - 1, grid.n_phi - 1
+    # C's diagonals, each with its first entry, which holds its coefficient
+    line = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    diagonals, first = np.unique(C.indices - line, return_index=True)
+    # each entry (line offset, column offset) with its (slot, C entry)
+    # products in product order; dicts keep insertion order
+    entries = {}
+    for q, (da, dj) in enumerate(((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))):
+        for d, k in zip(diagonals, first):
+            entries.setdefault((da, dj + d), []).append((q, k))
+    keys, groups = list(entries)[::-1], list(entries.values())[::-1]
+    # sums[a, i]: entry i on line a, A's slot values being those of radius a
+    values = A.data.reshape(n_a, m, 5)[:, 0]
+    sums = np.zeros((n_a, len(groups)))
+    for i, group in enumerate(groups):
+        for q, k in group:
+            sums[:, i] += values[:, q] * C.data[k]
+    dline, dcol = np.array(keys, dtype=int).reshape(-1, 2).T
+    sums[0, dline < 0] = 0.0  # no line below the first
+    sums[-1, dline > 0] = 0.0  # nor above the last
+    # the entries each row keeps, on interior columns, and their columns
+    # relative to the first node of the row's line
+    j = np.arange(1, m + 1)[:, None]
+    rows, entry = np.nonzero((j + dcol >= 1) & (j + dcol <= m))
+    offset = dline[entry] * m + rows + dcol[entry]
+    # lines with a zero sum keep their nonzero entries, every other line the
+    # full layout; ends holds the running entry count at the end of each row
+    odd = np.flatnonzero((sums == 0).any(axis=1))
+    kept = {a: sums[a, entry] != 0 for a in odd}
+    ends = np.cumsum(np.bincount(rows, minlength=m))
+    odd_ends = {a: np.cumsum(np.bincount(rows[k], minlength=m)) for a, k in kept.items()}
+    line_nnz = np.full(n_a, ends[-1])
+    line_nnz[odd] = [odd_ends[a][-1] for a in odd]
+    starts = np.append(0, np.cumsum(line_nnz))
+    idx = _index_dtype(max(starts[-1], n_a * m))
+    indptr = np.zeros(n_a * m + 1, dtype=idx)
+    row_ends = indptr[1:].reshape(n_a, m)
+    np.add(starts[:-1, None], ends, out=row_ends, casting="unsafe")
+    for a, e in odd_ends.items():
+        row_ends[a] = starts[a] + e
+    data, indices = np.empty(starts[-1]), np.empty(starts[-1], dtype=idx)
+    offset = offset.astype(idx)
+    edges = np.concatenate([[-1], odd, [n_a]])
+    for lo, hi in zip(edges[:-1] + 1, edges[1:]):
+        # lines lo..hi-1 share the layout; line hi, if any, keeps its own
+        block = slice(starts[lo], starts[hi])
+        np.take(sums[lo:hi], entry, axis=1, out=data[block].reshape(hi - lo, entry.size))
+        np.add(np.arange(lo, hi, dtype=idx)[:, None] * m, offset,
+               out=indices[block].reshape(hi - lo, entry.size))
+        if hi < n_a:
+            block = slice(starts[hi], starts[hi + 1])
+            data[block] = sums[hi, entry[kept[hi]]]
+            indices[block] = hi * m + offset[kept[hi]]
+    return sp.csr_matrix((data, indices, indptr), shape=(n_a * m, n_a * m))
+
+
 def assemble_dd_system(p, grid):
     """Composite sparse system for the differential-difference problem.
 
     Returns (S, b) over the interior unknowns: S = A*M with rows and columns
     restricted to interior nodes (A the polar stencil of -Laplace + 1, M the
-    discrete difference operator).  w = 0 on the rays and the truncation
-    arcs, so the dropped columns carry no data into b.  IncompatibleGrid
-    unless the problem's rays, r_min and r_max are the grid's: solve_dd,
-    solve_nonlocal_poisson and discrete_coercivity all check here.
+    discrete difference operator), written directly (_stencil_times_shift).
+    w = 0 on the rays and the truncation arcs, so the dropped columns carry
+    no data into b.  IncompatibleGrid unless the problem's rays, r_min and
+    r_max are the grid's: solve_dd, solve_nonlocal_poisson and
+    discrete_coercivity all check here.
     """
     where = (p.geometry.angles, p.r_min, p.r_max)
     if where != (grid.geometry.angles, grid.r_min, grid.r_max):
         raise IncompatibleGrid("problem and grid differ in geometry or radii")
-    keep = _interior(grid)
-    A = laplacian_matrix(grid)
-    M = shift_matrix_on_grid(p.operator(), grid)
-    return A @ M[:, keep], _rhs_vector(p.rhs, grid)[keep]
+    C = column_shift_operator(p.operator(), grid)
+    S = _stencil_times_shift(laplacian_matrix(grid), C, grid)
+    return S, _rhs_vector(p.rhs, grid)[_interior(grid)]
 
 
 def _rhs_vector(rhs, grid):
@@ -225,28 +308,48 @@ def _rhs_vector(rhs, grid):
 
 
 def _on_parts(real_map, x):
-    """real_map(x) for complex x: real_map, a real linear map, acts once on the
-    (N, 2) float view of x, its real and imaginary parts side by side, so it
-    never meets a complex copy.  Real or strided x is copied to a contiguous
-    complex array first, which the view needs."""
-    parts = real_map(np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2))
-    return parts[:, 0] + 1j * parts[:, 1]
+    """real_map(x) for real or complex x, real_map a real linear map.
+
+    real_map acts once on an (N, k) float view of x, one column per part,
+    real then imaginary, that is not all zero, and never meets a complex
+    array: real data stored as complex, whose imaginary part is exactly 0,
+    cost one real part (k = 1), and a zero part maps to zero without a
+    call.  Only x = 0 goes through, as its real part, which gives the
+    result its length.  Real or strided x is copied to a contiguous complex
+    array first, which the view needs.
+    """
+    parts = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
+    live = [k for k in (0, 1) if parts[:, k].any()] or [0]
+    cols = slice(live[0], live[-1] + 1)
+    y = real_map(parts[:, cols])
+    out = np.zeros((y.shape[0], 2))
+    out[:, cols] = y
+    return out.view(complex).ravel()
 
 
-def _direct_solve(S, b, **splu_options):
-    """Solve the real system S x = b for complex b with one real LU.
+def _factor(M, **splu_options):
+    """scipy's splu of M; SingularSystem if SuperLU finds it exactly singular.
 
-    splu_options go to scipy's splu unchanged; without them SuperLU uses its
+    splu_options go to splu unchanged; without them SuperLU uses its
     defaults (COLAMD column ordering, supernode relaxation).
     """
     try:
-        lu = spla.splu(S.tocsc(), **splu_options)
+        return spla.splu(M.tocsc(), **splu_options)
     except RuntimeError as exc:  # exactly singular factor
         raise SingularSystem("sparse LU failed: %s" % exc)
-    x = _on_parts(lu.solve, b)
+
+
+def _finite(x):
+    """x, or SingularSystem if it holds an inf or a NaN."""
     if not np.all(np.isfinite(x)):
-        raise SingularSystem("direct sparse solve produced non-finite values")
+        raise SingularSystem("sparse solve produced non-finite values")
     return x
+
+
+def _direct_solve(S, b, **splu_options):
+    """Solve the real system S x = b for real or complex b with one real LU
+    (_factor), solving once for the parts of b that _on_parts hands on."""
+    return _finite(_on_parts(_factor(S, **splu_options).solve, b))
 
 
 def angular_matrix(alpha, beta, grid):
@@ -332,9 +435,10 @@ def _separable_solve(p, grid, b, mu, V, W):
     is never singular here: 1 - alpha*beta > (alpha-beta)^2/4 when
     |alpha+beta| < 2.  The middle column passes through unchanged.  That
     recovery acts on the angle index only, so it is folded into V before
-    the synthesis.  Both transforms are real products with one
-    (angle x 2*radius) array that holds the real and imaginary parts of
-    every radius side by side, the float view of a complex array.
+    the synthesis.  The whole solve is one real linear map on the k parts
+    of b that _on_parts hands on, k = 1 for real data: both transforms are
+    real products with one (angle x radius*k) array that holds the parts
+    of every radius side by side.
     """
     r = grid.r_nodes[1:-1]
     s = grid.shift_columns
@@ -358,18 +462,24 @@ def _separable_solve(p, grid, b, mu, V, W):
         (data.ravel(), rows.ravel(), np.append(starts, width * mu.size).astype(np.int32)),
         shape=(diag.size, diag.size),
     )
-    parts = np.ascontiguousarray(b.reshape(r.size, mu.size).T, dtype=complex).view(float)
-    modes = (W @ parts).view(complex)
     # tridiagonal blocks take no fill in natural order, so a fill-reducing
     # ordering and supernode relaxation only cost time
-    x = _direct_solve(radial, modes.ravel(), permc_spec="NATURAL", relax=1, panel_size=1)
+    lu = _factor(radial, permc_spec="NATURAL", relax=1, panel_size=1)
     det = 1.0 - p.alpha * p.beta
     left, right = V[: s - 1], V[s:]
     Vw = V.copy()
     Vw[: s - 1] = (left + p.alpha * right) / det
     Vw[s:] = (right + p.beta * left) / det
-    w = (Vw @ x.view(float).reshape(mu.size, -1)).view(complex)
-    return w.T.ravel()
+
+    def solve(parts):
+        k = parts.shape[1]
+        by_angle = np.ascontiguousarray(parts.reshape(r.size, mu.size, k).transpose(1, 0, 2))
+        modes = W @ by_angle.reshape(mu.size, -1)
+        x = lu.solve(modes.reshape(-1, k))
+        w = Vw @ x.reshape(mu.size, -1)
+        return w.reshape(mu.size, r.size, k).transpose(1, 0, 2).reshape(-1, k)
+
+    return _finite(_on_parts(solve, b))
 
 
 def _norm_estimate(A):

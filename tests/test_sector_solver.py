@@ -120,10 +120,12 @@ def _assert_same_csr(got, want):
 
 @pytest.mark.parametrize("n_r, n_phi", [(3, 4), (12, 4), (6, 10), (20, 12), (256, 256)])
 def test_direct_csr_assembly_is_bit_identical(n_r, n_phi):
-    # laplacian_matrix and shift_matrix_on_grid write their CSR arrays
-    # directly; they must equal the column_stack and kron constructions
-    # array for array, n_phi = 4 (s = 2) and the operator with no
-    # coefficients included, and so must the composite S
+    # laplacian_matrix, shift_matrix_on_grid and assemble_dd_system write
+    # their CSR arrays directly; they must equal the column_stack and kron
+    # constructions and scipy's sparse product array for array, n_phi = 4
+    # (s = 2, where products collide) and the operator with no coefficients
+    # included; a zero coupling leaves a diagonal out of C, and (1.5, 1.0)
+    # at s = 2 sums colliding products to exact zeros, which S drops
     grid = SectorGrid(GEO, R_MIN, R_MAX, n_r, n_phi)
     keep = _interior(grid)
     _assert_same_csr(laplacian_matrix(grid), _laplacian_by_columns(grid))
@@ -132,7 +134,7 @@ def test_direct_csr_assembly_is_bit_identical(n_r, n_phi):
         _shift_by_kron(DifferenceOperator({}, GEO), grid),
     )
     zero = GridFunction(grid, np.zeros((n_r + 1, n_phi + 1)))
-    for alpha, beta in ((0.3, -0.8), (0.0, 0.0), (1.5, 1.0)):
+    for alpha, beta in ((0.3, -0.8), (0.0, 0.0), (1.5, 1.0), (0.0, -0.8), (0.7, 0.0)):
         p = DDProblem(alpha, beta, GEO, zero, R_MIN, R_MAX)
         _assert_same_csr(shift_matrix_on_grid(p.operator(), grid), _shift_by_kron(p.operator(), grid))
         S, _ = assemble_dd_system(p, grid)
@@ -348,14 +350,24 @@ def test_cond_V_estimates_the_2_norm_condition_number(alpha, beta, n):
     assert 0.95 * cond <= res.info["cond_V"] <= cond * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "strided", "real"])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "real", "zero_imag", "imag", "zero"])
 def test_on_parts_matches_stacked_parts(layout):
-    # the float view hands the real map the same (N, 2) array, bit for bit,
-    # as stacking the real and imaginary parts did
+    # complex data: the float view hands the real map the same (N, 2) array,
+    # bit for bit, as stacking the real and imaginary parts did; a part that
+    # is all zero never reaches the map, so real data, stored as real or as
+    # complex, cost one real part; x = 0 goes through as its real part,
+    # which gives the result the map's length
     rng = np.random.default_rng(5)
     z = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
-    x = {"contiguous": z[:, 0].copy(), "strided": z[:, 1], "real": z[:, 2].real.copy()}[layout]
-    M = sp.random(40, 40, density=0.2, random_state=1, format="csr")
+    x = {
+        "contiguous": z[:, 0].copy(),
+        "strided": z[:, 1],
+        "real": z[:, 2].real.copy(),
+        "zero_imag": z[:, 2].real + 0j,
+        "imag": 1j * z[:, 2].imag,
+        "zero": np.zeros(40, complex),
+    }[layout]
+    M = sp.random(30, 40, density=0.2, random_state=1, format="csr")
     seen = []
 
     def real_map(parts):
@@ -363,11 +375,44 @@ def test_on_parts_matches_stacked_parts(layout):
         return M @ parts
 
     got = sector_solver._on_parts(real_map, x)
+    assert len(seen) == 1 and got.dtype == complex and got.shape == (30,)
     stacked = np.column_stack([x.real, x.imag])
-    want = M @ stacked
-    want = want[:, 0] + 1j * want[:, 1]
-    assert seen[0].tobytes() == stacked.tobytes() and seen[0].shape == stacked.shape
-    assert got.tobytes() == want.tobytes()
+    if layout in ("contiguous", "strided"):
+        want = M @ stacked
+        assert seen[0].tobytes() == stacked.tobytes() and seen[0].shape == stacked.shape
+        assert got.tobytes() == (want[:, 0] + 1j * want[:, 1]).tobytes()
+    else:
+        part = 1 if layout == "imag" else 0
+        assert seen[0].shape == (40, 1)
+        assert seen[0].tobytes() == stacked[:, part].tobytes()
+        assert [got.real, got.imag][part].tobytes() == (M @ stacked[:, part]).tobytes()
+        assert not np.any([got.real, got.imag][1 - part])
+
+
+LINEARITY_COUPLINGS = [(0.3, -0.8), (0.999, 0.999), (-0.9, 0.95), (1.5, 1.0)]
+
+
+@pytest.mark.parametrize("alpha,beta", LINEARITY_COUPLINGS)
+@pytest.mark.parametrize("n", [32, 64])
+def test_solve_is_linear_over_the_field(alpha, beta, n):
+    # the solve is a real linear map applied to the real and imaginary parts
+    # of the data: f1 + i f2 solves to solve(f1) + i solve(f2), and real data
+    # give an imaginary part that is exactly 0, on the separable path and on
+    # the LU fallback (1.5, 1.0) alike
+    grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
+    rng = np.random.default_rng(n)
+    f1, f2 = rng.standard_normal((2, n + 1, n + 1))
+
+    def solve(f):
+        return solve_dd(DDProblem(alpha, beta, GEO, GridFunction(grid, f), R_MIN, R_MAX), grid)
+
+    u1, u2, u = (solve(f) for f in (f1, f2, f1 + 1j * f2))
+    assert u.info["method"] == u1.info["method"] == u2.info["method"]
+    assert u.info["method"] == ("sparse_lu" if alpha + beta >= 2.0 else "separable")
+    for part in (u1, u2):
+        assert not np.any(part.solution.values.imag)
+    want = u1.solution.values + 1j * u2.solution.values
+    assert np.linalg.norm(u.solution.values - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (-1.2, 0.5)])
@@ -935,6 +980,26 @@ def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
         else:
             kinds.append("other")
     assert kinds == factored
+
+
+@SOLVERS
+def test_solve_makes_no_sparse_matrix_product(build, solve, monkeypatch):
+    # S is written straight into CSR arrays; inside the regime no step of a
+    # solve multiplies two sparse matrices
+    calls = []
+    matmat = sp._compressed.csr_matmat
+
+    def spy(*args):
+        calls.append(args[:2])
+        return matmat(*args)
+
+    monkeypatch.setattr(sp._compressed, "csr_matmat", spy)
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
+    res = solve(build(0.3, -0.8, grid)[0], grid)
+    assert res.info["method"] == "separable"
+    assert calls == []
+    laplacian_matrix(grid) @ shift_matrix_on_grid(two_sector_operator(0.3, -0.8, GEO), grid)
+    assert len(calls) == 1  # the spy sees a product
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (1.5, 1.0)])
