@@ -2,8 +2,8 @@
 
 Subcommands: eigs | solvability | solve | green | spectrum | norms.  Exit
 codes are a stable contract: 0 ok, 1 Green identity FAIL, 2 malformed
-problem file, grid file, flag or output directory, 3 unsupported
-coefficient regime, 4 solvability blocked, 5 linear solver failure.
+problem file, grid file, flag or output directory, 3 certificate outside
+|alpha+beta| < 2, 4 solvability blocked, 5 linear solver failure.
 
 The problem file is JSON with sections geometry, pencil, solver, boundary,
 weights, output; unknown sections or keys are rejected.  Right-hand sides
@@ -48,6 +48,7 @@ from .manufactured import (
     nonlocal_problem,
 )
 from .pencil import (
+    MAX_HEIGHT,
     PoissonPencilProblem,
     UnsupportedRegime,
     eigenvalues_closed_form,
@@ -324,7 +325,7 @@ def _read_grid_csv(path, grid):
 def cmd_eigs(spec, args):
     _require(spec, "geometry", "pencil")
     p = _pencil_problem(spec)
-    numeric = eigenvalues_numeric(p, (-0.5, 0.5, args.im_min, args.im_max))
+    numeric = eigenvalues_numeric(p, (-MAX_HEIGHT, MAX_HEIGHT, args.im_min, args.im_max))
     closed = eigenvalues_closed_form(p, (args.im_min, args.im_max))
     rows = [("closed_form", z) for z in closed.values]
     rows += [("numeric", z) for z in numeric.values]

@@ -9,13 +9,13 @@ nonlocal ray conditions u(b_1) + alpha*u(b_2) = 0, u(b_3) + beta*u(b_2) = 0
 whose eigenvalues are the zeros of a 2x2 determinant over the fundamental
 system {exp(lambda*phi), exp(-lambda*phi)}.  The determinant factorizes as
 -2*sinh(lambda*d)*(2*cosh(lambda*d) + alpha + beta) with d = (b_3-b_1)/2,
-so for |alpha+beta| < 2 the eigenvalues are i*x/d over the nonzero roots
-x of sin(x)*(2*cos(x) + alpha + beta) = 0 (characteristic_roots, which the
-sector solver's angular basis shares).  A line Im lambda = h free of
-eigenvalues certifies unique solvability in the weighted scale with
-a = h + l + 1.  Both certificate functions return one flat LineCertificate
-that names the nearest eigenvalue, the lower one on a tie, as on the line
-h = 0 of the symmetric spectrum.
+so the eigenvalues are i*x/d over the roots x of sin(x)*(2*cos(x) + alpha
++ beta) = 0 (characteristic_roots, shared by the sector solver's angular
+basis), complex for |alpha+beta| > 2.  For |alpha+beta| < 2 a line
+Im lambda = h free of eigenvalues certifies unique solvability in the
+weighted scale with a = h + l + 1.  Both certificate functions return one
+flat LineCertificate that names the nearest eigenvalue, the lower one on a
+tie, as on the line h = 0 of the symmetric spectrum.
 Every lambda-range taken here (a closed-form strip, the Im edges of a
 search window, a certificate line) must lie within MAX_HEIGHT of the real
 axis, and a search window's Re edges within MAX_HEIGHT of the imaginary
@@ -39,11 +39,6 @@ eigenvalues at |alpha+beta| = 2, and distinct ones at alpha+beta =
 lambda = (log z + 2*pi*i*k)/d.  The degree check is what makes these
 exactly the zeros of the determinant; companion-matrix roots are backward
 stable (Edelman & Murakami, Math. Comp. 64, 1995).
-
-Both determinants, damped alike by exp(-|Re lambda|*(b3 - b1)), map a
-scalar or an array of lambda to a complex array of the same shape (0-d for
-a scalar), so the finder calls one of them once per search, on the array
-of its 64 Laurent samples.
 """
 
 import math
@@ -125,9 +120,9 @@ class EigenvalueSet:
 
 
 def lambda_zero_determinant(p):
-    """Determinant of the nonlocal conditions in the degenerate basis {1, phi}."""
-    a, b = p.alpha, p.beta
-    return (1.0 + a) * (p.b3 + b * p.b2) - (1.0 + b) * (p.b1 + a * p.b2)
+    """Determinant of the conditions in the basis {1, phi}: (1+alpha)(b3 +
+    beta*b2) - (1+beta)(b1 + alpha*b2) = d*(2 + alpha + beta), as b2 = b1 + d."""
+    return p.d * (2.0 + p.coupling_sum)
 
 
 def _fundamental_system(p, lam):
@@ -151,7 +146,7 @@ def characteristic_value(p, lam):
     For lambda != 0 this is the 2x2 determinant of the two nonlocal
     conditions applied to {exp(lambda*phi), exp(-lambda*phi)}; its zeros are
     exactly the pencil eigenvalues (lambda = 0 is a spurious zero of this
-    basis and is handled by the degenerate basis {1, phi}).
+    basis and takes the value d*(2 + alpha + beta) of the basis {1, phi}).
 
     lam is a scalar or an array; the result is a complex array of its shape
     (0-d for a scalar), elementwise equal to scalar calls.  It is the undamped
@@ -188,8 +183,8 @@ def adjoint_transmission_characteristic(p, lam):
                   + beta (e+2 e-1 - e+1 e-2)],
 
     the prefactors e+k e-k (k = 2, 1, 3) of the minors being exactly 1.
-    At lambda = 0 the degenerate piecewise basis {1, phi} gives
-    b3(1+alpha) - b1(1+beta) - b2(alpha-beta) = lambda_zero_determinant(p).
+    At lambda = 0 the piecewise basis {1, phi} gives b3(1+alpha) - b1(1+beta)
+    - b2(alpha-beta) = d*(2 + alpha + beta) = lambda_zero_determinant(p).
     lam acts as in characteristic_value.  With one e+ and one e- per product,
     the value is the undamped determinant times exp(-|Re lambda|*(b3 - b1)).
     """
@@ -217,48 +212,50 @@ def _branches(offset, period, lo, hi):
 
 
 def characteristic_roots(sigma, lo, hi):
-    """Roots x in [lo, hi] of sin(x)*(2*cos(x) + sigma) = 0, as (sine, cosine).
+    """Roots x, Re x in [lo, hi], of sin(x)*(2*cos(x) + sigma) = 0, as (sine, cosine).
 
-    Both sorted: the sine family x = pi*k and the cosine family
-    x = +-(t0 + 2*pi*k), t0 = arccos(-sigma/2), exactly symmetric about 0
-    and disjoint from the first.  A root within WINDOW_PAD outside [lo, hi]
-    counts (_branches).  UnsupportedRegime unless |sigma| < 2.
+    Both sorted by numpy: the sine family x = pi*k and the cosine family
+    x = +-(t0 + 2*pi*k), t0 = arccos(-sigma/2), complex for |sigma| > 2 and
+    exactly symmetric about 0 except at |sigma| = 2, where each double root
+    t0 + 2*pi*k lies on a sine root and is listed once.  WINDOW_PAD widens
+    [lo, hi] (_branches).
     """
-    if not abs(sigma) < 2.0:
-        raise UnsupportedRegime(
-            "closed-form eigenvalues need |alpha+beta| < 2, got %g" % sigma
-        )
-    # few roots per call: Python floats, which round as numpy's do
-    t0 = float(np.arccos(-0.5 * sigma))
+    w = -0.5 * sigma  # few roots per call: Python numbers, which round as numpy's do
+    t0 = float(np.arccos(w)) if abs(w) < 1.0 else complex(np.arccos(complex(w)))
     period = 2.0 * np.pi
     sine = [np.pi * k for k in _branches(0.0, np.pi, lo, hi)]
-    up = [t0 + period * k for k in _branches(t0, period, lo, hi)]
-    down = [-(t0 + period * k) for k in _branches(t0, period, -hi, -lo)]
-    return np.array(sine), np.array(sorted(down + up))
+    up = [t0 + period * k for k in _branches(t0.real, period, lo, hi)]
+    down = [-(t0 + period * k) for k in _branches(t0.real, period, -hi, -lo)]
+    cosine = np.array(up if abs(sigma) == 2.0 else down + up)
+    cosine.sort()  # numpy sorts complex roots, which sorted() cannot
+    return np.array(sine), cosine
 
 
-def _closed_form_imag_parts(p, lo, hi):
-    """Sorted Im lambda = x/d in [lo, hi] over the nonzero characteristic roots x."""
-    d = p.d
-    sine, cosine = characteristic_roots(p.coupling_sum, lo * d, hi * d)
-    return np.sort(np.concatenate([sine[sine != 0.0], cosine])) / d
+def _closed_form_roots(p, lo, hi):
+    """Sorted x/d over the roots x with Re x/d in [lo, hi], once per eigenvalue i*x/d.
+
+    At |alpha+beta| = 2 every cosine root lies on a sine root and is left out.
+    """
+    d, sigma = p.d, p.coupling_sum
+    sine, cosine = characteristic_roots(sigma, lo * d, hi * d)
+    sine = sine[sine != 0.0] if lambda_zero_determinant(p) != 0.0 else sine
+    return np.sort(np.concatenate([sine, cosine[:0] if abs(sigma) == 2.0 else cosine])) / d
 
 
 def eigenvalues_closed_form(p, strip):
-    """All eigenvalues with Im lambda in strip = (h_lo, h_hi), |alpha+beta| < 2.
+    """All eigenvalues with Im lambda in strip = (h_lo, h_hi), each once.
 
-    The eigenvalues are i*x/d over the nonzero roots x of
-    characteristic_roots(alpha+beta, ...): i*pi*k/d (k != 0) and
-    +-i*(arccos(-(alpha+beta)/2) + 2*pi*k)/d, within WINDOW_PAD/d of the
-    strip as in find_zeros.  OutOfRange before any root is listed unless
-    h_lo < h_hi, both within MAX_HEIGHT of the real axis (so at most about
-    2.8e5 roots); UnsupportedRegime unless |alpha+beta| < 2.
+    They are i*x/d over the roots x of characteristic_roots(alpha+beta, ...),
+    off the imaginary axis for |alpha+beta| > 2, 0 only at alpha+beta = -2,
+    within WINDOW_PAD/d of the strip as in find_zeros.  OutOfRange before
+    any root is listed unless h_lo < h_hi, both within MAX_HEIGHT of the
+    real axis (so at most about 2.8e5 roots).
     """
     lo, hi = float(strip[0]), float(strip[1])
     _check_height("strip %s" % ((lo, hi),), lo, hi)
     if not lo < hi:
         raise OutOfRange("empty strip %s: need h_lo < h_hi" % ((lo, hi),))
-    return EigenvalueSet(1j * _closed_form_imag_parts(p, lo, hi))
+    return EigenvalueSet(1j * _closed_form_roots(p, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +415,16 @@ def line_is_eigenvalue_free(p, h):
 
     Solvable: farther than FREE_LINE_TOL from nearest_eigenvalue, the
     closed-form eigenvalue nearest to the line, the lower one of two equally
-    near.  OutOfRange unless |h| <= MAX_HEIGHT (so h is finite).
+    near.  OutOfRange unless |h| <= MAX_HEIGHT (so h is finite), then
+    UnsupportedRegime unless |alpha+beta| < 2, the theorem's regime.
     """
     h = float(h)
     _check_height("line Im lambda = %r" % h, h)
+    if not abs(p.coupling_sum) < 2.0:
+        raise UnsupportedRegime("certificate needs |alpha+beta| < 2, got %g" % p.coupling_sum)
     margin = 4.0 * np.pi / p.opening + 1.0
-    # sorted, so argmin takes the lower of two equally near
-    parts = _closed_form_imag_parts(p, h - margin, h + margin)
+    # real and sorted, so argmin takes the lower of two equally near
+    parts = _closed_form_roots(p, h - margin, h + margin)
     nearest = float(parts[np.argmin(np.abs(parts - h))])
     dist = abs(nearest - h)
     return LineCertificate(h, dist > FREE_LINE_TOL, 1j * nearest, dist)

@@ -35,10 +35,10 @@ The solve core diagonalizes T = V diag(mu) V^-1, solves one tridiagonal radial
 system D_r + mu_k diag(1/r^2) per angular mode and recovers w with the
 closed-form inverse of the 2x2 blocks: the tensor-product method of Lynch,
 Rice & Thomas (Numer. Math. 6, 1964).  The eigenpairs of T are written
-down, not computed (_angular_basis): for |alpha+beta| < 2 they are the
-discrete pencil, theta = eta*h over the pencil eigenvalues i*eta, with
-x = theta*s taken from the pencil's own root routine
-pencil.characteristic_roots, in O(n_phi^2) operations.  So is V^-1: its
+down, not computed (_angular_basis, which checks |alpha+beta| < 2 itself):
+there they are the discrete pencil, theta = eta*h over the pencil
+eigenvalues i*eta, with x = theta*s taken from the pencil's own root
+routine pencil.characteristic_roots, in O(n_phi^2) operations.  So is V^-1: its
 rows are the left eigenvectors, the eigenvectors of the adjoint T^T, which
 are piecewise sines, scaled by biorthogonality.  S, V and the radial
 factor are real, so every solve and matrix-vector product is a real map
@@ -67,7 +67,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .core import AngleGeometry, GridFunction, IncompatibleGrid, PlaneAngleError
 from .difference_ops import apply_on_grid, column_shift_operator, two_sector_operator
-from .pencil import UnsupportedRegime, characteristic_roots
+from .pencil import characteristic_roots
 
 
 class SingularSystem(PlaneAngleError):
@@ -396,14 +396,13 @@ def _angular_basis(alpha, beta, grid):
     j <= s and -(c+alpha) sin(theta(2s-j)) for j >= s.  Both are read off
     the sine tables of V.  Left and right eigenvectors of distinct
     eigenvalues are biorthogonal, so W = diag(1/(y_k . v_k)) Y^T.  For
-    |alpha+beta| >= 2 the cosine family has no real theta and None is
-    returned.
+    |alpha+beta| >= 2 the cosine roots are complex or double, T has no real
+    eigenbasis of this form, and None is returned before any root is listed.
     """
     s = grid.shift_columns
-    try:
-        x1, x2 = characteristic_roots(alpha + beta, 0.0, s * np.pi)
-    except UnsupportedRegime:
+    if not abs(alpha + beta) < 2.0:
         return None
+    x1, x2 = characteristic_roots(alpha + beta, 0.0, s * np.pi)
     x1 = x1[1:-1]  # the roots 0 and s*pi give v = 0
     j = np.arange(1, 2 * s)[:, None]
     sin1 = np.sin(x1 / s * j)

@@ -177,10 +177,11 @@ def test_eigs_empty_window_exit(tmp_path, capsys):
     code = main(["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs",
                  "--im-min", "4", "--im-max", "-4"])
     assert code == EXIT_PARSE
-    # the numeric search runs first and rejects the window before the
-    # closed-form table sees the strip
+    # the numeric search runs first, on the closed form's whole strip, and
+    # rejects the window before the closed-form table sees the strip
     err = capsys.readouterr().err
-    assert "empty search window (-0.5, 0.5, 4.0, -4.0)" in err
+    window = (-float(pencil.MAX_HEIGHT), float(pencil.MAX_HEIGHT), 4.0, -4.0)
+    assert "empty search window %s" % (window,) in err
 
 
 def test_eigs_too_tall_window_is_refused_before_the_closed_form(tmp_path, capsys, monkeypatch):
@@ -210,8 +211,18 @@ def test_solve_refuses_a_grid_too_fine_before_any_solve(tmp_path, capsys, monkey
 
 
 def test_eigs_regime_exit(tmp_path):
+    # outside |alpha+beta| < 2 eigs exits 0: the cosine family leaves the
+    # imaginary axis, here the pair +-arccosh(3/2)/d + i*pi*(2k+1)/d with
+    # |Re| = 0.61 > 0.5, and the search covers the closed form's whole strip
     spec = write_spec(tmp_path / "s.json", alpha=1.5, beta=1.5)
-    assert main(["--spec", spec, "--quiet", "eigs"]) == EXIT_REGIME
+    assert main(["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs"]) == EXIT_OK
+    rows = [l.split(",") for l in (tmp_path / "eigenvalues.csv").read_text().splitlines()[1:]]
+    closed = [complex(float(re), float(im)) for m, re, im in rows if m == "closed_form"]
+    numeric = np.array([complex(float(re), float(im)) for m, re, im in rows if m == "numeric"])
+    assert len(closed) == len(numeric) == 8
+    assert sum(abs(z.real) > 0.5 for z in closed) == 4
+    for z in closed:
+        assert np.min(np.abs(numeric - z)) <= 1e-12 * max(1.0, abs(z))
 
 
 def test_parse_error_exit(tmp_path):
@@ -358,6 +369,9 @@ def test_solvability_exit_codes(tmp_path):
     # h = 1 hits the eigenvalue i for the Dirichlet family
     spec0 = write_spec(tmp_path / "s0.json")
     assert main(["--spec", spec0, "--quiet", "solvability", "--a", "3", "--l", "1"]) == EXIT_BLOCKED
+    # the certificate's theorem is stated for |alpha+beta| < 2 only
+    spec3 = write_spec(tmp_path / "s3.json", alpha=1.5, beta=1.5)
+    assert main(["--spec", spec3, "--quiet", "solvability", "--a", "2", "--l", "1"]) == EXIT_REGIME
 
 
 SOLVABILITY_STDOUT = {

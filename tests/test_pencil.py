@@ -159,10 +159,16 @@ def test_closed_form_mixed_family():
     assert np.allclose(eig.values, expected, atol=1e-12)
 
 
-def test_closed_form_rejects_large_coupling():
+def test_closed_form_at_large_coupling():
+    # alpha+beta = 3, d = pi/2: the sine family 2ik, k != 0, and the cosine
+    # family off the imaginary axis, +-arccosh(3/2)/d + 2i(2k+1)
     p = PoissonPencilProblem(1.5, 1.5, B1, B1 + np.pi)
-    with pytest.raises(UnsupportedRegime):
-        eigenvalues_closed_form(p, (-1.0, 1.0))
+    shift = np.arccosh(1.5) / p.d
+    expected = [-4j, 4j] + [re + 2j * m for m in (-1, 1) for re in (-shift, 0.0, shift)]
+    eig = eigenvalues_closed_form(p, (-4.0, 4.0)).values
+    assert len(eig) == len(expected)
+    for z in expected:
+        assert np.min(np.abs(eig - z)) <= 1e-14
 
 
 @pytest.mark.parametrize("strip", [(4.0, -4.0), (1.0, 1.0)])
@@ -387,19 +393,21 @@ def test_window_edges_through_triple_eigenvalues(geo, alpha, beta):
     # aliased an argument-principle count on their boundary (7 zeros from
     # the companion matrix, 3 from the count on (-0.5, 0.5, -3, 3) of the
     # narrow geometry)
-    d = geo.d
     p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
-    for window, _ in triple_zero_windows(d, alpha + beta):
-        lo, hi = window[2] * d / np.pi, window[3] * d / np.pi
-        ks = range(int(np.ceil(lo - 1e-9)), int(np.floor(hi + 1e-9)) + 1)
+    for window, _ in triple_zero_windows(p.d, alpha + beta):
         # lambda = 0 is an eigenvalue only where lambda_zero_determinant vanishes
-        expected = np.array([np.pi * k / d for k in ks if k != 0 or alpha + beta < 0])
-        assert np.max(np.abs(factorized(p, 1j * expected))) <= 1e-12
-        for search in (eigenvalues_numeric, adjoint_eigenvalues_numeric):
-            found = search(p, window).values
+        expected = eigenvalues_closed_form(p, window[2:]).values
+        assert np.max(np.abs(factorized(p, expected))) <= 1e-12
+        # the adjoint zeros in the mirrored window, whose edges pass through
+        # triple zeros too, are the conjugate eigenvalues
+        mirror = (window[0], window[1], -window[3], -window[2])
+        for search, w, conj in ((eigenvalues_numeric, window, False),
+                                (adjoint_eigenvalues_numeric, mirror, True)):
+            found = search(p, w).values
+            found = np.conj(found) if conj else found
+            found = found[np.argsort(found.imag)]
             assert len(found) == len(expected), (window, search.__name__)
-            assert np.max(np.abs(np.sort(found.imag) - expected)) <= 1e-9
-            assert np.max(np.abs(found.real)) <= 1e-9
+            assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 MULTIPLE_COUPLINGS = ((1.0, 1.0), (-1.0, -1.0), (1.3, 0.7), (-1.2, -0.8))
@@ -413,9 +421,9 @@ def test_multiple_eigenvalues_come_back_once(geo, alpha, beta):
     # lambda = 0 is one at alpha+beta = -2, where lambda_zero_determinant
     # vanishes for every alpha
     p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
-    k_max = int(np.floor(WINDOW[3] * p.d / np.pi))
-    ks = [k for k in range(-k_max, k_max + 1) if k != 0 or alpha + beta < 0]
-    expected = 1j * np.pi * np.array(ks) / p.d
+    expected = eigenvalues_closed_form(p, WINDOW[2:]).values
+    assert np.max(np.abs(factorized(p, expected))) <= 1e-12
+    assert (0j in expected) == (alpha + beta < 0)
     for search, conj in ((eigenvalues_numeric, False), (adjoint_eigenvalues_numeric, True)):
         found = search(p, WINDOW).values
         found = np.conj(found) if conj else found
@@ -515,7 +523,10 @@ def test_damped_columns_peak_at_one_far_from_the_imaginary_axis(geo):
             assert abs(largest - 1.0) <= 4.0 * np.finfo(float).eps * abs(lam) * p.b3
 
 
-OUTSIDE_COUPLINGS = ((1.5, 1.0), (-1.5, -1.0), (3.0, 2.0), (-2.0, -1.5))
+# (-15.51, -15.31): sigma = -30.82, where the discrete S on r in [0.5, 3] is
+# nearly singular at n = 32
+OUTSIDE_COUPLINGS = ((1.5, 1.0), (-1.5, -1.0), (3.0, 2.0), (-2.0, -1.5), (2.5, -0.3),
+                     (-3.0, 0.5), (-15.51, -15.31))
 
 
 def outside_regime_window(d):
@@ -530,12 +541,10 @@ def test_searches_outside_the_regime(geo, alpha, beta):
     # +-arccosh(|sigma|/2)/d + 2*pi*i*k/d for sigma < -2; the sine family
     # i*pi*k/d, k != 0, stays.  Window edges off every eigenvalue.
     p = PoissonPencilProblem(alpha, beta, geo.angles[0], geo.angles[-1])
-    d, sigma = p.d, alpha + beta
-    shift = np.arccosh(abs(sigma) / 2.0)
-    k = np.arange(-3, 4)  # the k with |pi*k| < 12
-    cosine = 1j * np.pi * k[k % 2 == (1 if sigma > 0 else 0)]
-    expected = np.concatenate([1j * np.pi * k[k != 0], shift + cosine, -shift + cosine]) / d
-    window = outside_regime_window(d)
+    window = outside_regime_window(p.d)
+    expected = eigenvalues_closed_form(p, window[2:]).values
+    assert np.max(np.abs(expected.real)) > 0.1
+    assert np.max(np.abs(factorized(p, expected))) <= 1e-12
     for search, conj in ((eigenvalues_numeric, False), (adjoint_eigenvalues_numeric, True)):
         found = search(p, window).values
         found = np.conj(found) if conj else found
@@ -725,10 +734,34 @@ def test_characteristic_roots(sigma):
             assert np.array_equal(got, -want[::-1])
 
 
-@pytest.mark.parametrize("sigma", [2.0, -2.0, 2.5])
+@pytest.mark.parametrize("sigma", [2.0, -2.0, 2.5, -2.5, 3.0, -30.8189])
 def test_characteristic_roots_outside_the_regime(sigma):
+    # the cosine roots are complex, Re t0 = pi for sigma > 2 and 0 for
+    # sigma < -2; at |sigma| = 2 the double root is listed once
+    sine, cosine = characteristic_roots(sigma, -40.0, 40.0)
+    assert np.array_equal(cosine, np.sort(cosine))
+    assert np.all(np.abs(np.sin(cosine) * (2.0 * np.cos(cosine) + sigma)) <= 1e-12 * (1.0 + np.abs(cosine)))
+    assert np.all((np.abs(cosine.imag) > 0.5) == (abs(sigma) > 2.0))
+    for lo in 2.0 * np.pi * np.array([-3.0, 0.0, 5.0]) + 0.5:
+        sine, cosine = characteristic_roots(sigma, lo, lo + 2.0 * np.pi)
+        assert sine.size == 2 and cosine.size == (1 if abs(sigma) == 2.0 else 2)
+    for lo, hi in [(-7.0, 13.5), (0.0, 10.0 * np.pi), (2.5, 2.6)]:
+        mirrored = characteristic_roots(sigma, -hi, -lo)
+        for got, want in zip(mirrored, characteristic_roots(sigma, lo, hi)):
+            want = np.sort(-want)
+            assert len(got) == len(want)
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (-1.0, -1.0), (1.5, 1.0), (-3.0, 0.5)])
+def test_certificate_refuses_outside_the_regime(alpha, beta):
+    # the closed form lists these eigenvalues, but the solvability theorem
+    # is stated for |alpha+beta| < 2 only
+    p = PoissonPencilProblem(alpha, beta, B1, B1 + np.pi)
+    with pytest.raises(UnsupportedRegime, match=r"\|alpha\+beta\| < 2"):
+        line_is_eigenvalue_free(p, 0.5)
     with pytest.raises(UnsupportedRegime):
-        characteristic_roots(sigma, 0.0, 10.0)
+        solvability_report(p, 2.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (0.0, 0.0), (-0.8, 1.1)])
