@@ -140,6 +140,24 @@ def _fundamental_system(p, lam):
     return lam, [np.exp(lam * phi + s1) for phi in rays], [np.exp(-lam * phi + s2) for phi in rays]
 
 
+def _ray_minors(p, lam):
+    """(lam flattened, the alternating sum of the two-row minors of the rays).
+
+    With e+k = exp(lambda*b_k) and e-k = exp(-lambda*b_k) (damped as in
+    _fundamental_system) the sum is
+
+        (e+1 e-3 - e-1 e+3) + alpha (e+2 e-3 - e+3 e-2) + beta (e+1 e-2 - e+2 e-1),
+
+    one e+ and one e- per product.  Both determinants are multiples of it.
+    """
+    lam, (ep1, ep2, ep3), (em1, em2, em3) = _fundamental_system(p, lam)
+    return lam, (
+        (ep1 * em3 - em1 * ep3)
+        + p.alpha * (ep2 * em3 - ep3 * em2)
+        + p.beta * (ep1 * em2 - ep2 * em1)
+    )
+
+
 def characteristic_value(p, lam):
     """Characteristic determinant of the pencil at lambda.
 
@@ -147,16 +165,18 @@ def characteristic_value(p, lam):
     conditions applied to {exp(lambda*phi), exp(-lambda*phi)}; its zeros are
     exactly the pencil eigenvalues (lambda = 0 is a spurious zero of this
     basis and takes the value d*(2 + alpha + beta) of the basis {1, phi}).
+    With rows (e+1 + alpha e+2, e-1 + alpha e-2) at b1 and (e+3 + beta e+2,
+    e-3 + beta e-2) at b3 it expands to the minor sum of _ray_minors: the
+    alpha*beta terms e+2 e-2 - e-2 e+2 cancel exactly and are not formed, so
+    a large |alpha*beta| adds no rounding.  So it equals
+    -adjoint_transmission_characteristic/(2*lambda) for lambda != 0.
 
     lam is a scalar or an array; the result is a complex array of its shape
     (0-d for a scalar), elementwise equal to scalar calls.  It is the undamped
     determinant times exp(-|Re lambda|*(b3 - b1)) (_fundamental_system).
     """
     shape = np.shape(lam)
-    lam, (ep1, ep2, ep3), (em1, em2, em3) = _fundamental_system(p, lam)
-    a, b = p.alpha, p.beta
-    # rows: condition at b1 (alpha-coupled), condition at b3 (beta-coupled)
-    det = (ep1 + a * ep2) * (em3 + b * em2) - (em1 + a * em2) * (ep3 + b * ep2)
+    lam, det = _ray_minors(p, lam)
     return np.where(lam == 0, lambda_zero_determinant(p), det).reshape(shape)
 
 
@@ -182,21 +202,16 @@ def adjoint_transmission_characteristic(p, lam):
         2*lambda*[(e-1 e+3 - e+1 e-3) + alpha (e+3 e-2 - e+2 e-3)
                   + beta (e+2 e-1 - e+1 e-2)],
 
-    the prefactors e+k e-k (k = 2, 1, 3) of the minors being exactly 1.
+    the prefactors e+k e-k (k = 2, 1, 3) of the minors being exactly 1,
+    that is -2*lambda times the minor sum of _ray_minors.
     At lambda = 0 the piecewise basis {1, phi} gives b3(1+alpha) - b1(1+beta)
     - b2(alpha-beta) = d*(2 + alpha + beta) = lambda_zero_determinant(p).
     lam acts as in characteristic_value.  With one e+ and one e- per product,
     the value is the undamped determinant times exp(-|Re lambda|*(b3 - b1)).
     """
     shape = np.shape(lam)
-    lam, (ep1, ep2, ep3), (em1, em2, em3) = _fundamental_system(p, lam)
-    a, b = p.alpha, p.beta
-    det = 2.0 * lam * (
-        (em1 * ep3 - ep1 * em3)
-        + a * (ep3 * em2 - ep2 * em3)
-        + b * (ep2 * em1 - ep1 * em2)
-    )
-    return np.where(lam == 0, lambda_zero_determinant(p), det).reshape(shape)
+    lam, minors = _ray_minors(p, lam)
+    return np.where(lam == 0, lambda_zero_determinant(p), -2.0 * lam * minors).reshape(shape)
 
 
 def _check_height(what, *heights):

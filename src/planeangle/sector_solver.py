@@ -56,6 +56,13 @@ matrix, or when the separable solution fails the gate, the core solves
 again with a sparse LU of S, ordered by minimum degree on S + S^T.  A
 coupling with 1 - alpha*beta = 0 makes M_int, and so S, singular; the core
 refuses it before any factor.
+
+The coercivity probe (discrete_coercivity) takes lambda_min of the weighted
+symmetric part H = dr*dphi*(K x A1 + R^-1 x A2) of S by shift-invert ARPACK
+at a certified shift sigma.  At sigma = 0, where the bracket of
+_coercivity_bracket proves H definite, H is inverted through the diagonal
+congruence of its Kronecker factors, with no sparse LU; at sigma < 0 each
+shift is certified by the inertia of a symmetric-mode SuperLU factor.
 """
 
 from dataclasses import dataclass, field
@@ -63,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+import scipy.linalg as la
 
 from .core import AngleGeometry, GridFunction, IncompatibleGrid, PlaneAngleError
 from .difference_ops import apply_on_grid, column_shift_operator, two_sector_operator
@@ -270,7 +277,9 @@ def _stencil_times_shift(A, C, grid):
     for lo, hi in zip(edges[:-1] + 1, edges[1:]):
         # lines lo..hi-1 share the layout; line hi, if any, keeps its own
         block = slice(starts[lo], starts[hi])
-        np.take(sums[lo:hi], entry, axis=1, out=data[block].reshape(hi - lo, entry.size))
+        # entry is in range, and "clip" writes into out unbuffered
+        np.take(sums[lo:hi], entry, axis=1, mode="clip",
+                out=data[block].reshape(hi - lo, entry.size))
         np.add(np.arange(lo, hi, dtype=idx)[:, None] * m, offset,
                out=indices[block].reshape(hi - lo, entry.size))
         if hi < n_a:
@@ -619,6 +628,13 @@ def solve_nonlocal_poisson(p, grid):
     )
 
 
+def _nearest_above(H, sigma, inverse, v0):
+    """The eigenvalue of H nearest sigma, from ARPACK in shift-invert mode
+    with inverse as (H - sigma*I)^-1, if it lies above sigma, else None."""
+    val = spla.eigsh(H, 1, sigma=sigma, which="LM", OPinv=inverse, v0=v0, return_eigenvectors=False)
+    return val[0] if val[0] > sigma else None
+
+
 def _shift_invert(H, sigma, v0):
     """lambda_min of H if the inertia of H - sigma*I proves it above sigma, else None.
 
@@ -641,9 +657,67 @@ def _shift_invert(H, sigma, v0):
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal() <= 0.0):
         return None
-    inv = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
-    val = spla.eigsh(H, 1, sigma=sigma, which="LM", OPinv=inv, v0=v0, return_eigenvectors=False)
-    return val[0] if val[0] > sigma else None
+    inverse = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+    return _nearest_above(H, sigma, inverse, v0)
+
+
+def _kronecker_factors(p, grid):
+    """(r, diag, off, T, M_int): the factors of H = dr*dphi*(K x A1 + R^-1 x A2).
+
+    r holds the interior radii, diag and off the symmetric tridiagonal
+    C = R^1/2 K R^1/2 for K = R D_r, T the folded angular matrix and M_int
+    the interior block of the column shift; A1 = sym(M_int) and
+    A2 = sym(T M_int).
+    """
+    r = grid.r_nodes[1:-1]
+    main, up, _ = _radial_stencil(r, grid.dr)
+    diag, off = r**2 * main, r[:-1] * up[:-1] * np.sqrt(r[:-1] * r[1:])
+    T = angular_matrix(p.alpha, p.beta, grid)
+    M_int = column_shift_operator(p.operator(), grid)[1:-1, 1:-1]
+    return r, diag, off, T, M_int
+
+
+def _diagonal_congruence(p, grid):
+    """(Z, U, d) with (Z x U)^T H (Z x U) = diag(d), H as in discrete_coercivity.
+
+    With C = Q Lambda Q^T (all eigenpairs) and Z = R^1/2 Q, Z^T K Z = Lambda
+    and Z^T R^-1 Z = I.  For the lowest block B0 = lambda_0 A1 + A2, the
+    symmetric-definite pencil (A1, B0) gives U with U^T B0 U = I and
+    U^T A1 U = diag(a) (Golub & Van Loan, Matrix Computations, 8.7), so
+    d_ik = dr*dphi*(1 + (lambda_i - lambda_0)*a_k), an (n_r-1) x (n_phi-1)
+    array, radius by angle.  The pencil is definite through B0, not A1:
+    A1 = sym(M_int) is definite only for |alpha+beta| < 2, B0 whenever the
+    bracket floor is > 0.  LinAlgError when B0 is not definite.
+    """
+    r, diag, off, T, M_int = _kronecker_factors(p, grid)
+    lam, Q = la.eigh_tridiagonal(diag, off)
+    M = np.eye(T.shape[0]) @ M_int  # dense: ndarray @ sparse
+    TM = T @ M_int
+    A1, A2 = 0.5 * (M + M.T), 0.5 * (TM + TM.T)
+    a, U = la.eigh(A1, lam[0] * A1 + A2)
+    return np.sqrt(r)[:, None] * Q, U, grid.dr * grid.dphi * (1.0 + (lam - lam[0])[:, None] * a)
+
+
+def _congruence_invert(H, p, grid, v0):
+    """lambda_min of H if its diagonal congruence proves H definite, else None.
+
+    Every d_ik > 0 of _diagonal_congruence proves H definite (Sylvester),
+    and then H^-1 x = vec(Z ((Z^T X U) / d) U^T), X the radius-major view of
+    x, is the shift-invert operator at 0.  None when B0 is not definite, a
+    d_ik is <= 0 or the value does not lie above 0.
+    """
+    try:
+        Z, U, d = _diagonal_congruence(p, grid)
+    except la.LinAlgError:  # B0 is not definite
+        return None
+    if not np.all(d > 0.0):
+        return None
+
+    def solve(x):
+        return (Z @ ((Z.T @ np.reshape(x, d.shape) @ U) / d) @ U.T).ravel()
+
+    inverse = spla.LinearOperator(H.shape, matvec=solve, dtype=H.dtype)
+    return _nearest_above(H, 0.0, inverse, v0)
 
 
 def _coercivity_bracket(p, grid):
@@ -660,15 +734,11 @@ def _coercivity_bracket(p, grid):
     quotient of H at (R^1/2 q_i) x y_i, y_i the lowest eigenvector of end
     block i.
     """
-    r = grid.r_nodes[1:-1]
-    main, up, _ = _radial_stencil(r, grid.dr)
-    diag, off = r**2 * main, r[:-1] * up[:-1] * np.sqrt(r[:-1] * r[1:])
-    T = angular_matrix(p.alpha, p.beta, grid)
-    M_int = column_shift_operator(p.operator(), grid)[1:-1, 1:-1]
+    r, diag, off, T, M_int = _kronecker_factors(p, grid)
     scale = grid.dr * grid.dphi
     b, theta = np.inf, np.inf
     for k in (0, r.size - 1):
-        lam, q = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
+        lam, q = la.eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
         block = (T + lam[0] * np.eye(T.shape[0])) @ M_int  # dense: ndarray @ sparse
         b_k = np.linalg.eigvalsh(0.5 * (block + block.T))[0]
         b = min(b, b_k)
@@ -683,16 +753,19 @@ def discrete_coercivity(p, grid):
     inner product r_i*dr*dphi; returns lambda_min of H = (W S + (W S)^T)/2,
     the sparse symmetric part, which is never densified.
 
-    ARPACK (eigsh) runs in shift-invert mode at the first shift sigma whose
-    symmetric-mode LU of H - sigma*I proves by its inertia that no eigenvalue
-    lies at or below sigma (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
-    15, 1994), so the eigenvalue nearest sigma is lambda_min (Ericsson & Ruhe,
-    Math. Comp. 35, 1980).  The bracket floor <= lambda_min <= theta of
-    _coercivity_bracket places sigma: at 0 when floor > margin =
-    1e-12*||H||_inf proves H definite, else at theta - delta, delta =
-    0.01|theta| growing 4x per shift that does not certify, down to floor -
-    margin, where a shift that does not certify raises SolverFailure.  At
-    most one factor is alive at a time.
+    ARPACK (eigsh) runs in shift-invert mode at a shift sigma certified to
+    lie below every eigenvalue of H, so the eigenvalue nearest sigma is
+    lambda_min (Ericsson & Ruhe, Math. Comp. 35, 1980).  The bracket floor <= lambda_min <= theta of
+    _coercivity_bracket places sigma.  When floor > margin =
+    1e-12*||H||_inf, sigma = 0 and H is inverted through the diagonal
+    congruence of its Kronecker factors (_diagonal_congruence), which
+    certifies H definite and needs no sparse factor; if it cannot certify,
+    SolverFailure.  Otherwise sigma = theta - delta, delta = 0.01|theta|
+    growing 4x per shift that does not certify, down to floor - margin, and
+    each shift is certified by the inertia of a symmetric-mode SuperLU
+    factor of H - sigma*I (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
+    15, 1994); a shift at the floor that does not certify raises
+    SolverFailure.  At most one factor is alive at a time.
 
     Every ARPACK run starts from one fixed pseudo-random vector, so equal
     inputs give equal values.  A symmetric start vector would not do: for
@@ -713,7 +786,10 @@ def discrete_coercivity(p, grid):
     sigma = 0.0 if floor > margin else max(theta - delta, lowest)
     try:
         while True:
-            val = _shift_invert(sym, sigma, v0)
+            if floor > margin:
+                val = _congruence_invert(sym, p, grid, v0)
+            else:
+                val = _shift_invert(sym, sigma, v0)
             if val is not None:
                 return float(val)
             if sigma <= lowest:

@@ -147,12 +147,12 @@ EIGS_CSV = {
         "closed_form,0.0,2.0000000000000004\n"
         "closed_form,0.0,3.0\n"
         "closed_form,0.0,4.0\n"
-        "numeric,-3.046380164341675e-16,-4.000000000000001\n"
-        "numeric,1.0601848938211715e-15,-3.0000000000000004\n"
-        "numeric,-3.4724936935322605e-16,-1.9999999999999996\n"
-        "numeric,-3.046380164341675e-16,2.0\n"
-        "numeric,1.0601848938211715e-15,3.0000000000000004\n"
-        "numeric,-3.4724936935322605e-16,4.000000000000001\n"
+        "numeric,2.0934769990288924e-16,-4.0\n"
+        "numeric,6.361109362927032e-16,-3.0000000000000004\n"
+        "numeric,5.235972755148877e-16,-2.0\n"
+        "numeric,2.0934769990288924e-16,2.0000000000000004\n"
+        "numeric,6.361109362927032e-16,3.0000000000000004\n"
+        "numeric,5.235972755148877e-16,4.000000000000001\n"
     ),
 }
 EIGS_CASES = {

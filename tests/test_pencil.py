@@ -144,6 +144,35 @@ def test_degenerate_adjoint_determinant_is_the_primal_one():
         assert abs(ref - lambda_zero_determinant(p)) <= 1e-13 * (1.0 + abs(ref))
 
 
+def test_primal_determinant_is_the_adjoint_one_over_minus_two_lambda():
+    # both expand to the same minor sum, with no alpha*beta term
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        alpha, beta = rng.uniform(-3, 3, 2) * rng.choice((1.0, 100.0))
+        b1, b3 = np.sort(rng.uniform(0.0, 2.0 * np.pi, 2))
+        p = PoissonPencilProblem(alpha, beta, b1, b3)
+        lam = rng.uniform(-3, 3, 20) + 1j * rng.uniform(-8, 8, 20)
+        primal = characteristic_value(p, lam)
+        adjoint = adjoint_transmission_characteristic(p, lam)
+        assert np.all(np.abs(primal + adjoint / (2.0 * lam)) <= 1e-12 * np.abs(primal))
+
+
+@pytest.mark.parametrize("opening,count", [(np.pi, 8), (2.0 * np.pi / 3.0, 4)])
+def test_searches_at_a_large_product_with_a_small_sum(opening, count):
+    # alpha*beta = -1.5e5 with alpha+beta = 0.5: a product form whose
+    # alpha*beta terms cancel only to rounding leaves noise above the
+    # Laurent degree check, and the primal search refused the samples
+    p = PoissonPencilProblem(300.0, -299.5, B1, B1 + opening)
+    expected = eigenvalues_closed_form(p, (-4.0, 4.0)).values
+    assert len(expected) == count
+    for search, conj in ((eigenvalues_numeric, False), (adjoint_eigenvalues_numeric, True)):
+        found = search(p, (-1.0, 1.0, -4.0, 4.0)).values
+        found = np.conj(found) if conj else found
+        assert len(found) == count, search.__name__
+        for z in expected:
+            assert np.min(np.abs(found - z)) <= 1e-12 * max(1.0, abs(z)), (z, search.__name__)
+
+
 def test_closed_form_dirichlet_family():
     eig = eigenvalues_closed_form(P_DIR, (-3.5, 3.5))
     expected = np.array([-3j, -2j, -1j, 1j, 2j, 3j])

@@ -720,25 +720,33 @@ class _Factor:
 
 
 def _spy_shifts(monkeypatch):
-    # the shift of every _shift_invert call and the value it returned
+    # the shift of every _shift_invert call and the value it returned, and
+    # (0.0, value) for every inverse by congruence
     shifts = []
-    shift_invert = sector_solver._shift_invert
+    shift_invert, congruence_invert = sector_solver._shift_invert, sector_solver._congruence_invert
 
     def spy(H, sigma, v0):
         val = shift_invert(H, sigma, v0)
         shifts.append((sigma, val))
         return val
 
+    def spy_congruence(H, p, grid, v0):
+        val = congruence_invert(H, p, grid, v0)
+        shifts.append((0.0, val))
+        return val
+
     monkeypatch.setattr(sector_solver, "_shift_invert", spy)
+    monkeypatch.setattr(sector_solver, "_congruence_invert", spy_congruence)
     return shifts
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.25, 1.25)], ids=["definite", "indefinite"])
 def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
-    # one symmetric-mode factor, of H - sigma*I, and no factor of S: sigma
-    # is 0 when the bracket floor proves H definite, and lies between the
-    # floor and the upper bound theta otherwise.  eigsh runs once, in
-    # shift-invert mode with that factor, and never for which="SA"
+    # eigsh runs once, in shift-invert mode, and never for which="SA"; no
+    # factor of S.  When the bracket floor proves H definite, sigma is 0
+    # and the inverse is the diagonal congruence, with no sparse factor;
+    # otherwise sigma lies between the floor and the upper bound theta and
+    # the inverse is the one symmetric-mode factor of H - sigma*I
     seen, calls = [], []
     splu, eigsh = spla.splu, spla.eigsh
 
@@ -756,18 +764,34 @@ def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
     lam = discrete_coercivity(p, grid)
     H = _weighted_symmetric_part(p, grid)
     floor, theta = _coercivity_bracket(p, grid)
+    (call,) = calls
+    sigma = call["sigma"]
+    assert call["which"] == "LM" and "v0" in call and call["OPinv"] is not None
+    if alpha + beta < 2.0:
+        assert seen == []
+        assert sigma == 0.0 and floor > 0.0 and lam > 0.0
+        return
     ((M, kwargs),) = seen
     assert kwargs["options"] == {"SymmetricMode": True}
     assert kwargs["diag_pivot_thresh"] == 0
-    (call,) = calls
-    sigma = call["sigma"]
-    assert call["which"] == "LM" and "v0" in call
     assert M.shape == H.shape
     assert abs(M - (H - sigma * sp.identity(H.shape[0]))).max() == 0.0
-    if alpha + beta < 2.0:
-        assert sigma == 0.0 and floor > 0.0 and lam > 0.0
-    else:
-        assert floor < sigma < theta and lam < 0.0
+    assert floor < sigma < theta and lam < 0.0
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(0.6, 0.4), (0.999, 0.999), (0.999, -0.999), (-0.999, 0.999), (-0.999, -0.999), (1.8, -1.7)],
+)
+def test_diagonal_congruence_diagonalizes_h(alpha, beta):
+    # (Z x U)^T H (Z x U) = diag(d), radius-major like H, with every d > 0
+    p, grid = _coercivity_case(alpha, beta, 16)
+    Z, U, d = sector_solver._diagonal_congruence(p, grid)
+    assert d.shape == (grid.n_r - 1, grid.n_phi - 1)
+    G = np.kron(Z, U)
+    D = G.T @ _weighted_symmetric_part(p, grid).toarray() @ G
+    assert np.abs(D - np.diag(d.ravel())).max() <= 1e-12 * np.abs(d).max()
+    assert d.min() > 0.0
 
 
 def test_discrete_coercivity_just_outside_the_regime():
@@ -874,8 +898,23 @@ def test_discrete_coercivity_fallback(fault, monkeypatch):
     assert shifts[1][0] < shifts[0][0]
     assert abs(lam - _dense_lambda_min(p, grid)) <= 1e-10 * abs(lam)
     # every factor faults: the shift falls to the floor, then SolverFailure;
-    # a definite H faults at sigma = 0, below its floor, at once
+    # a definite H whose congruence faults (B0 not definite, or a diagonal
+    # entry <= 0) fails at sigma = 0, below its floor, at once
     faulty[0] = np.inf
+    if fault == "splu raises":
+        def no_pencil(*args, **kwargs):
+            raise sla.LinAlgError("B0 is not positive definite")
+
+        monkeypatch.setattr(sla, "eigh", no_pencil)
+    else:
+        congruence = sector_solver._diagonal_congruence
+
+        def negative_entry(p, grid):
+            Z, U, d = congruence(p, grid)
+            d[-1, -1] = -d[-1, -1]
+            return Z, U, d
+
+        monkeypatch.setattr(sector_solver, "_diagonal_congruence", negative_entry)
     for alpha, beta in ((1.25, 1.25), (0.6, 0.4)):
         p, grid = _coercivity_case(alpha, beta, 16)
         floor, _ = _coercivity_bracket(p, grid)
