@@ -25,7 +25,15 @@ import warnings
 
 import numpy as np
 
-from .core import GridFunction, PlaneAngleError, SectorGrid, exp_bump, make_geometry
+from .core import (
+    GridFunction,
+    PlaneAngleError,
+    SectorGrid,
+    SingularSystem,
+    SolverFailure,
+    exp_bump,
+    make_geometry,
+)
 from .difference_ops import (
     SingularMatrix,
     inverse_matrix,
@@ -54,14 +62,6 @@ from .pencil import (
     eigenvalues_closed_form,
     eigenvalues_numeric,
     solvability_report,
-)
-from .sector_solver import (
-    DDProblem,
-    NonlocalPoissonProblem,
-    SingularSystem,
-    SolverFailure,
-    solve_dd,
-    solve_nonlocal_poisson,
 )
 from .weighted_norms import WeightParams, e_norm, h_norm, trace_ratio
 
@@ -349,6 +349,8 @@ def cmd_solvability(spec, args):
 
 def _expression_problem(spec, problem, alpha, beta, grid):
     """Solver problem with the rhs and ray data of the spec's expressions."""
+    from .sector_solver import DDProblem, NonlocalPoissonProblem
+
     geo = grid.geometry
     rhs = GridFunction.from_callable(grid, compile_expression(spec["solver"].get("rhs", "0")))
     if problem == "dd":
@@ -363,6 +365,9 @@ def _expression_problem(spec, problem, alpha, beta, grid):
 
 
 def _solve_once(spec, args, level):
+    # only solve loads the solver, and with it scipy
+    from . import sector_solver
+
     alpha, beta = _coupling(spec)
     grid = _grid(spec, level)
     if spec["solver"].get("rhs", "0") == "manufactured":
@@ -370,7 +375,7 @@ def _solve_once(spec, args, level):
         problem, exact = build(alpha, beta, grid)
     else:
         problem, exact = _expression_problem(spec, args.problem, alpha, beta, grid), None
-    solve = solve_dd if args.problem == "dd" else solve_nonlocal_poisson
+    solve = sector_solver.solve_dd if args.problem == "dd" else sector_solver.solve_nonlocal_poisson
     result = solve(problem, grid)
     warn = args.problem == "nonlocal" and not problem.guaranteed_solvable
     err = None if exact is None else error_norm(result.solution, exact)

@@ -33,6 +33,14 @@ class IncompatibleGrid(PlaneAngleError):
     pass
 
 
+class SingularSystem(PlaneAngleError):
+    """A linear system of the solver is singular; the CLI exits 5."""
+
+
+class SolverFailure(PlaneAngleError):
+    """A solve or the coercivity probe did not certify its answer; the CLI exits 5."""
+
+
 @dataclass(frozen=True)
 class AngleGeometry:
     """Rays b_1 < ... < b_{R+1} with equal spacing d (radians)."""

@@ -10,7 +10,6 @@ spectrum, adjoint and positivity are all matrix questions.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import AngleGeometry, GridFunction, IncompatibleGrid, PlaneAngleError
 
@@ -113,6 +112,8 @@ def column_shift_operator(op, grid):
     definition of the discrete shift: apply_on_grid and the solver's node
     matrix are both built from it.
     """
+    import scipy.sparse as sp  # here, so the rest of the module needs numpy only
+
     s = grid.shift_columns
     coeffs = op.coefficients or {0: 0.0}  # diags needs at least one diagonal
     return sp.diags(

@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import GridFunction
 from .difference_ops import apply_on_grid, two_sector_operator
-from .sector_solver import DDProblem, NonlocalPoissonProblem
 
 
 def _sin4_bump(r_min, r_max):
@@ -81,6 +80,8 @@ def manufactured_nonlocal(geometry, r_min, r_max):
 
 def dd_problem(alpha, beta, grid):
     """(DDProblem, exact w* on the grid); rhs = discrete R of (-Laplace + 1) w*."""
+    from .sector_solver import DDProblem  # the solver, and so scipy, only when a problem is built
+
     geo = grid.geometry
     w, pde = manufactured_dd(geo, grid.r_min, grid.r_max)
     rhs = apply_on_grid(two_sector_operator(alpha, beta, geo), GridFunction.from_callable(grid, pde))
@@ -90,6 +91,8 @@ def dd_problem(alpha, beta, grid):
 
 def nonlocal_problem(alpha, beta, grid):
     """(NonlocalPoissonProblem, exact u* on the grid); g1, g3 are u*'s ray traces."""
+    from .sector_solver import NonlocalPoissonProblem  # as in dd_problem
+
     geo = grid.geometry
     u, f = manufactured_nonlocal(geo, grid.r_min, grid.r_max)
     b1, b2, b3 = geo.angles

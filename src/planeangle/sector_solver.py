@@ -72,17 +72,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.linalg as la
 
-from .core import AngleGeometry, GridFunction, IncompatibleGrid, PlaneAngleError
+from .core import AngleGeometry, GridFunction, IncompatibleGrid, SingularSystem, SolverFailure
 from .difference_ops import apply_on_grid, column_shift_operator, two_sector_operator
 from .pencil import characteristic_roots
-
-
-class SingularSystem(PlaneAngleError):
-    pass
-
-
-class SolverFailure(PlaneAngleError):
-    pass
 
 
 def _check_problem(p):

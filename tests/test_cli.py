@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planeangle import cli, green_check, pencil
+from planeangle import cli, green_check, pencil, sector_solver
 from planeangle.cli import (
     EXIT_BLOCKED,
     EXIT_FAIL,
@@ -445,15 +445,16 @@ def test_solve_manufactured_refinement_order(tmp_path):
 def test_solve_refine_solves_coarse_grids_only_for_errors(tmp_path, monkeypatch, rhs, levels):
     # --refine N writes the finest solution; the N coarser solves feed only
     # the error table, so expression data (no exact solution) skips them
+    # cli imports the solver only for solve and looks the solve up on it,
+    # so the spy goes on sector_solver
     spec = write_spec(tmp_path / "s.json", alpha=0.3, beta=-0.2, rhs=rhs)
     sizes = []
-    solve = cli.solve_nonlocal_poisson
 
     def spy(problem, grid):
         sizes.append(grid.n_r)
-        return solve(problem, grid)
+        return solve_nonlocal_poisson(problem, grid)
 
-    monkeypatch.setattr(cli, "solve_nonlocal_poisson", spy)
+    monkeypatch.setattr(sector_solver, "solve_nonlocal_poisson", spy)
     assert main(["--spec", spec, "--out", str(tmp_path), "--quiet", "solve", "--refine", "2"]) == EXIT_OK
     assert sizes == levels
     rows = (tmp_path / "solution.csv").read_text().splitlines()

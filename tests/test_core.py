@@ -1,5 +1,6 @@
-"""Geometry and grid construction."""
+"""Geometry and grid construction, and what importing the package loads."""
 
+import json
 import os
 import subprocess
 import sys
@@ -155,10 +156,43 @@ def test_geometry_is_frozen():
     assert isinstance(geo, AngleGeometry)
 
 
-def test_green_check_imports_without_scipy():
-    # core holds the C-infinity bump, so the Green check needs numpy only
+def _scipy_modules_after(code, *argv):
+    """The scipy modules a fresh interpreter holds after running code, and its stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    code = "import sys, planeangle.green_check; print([m for m in sys.modules if m.startswith('scipy')])"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    code += "\nimport json; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    *out, loaded = proc.stdout.strip().splitlines()
+    return json.loads(loaded), out
+
+
+@pytest.mark.parametrize("module", ["core", "pencil", "green_check", "weighted_norms",
+                                    "difference_ops", "manufactured", "cli", "sector_solver"])
+def test_only_the_solver_imports_scipy(module):
+    # numpy is all the pencil, the Green check, the norms and the CLI's
+    # parsing need; the solver is the positive control
+    loaded, _ = _scipy_modules_after("import sys, planeangle.%s" % module)
+    assert bool(loaded) == (module == "sector_solver"), loaded[:5]
+
+
+def test_numpy_only_subcommands_load_no_scipy(tmp_path):
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({
+        "geometry": {"angles": [np.pi / 6, 2 * np.pi / 3, 7 * np.pi / 6]},
+        "pencil": {"alpha": 0.6, "beta": 0.4},
+        "solver": {"r_min": 0.5, "r_max": 3.0, "n_r": 16, "n_phi": 16, "rhs": "manufactured"},
+        "weights": {"a": 1.0, "l": 1},
+    }))
+    commands = [["eigs"], ["solvability", "--a", "2", "--l", "1"], ["green"], ["spectrum"],
+                ["norms"]]
+    code = "\n".join([
+        "import sys",
+        "from planeangle.cli import main",
+        "for args in %r:" % commands,
+        "    code = main(['--spec', sys.argv[1], '--out', sys.argv[2], '--quiet'] + args)",
+        "    print(args[0], code, any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+    ])
+    loaded, out = _scipy_modules_after(code, str(spec), str(tmp_path))
+    assert out == ["%s 0 False" % args[0] for args in commands]
+    assert loaded == []

@@ -1,8 +1,9 @@
 """Rules the code keeps: only the CLI writes to the terminal, no module runs
 text as code, every name that the library, the demos and the tests import is
 used, every private function or class of the library is called by the
-library, every eigsh call of the library passes a start vector, and no
-module holds a function cache."""
+library, every eigsh call of the library passes a start vector, no
+module holds a function cache, and only the solver loads scipy when it is
+imported."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,48 @@ def test_library_holds_no_function_cache():
             or isinstance(n, ast.Attribute) and n.attr in caches
             and isinstance(n.value, ast.Name) and n.value.id == "functools"]
     assert not hits, "functools caches in the library: %s" % hits
+
+
+# importing any other module loads numpy alone: the pencil, the Green check,
+# the norms and every CLI subcommand but solve need nothing more
+SCIPY_AT_IMPORT = {"sector_solver"}
+# (module, function) of each import made inside a function that loads scipy,
+# directly or through the solver; a new one is a path that needs it
+SCIPY_IN_FUNCTIONS = {
+    ("cli", "_expression_problem"),
+    ("cli", "_solve_once"),
+    ("difference_ops", "column_shift_operator"),
+    ("manufactured", "dd_problem"),
+    ("manufactured", "nonlocal_problem"),
+}
+
+
+def _loads_scipy(node):
+    """True if the import node imports scipy or the solver module."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        names = [node.module or ""] + ["%s.%s" % (node.module or "", a.name) for a in node.names]
+    return any(name.split(".")[0] == "scipy" or name.split(".")[-1] == "sector_solver"
+               for name in names)
+
+
+def _scipy_imports(node, function=None):
+    """(function or None at module level) of each import under node that loads scipy."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)) and _loads_scipy(child):
+            yield function
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _scipy_imports(child, inner)
+
+
+def test_only_the_solver_loads_scipy_at_import():
+    at_import, in_functions = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for function in _scipy_imports(ast.parse(path.read_text(), filename=str(path))):
+            if function is None:
+                at_import.add(path.stem)
+            else:
+                in_functions.add((path.stem, function))
+    assert at_import == SCIPY_AT_IMPORT
+    assert in_functions == SCIPY_IN_FUNCTIONS
