@@ -26,8 +26,11 @@ The coupling alpha, chi12, phi12 and the flavour enter only the ray terms.
 The sector integrals over K1 and K2 are independent of them, so they are
 computed once per key (ray angles, panels, order) and kept on the test
 pair, shared by both flavours, every alpha, every chi12 and
-term_magnitudes, and freed with the pair.  Field callables must therefore
-be pure functions of (r, phi).
+term_magnitudes, and freed with the pair.  The pair also keeps, in one
+slot, the terms of the last identity it was checked under, keyed by
+(config, flavour): a residual followed by term_magnitudes at an equal
+config evaluates the ray terms once, and another config replaces the
+entry.  Field callables must therefore be pure functions of (r, phi).
 
 Normals: n1 and n2 point counterclockwise, +(1/r) d/dphi; n3 points
 clockwise, -(1/r) d/dphi.  Area element r dr dphi, line element dr.
@@ -71,13 +74,15 @@ class Field(NamedTuple):
 @dataclass(frozen=True)
 class GreenTestPair:
     """Closed-form test pair: u compactly supported in the annulus support = (s_lo, s_hi),
-    v1 and v2 smooth on the closed sectors; areas holds its sector integrals (_area_terms)."""
+    v1 and v2 smooth on the closed sectors; areas holds its sector integrals (_area_terms),
+    last the one entry (cfg, neumann) -> terms of the last identity checked (_terms)."""
 
     u: Field
     v1: Field
     v2: Field
     support: tuple
     areas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s_lo, s_hi = self.support
@@ -210,15 +215,26 @@ def _identity_terms(cfg, pair, neumann):
     return lhs, rhs
 
 
+def _terms(cfg, pair, neumann):
+    """The (lhs, rhs) terms of _identity_terms as tuples, evaluated only when
+    the one entry of pair.last is not keyed by an equal (cfg, neumann), which
+    then replaces it."""
+    key = (cfg, neumann)
+    if key not in pair.last:
+        pair.last.clear()
+        pair.last[key] = tuple(map(tuple, _identity_terms(cfg, pair, neumann)))
+    return pair.last[key]
+
+
 def green_residual_dirichlet(cfg, pair):
     """|LHS - RHS| of the Dirichlet-type nonlocal Green identity."""
-    lhs, rhs = _identity_terms(cfg, pair, neumann=False)
+    lhs, rhs = _terms(cfg, pair, neumann=False)
     return abs(sum(lhs) - sum(rhs))
 
 
 def green_residual_neumann(cfg, pair):
     """|LHS - RHS| of the Neumann-type nonlocal Green identity."""
-    lhs, rhs = _identity_terms(cfg, pair, neumann=True)
+    lhs, rhs = _terms(cfg, pair, neumann=True)
     return abs(sum(lhs) - sum(rhs))
 
 
@@ -227,7 +243,7 @@ def term_magnitudes(cfg, pair, neumann=False):
 
     The sum of these is the natural scale against which to read the residual.
     """
-    lhs, rhs = _identity_terms(cfg, pair, neumann=neumann)
+    lhs, rhs = _terms(cfg, pair, neumann=neumann)
     return [abs(t) for t in lhs] + [abs(t) for t in rhs]
 
 

@@ -16,11 +16,13 @@ Im lambda = h free of eigenvalues certifies unique solvability in the
 weighted scale with a = h + l + 1.  Both certificate functions return one
 flat LineCertificate that names the nearest eigenvalue, the lower one on a
 tie, as on the line h = 0 of the symmetric spectrum.
+A certificate lists no roots: it rounds the line to the nearest branch k
+of each root family and compares the branches k-1, k, k+1.
 Every lambda-range taken here (a closed-form strip, the Im edges of a
 search window, a certificate line) must lie within MAX_HEIGHT of the real
 axis, and a search window's Re edges within MAX_HEIGHT of the imaginary
-axis.  Both routes list the branches k of a root family by one rule
-(_branches), so they keep the same roots on a range's edges.
+axis.  The closed form and the finder list the branches k of a root family
+by one rule (_branches), so they keep the same roots on a range's edges.
 
 The module also provides the characteristic determinant of the formally
 adjoint nonlocal transmission pencil (piecewise solutions on the two
@@ -232,6 +234,14 @@ def _branches(offset, period, lo, hi):
                  math.floor((hi + WINDOW_PAD - offset) / period) + 1)
 
 
+def _cosine_offset(sigma):
+    """t0 = arccos(-sigma/2) of the cosine family: a float for |sigma| < 2,
+    else the principal complex arccos (a Python number, which rounds as
+    numpy's do)."""
+    w = -0.5 * sigma
+    return float(np.arccos(w)) if abs(w) < 1.0 else complex(np.arccos(complex(w)))
+
+
 def characteristic_roots(sigma, lo, hi):
     """Roots x, Re x in [lo, hi], of sin(x)*(2*cos(x) + sigma) = 0, as (sine, cosine).
 
@@ -241,8 +251,7 @@ def characteristic_roots(sigma, lo, hi):
     t0 + 2*pi*k lies on a sine root and is listed once.  WINDOW_PAD widens
     [lo, hi] (_branches).
     """
-    w = -0.5 * sigma  # few roots per call: Python numbers, which round as numpy's do
-    t0 = float(np.arccos(w)) if abs(w) < 1.0 else complex(np.arccos(complex(w)))
+    t0 = _cosine_offset(sigma)
     period = 2.0 * np.pi
     sine = [np.pi * k for k in _branches(0.0, np.pi, lo, hi)]
     up = [t0 + period * k for k in _branches(t0.real, period, lo, hi)]
@@ -438,15 +447,24 @@ def line_is_eigenvalue_free(p, h):
     closed-form eigenvalue nearest to the line, the lower one of two equally
     near.  OutOfRange unless |h| <= MAX_HEIGHT (so h is finite), then
     UnsupportedRegime unless |alpha+beta| < 2, the theorem's regime.
+
+    No root is listed: y = h*d is rounded to the nearest branch k of each
+    family, pi*k (k != 0, lambda = 0 is no eigenvalue here), t0 + 2*pi*k
+    and -(t0 + 2*pi*k), and the branches k-1, k, k+1 are compared.  Each
+    root x/d is formed as _closed_form_roots forms it, so the certificate
+    is the one of the nearest listed root.
     """
     h = float(h)
     _check_height("line Im lambda = %r" % h, h)
     if not abs(p.coupling_sum) < 2.0:
         raise UnsupportedRegime("certificate needs |alpha+beta| < 2, got %g" % p.coupling_sum)
-    margin = 4.0 * np.pi / p.opening + 1.0
-    # real and sorted, so argmin takes the lower of two equally near
-    parts = _closed_form_roots(p, h - margin, h + margin)
-    nearest = float(parts[np.argmin(np.abs(parts - h))])
+    d, t0 = p.d, _cosine_offset(p.coupling_sum)
+    y, period = h * d, 2.0 * np.pi
+    k_sine, k_up, k_down = (round(x) for x in (y / np.pi, (y - t0) / period, (-y - t0) / period))
+    parts = [np.pi * k / d for k in range(k_sine - 1, k_sine + 2) if k != 0]
+    parts += [(t0 + period * k) / d for k in range(k_up - 1, k_up + 2)]
+    parts += [-(t0 + period * k) / d for k in range(k_down - 1, k_down + 2)]
+    nearest = min(parts, key=lambda x: (abs(x - h), x))  # the lower of two equally near
     dist = abs(nearest - h)
     return LineCertificate(h, dist > FREE_LINE_TOL, 1j * nearest, dist)
 

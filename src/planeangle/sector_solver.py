@@ -669,7 +669,7 @@ def _kronecker_factors(p, grid):
     return r, diag, off, T, M_int
 
 
-def _diagonal_congruence(p, grid):
+def _diagonal_congruence(grid, factors):
     """(Z, U, d) with (Z x U)^T H (Z x U) = diag(d), H as in discrete_coercivity.
 
     With C = Q Lambda Q^T (all eigenpairs) and Z = R^1/2 Q, Z^T K Z = Lambda
@@ -679,9 +679,10 @@ def _diagonal_congruence(p, grid):
     d_ik = dr*dphi*(1 + (lambda_i - lambda_0)*a_k), an (n_r-1) x (n_phi-1)
     array, radius by angle.  The pencil is definite through B0, not A1:
     A1 = sym(M_int) is definite only for |alpha+beta| < 2, B0 whenever the
-    bracket floor is > 0.  LinAlgError when B0 is not definite.
+    bracket floor is > 0.  LinAlgError when B0 is not definite.  factors
+    are the _kronecker_factors of H.
     """
-    r, diag, off, T, M_int = _kronecker_factors(p, grid)
+    r, diag, off, T, M_int = factors
     lam, Q = la.eigh_tridiagonal(diag, off)
     M = np.eye(T.shape[0]) @ M_int  # dense: ndarray @ sparse
     TM = T @ M_int
@@ -690,7 +691,7 @@ def _diagonal_congruence(p, grid):
     return np.sqrt(r)[:, None] * Q, U, grid.dr * grid.dphi * (1.0 + (lam - lam[0])[:, None] * a)
 
 
-def _congruence_invert(H, p, grid, v0):
+def _congruence_invert(H, grid, factors, v0):
     """lambda_min of H if its diagonal congruence proves H definite, else None.
 
     Every d_ik > 0 of _diagonal_congruence proves H definite (Sylvester),
@@ -699,7 +700,7 @@ def _congruence_invert(H, p, grid, v0):
     d_ik is <= 0 or the value does not lie above 0.
     """
     try:
-        Z, U, d = _diagonal_congruence(p, grid)
+        Z, U, d = _diagonal_congruence(grid, factors)
     except la.LinAlgError:  # B0 is not definite
         return None
     if not np.all(d > 0.0):
@@ -712,7 +713,7 @@ def _congruence_invert(H, p, grid, v0):
     return _nearest_above(H, 0.0, inverse, v0)
 
 
-def _coercivity_bracket(p, grid):
+def _coercivity_bracket(grid, factors):
     """(floor, theta) with floor <= lambda_min(H) <= theta, H as in discrete_coercivity.
 
     H = dr*dphi*(K x A1 + R^-1 x A2) over the interior radii R = diag(r):
@@ -724,9 +725,9 @@ def _coercivity_bracket(p, grid):
     radius in [r_first, r_last], b the least block eigenvalue.  b is concave
     in lambda_i, so the two end blocks attain it.  theta is the least Rayleigh
     quotient of H at (R^1/2 q_i) x y_i, y_i the lowest eigenvector of end
-    block i.
+    block i.  factors are the _kronecker_factors of H.
     """
-    r, diag, off, T, M_int = _kronecker_factors(p, grid)
+    r, diag, off, T, M_int = factors
     scale = grid.dr * grid.dphi
     b, theta = np.inf, np.inf
     for k in (0, r.size - 1):
@@ -771,7 +772,8 @@ def discrete_coercivity(p, grid):
     Sw = sp.diags(r * grid.dr * grid.dphi) @ S
     sym = 0.5 * (Sw + Sw.T)
     v0 = np.random.default_rng(0).standard_normal(sym.shape[0])
-    floor, theta = _coercivity_bracket(p, grid)
+    factors = _kronecker_factors(p, grid)
+    floor, theta = _coercivity_bracket(grid, factors)
     margin = 1e-12 * spla.norm(sym, np.inf)
     lowest = floor - margin
     delta = 1e-2 * abs(theta) if theta else margin  # a zero delta never moves sigma
@@ -779,7 +781,7 @@ def discrete_coercivity(p, grid):
     try:
         while True:
             if floor > margin:
-                val = _congruence_invert(sym, p, grid, v0)
+                val = _congruence_invert(sym, grid, factors, v0)
             else:
                 val = _shift_invert(sym, sigma, v0)
             if val is not None:

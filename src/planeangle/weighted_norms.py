@@ -17,7 +17,10 @@ every |alpha| up to that order.  A higher order extends the table, a lower
 one reads part of it.  The first derivatives are kept there too, so order 2
 after order 1 takes only the gradients of u_x and u_y.  Grid function
 values are read-only, so a table never goes stale, and it dies with its
-field.
+field.  A field whose imaginary part is exactly zero, as every sample of a
+real function is, gets its table from the real part in float64; the
+differences round as numpy rounds complex ones, so the table holds the
+same bits either way.
 """
 
 from dataclasses import dataclass
@@ -45,14 +48,27 @@ class WeightParams:
             raise UnsupportedOrder("smoothness order l=%r not in {0, 1, 2}" % (self.l,))
 
 
+def _difference(vals, h, axis):
+    """d/dx along axis at spacing h: np.gradient(vals, h, axis=axis,
+    edge_order=2), central inside and one-sided at the edges, but inside it
+    multiplies by 1/(2h) for real data too, as numpy's division of complex
+    data by h does, so real data give the real parts of the complex result."""
+    f = np.moveaxis(vals, axis, 0)
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) * (1.0 / (2.0 * h))
+    out[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+    out[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+    return np.moveaxis(out, 0, axis)
+
+
 def _cartesian_gradient(grid, vals):
     """(u_x, u_y) at the nodes via the polar chain rule, on second-order
     differences (central inside, one-sided at the edges)."""
     r = grid.r_nodes[:, None]
     phi = grid.phi_nodes[None, :]
     cos, sin = np.cos(phi), np.sin(phi)
-    u_r = np.gradient(vals, grid.dr, axis=0, edge_order=2)
-    u_phi = np.gradient(vals, grid.dphi, axis=1, edge_order=2)
+    u_r = _difference(vals, grid.dr, 0)
+    u_phi = _difference(vals, grid.dphi, 1)
     # u_x = cos u_r - sin/r u_phi, then u_y = sin u_r + cos/r u_phi in the
     # arrays of u_r and u_phi: the same operations on fewer new arrays
     u_x = cos * u_r
@@ -67,13 +83,15 @@ def cartesian_derivatives(u, l):
     """Nodal arrays of D^alpha u keyed by multi-index, all |alpha| <= l.
 
     The first derivatives are computed once per field and kept, read-only
-    like its values, in u.derived["gradient"].
+    like its values, in u.derived["gradient"]; they and the derivatives of
+    order 2 are float64 when the imaginary part of u is exactly zero.
     """
     grid = u.grid
     out = {(0, 0): u.values}
     if l >= 1:
         if "gradient" not in u.derived:
-            gradient = _cartesian_gradient(grid, u.values)
+            vals = u.values if u.values.imag.any() else u.values.real
+            gradient = _cartesian_gradient(grid, vals)
             for d in gradient:
                 d.flags.writeable = False
             u.derived["gradient"] = gradient

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from planeangle import green_check
 from planeangle.core import PlaneAngleError, make_geometry
 from planeangle.green_check import (
     MAX_QUAD_NODES,
@@ -168,10 +169,11 @@ def test_area_integrals_evaluated_once_per_key():
 
 
 def test_area_integrals_die_with_their_pair():
-    # no module keeps the pair, or its memo, alive after the caller drops it
+    # no module keeps the pair, or its memos, alive after the caller drops it
     pair = bump_trig_pair()
     term_magnitudes(GreenConfig(GEO, 0.7, 1.5, PHI12), pair)
-    assert len(pair.areas) == 1
+    green_residual_neumann(GreenConfig(GEO, -0.4, 2.0, PHI12), pair)
+    assert len(pair.areas) == 1 and len(pair.last) == 1
     gone = weakref.ref(pair)
     del pair
     gc.collect()
@@ -189,3 +191,41 @@ def test_returned_terms_are_fresh_lists():
     lhs[0] = rhs[1] = 0.0
     lhs.append(1.0)
     assert term_magnitudes(cfg, pair) == expected
+
+
+def test_identity_terms_evaluated_once_per_config(monkeypatch):
+    # a residual and the magnitudes at an equal config and flavour share one
+    # evaluation, in either order; any other key evaluates again and takes
+    # the pair's one slot.  Every output equals a memo-free pair's.
+    evaluated = []
+    identity_terms = green_check._identity_terms
+
+    def spy(cfg, pair, neumann):
+        evaluated.append((cfg.alpha, cfg.chi12, neumann))
+        return identity_terms(cfg, pair, neumann)
+
+    monkeypatch.setattr(green_check, "_identity_terms", spy)
+    pair = bump_trig_pair()
+    dirichlet = (False, green_residual_dirichlet)
+    neumann = (True, green_residual_neumann)
+    steps = [
+        (0.7, 1.5, dirichlet, True), (0.7, 1.5, dirichlet, False),
+        (0.7, 1.5, neumann, False), (0.7, 1.5, neumann, True),
+        (-0.4, 2.0, dirichlet, True), (0.7, 1.5, dirichlet, True),
+        (-0.4, 2.0, dirichlet, False), (-0.4, 2.0, dirichlet, True),
+    ]
+    want_evals = [(0.7, 1.5, False), (0.7, 1.5, True), (-0.4, 2.0, False),
+                  (0.7, 1.5, False), (-0.4, 2.0, False)]
+    for alpha, chi12, (flag, residual), residual_first in steps:
+        outputs = []
+        for fresh in (False, True):
+            target = replace(pair) if fresh else pair
+            cfg = GreenConfig(GEO, alpha, chi12, PHI12)  # equal, not the same object
+            calls = [lambda: residual(cfg, target), lambda: term_magnitudes(cfg, target, neumann=flag)]
+            outputs.append([call() for call in (calls if residual_first else calls[::-1])])
+            if fresh:
+                evaluated.pop()
+            else:
+                assert list(pair.last) == [(cfg, flag)] and len(pair.areas) == 1
+        assert outputs[0] == outputs[1]
+    assert evaluated == want_evals

@@ -38,6 +38,7 @@ GEOMETRIES = (
     make_geometry([np.pi / 6, np.pi / 2, 5 * np.pi / 6]),
     make_geometry([0.3, 0.3 + 0.9 * np.pi, 0.3 + 1.8 * np.pi]),
 )
+SOLVE_GEOMETRY = make_geometry([np.pi / 6, np.pi / 6 + 0.5 * np.pi, np.pi / 6 + np.pi])
 
 
 def factorized(p, lam):
@@ -789,6 +790,9 @@ def test_certificate_refuses_outside_the_regime(alpha, beta):
     p = PoissonPencilProblem(alpha, beta, B1, B1 + np.pi)
     with pytest.raises(UnsupportedRegime, match=r"\|alpha\+beta\| < 2"):
         line_is_eigenvalue_free(p, 0.5)
+    for h in (np.nextafter(MAX_HEIGHT, np.inf), np.nan):  # the height is checked first
+        with pytest.raises(OutOfRange, match="real axis"):
+            line_is_eigenvalue_free(p, h)
     with pytest.raises(UnsupportedRegime):
         solvability_report(p, 2.0, 1.0)
 
@@ -877,3 +881,42 @@ def test_no_certificate_verdict_is_wrong_up_to_the_line_height_cap():
                 assert abs(cert.distance - true) <= guard
                 if abs(true - FREE_LINE_TOL) > guard:
                     assert cert.solvable == (true > FREE_LINE_TOL)
+
+
+def _listed_certificate(p, h):
+    # the certificate by listing: every closed-form root within 4*pi/opening
+    # + 1 of the line (the nearest lies within pi/d), sorted, and the first
+    # argmin of the distance, so the lower of two equally near
+    margin = 4.0 * np.pi / p.opening + 1.0
+    parts = pencil._closed_form_roots(p, h - margin, h + margin)
+    nearest = float(parts[np.argmin(np.abs(parts - h))])
+    dist = abs(nearest - h)
+    return LineCertificate(h, dist > FREE_LINE_TOL, 1j * nearest, dist)
+
+
+@pytest.mark.parametrize("geo", GEOMETRIES + (SOLVE_GEOMETRY,), ids=["narrow", "wide", "solve"])
+def test_certificate_is_the_one_of_the_nearest_listed_root(geo):
+    # lines at random heights, on closed-form eigenvalues, on midpoints
+    # between neighbours (ties), near 0 (the sine root k = 0 is left out)
+    # and near +-MAX_HEIGHT: every field equal to the listing rule's
+    rng = np.random.default_rng(36)
+    b1, b3 = geo.angles[0], geo.angles[-1]
+    top = np.nextafter(MAX_HEIGHT, 0.0)
+    for _ in range(150):
+        alpha, beta = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
+        if not abs(alpha + beta) < 2.0:
+            beta = rng.uniform(-1.999, 1.999) - alpha
+        p = PoissonPencilProblem(alpha, beta, b1, b3)
+        near = pencil._closed_form_roots(p, -30.0, 30.0)
+        far = pencil._closed_form_roots(p, MAX_HEIGHT - 30.0, MAX_HEIGHT)
+        lines = [0.0, 5e-324, -5e-324, 1e-12, -1e-12, MAX_HEIGHT, -MAX_HEIGHT, top, -top]
+        lines += list(rng.uniform(-MAX_HEIGHT, MAX_HEIGHT, 3)) + list(rng.uniform(-6.0, 6.0, 3))
+        lines += list(MAX_HEIGHT - rng.uniform(0.0, 30.0, 2)) + list(rng.uniform(-30.0, 0.0, 2) - MAX_HEIGHT)
+        for roots in (near, far, -far):
+            i = rng.integers(roots.size - 1)
+            x, y = roots[i], roots[i + 1]
+            lines += [x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf), 0.5 * (x + y), x + 0.5 * (y - x)]
+        for h in lines:
+            h = float(h)
+            if abs(h) <= MAX_HEIGHT:
+                assert line_is_eigenvalue_free(p, h) == _listed_certificate(p, h), (alpha, beta, h)

@@ -668,6 +668,10 @@ def _h_norm(p, grid):
     return spla.norm(_weighted_symmetric_part(p, grid), np.inf)
 
 
+def _bracket(p, grid):
+    return _coercivity_bracket(grid, sector_solver._kronecker_factors(p, grid))
+
+
 GEO_NARROW = make_geometry([B1, B1 + np.pi / 6, B1 + np.pi / 3])
 GEO_WIDE = make_geometry([0.1, 0.1 + 0.9 * np.pi, 0.1 + 1.8 * np.pi])
 COUPLINGS = [
@@ -700,7 +704,7 @@ def test_weighted_symmetric_part_is_a_kronecker_sum(alpha, beta):
 def test_coercivity_bracket_holds_lambda_min(geo, r_min, r_max):
     for alpha, beta in COUPLINGS:
         p, grid = _coercivity_case(alpha, beta, 16, geo, r_min, r_max)
-        floor, theta = _coercivity_bracket(p, grid)
+        floor, theta = _bracket(p, grid)
         want = _dense_lambda_min(p, grid)
         tol = 1e-12 * _h_norm(p, grid)
         assert floor - tol <= want <= theta + tol
@@ -730,8 +734,8 @@ def _spy_shifts(monkeypatch):
         shifts.append((sigma, val))
         return val
 
-    def spy_congruence(H, p, grid, v0):
-        val = congruence_invert(H, p, grid, v0)
+    def spy_congruence(H, grid, factors, v0):
+        val = congruence_invert(H, grid, factors, v0)
         shifts.append((0.0, val))
         return val
 
@@ -763,7 +767,7 @@ def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
     p, grid = _coercivity_case(alpha, beta, 32)
     lam = discrete_coercivity(p, grid)
     H = _weighted_symmetric_part(p, grid)
-    floor, theta = _coercivity_bracket(p, grid)
+    floor, theta = _bracket(p, grid)
     (call,) = calls
     sigma = call["sigma"]
     assert call["which"] == "LM" and "v0" in call and call["OPinv"] is not None
@@ -779,6 +783,30 @@ def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
     assert floor < sigma < theta and lam < 0.0
 
 
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.25, 1.25)], ids=["definite", "indefinite"])
+def test_discrete_coercivity_builds_the_kronecker_factors_once(alpha, beta, monkeypatch):
+    # the bracket and the congruence share one build per call, and the
+    # value is the one of a call that builds them for each
+    p, grid = _coercivity_case(alpha, beta, 16)
+    built = []
+    kronecker_factors = sector_solver._kronecker_factors
+
+    def spy(p, grid):
+        built.append(p)
+        return kronecker_factors(p, grid)
+
+    def rebuilt(name):
+        inner = getattr(sector_solver, name)
+        return lambda grid, factors, *args: inner(grid, kronecker_factors(p, grid), *args)
+
+    monkeypatch.setattr(sector_solver, "_kronecker_factors", spy)
+    lam = discrete_coercivity(p, grid)
+    assert built == [p]
+    monkeypatch.setattr(sector_solver, "_coercivity_bracket", rebuilt("_coercivity_bracket"))
+    monkeypatch.setattr(sector_solver, "_diagonal_congruence", rebuilt("_diagonal_congruence"))
+    assert discrete_coercivity(p, grid) == lam
+
+
 @pytest.mark.parametrize(
     "alpha,beta",
     [(0.6, 0.4), (0.999, 0.999), (0.999, -0.999), (-0.999, 0.999), (-0.999, -0.999), (1.8, -1.7)],
@@ -786,7 +814,7 @@ def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
 def test_diagonal_congruence_diagonalizes_h(alpha, beta):
     # (Z x U)^T H (Z x U) = diag(d), radius-major like H, with every d > 0
     p, grid = _coercivity_case(alpha, beta, 16)
-    Z, U, d = sector_solver._diagonal_congruence(p, grid)
+    Z, U, d = sector_solver._diagonal_congruence(grid, sector_solver._kronecker_factors(p, grid))
     assert d.shape == (grid.n_r - 1, grid.n_phi - 1)
     G = np.kron(Z, U)
     D = G.T @ _weighted_symmetric_part(p, grid).toarray() @ G
@@ -829,8 +857,8 @@ def test_discrete_coercivity_lowers_an_uncertified_shift(monkeypatch):
     # lambda_min has a negative pivot, and sigma = theta - 0.01*4^k falls
     # until the first definite factor of H - sigma*I gives the value
     p, grid = _coercivity_case(1.25, 1.25, 32)
-    floor, _ = _coercivity_bracket(p, grid)
-    monkeypatch.setattr(sector_solver, "_coercivity_bracket", lambda p, grid: (floor, 1.0))
+    floor, _ = _bracket(p, grid)
+    monkeypatch.setattr(sector_solver, "_coercivity_bracket", lambda grid, factors: (floor, 1.0))
     shifts = _spy_shifts(monkeypatch)
     below = []
     splu = spla.splu
@@ -909,15 +937,15 @@ def test_discrete_coercivity_fallback(fault, monkeypatch):
     else:
         congruence = sector_solver._diagonal_congruence
 
-        def negative_entry(p, grid):
-            Z, U, d = congruence(p, grid)
+        def negative_entry(grid, factors):
+            Z, U, d = congruence(grid, factors)
             d[-1, -1] = -d[-1, -1]
             return Z, U, d
 
         monkeypatch.setattr(sector_solver, "_diagonal_congruence", negative_entry)
     for alpha, beta in ((1.25, 1.25), (0.6, 0.4)):
         p, grid = _coercivity_case(alpha, beta, 16)
-        floor, _ = _coercivity_bracket(p, grid)
+        floor, _ = _bracket(p, grid)
         factors.clear()
         shifts.clear()
         with pytest.raises(SolverFailure, match="no certified shift"):

@@ -270,3 +270,46 @@ def test_threads_sharing_the_memo_get_their_own_norms():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def _complex_table_gradient(grid, vals):
+    # the gradient on complex data by numpy's own differences, as the table
+    # was built before real fields were differenced in float64
+    vals = np.asarray(vals, dtype=complex)
+    r, phi = grid.r_nodes[:, None], grid.phi_nodes[None, :]
+    u_r = np.gradient(vals, grid.dr, axis=0, edge_order=2)
+    u_phi = np.gradient(vals, grid.dphi, axis=1, edge_order=2)
+    return np.cos(phi) * u_r - np.sin(phi) / r * u_phi, np.sin(phi) * u_r + np.cos(phi) / r * u_phi
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+def test_real_fields_take_a_float_table_with_the_complex_table_norms(n, monkeypatch):
+    # a real field stored as complex is differenced in float64, a field with
+    # a nonzero imaginary part in complex128, and both give the norms and
+    # trace ratios of the complex table bit for bit, at every order
+    rng = np.random.default_rng(n)
+    grid = SectorGrid(GEO, 0.3, 1.0, n, 2 * n)
+    for _ in range(4):
+        c1, c2, c3, a = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.7)
+        real = GridFunction.from_callable(grid, lambda r, p: c1 * r * np.cos(p) + c2 * np.sin(2 * p))
+        cplx = GridFunction.from_callable(grid, lambda r, p: c1 * r * np.cos(p) + 1j * c3 * r**2 * np.sin(p))
+        assert real.values.dtype == complex and not real.values.imag.any()
+        got = [diagnostics_sequence(u, a) for u in (real, cplx)]
+        assert real.derived["gradient"][0].dtype == np.float64
+        assert cplx.derived["gradient"][0].dtype == complex
+        with monkeypatch.context() as m:
+            m.setattr(weighted_norms, "_cartesian_gradient", _complex_table_gradient)
+            assert got == [diagnostics_sequence(fresh(u), a) for u in (real, cplx)]
+
+
+def test_differences_round_as_numpy_rounds_complex_data():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((9, 7))
+    z = x + 1j * rng.standard_normal((9, 7))
+    for axis, h in ((0, 0.1), (1, 0.7 / 3.0)):
+        want = np.gradient(x + 0j, h, axis=axis, edge_order=2)
+        assert np.array_equal(weighted_norms._difference(x, h, axis), want.real)
+        assert np.array_equal(weighted_norms._difference(z, h, axis), np.gradient(z, h, axis=axis, edge_order=2))
+        # and agree with numpy's exact division of real data to rounding
+        assert np.allclose(weighted_norms._difference(x, h, axis), np.gradient(x, h, axis=axis, edge_order=2),
+                           rtol=1e-15, atol=0.0)
