@@ -189,6 +189,9 @@ def load_spec(path):
         extra = set(body) - _SCHEMA[section]
         if extra:
             raise SpecError("unknown keys %s in section %r" % (sorted(extra), section))
+    output = doc.get("output", {})
+    if "path" in output and not (isinstance(output["path"], str) and output["path"]):
+        raise SpecError("output.path must be a non-empty string, got %r" % (output["path"],))
     return doc
 
 
@@ -254,11 +257,12 @@ def _grid(spec, refine=0):
 
 
 def _out_path(spec, args, default_name):
-    out_dir = args.out if args.out else "."
-    name = default_name
-    if "output" in spec and spec["output"].get("path"):
-        name = spec["output"]["path"]
-    return os.path.join(out_dir, name)
+    """output.path, or default_name, joined to --out or the working directory;
+    SpecError unless its directory exists and it is not a directory itself."""
+    path = os.path.join(args.out or ".", spec.get("output", {}).get("path", default_name))
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path)):
+        raise SpecError("output file %s must name a file in an existing directory" % path)
+    return path
 
 
 def _f(x):
@@ -325,11 +329,11 @@ def _read_grid_csv(path, grid):
 def cmd_eigs(spec, args):
     _require(spec, "geometry", "pencil")
     p = _pencil_problem(spec)
+    path = _out_path(spec, args, "eigenvalues.csv")
     numeric = eigenvalues_numeric(p, (-MAX_HEIGHT, MAX_HEIGHT, args.im_min, args.im_max))
     closed = eigenvalues_closed_form(p, (args.im_min, args.im_max))
     rows = [("closed_form", z) for z in closed.values]
     rows += [("numeric", z) for z in numeric.values]
-    path = _out_path(spec, args, "eigenvalues.csv")
     _write_eig_csv(path, rows)
     _say(args, "%d closed-form and %d numeric eigenvalues -> %s"
          % (len(closed.values), len(numeric.values), path))
@@ -387,6 +391,7 @@ def cmd_solve(spec, args):
     if args.refine < 0:
         raise SpecError("--refine must be a count >= 0, got %d" % args.refine)
     _grid(spec, args.refine)  # a grid too fine is refused before any level is solved
+    grid_path = _out_path(spec, args, "solution.csv")
     # the coarser levels only feed the error table, which needs an exact solution
     manufactured = spec["solver"].get("rhs", "0") == "manufactured"
     errors = []
@@ -400,7 +405,6 @@ def cmd_solve(spec, args):
         if errors[i + 1] > 0.0
     ]
 
-    grid_path = _out_path(spec, args, "solution.csv")
     _write_grid_csv(grid_path, result.solution)
     summary = {
         "problem": args.problem,

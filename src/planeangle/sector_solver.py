@@ -17,8 +17,9 @@ Dirichlet data on the artificial arcs; manufactured and compactly supported
 data make the truncation exact.
 
 Matrix rows are the interior nodes and columns all nodes (laplacian_matrix);
-both solvers check the problem against the grid first (assemble_dd_system)
-and hand the interior system S x = b to one solve core (_solve_interior).
+both solvers check the problem against the grid first (_check_grid, in
+assemble_dd_system) and hand the interior system S x = b to one solve core
+(_solve_interior).
 The stencil A and the composite S = A M[:, interior] are written straight
 into CSR arrays with 32-bit indices while the grid allows: A from one value
 array per stencil slot and the interior node indices, S from A's slot
@@ -59,10 +60,14 @@ refuses it before any factor.
 
 The coercivity probe (discrete_coercivity) takes lambda_min of the weighted
 symmetric part H = dr*dphi*(K x A1 + R^-1 x A2) of S by shift-invert ARPACK
-at a certified shift sigma.  At sigma = 0, where the bracket of
-_coercivity_bracket proves H definite, H is inverted through the diagonal
-congruence of its Kronecker factors, with no sparse LU; at sigma < 0 each
-shift is certified by the inertia of a symmetric-mode SuperLU factor.
+at a certified shift sigma.  S is not assembled for it: one set of
+Kronecker factors (_kronecker_factors: the radii, all eigenpairs of the
+radial tridiagonal C = R^1/2 K R^1/2, and the dense angular A1 and A2)
+gives H as two sparse Kronecker products (_kronecker_sum), the bracket
+of _coercivity_bracket and the congruence.  At sigma = 0, where the
+bracket proves H definite, H is inverted through the diagonal congruence
+of its Kronecker factors, with no sparse LU; at sigma < 0 each shift is
+certified by the inertia of a symmetric-mode SuperLU factor.
 """
 
 from dataclasses import dataclass, field
@@ -281,6 +286,12 @@ def _stencil_times_shift(A, C, grid):
     return sp.csr_matrix((data, indices, indptr), shape=(n_a * m, n_a * m))
 
 
+def _check_grid(p, grid):
+    """IncompatibleGrid unless the problem's rays, r_min and r_max are the grid's."""
+    if (p.geometry.angles, p.r_min, p.r_max) != (grid.geometry.angles, grid.r_min, grid.r_max):
+        raise IncompatibleGrid("problem and grid differ in geometry or radii")
+
+
 def assemble_dd_system(p, grid):
     """Composite sparse system for the differential-difference problem.
 
@@ -289,12 +300,10 @@ def assemble_dd_system(p, grid):
     discrete difference operator), written directly (_stencil_times_shift).
     w = 0 on the rays and the truncation arcs, so the dropped columns carry
     no data into b.  IncompatibleGrid unless the problem's rays, r_min and
-    r_max are the grid's: solve_dd, solve_nonlocal_poisson and
-    discrete_coercivity all check here.
+    r_max are the grid's (_check_grid), which solve_dd and
+    solve_nonlocal_poisson check here.
     """
-    where = (p.geometry.angles, p.r_min, p.r_max)
-    if where != (grid.geometry.angles, grid.r_min, grid.r_max):
-        raise IncompatibleGrid("problem and grid differ in geometry or radii")
+    _check_grid(p, grid)
     C = column_shift_operator(p.operator(), grid)
     S = _stencil_times_shift(laplacian_matrix(grid), C, grid)
     return S, _rhs_vector(p.rhs, grid)[_interior(grid)]
@@ -654,26 +663,41 @@ def _shift_invert(H, sigma, v0):
 
 
 def _kronecker_factors(p, grid):
-    """(r, diag, off, T, M_int): the factors of H = dr*dphi*(K x A1 + R^-1 x A2).
+    """(r, lam, Q, A1, A2): the factors of H = dr*dphi*(K x A1 + R^-1 x A2).
 
-    r holds the interior radii, diag and off the symmetric tridiagonal
-    C = R^1/2 K R^1/2 for K = R D_r, T the folded angular matrix and M_int
-    the interior block of the column shift; A1 = sym(M_int) and
-    A2 = sym(T M_int).
+    r holds the interior radii and (lam, Q) all eigenpairs of the symmetric
+    tridiagonal C = R^1/2 K R^1/2 = Q diag(lam) Q^T for K = R D_r, from one
+    eigh_tridiagonal; A1 = sym(M_int) and A2 = sym(T M_int) are dense, for
+    the folded angular matrix T and the interior block M_int of the column
+    shift.
     """
     r = grid.r_nodes[1:-1]
     main, up, _ = _radial_stencil(r, grid.dr)
-    diag, off = r**2 * main, r[:-1] * up[:-1] * np.sqrt(r[:-1] * r[1:])
-    T = angular_matrix(p.alpha, p.beta, grid)
+    lam, Q = la.eigh_tridiagonal(r**2 * main, r[:-1] * up[:-1] * np.sqrt(r[:-1] * r[1:]))
     M_int = column_shift_operator(p.operator(), grid)[1:-1, 1:-1]
-    return r, diag, off, T, M_int
+    M = np.eye(grid.n_phi - 1) @ M_int  # dense: ndarray @ sparse
+    TM = angular_matrix(p.alpha, p.beta, grid) @ M_int
+    return r, lam, Q, 0.5 * (M + M.T), 0.5 * (TM + TM.T)
+
+
+def _kronecker_sum(grid, factors):
+    """H = dr*dphi*(K x A1 + R^-1 x A2) in CSR form from its _kronecker_factors.
+
+    K = R D_r is symmetric tridiagonal; both its off-diagonals are taken
+    from the upper one, as in C, so H is exactly symmetric.
+    """
+    r, _, _, A1, A2 = factors
+    main, up, _ = _radial_stencil(r, grid.dr)
+    K = sp.diags([r[:-1] * up[:-1], r * main, r[:-1] * up[:-1]], [-1, 0, 1])
+    H = sp.kron(K, A1, format="csr") + sp.kron(sp.diags(1.0 / r), A2, format="csr")
+    return grid.dr * grid.dphi * H
 
 
 def _diagonal_congruence(grid, factors):
     """(Z, U, d) with (Z x U)^T H (Z x U) = diag(d), H as in discrete_coercivity.
 
-    With C = Q Lambda Q^T (all eigenpairs) and Z = R^1/2 Q, Z^T K Z = Lambda
-    and Z^T R^-1 Z = I.  For the lowest block B0 = lambda_0 A1 + A2, the
+    With C = Q Lambda Q^T and Z = R^1/2 Q, Z^T K Z = Lambda and
+    Z^T R^-1 Z = I.  For the lowest block B0 = lambda_0 A1 + A2, the
     symmetric-definite pencil (A1, B0) gives U with U^T B0 U = I and
     U^T A1 U = diag(a) (Golub & Van Loan, Matrix Computations, 8.7), so
     d_ik = dr*dphi*(1 + (lambda_i - lambda_0)*a_k), an (n_r-1) x (n_phi-1)
@@ -682,11 +706,7 @@ def _diagonal_congruence(grid, factors):
     bracket floor is > 0.  LinAlgError when B0 is not definite.  factors
     are the _kronecker_factors of H.
     """
-    r, diag, off, T, M_int = factors
-    lam, Q = la.eigh_tridiagonal(diag, off)
-    M = np.eye(T.shape[0]) @ M_int  # dense: ndarray @ sparse
-    TM = T @ M_int
-    A1, A2 = 0.5 * (M + M.T), 0.5 * (TM + TM.T)
+    r, lam, Q, A1, A2 = factors
     a, U = la.eigh(A1, lam[0] * A1 + A2)
     return np.sqrt(r)[:, None] * Q, U, grid.dr * grid.dphi * (1.0 + (lam - lam[0])[:, None] * a)
 
@@ -716,27 +736,21 @@ def _congruence_invert(H, grid, factors, v0):
 def _coercivity_bracket(grid, factors):
     """(floor, theta) with floor <= lambda_min(H) <= theta, H as in discrete_coercivity.
 
-    H = dr*dphi*(K x A1 + R^-1 x A2) over the interior radii R = diag(r):
-    K = R D_r is symmetric tridiagonal, A1 = sym(M_int) and A2 = sym(T M_int)
-    for the interior block M_int of the column shift.  With C = R^1/2 K R^1/2
-    = Q Lambda Q^T and Z = R^1/2 Q, (Z x I)^T H (Z x I) is block diagonal with
-    blocks sym((lambda_i I + T) M_int), and Z Z^T = R, so by Ostrowski's
-    theorem (Horn & Johnson, Thm 4.5.9) lambda_min(H) is dr*dphi*b over a
-    radius in [r_first, r_last], b the least block eigenvalue.  b is concave
-    in lambda_i, so the two end blocks attain it.  theta is the least Rayleigh
+    H = dr*dphi*(K x A1 + R^-1 x A2) over the interior radii R = diag(r)
+    (_kronecker_factors).  With C = R^1/2 K R^1/2 = Q Lambda Q^T and
+    Z = R^1/2 Q, (Z x I)^T H (Z x I) is block diagonal with blocks
+    lambda_i A1 + A2, and Z Z^T = R, so by Ostrowski's theorem (Horn &
+    Johnson, Thm 4.5.9) lambda_min(H) is dr*dphi*b over a radius in
+    [r_first, r_last], b the least block eigenvalue.  b is concave in
+    lambda_i, so the two end blocks attain it.  theta is the least Rayleigh
     quotient of H at (R^1/2 q_i) x y_i, y_i the lowest eigenvector of end
-    block i.  factors are the _kronecker_factors of H.
+    block i.
     """
-    r, diag, off, T, M_int = factors
-    scale = grid.dr * grid.dphi
-    b, theta = np.inf, np.inf
-    for k in (0, r.size - 1):
-        lam, q = la.eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
-        block = (T + lam[0] * np.eye(T.shape[0])) @ M_int  # dense: ndarray @ sparse
-        b_k = np.linalg.eigvalsh(0.5 * (block + block.T))[0]
-        b = min(b, b_k)
-        theta = min(theta, scale * b_k / (q[:, 0] ** 2 @ r))
-    return scale * b / (r[0] if b < 0.0 else r[-1]), theta
+    r, lam, Q, A1, A2 = factors
+    scale, ends = grid.dr * grid.dphi, (0, -1)
+    b = [np.linalg.eigvalsh(lam[k] * A1 + A2)[0] for k in ends]
+    theta = min(scale * b_k / (Q[:, k] ** 2 @ r) for b_k, k in zip(b, ends))
+    return scale * min(b) / (r[0] if min(b) < 0.0 else r[-1]), theta
 
 
 def discrete_coercivity(p, grid):
@@ -744,7 +758,11 @@ def discrete_coercivity(p, grid):
 
     The interior operator S of assemble_dd_system is weighted by the discrete
     inner product r_i*dr*dphi; returns lambda_min of H = (W S + (W S)^T)/2,
-    the sparse symmetric part, which is never densified.
+    the sparse symmetric part, which is never densified.  S is not
+    assembled and the rhs is never sampled: H = dr*dphi*(K x A1 + R^-1 x A2)
+    is built from its Kronecker factors (_kronecker_factors, _kronecker_sum),
+    which also give the bracket and the congruence.  IncompatibleGrid unless
+    the problem's rays and radii are the grid's (_check_grid).
 
     ARPACK (eigsh) runs in shift-invert mode at a shift sigma certified to
     lie below every eigenvalue of H, so the eigenvalue nearest sigma is
@@ -767,23 +785,21 @@ def discrete_coercivity(p, grid):
     eigenvector that is odd under it (at n = 16, alpha = beta = -1.9 it
     returned -11.92 for -12.04).  An ARPACK failure raises SolverFailure.
     """
-    S, _ = assemble_dd_system(p, grid)
-    r = np.repeat(grid.r_nodes, grid.n_phi + 1)[_interior(grid)]
-    Sw = sp.diags(r * grid.dr * grid.dphi) @ S
-    sym = 0.5 * (Sw + Sw.T)
-    v0 = np.random.default_rng(0).standard_normal(sym.shape[0])
+    _check_grid(p, grid)
     factors = _kronecker_factors(p, grid)
+    H = _kronecker_sum(grid, factors)
+    v0 = np.random.default_rng(0).standard_normal(H.shape[0])
     floor, theta = _coercivity_bracket(grid, factors)
-    margin = 1e-12 * spla.norm(sym, np.inf)
+    margin = 1e-12 * spla.norm(H, np.inf)
     lowest = floor - margin
     delta = 1e-2 * abs(theta) if theta else margin  # a zero delta never moves sigma
     sigma = 0.0 if floor > margin else max(theta - delta, lowest)
     try:
         while True:
             if floor > margin:
-                val = _congruence_invert(sym, grid, factors, v0)
+                val = _congruence_invert(H, grid, factors, v0)
             else:
-                val = _shift_invert(sym, sigma, v0)
+                val = _shift_invert(H, sigma, v0)
             if val is not None:
                 return float(val)
             if sigma <= lowest:

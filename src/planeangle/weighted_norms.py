@@ -169,9 +169,11 @@ def trace_ratio(u, ray, p):
     """Trace integral along the ray divided by e_norm(u); 0 for u identically 0.
 
     A boundedness probe for the weighted trace inequality: the ratio should
-    stay below a single constant across families of test functions.
+    stay below a single constant across families of test functions.  The
+    ray and the order are checked first (trace_integral), also for u = 0.
     """
+    trace = trace_integral(u, ray, p)
     denom = e_norm(u, p)
     if denom == 0.0:
         return 0.0
-    return trace_integral(u, ray, p) / denom
+    return trace / denom

@@ -4,6 +4,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +255,45 @@ def edited_spec(tmp_path, edits):
     with open(path, "w") as f:
         json.dump(doc, f)
     return path
+
+
+BAD_OUTPUT_PATHS = {
+    "not-a-string": (5, "output.path must be a non-empty string, got 5"),
+    "empty": ("", "output.path must be a non-empty string, got ''"),
+    "missing-directory": ("missing/out.csv", "must name a file in an existing directory"),
+    "a-directory": (".", "must name a file in an existing directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OUTPUT_PATHS))
+def test_bad_output_path_exit(tmp_path, case):
+    # a malformed output.path is a problem file error (exit 2), not a
+    # traceback, which would exit 1 like a Green identity FAIL
+    name, message = BAD_OUTPUT_PATHS[case]
+    spec = edited_spec(tmp_path, {"output": {"path": name}})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = ["--spec", spec, "--out", str(tmp_path), "--quiet", "eigs"]
+    proc = subprocess.run([sys.executable, "-m", "planeangle.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_PARSE
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["eigs", "solve"])
+def test_output_directory_is_checked_before_any_computation(tmp_path, capsys, monkeypatch, command):
+    def computed(*args):
+        raise AssertionError("computed before the output path was checked")
+
+    spec = edited_spec(tmp_path, {"output": {"path": "sub/out.csv"}})
+    argv = ["--spec", spec, "--out", str(tmp_path), "--quiet", command]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "eigenvalues_numeric", computed)
+        m.setattr(cli, "_solve_once", computed)
+        assert main(argv) == EXIT_PARSE
+    assert "sub/out.csv must name a file in an existing directory" in capsys.readouterr().err
+    (tmp_path / "sub").mkdir()
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "sub" / "out.csv").read_text().startswith(("method,", "r,phi,"))
 
 
 SUBCOMMANDS = {

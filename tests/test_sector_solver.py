@@ -695,8 +695,11 @@ def test_weighted_symmetric_part_is_a_kronecker_sum(alpha, beta):
     TM = angular_matrix(alpha, beta, grid) @ M_int
     A1, A2 = 0.5 * (M_int + M_int.T), 0.5 * (TM + TM.T)
     want = grid.dr * grid.dphi * (np.kron(K, A1) + np.kron(np.diag(1.0 / r), A2))
-    H = _weighted_symmetric_part(p, grid).toarray()
-    assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
+    # the weighted symmetric part of S, and H as the probe builds it
+    built = sector_solver._kronecker_sum(grid, sector_solver._kronecker_factors(p, grid))
+    for H in (_weighted_symmetric_part(p, grid), built):
+        H = H.toarray()
+        assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("r_min,r_max", [(0.5, 3.0), (0.1, 10.0)])
@@ -750,7 +753,9 @@ def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
     # factor of S.  When the bracket floor proves H definite, sigma is 0
     # and the inverse is the diagonal congruence, with no sparse factor;
     # otherwise sigma lies between the floor and the upper bound theta and
-    # the inverse is the one symmetric-mode factor of H - sigma*I
+    # the inverse is the one symmetric-mode factor of H - sigma*I, with H
+    # the matrix eigsh receives, within rounding of the weighted symmetric
+    # part of S
     seen, calls = [], []
     splu, eigsh = spla.splu, spla.eigsh
 
@@ -758,17 +763,18 @@ def test_discrete_coercivity_factors_h_once(alpha, beta, monkeypatch):
         seen.append((M.copy(), kwargs))
         return splu(M, *args, **kwargs)
 
-    def spy_eigsh(*args, **kwargs):
-        calls.append(kwargs)
-        return eigsh(*args, **kwargs)
+    def spy_eigsh(H, *args, **kwargs):
+        calls.append((H.copy(), kwargs))
+        return eigsh(H, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", spy)
     monkeypatch.setattr(spla, "eigsh", spy_eigsh)
     p, grid = _coercivity_case(alpha, beta, 32)
     lam = discrete_coercivity(p, grid)
-    H = _weighted_symmetric_part(p, grid)
     floor, theta = _bracket(p, grid)
-    (call,) = calls
+    ((H, call),) = calls
+    want = _weighted_symmetric_part(p, grid)
+    assert abs(H - want).max() <= 1e-14 * abs(want).max()
     sigma = call["sigma"]
     assert call["which"] == "LM" and "v0" in call and call["OPinv"] is not None
     if alpha + beta < 2.0:
@@ -805,6 +811,34 @@ def test_discrete_coercivity_builds_the_kronecker_factors_once(alpha, beta, monk
     monkeypatch.setattr(sector_solver, "_coercivity_bracket", rebuilt("_coercivity_bracket"))
     monkeypatch.setattr(sector_solver, "_diagonal_congruence", rebuilt("_diagonal_congruence"))
     assert discrete_coercivity(p, grid) == lam
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (1.25, 1.25)], ids=["definite", "indefinite"])
+def test_discrete_coercivity_needs_neither_s_nor_the_rhs(alpha, beta, monkeypatch):
+    # H comes from its Kronecker factors: an rhs that cannot be sampled does
+    # not matter, neither S nor the stencil is assembled, and one
+    # eigh_tridiagonal gives all of C's eigenpairs
+    def not_called(*args, **kwargs):
+        raise AssertionError("S assembled for the coercivity probe")
+
+    def no_rhs(r, phi):
+        raise AssertionError("rhs sampled for the coercivity probe")
+
+    p, grid = _coercivity_case(alpha, beta, 16)
+    lam = discrete_coercivity(p, grid)
+    p = dataclasses.replace(p, rhs=no_rhs)
+    assert discrete_coercivity(p, grid) == lam
+    tridiagonal, eigh_tridiagonal = [], sla.eigh_tridiagonal
+
+    def spy(*args, **kwargs):
+        tridiagonal.append(kwargs)
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", spy)
+    for name in ("assemble_dd_system", "laplacian_matrix"):
+        monkeypatch.setattr(sector_solver, name, not_called)
+    assert discrete_coercivity(p, grid) == lam
+    assert tridiagonal == [{}]
 
 
 @pytest.mark.parametrize(

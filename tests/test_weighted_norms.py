@@ -122,6 +122,17 @@ def test_trace_ratio_requires_l_geq_1():
         trace_ratio(u, "gamma1", WeightParams(0.0, 0))
 
 
+def test_trace_ratio_of_zero_checks_ray_and_order():
+    # u = 0 has a zero E norm, and still an invalid ray or order raises
+    grid = SectorGrid(GEO, 1.0, 2.0, 8, 8)
+    u = GridFunction(grid, np.zeros((9, 9)))
+    with pytest.raises(PlaneAngleError, match="ray must be"):
+        trace_ratio(u, "gamma2", WeightParams(0.5, 1))
+    with pytest.raises(UnsupportedOrder):
+        trace_ratio(u, "gamma1", WeightParams(0.5, 0))
+    assert trace_ratio(u, "gamma3", WeightParams(0.5, 1)) == 0.0
+
+
 def test_trace_ratio_stable_under_refinement():
     p = WeightParams(0.5, 1)
     bump = exp_bump(1.0, 2.5)
