@@ -631,8 +631,21 @@ def solve_nonlocal_poisson(p, grid):
 
 def _nearest_above(H, sigma, inverse, v0):
     """The eigenvalue of H nearest sigma, from ARPACK in shift-invert mode
-    with inverse as (H - sigma*I)^-1, if it lies above sigma, else None."""
-    val = spla.eigsh(H, 1, sigma=sigma, which="LM", OPinv=inverse, v0=v0, return_eigenvectors=False)
+    with inverse as (H - sigma*I)^-1, if it lies above sigma, else None.
+
+    ARPACK accepts a Ritz value theta of the inverse once its residual is
+    at most tol*|theta|, tol = 64*eps (for |theta| >= eps^(2/3)).  Then an
+    eigenvalue mu of the inverse lies within tol*|theta| of theta, and the
+    returned value sigma + 1/theta lies within
+    tol*|lambda - sigma| <= tol*||H - sigma*I||_2 of the eigenvalue
+    lambda = sigma + 1/mu of H.  ARPACK's default tol = eps asks for more
+    than the rounding of the solves gives: outside the regime at n = 64 it
+    needs 31 solves where 21 give the same value.
+    """
+    tol = 64.0 * np.finfo(float).eps
+    val = spla.eigsh(
+        H, 1, sigma=sigma, which="LM", OPinv=inverse, v0=v0, tol=tol, return_eigenvectors=False
+    )
     return val[0] if val[0] > sigma else None
 
 
@@ -776,7 +789,9 @@ def discrete_coercivity(p, grid):
     each shift is certified by the inertia of a symmetric-mode SuperLU
     factor of H - sigma*I (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
     15, 1994); a shift at the floor that does not certify raises
-    SolverFailure.  At most one factor is alive at a time.
+    SolverFailure.  At most one factor is alive at a time.  ARPACK stops at
+    tol = 64*eps of the Ritz value of the inverse (_nearest_above), so the
+    value lies within 64*eps*|lambda_min - sigma| of lambda_min.
 
     Every ARPACK run starts from one fixed pseudo-random vector, so equal
     inputs give equal values.  A symmetric start vector would not do: for

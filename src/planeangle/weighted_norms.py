@@ -9,16 +9,22 @@ ray; the trace-space norm proper is an infimum over extensions and is not
 computed, the extension's own volume norm stands in for it.
 
 Quadrature is midpoint over grid cells with polar area weight r dr dphi, so
-the integral of a nodal-constant integrand is exact.
+the integral of a nodal-constant integrand is exact.  Both weights depend on
+r and |alpha| only, so the rule is a radial sum: with S_k = sum_{|alpha|=k}
+|D^alpha u|^2 and the profile P_k[i] = sum_{j<n_phi} (S_k[i,j] + S_k[i,j+1]),
+the integral is dr dphi sum_i rbar_i (Q_i + Q_{i+1})/4 for
+Q = sum_k w_k(r) P_k and rbar_i the cell's mid radius.
 
-The norms of one field share its derivative table, which lives in the
-field's own derived dict: the order and the real squares |D^alpha u|^2 for
-every |alpha| up to that order.  A higher order extends the table, a lower
-one reads part of it.  The first derivatives are kept there too, so order 2
+The norms of one field share its table of profiles, which lives in the
+field's own derived dict: one vector of length n_r+1 per order k up to the
+highest order asked for so far.  A higher order extends the table from
+cartesian_derivatives and drops the node-sized squares, a lower one reads
+part of it, so after the first call at an order every norm of the field up
+to that order costs O(n_r).  The first derivatives are kept too, so order 2
 after order 1 takes only the gradients of u_x and u_y.  Grid function
 values are read-only, so a table never goes stale, and it dies with its
 field.  A field whose imaginary part is exactly zero, as every sample of a
-real function is, gets its table from the real part in float64; the
+real function is, gets its derivatives from the real part in float64; the
 differences round as numpy rounds complex ones, so the table holds the
 same bits either way.
 """
@@ -105,32 +111,29 @@ def cartesian_derivatives(u, l):
     return out
 
 
-def _squares(u, l):
-    """{alpha: |D^alpha u|^2} for |alpha| <= l, in cartesian_derivatives' order."""
-    order, squares = u.derived.get("squares", (-1, {}))
-    if order < l:
-        derivatives = cartesian_derivatives(u, l).items()
-        squares = {**squares, **{a: np.abs(d) ** 2 for a, d in derivatives if sum(a) > order}}
-        u.derived["squares"] = (l, squares)
-    return {alpha: sq for alpha, sq in squares.items() if sum(alpha) <= l}
-
-
-def _cell_integral(grid, nodal):
-    """Midpoint-cell quadrature sum of a nodal integrand with weight r dr dphi."""
-    cell = 0.25 * (nodal[:-1, :-1] + nodal[1:, :-1] + nodal[:-1, 1:] + nodal[1:, 1:])
-    r_mid = 0.5 * (grid.r_nodes[:-1] + grid.r_nodes[1:])
-    return float(np.real(np.sum(cell * r_mid[:, None]) * grid.dr * grid.dphi))
+def _profiles(u, l):
+    """(P_0, ..., P_l): P_k[i] = sum_{j<n_phi} (S_k[i,j] + S_k[i,j+1]) with
+    S_k = sum_{|alpha|=k} |D^alpha u|^2, from the field's table, which is
+    extended when the order first rises."""
+    profiles = u.derived.get("profiles", ())
+    if len(profiles) <= l:
+        squares = [0.0] * (l + 1)
+        for (i, j), d in cartesian_derivatives(u, l).items():
+            if i + j >= len(profiles):
+                squares[i + j] += np.abs(d) ** 2
+        profiles += tuple(np.sum(s[:, :-1] + s[:, 1:], axis=1) for s in squares[len(profiles):])
+        u.derived["profiles"] = profiles
+    return profiles[: l + 1]
 
 
 def _weighted_norm(u, l, weight):
-    """Root of the cell integral of sum weight(r, |alpha|) |D^alpha u|^2, |alpha| <= l."""
+    """Root of the midpoint-cell integral of sum weight(r, |alpha|) |D^alpha u|^2,
+    |alpha| <= l, with weight r dr dphi, summed over radii from the profiles."""
     grid = u.grid
-    r = grid.r_nodes[:, None]
-    by_order = [weight(r, k) for k in range(l + 1)]
-    integrand = np.zeros(u.values.shape)
-    for (i, j), sq in _squares(u, l).items():
-        integrand += by_order[i + j] * sq
-    return np.sqrt(_cell_integral(grid, integrand))
+    r = grid.r_nodes
+    Q = sum(weight(r, k) * P for k, P in enumerate(_profiles(u, l)))
+    r_mid = 0.5 * (r[:-1] + r[1:])
+    return np.sqrt(float(np.sum(0.25 * (Q[:-1] + Q[1:]) * r_mid) * grid.dr * grid.dphi))
 
 
 def e_norm(u, p):

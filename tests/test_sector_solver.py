@@ -886,6 +886,31 @@ def test_discrete_coercivity_on_the_regime_boundary(alpha, beta):
     assert abs(lam - _dense_lambda_min(p, grid)) <= 1e-10 * _h_norm(p, grid)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,most",
+    [(1.416, 1.132, 21), (0.6, 0.4, 21), (1.0, 1.0, 50)],
+    ids=["outside", "inside", "boundary"],
+)
+def test_discrete_coercivity_solve_count(alpha, beta, most, monkeypatch):
+    # ARPACK stops at tol = 64*eps of the inverse's Ritz value, not at its
+    # default eps, which took 31 solves outside the regime and 51 on its
+    # boundary at n = 64 for the same values
+    eigsh, solves = spla.eigsh, []
+
+    def spy(H, *args, OPinv, **kwargs):
+        def matvec(x):
+            solves.append(1)
+            return OPinv.matvec(x)
+
+        counted = spla.LinearOperator(OPinv.shape, matvec=matvec, dtype=OPinv.dtype)
+        return eigsh(H, *args, OPinv=counted, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    p, grid = _coercivity_case(alpha, beta, 64)
+    discrete_coercivity(p, grid)
+    assert 0 < len(solves) <= most
+
+
 def test_discrete_coercivity_lowers_an_uncertified_shift(monkeypatch):
     # an upper bound theta = 1 far above lambda_min: every shift above
     # lambda_min has a negative pivot, and sigma = theta - 0.01*4^k falls

@@ -232,27 +232,30 @@ def test_alternating_fields_match_memo_free_norms():
 
 
 def test_table_lives_on_its_field_and_dies_with_it():
-    u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 16, 16))
+    u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 16, 24))
     e_norm(u, WeightParams(0.3, 2))
-    order, squares = u.derived["squares"]
-    assert order == 2 and len(squares) == 6
+    # one radial profile of length n_r + 1 per order; no node-sized table
+    # but the gradient
+    profiles = u.derived["profiles"]
+    assert [P.shape for P in profiles] == [(17,)] * 3
+    assert set(u.derived) == {"gradient", "profiles"}
     # the first derivatives that order 2 was built from stay, read-only
     assert not any(d.flags.writeable for d in u.derived["gradient"])
     assert not hasattr(weighted_norms, "_TABLE")
-    ref = weakref.ref(u)
-    del u
+    ref, table = weakref.ref(u), weakref.ref(profiles[2])
+    del u, profiles
     gc.collect()
-    assert ref() is None
+    assert ref() is None and table() is None
 
 
 def test_fields_with_equal_values_keep_separate_tables():
     u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 16, 16))
     v = fresh(u)
     e_norm(u, WeightParams(0.3, 2))
-    assert "squares" not in v.derived
+    assert "profiles" not in v.derived
     h_norm(v, WeightParams(0.3, 1))
-    assert u.derived["squares"][0] == 2 and v.derived["squares"][0] == 1
-    assert u.derived["squares"][1] is not v.derived["squares"][1]
+    assert len(u.derived["profiles"]) == 3 and len(v.derived["profiles"]) == 2
+    assert not any(P is Q for P in u.derived["profiles"] for Q in v.derived["profiles"])
 
 
 def test_threads_sharing_the_memo_get_their_own_norms():
@@ -324,3 +327,59 @@ def test_differences_round_as_numpy_rounds_complex_data():
         # and agree with numpy's exact division of real data to rounding
         assert np.allclose(weighted_norms._difference(x, h, axis), np.gradient(x, h, axis=axis, edge_order=2),
                            rtol=1e-15, atol=0.0)
+
+
+def _nodal_norm(u, l, weight):
+    # the O(n^2) reference: the midpoint-cell rule on the nodal integrand
+    # sum weight(r, |alpha|) |D^alpha u|^2, with no table
+    grid = u.grid
+    r = grid.r_nodes[:, None]
+    nodal = np.zeros(u.values.shape)
+    for (i, j), d in weighted_norms.cartesian_derivatives(fresh(u), l).items():
+        nodal += weight(r, i + j) * np.abs(d) ** 2
+    cell = 0.25 * (nodal[:-1, :-1] + nodal[1:, :-1] + nodal[:-1, 1:] + nodal[1:, 1:])
+    r_mid = 0.5 * (grid.r_nodes[:-1] + grid.r_nodes[1:])
+    return np.sqrt(float(np.sum(cell * r_mid[:, None]) * grid.dr * grid.dphi))
+
+
+def _oracle(u, ray, a, l):
+    e = _nodal_norm(u, l, lambda r, k: r ** (2 * a) * (r ** (2 * (k - l)) + 1.0))
+    h = _nodal_norm(u, l, lambda r, k: r ** (2 * (a - l + k)))
+    trace = weighted_norms.trace_integral(u, ray, WeightParams(a, l)) / e if l else None
+    return e, h, trace
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+def test_radial_profiles_match_the_nodal_quadrature(n):
+    rng = np.random.default_rng(10 + n)
+    grid = SectorGrid(GEO, 0.3, 1.0, n, 2 * n)
+    c1, c2, c3 = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+    fields = [
+        GridFunction.from_callable(grid, lambda r, p: c1 * r * np.cos(p) + c2 * np.sin(2 * p)),
+        GridFunction.from_callable(grid, lambda r, p: c1 * r * np.cos(p) + 1j * c3 * r**2 * np.sin(3 * p)),
+        GridFunction(grid, rng.standard_normal((n + 1, 2 * n + 1)) + 1j * rng.standard_normal((n + 1, 2 * n + 1))),
+    ]
+    for u in fields:
+        # every order of one field in turn: the table is extended, then read
+        for l in (1, 0, 2, 1, 0):
+            for a in (-0.5, 0.0, 0.3, 1.7):
+                p = WeightParams(a, l)
+                got = e_norm(u, p), h_norm(u, p), trace_ratio(u, "gamma3", p) if l else None
+                want = _oracle(u, "gamma3", a, l)
+                for g, w in zip(got, want):
+                    if w is not None:
+                        assert abs(g - w) <= 1e-14 * w
+
+
+def test_norms_after_order_2_read_only_the_table(monkeypatch):
+    u = smooth_u(SectorGrid(GEO, 0.3, 1.0, 32, 32))
+    e_norm(u, WeightParams(0.3, 2))
+    tables = counted(monkeypatch, "cartesian_derivatives")
+    gradients = counted(monkeypatch, "_cartesian_gradient")
+    for a in (-0.4, 0.3, 1.1):
+        for l in (0, 1, 2):
+            p = WeightParams(a, l)
+            e_norm(u, p), h_norm(u, p)
+            if l:
+                trace_ratio(u, "gamma1", p)
+    assert tables == [] and gradients == []
