@@ -206,9 +206,10 @@ def _require(spec, *sections):
 
 
 def _finite(value, name):
-    """value as a float; SpecError naming it unless it is a finite number (not NaN or inf)."""
+    """value as a float; SpecError naming it unless it is a finite number (not
+    NaN or inf).  JSON true and false are not numbers, though Python's bool is."""
     try:
-        number = float(value)
+        number = np.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = np.nan
     if not np.isfinite(number):

@@ -134,12 +134,18 @@ class SectorGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Read-only complex nodal values on a SectorGrid, indexed (radial, angular).
+    """Read-only nodal values on a SectorGrid, indexed (radial, angular).
 
-    A complex array is held, not copied, and made read-only in place (another
-    view of its memory can still write it).  Equality is identity.  derived
-    caches what is computed from the values (the norms' derivative table)
-    and dies with the field.
+    This is the one place that decides whether a field is real: values are
+    float64 for a real field and complex128 only when the imaginary part is
+    not all zero.  A float64 array, or a complex128 one with a nonzero
+    imaginary part, is held, not copied, and made read-only in place
+    (another view of its memory can still write it).  A complex array whose
+    imaginary part is exactly zero is stored once as a float64 copy of its
+    real part, and any other input is converted once.  So consumers compute
+    in the values' own dtype, in real arithmetic on real data.  Equality is
+    identity.  derived caches what is computed from the values (the norms'
+    derivative table) and dies with the field.
     """
 
     grid: SectorGrid
@@ -147,7 +153,10 @@ class GridFunction:
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values)
+        if np.iscomplexobj(vals) and not vals.imag.any():
+            vals = np.array(vals.real, dtype=float)
+        vals = np.asarray(vals, dtype=complex if np.iscomplexobj(vals) else float)
         expected = (self.grid.n_r + 1, self.grid.n_phi + 1)
         if vals.shape != expected:
             raise IncompatibleGrid(
@@ -164,10 +173,14 @@ class GridFunction:
         the angular nodes as a (1, n_phi+1) row, so it must broadcast its
         arguments like numpy arithmetic does: a term in r alone is evaluated
         n_r+1 times, not at every node.  Its result, a scalar or any array
-        that broadcasts to the node shape, is spread over all nodes.
+        that broadcasts to the node shape, is spread over all nodes, in its
+        own dtype but float64 at least: a real function fills a float64
+        array.
         """
         r, phi = np.meshgrid(grid.r_nodes, grid.phi_nodes, indexing="ij", sparse=True)
-        return cls(grid, np.full((grid.n_r + 1, grid.n_phi + 1), func(r, phi), dtype=complex))
+        sample = np.asarray(func(r, phi))
+        shape = (grid.n_r + 1, grid.n_phi + 1)
+        return cls(grid, np.full(shape, sample, dtype=np.result_type(sample, float)))
 
 
 def exp_bump(r0, r1):

@@ -43,15 +43,18 @@ routine pencil.characteristic_roots, in O(n_phi^2) operations.  So is V^-1: its
 rows are the left eigenvectors, the eigenvectors of the adjoint T^T, which
 are piecewise sines, scaled by biorthogonality.  S, V and the radial
 factor are real, so every solve and matrix-vector product is a real map
-on the real and imaginary parts of the data that are not all zero
-(_on_parts): real data, stored as complex, are solved in real arithmetic
-on one part.  Both transforms are real matrix products, and the
-separable path factors no dense matrix.  All radial systems go through one
-sparse LU of a block-diagonal matrix in natural order, which a tridiagonal
-block fills no further.  The transform with V is not backward stable for
-S: its residual grows with cond(V), which is 2 to 45 for
-|alpha+beta| <= 1.998 and grows without bound as |alpha+beta| -> 2.  So the residual of S, recomputed
-after every solve and gated at 1e-8 * ||b||, decides: when T has no real
+on one float column per part of the data (_on_parts).  Real data are
+float64 from the rhs on, because GridFunction stores real fields so, and
+cost one real solve; complex data cost one solve of their two parts side
+by side.  The lifting, the residuals and w keep the dtype of their data,
+so real data never meet complex arithmetic.  Both transforms are real
+matrix products, and the separable path factors no dense matrix.  All
+radial systems go through one sparse LU of a block-diagonal matrix in
+natural order, which a tridiagonal block fills no further.  The transform
+with V is not backward stable for S: its residual grows with cond(V),
+which is 2 to 45 for |alpha+beta| <= 1.998 and grows without bound as
+|alpha+beta| -> 2.  So the residual of S, recomputed after every solve
+and gated at 1e-8 * ||b||, decides: when T has no real
 eigenbasis (|alpha+beta| >= 2), when the radial solve hits a singular
 matrix, or when the separable solution fails the gate, the core solves
 again with a sparse LU of S, ordered by minimum degree on S + S^T.  A
@@ -320,21 +323,18 @@ def _rhs_vector(rhs, grid):
 def _on_parts(real_map, x):
     """real_map(x) for real or complex x, real_map a real linear map.
 
-    real_map acts once on an (N, k) float view of x, one column per part,
-    real then imaginary, that is not all zero, and never meets a complex
-    array: real data stored as complex, whose imaginary part is exactly 0,
-    cost one real part (k = 1), and a zero part maps to zero without a
-    call.  Only x = 0 goes through, as its real part, which gives the
-    result its length.  Real or strided x is copied to a contiguous complex
-    array first, which the view needs.
+    real_map acts once on an (N, k) float array and never meets a complex
+    one: a real x is its one column (k = 1) and gives a real result, a
+    complex x its (N, 2) float view, real then imaginary part, and gives a
+    complex result.  Whether data are real is decided by their dtype, which
+    GridFunction sets: real fields are float64, so real data cost one real
+    part.  Strided complex x is copied to a contiguous array first, which
+    the view needs.
     """
-    parts = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
-    live = [k for k in (0, 1) if parts[:, k].any()] or [0]
-    cols = slice(live[0], live[-1] + 1)
-    y = real_map(parts[:, cols])
-    out = np.zeros((y.shape[0], 2))
-    out[:, cols] = y
-    return out.view(complex).ravel()
+    if not np.iscomplexobj(x):
+        return real_map(x[:, None]).ravel()
+    y = real_map(np.ascontiguousarray(x).view(float).reshape(-1, 2))
+    return np.ascontiguousarray(y).view(complex).ravel()
 
 
 def _factor(M, **splu_options):
@@ -544,8 +544,7 @@ def _solve_interior(p, grid, S, b):
         eq_res = float(np.linalg.norm(_on_parts(S.dot, x) - b))
         if bnorm > 0 and eq_res > 1e-8 * bnorm:
             raise SolverFailure("direct solve residual %g too large" % eq_res)
-    w = np.zeros((grid.n_r + 1, grid.n_phi + 1), dtype=complex)
-    w[1:-1, 1:-1] = x.reshape(grid.n_r - 1, grid.n_phi - 1)
+    w = np.pad(x.reshape(grid.n_r - 1, grid.n_phi - 1), 1)  # zero on the boundary nodes
     return GridFunction(grid, w), eq_res, {"method": method, "cond_V": cond_V, "rhs_norm": bnorm}
 
 
@@ -582,8 +581,8 @@ def boundary_lifting(p, grid):
     b1, b3 = p.geometry.angles[0], p.geometry.angles[-1]
     eps = 0.5 * p.geometry.d
     r, phi = grid.r_nodes, grid.phi_nodes
-    g1 = np.full(r.size, p.g1(r), dtype=complex)
-    g3 = np.full(r.size, p.g3(r), dtype=complex)
+    g1 = np.full(r.size, p.g1(r))
+    g3 = np.full(r.size, p.g3(r))
     vals = g1[:, None] * lifting_cutoff((phi - b1) / eps) + g3[:, None] * lifting_cutoff(
         (b3 - phi) / eps
     )
@@ -594,10 +593,8 @@ def nonlocal_boundary_residual(p, grid, u):
     """Max residual of the two nonlocal ray conditions on the grid."""
     s = grid.shift_columns
     r = grid.r_nodes
-    g1 = np.asarray(p.g1(r), dtype=complex)
-    g3 = np.asarray(p.g3(r), dtype=complex)
-    res1 = u.values[:, 0] + p.alpha * u.values[:, s] - g1
-    res3 = u.values[:, -1] + p.beta * u.values[:, s] - g3
+    res1 = u.values[:, 0] + p.alpha * u.values[:, s] - p.g1(r)
+    res3 = u.values[:, -1] + p.beta * u.values[:, s] - p.g3(r)
     return float(max(np.max(np.abs(res1)), np.max(np.abs(res3))))
 
 
@@ -610,7 +607,8 @@ def solve_nonlocal_poisson(p, grid):
     built after the problem passes the grid check.  For |alpha+beta| >= 2
     (p.guaranteed_solvable is False) the solve is still attempted.  info is
     that of solve_dd for the w problem (_solve_interior: method, cond_V,
-    rhs_norm) plus info["w"] and info["lifting"] = u_g.
+    rhs_norm) plus info["w"] and info["lifting"] = u_g.  With real f, g1
+    and g3 the solution, w and u_g are real fields, float64 throughout.
     """
     S, f = assemble_dd_system(p, grid)
     A = laplacian_matrix(grid)

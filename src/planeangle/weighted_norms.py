@@ -67,20 +67,27 @@ def _difference(vals, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _cartesian_gradient(grid, vals):
-    """(u_x, u_y) at the nodes via the polar chain rule, on second-order
-    differences (central inside, one-sided at the edges)."""
+def _polar_factors(grid):
+    """(cos, sin, cos/r, sin/r) of the polar chain rule: the angular rows
+    and the node-sized quotients, formed once for all gradients of a call."""
     r = grid.r_nodes[:, None]
-    phi = grid.phi_nodes[None, :]
-    cos, sin = np.cos(phi), np.sin(phi)
+    cos, sin = np.cos(grid.phi_nodes), np.sin(grid.phi_nodes)
+    return cos, sin, cos / r, sin / r
+
+
+def _cartesian_gradient(grid, vals, factors):
+    """(u_x, u_y) at the nodes via the polar chain rule, on second-order
+    differences (central inside, one-sided at the edges), in the dtype of
+    vals; factors are the grid's _polar_factors."""
+    cos, sin, cos_r, sin_r = factors
     u_r = _difference(vals, grid.dr, 0)
     u_phi = _difference(vals, grid.dphi, 1)
     # u_x = cos u_r - sin/r u_phi, then u_y = sin u_r + cos/r u_phi in the
     # arrays of u_r and u_phi: the same operations on fewer new arrays
     u_x = cos * u_r
-    u_x -= sin / r * u_phi
+    u_x -= sin_r * u_phi
     np.multiply(sin, u_r, out=u_r)
-    np.multiply(cos / r, u_phi, out=u_phi)
+    np.multiply(cos_r, u_phi, out=u_phi)
     u_r += u_phi
     return u_x, u_r
 
@@ -88,26 +95,26 @@ def _cartesian_gradient(grid, vals):
 def cartesian_derivatives(u, l):
     """Nodal arrays of D^alpha u keyed by multi-index, all |alpha| <= l.
 
-    The first derivatives are computed once per field and kept, read-only
-    like its values, in u.derived["gradient"]; they and the derivatives of
-    order 2 are float64 when the imaginary part of u is exactly zero.
+    The values are differenced as they are, so a real field, whose values
+    GridFunction stores as float64, gets float64 derivatives.  The first
+    derivatives are computed once per field and kept, read-only like its
+    values, in u.derived["gradient"].  The chain-rule factors are formed
+    once per call that takes a gradient (_polar_factors).
     """
     grid = u.grid
     out = {(0, 0): u.values}
     if l >= 1:
-        if "gradient" not in u.derived:
-            vals = u.values if u.values.imag.any() else u.values.real
-            gradient = _cartesian_gradient(grid, vals)
+        gradient = u.derived.get("gradient")
+        factors = _polar_factors(grid) if gradient is None or l >= 2 else None
+        if gradient is None:
+            gradient = _cartesian_gradient(grid, u.values, factors)
             for d in gradient:
                 d.flags.writeable = False
             u.derived["gradient"] = gradient
-        out[(1, 0)], out[(0, 1)] = u.derived["gradient"]
+        out[(1, 0)], out[(0, 1)] = gradient
     if l >= 2:
-        u_xx, u_xy = _cartesian_gradient(grid, out[(1, 0)])
-        _, u_yy = _cartesian_gradient(grid, out[(0, 1)])
-        out[(2, 0)] = u_xx
-        out[(1, 1)] = u_xy
-        out[(0, 2)] = u_yy
+        out[(2, 0)], out[(1, 1)] = _cartesian_gradient(grid, out[(1, 0)], factors)
+        out[(0, 2)] = _cartesian_gradient(grid, out[(0, 1)], factors)[1]
     return out
 
 

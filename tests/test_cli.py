@@ -396,6 +396,24 @@ def test_malformed_input_exit(tmp_path, capsys, case):
     assert err.startswith("problem file error: ") and err.count("\n") == 1
 
 
+BOOLEAN_NUMBERS = {
+    # JSON true and false are not numbers, though Python's float takes them
+    "float-key": ({"pencil": {"alpha": True, "beta": False}}, ["solvability", "--a", "2", "--l", "1"],
+                  "pencil.alpha must be a finite number, got True"),
+    "int-key": ({"weights": {"l": True}}, ["norms"], "weights.l must be a finite number, got True"),
+    "ray": ({"geometry": {"angles": [B1, False, B1 + np.pi]}}, ["spectrum"],
+            "each ray of geometry.angles must be a finite number, got False"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_NUMBERS))
+def test_booleans_are_not_numbers(tmp_path, capsys, case):
+    edits, command, message = BOOLEAN_NUMBERS[case]
+    path = edited_spec(tmp_path, edits)
+    assert main(["--spec", path, "--out", str(tmp_path), "--quiet"] + command) == EXIT_PARSE
+    assert capsys.readouterr().err == "problem file error: %s\n" % message
+
+
 def test_integral_float_is_an_integer(tmp_path):
     path = edited_spec(tmp_path, {"solver": {"n_r": 16.0}})
     argv = ["--spec", path, "--out", str(tmp_path), "--quiet", "solve", "--problem", "dd"]

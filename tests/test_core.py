@@ -92,7 +92,7 @@ def test_grid_function_shape_check():
         GridFunction(grid, np.zeros((4, 4)))
     u = GridFunction.from_callable(grid, lambda r, p: r * np.cos(p))
     assert u.values.shape == (5, 5)
-    assert u.values.dtype == complex
+    assert u.values.dtype == np.float64  # a real function gives a real field
 
 
 @pytest.mark.parametrize(
@@ -111,9 +111,13 @@ def test_from_callable_spreads_a_broadcast_result(func):
 
     u = GridFunction.from_callable(grid, spy)
     assert shapes == [((7, 1), (1, 5))]
-    assert u.values.shape == (7, 5) and u.values.dtype == complex
     r, phi = grid.meshgrid()
-    assert np.array_equal(u.values, np.full(r.shape, func(r, phi), dtype=complex))
+    full = np.full(r.shape, func(r, phi), dtype=complex)
+    # a real result fills a float64 array with the real parts of the complex
+    # fill, bit for bit; a complex one stays complex
+    want = full if full.imag.any() else full.real
+    assert u.values.shape == (7, 5) and u.values.dtype == want.dtype
+    assert u.values.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_from_callable_manufactured_fields_match_the_full_node_arrays():
@@ -121,23 +125,65 @@ def test_from_callable_manufactured_fields_match_the_full_node_arrays():
     grid = SectorGrid(geo, 0.5, 3.0, 64, 64)
     r, phi = grid.meshgrid()
     for func in manufactured_nonlocal(geo, 0.5, 3.0) + manufactured_dd(geo, 0.5, 3.0):
+        # the fields are real: float64 values, the real parts of the complex
+        # full node arrays bit for bit
         full = np.asarray(func(r, phi), dtype=complex)
-        assert GridFunction.from_callable(grid, func).values.tobytes() == full.tobytes()
+        values = GridFunction.from_callable(grid, func).values
+        assert values.dtype == np.float64 and not full.imag.any()
+        assert values.tobytes() == np.ascontiguousarray(full.real).tobytes()
 
 
 def test_grid_function_holds_a_complex_array_read_only():
+    # a complex array with a nonzero imaginary part is held as it is
     grid = SectorGrid(make_geometry([0.5, 1.0, 1.5]), 1.0, 3.0, 4, 4)
-    a = np.ones((5, 5), dtype=complex)
+    a = np.ones((5, 5), dtype=complex) + 1j
     u = GridFunction(grid, a)
-    assert np.shares_memory(u.values, a)
+    assert np.shares_memory(u.values, a) and u.values.dtype == complex
     with pytest.raises(ValueError, match="read-only"):
         u.values[0, 0] = 2.0
     with pytest.raises(ValueError, match="read-only"):
         a[0, 0] = 2.0
-    real = np.ones((5, 5))
-    v = GridFunction(grid, real)
-    assert not np.shares_memory(v.values, real) and not v.values.flags.writeable
+    # other input is converted once, to a new read-only array
+    ints = np.ones((5, 5), dtype=int)
+    v = GridFunction(grid, ints)
+    assert v.values.dtype == np.float64 and not np.shares_memory(v.values, ints)
+    assert not v.values.flags.writeable
     assert v.derived == {} and "derived" not in repr(v)
+
+
+def test_grid_function_holds_a_float_array_read_only():
+    grid = SectorGrid(make_geometry([0.5, 1.0, 1.5]), 1.0, 3.0, 4, 4)
+    a = np.arange(25.0).reshape(5, 5)
+    u = GridFunction(grid, a)
+    assert u.values is a and u.values.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_grid_function_stores_a_zero_imaginary_part_as_float(dtype):
+    # one float64 copy of the real part, contiguous and read-only; the
+    # complex array is left as it was
+    grid = SectorGrid(make_geometry([0.5, 1.0, 1.5]), 1.0, 3.0, 4, 4)
+    real = np.random.default_rng(0).standard_normal((5, 5))
+    a = (real - 0j).astype(dtype)
+    u = GridFunction(grid, a)
+    assert u.values.dtype == np.float64 and u.values.flags.c_contiguous
+    assert not np.shares_memory(u.values, a) and a.flags.writeable
+    assert u.values.tobytes() == a.real.astype(float).tobytes()
+    assert not u.values.flags.writeable
+
+
+def test_from_callable_of_a_real_function_is_float64():
+    grid = SectorGrid(make_geometry([0.5, 1.0, 1.5]), 1.0, 3.0, 6, 4)
+    funcs = {
+        np.float64: [lambda r, p: r * np.cos(p), lambda r, p: 3, lambda r, p: np.float32(0.5) * r,
+                     lambda r, p: r + 0j],
+        np.complex128: [lambda r, p: r + 1j * np.sin(p), lambda r, p: np.complex64(1j)],
+    }
+    for dtype, fs in funcs.items():
+        for f in fs:
+            assert GridFunction.from_callable(grid, f).values.dtype == dtype
 
 
 def test_grid_function_equality_and_hash_are_by_identity():

@@ -2,8 +2,8 @@
 text as code, every name that the library, the demos and the tests import is
 used, every private function or class of the library is called by the
 library, every eigsh call of the library passes a start vector, no
-module holds a function cache, and only the solver loads scipy when it is
-imported."""
+module holds a function cache, only the solver loads scipy when it is
+imported, and only GridFunction decides whether a field is real."""
 
 import ast
 from pathlib import Path
@@ -85,6 +85,27 @@ def test_every_eigsh_call_passes_a_start_vector():
     assert calls
     missing = [(name, line) for name, line, keywords in calls if "v0" not in keywords]
     assert not missing, "eigsh calls without v0: %s" % missing
+
+
+# the pencil's eigenvalues are complex by nature; every field is real or
+# complex as its GridFunction stores it
+REAL_OR_COMPLEX_DECIDED_IN = {"core", "pencil"}
+
+
+def test_only_core_decides_whether_a_field_is_real():
+    # dtype=complex and x.imag.any() are the two forms of that decision; any
+    # other module computes in the dtype of the values it is given
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in REAL_OR_COMPLEX_DECIDED_IN:
+            continue
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, ast.keyword) and n.arg == "dtype" and "complex" in ast.unparse(n.value):
+                hits.append((path.name, n.value.lineno, "dtype=complex"))
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "any"
+                    and isinstance(n.func.value, ast.Attribute) and n.func.value.attr == "imag"):
+                hits.append((path.name, n.lineno, ".imag.any()"))
+    assert not hits, "real/complex decisions outside core and pencil: %s" % hits
 
 
 def test_library_holds_no_function_cache():

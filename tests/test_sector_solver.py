@@ -352,11 +352,11 @@ def test_cond_V_estimates_the_2_norm_condition_number(alpha, beta, n):
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided", "real", "zero_imag", "imag", "zero"])
 def test_on_parts_matches_stacked_parts(layout):
-    # complex data: the float view hands the real map the same (N, 2) array,
-    # bit for bit, as stacking the real and imaginary parts did; a part that
-    # is all zero never reaches the map, so real data, stored as real or as
-    # complex, cost one real part; x = 0 goes through as its real part,
-    # which gives the result the map's length
+    # complex data, whatever their parts: the float view hands the real map
+    # the same (N, 2) array, bit for bit, as stacking the real and imaginary
+    # parts did, and the result is complex; real data go as their one
+    # column and give a real result.  The dtype decides, not the values:
+    # real fields are float64 (GridFunction)
     rng = np.random.default_rng(5)
     z = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
     x = {
@@ -375,18 +375,17 @@ def test_on_parts_matches_stacked_parts(layout):
         return M @ parts
 
     got = sector_solver._on_parts(real_map, x)
-    assert len(seen) == 1 and got.dtype == complex and got.shape == (30,)
-    stacked = np.column_stack([x.real, x.imag])
-    if layout in ("contiguous", "strided"):
+    assert len(seen) == 1 and got.shape == (30,)
+    if layout == "real":
+        assert got.dtype == np.float64 and seen[0].shape == (40, 1)
+        assert seen[0].tobytes() == x.tobytes()
+        assert got.tobytes() == (M @ x).tobytes()
+    else:
+        stacked = np.column_stack([x.real, x.imag])
         want = M @ stacked
+        assert got.dtype == complex
         assert seen[0].tobytes() == stacked.tobytes() and seen[0].shape == stacked.shape
         assert got.tobytes() == (want[:, 0] + 1j * want[:, 1]).tobytes()
-    else:
-        part = 1 if layout == "imag" else 0
-        assert seen[0].shape == (40, 1)
-        assert seen[0].tobytes() == stacked[:, part].tobytes()
-        assert [got.real, got.imag][part].tobytes() == (M @ stacked[:, part]).tobytes()
-        assert not np.any([got.real, got.imag][1 - part])
 
 
 LINEARITY_COUPLINGS = [(0.3, -0.8), (0.999, 0.999), (-0.9, 0.95), (1.5, 1.0)]
@@ -413,6 +412,19 @@ def test_solve_is_linear_over_the_field(alpha, beta, n):
         assert not np.any(part.solution.values.imag)
     want = u1.solution.values + 1j * u2.solution.values
     assert np.linalg.norm(u.solution.values - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.3, -0.8), (1.5, 1.0)])
+def test_real_data_solve_to_float64_fields(alpha, beta):
+    # real data are real arrays from the rhs to the solution, on the
+    # separable path and on the LU fallback (1.5, 1.0) alike
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
+    dd = solve_dd(dd_problem(alpha, beta, grid)[0], grid)
+    nonlocal_ = solve_nonlocal_poisson(nonlocal_problem(alpha, beta, grid)[0], grid)
+    assert dd.info["method"] == nonlocal_.info["method"]
+    assert dd.info["method"] == ("sparse_lu" if alpha + beta >= 2.0 else "separable")
+    fields = [dd.solution, nonlocal_.solution, nonlocal_.info["w"], nonlocal_.info["lifting"]]
+    assert [u.values.dtype for u in fields] == [np.float64] * 4
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (-1.2, 0.5)])
