@@ -72,7 +72,8 @@ EXIT_REGIME = 3
 EXIT_BLOCKED = 4
 EXIT_SOLVER = 5
 
-# a 1024 x 1024 `solve` takes 3.4 s at 0.6 GB peak RSS on a 2-vCPU VM
+# a 1024 x 1024 `solve` takes about 3 s, half of it writing solution.csv, at
+# 0.46 GB peak RSS (ru_maxrss) on a 2-vCPU VM
 MAX_INTERVALS = 1024  # per grid axis
 
 

@@ -6,6 +6,7 @@ r_min <= r <= r_max of the angle; the radius r = 0 is always excluded.
 exp_bump is the package's C-infinity bump, numpy only like the rest here.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,15 @@ class SingularSystem(PlaneAngleError):
 
 class SolverFailure(PlaneAngleError):
     """A solve or the coercivity probe did not certify its answer; the CLI exits 5."""
+
+
+def check_counts(error, **counts):
+    """error unless every count is an integer.  A float, integral or not,
+    and a bool are refused where they are given, not where a count is
+    first used as a size or an index."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error("%s=%r is not an integer" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,7 @@ class SectorGrid:
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max < np.inf):
             raise IncompatibleGrid("need 0 < r_min < r_max < inf")
+        check_counts(IncompatibleGrid, n_r=self.n_r, n_phi=self.n_phi)
         R = self.geometry.num_sectors
         if self.n_phi % R != 0:
             raise IncompatibleGrid(

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import AngleGeometry, IncompatibleGrid, PlaneAngleError, exp_bump
+from .core import AngleGeometry, IncompatibleGrid, PlaneAngleError, check_counts, exp_bump
 
 
 class SupportViolation(PlaneAngleError):
@@ -119,6 +119,7 @@ class GreenConfig:
         b1, b2, _ = self.geometry.angles
         if abs(b1 + self.phi12 - b2) >= 1e-12:
             raise PlaneAngleError("phi12 must satisfy b1 + phi12 = b2")
+        check_counts(PlaneAngleError, order=self.order, panels=self.panels)
         if self.order < 2 or self.panels < 1:
             raise PlaneAngleError("need order >= 2 and panels >= 1")
         if self.panels * self.order > MAX_QUAD_NODES:

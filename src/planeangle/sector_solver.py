@@ -6,7 +6,7 @@ two-sector difference operator R w = w - alpha*w(phi+d) - beta*w(phi-d):
 * the differential-difference Dirichlet problem  -Laplace(R_K w) + R_K w = f
   with w = 0 on both rays and the truncation arcs, discretized as the
   composite matrix A*M (polar five-point stencil A after the column-shift
-  matrix M) on the interior unknowns only;
+  matrix M) on the interior unknowns only, and solved through v = M w;
 * the nonlocal Poisson problem  -Laplace u + u = f with ray conditions
   u|ray1 + alpha*u(r, phi+d)|ray1 = g1 and u|ray3 + beta*u(r, phi-d)|ray3
   = g3, solved through a boundary lifting u_g plus the substitution
@@ -18,20 +18,21 @@ data make the truncation exact.
 
 Matrix rows are the interior nodes and columns all nodes (laplacian_matrix);
 both solvers check the problem against the grid first (_check_grid, in
-assemble_dd_system) and hand the interior system S x = b to one solve core
-(_solve_interior).
-The stencil A and the composite S = A M[:, interior] are written straight
-into CSR arrays with 32-bit indices while the grid allows: A from one value
-array per stencil slot and the interior node indices, S from A's slot
-values per radius and the diagonals of the column shift C, in the entry
-order of scipy's sparse product, so no sparse matrix product is formed.
+assemble_dd_system) and hand the interior system to one solve core
+(_solve_interior).  The stencil A is written straight into CSR arrays with
+32-bit indices while the grid allows, from one value array per stencil
+slot and the interior node indices.  The system the solvers assemble is
+that of v = M w, S_v (assemble_dd_system): A's arrays with the arc columns
+dropped and the ray columns folded onto the middle column, with no sparse
+matrix product.
 
-The assembled system separates like the Mellin transform separates r from
-phi: S = (D_r x I + diag(1/r^2) x T)(I x M_int), with D_r the radial
-tridiagonal stencil, M_int the column shift on the interior columns (a
-2x2 block on each column pair (j, j+s), the identity on the middle column
-j = s) and T the angular second difference with the ray conditions
-v_0 = -alpha*v_s, v_2s = -beta*v_s of v = M w folded in (angular_matrix).
+The system of w separates like the Mellin transform separates r from
+phi: S = A M[:, interior] = S_v (I x M_int), S_v = D_r x I + diag(1/r^2) x T,
+with D_r the radial tridiagonal stencil, M_int the column shift on the
+interior columns (a 2x2 block on each column pair (j, j+s), the identity
+on the middle column j = s) and T the angular second difference with the
+ray conditions v_0 = -alpha*v_s, v_2s = -beta*v_s of v = M w folded in
+(angular_matrix).
 The solve core diagonalizes T = V diag(mu) V^-1, solves one tridiagonal radial
 system D_r + mu_k diag(1/r^2) per angular mode and recovers w with the
 closed-form inverse of the 2x2 blocks: the tensor-product method of Lynch,
@@ -41,7 +42,7 @@ there they are the discrete pencil, theta = eta*h over the pencil
 eigenvalues i*eta, with x = theta*s taken from the pencil's own root
 routine pencil.characteristic_roots, in O(n_phi^2) operations.  So is V^-1: its
 rows are the left eigenvectors, the eigenvectors of the adjoint T^T, which
-are piecewise sines, scaled by biorthogonality.  S, V and the radial
+are piecewise sines, scaled by biorthogonality.  S_v, V and the radial
 factor are real, so every solve and matrix-vector product is a real map
 on one float column per part of the data (_on_parts).  Real data are
 float64 from the rhs on, because GridFunction stores real fields so, and
@@ -53,11 +54,13 @@ radial systems go through one sparse LU of a block-diagonal matrix in
 natural order, which a tridiagonal block fills no further.  The transform
 with V is not backward stable for S: its residual grows with cond(V),
 which is 2 to 45 for |alpha+beta| <= 1.998 and grows without bound as
-|alpha+beta| -> 2.  So the residual of S, recomputed after every solve
-and gated at 1e-8 * ||b||, decides: when T has no real
-eigenbasis (|alpha+beta| >= 2), when the radial solve hits a singular
-matrix, or when the separable solution fails the gate, the core solves
-again with a sparse LU of S, ordered by minimum degree on S + S^T.  A
+|alpha+beta| -> 2.  So the residual ||S_v v - b|| of v = M w, the shift
+applied to w on the grid (apply_on_grid), recomputed after every solve and
+gated at 1e-8 * ||b||, decides: when T has no real eigenbasis
+(|alpha+beta| >= 2), when the radial solve hits a singular matrix, or when
+the separable solution fails the gate, the core forms S by one sparse
+product and solves again with its sparse LU, ordered by minimum degree on
+S + S^T.  That v is the field the nonlocal solve adds to its lifting.  A
 coupling with 1 - alpha*beta = 0 makes M_int, and so S, singular; the core
 refuses it before any factor.
 
@@ -196,8 +199,8 @@ def shift_matrix_on_grid(op, grid):
     kron(I_{n_r+1}, C) for the column shift C of one radial line, by index
     arithmetic on the CSR arrays of C: one copy of its data, indices and
     row pointers per radial line, offset by the line's first node and entry.
-    The solvers do not build it: assemble_dd_system writes A M[:, interior]
-    directly (_stencil_times_shift), and this matrix is its reference.
+    The solvers do not build it: they apply the shift with apply_on_grid,
+    and this matrix is its reference.
     """
     C = column_shift_operator(op, grid)
     lines, width = grid.n_r + 1, grid.n_phi + 1
@@ -210,85 +213,6 @@ def shift_matrix_on_grid(op, grid):
     )
 
 
-def _stencil_times_shift(A, C, grid):
-    """S = A M[:, interior] in CSR form, with no sparse matrix product.
-
-    A is laplacian_matrix(grid) and M = kron(I, C) the node shift of the
-    column shift C (shift_matrix_on_grid).  The arrays equal those of
-    scipy's product A @ M[:, interior] byte for byte.  For row (a, j) that
-    product takes A's five slots in order, at nodes (a-1, j), (a, j-1),
-    (a, j), (a, j+1) and (a+1, j), each times the entries of C row j + dj
-    in column order, and keeps the products that land on an interior
-    column of an interior line.  Products on one entry are summed in that
-    order, starting from 0; the row lists its entries last inserted first,
-    and an entry whose sum is 0 is dropped.
-
-    C holds each coefficient on a whole diagonal, so where a product lands,
-    relative to (a, j), depends on its slot and diagonal only, and its value
-    on the radius too, through A's slot values.  So the entries of a row and
-    their order are found once, the sums once per line, and each row keeps
-    the entries on interior columns.  Lines with a zero sum, and the first
-    and last line, which have no line below or above, keep only their
-    nonzero entries.
-    """
-    n_a, m = grid.n_r - 1, grid.n_phi - 1
-    # C's diagonals, each with its first entry, which holds its coefficient
-    line = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
-    diagonals, first = np.unique(C.indices - line, return_index=True)
-    # each entry (line offset, column offset) with its (slot, C entry)
-    # products in product order; dicts keep insertion order
-    entries = {}
-    for q, (da, dj) in enumerate(((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))):
-        for d, k in zip(diagonals, first):
-            entries.setdefault((da, dj + d), []).append((q, k))
-    keys, groups = list(entries)[::-1], list(entries.values())[::-1]
-    # sums[a, i]: entry i on line a, A's slot values being those of radius a
-    values = A.data.reshape(n_a, m, 5)[:, 0]
-    sums = np.zeros((n_a, len(groups)))
-    for i, group in enumerate(groups):
-        for q, k in group:
-            sums[:, i] += values[:, q] * C.data[k]
-    dline, dcol = np.array(keys, dtype=int).reshape(-1, 2).T
-    sums[0, dline < 0] = 0.0  # no line below the first
-    sums[-1, dline > 0] = 0.0  # nor above the last
-    # the entries each row keeps, on interior columns, and their columns
-    # relative to the first node of the row's line
-    j = np.arange(1, m + 1)[:, None]
-    rows, entry = np.nonzero((j + dcol >= 1) & (j + dcol <= m))
-    offset = dline[entry] * m + rows + dcol[entry]
-    # lines with a zero sum keep their nonzero entries, every other line the
-    # full layout; ends holds the running entry count at the end of each row
-    odd = np.flatnonzero((sums == 0).any(axis=1))
-    kept = {a: sums[a, entry] != 0 for a in odd}
-    ends = np.cumsum(np.bincount(rows, minlength=m))
-    odd_ends = {a: np.cumsum(np.bincount(rows[k], minlength=m)) for a, k in kept.items()}
-    line_nnz = np.full(n_a, ends[-1])
-    line_nnz[odd] = [odd_ends[a][-1] for a in odd]
-    starts = np.append(0, np.cumsum(line_nnz))
-    idx = _index_dtype(max(starts[-1], n_a * m))
-    indptr = np.zeros(n_a * m + 1, dtype=idx)
-    row_ends = indptr[1:].reshape(n_a, m)
-    np.add(starts[:-1, None], ends, out=row_ends, casting="unsafe")
-    for a, e in odd_ends.items():
-        row_ends[a] = starts[a] + e
-    data, indices = np.empty(starts[-1]), np.empty(starts[-1], dtype=idx)
-    offset = offset.astype(idx)
-    edges = np.concatenate([[-1], odd, [n_a]])
-    for lo, hi in zip(edges[:-1] + 1, edges[1:]):
-        # lines lo..hi-1 share the layout; line hi, if any, keeps its own
-        block = slice(starts[lo], starts[hi])
-        # entry is in range, and "clip" writes into out unbuffered
-        np.take(sums[lo:hi], entry, axis=1, mode="clip",
-                out=data[block].reshape(hi - lo, entry.size))
-        np.add(np.arange(lo, hi, dtype=idx)[:, None] * m, offset,
-               out=indices[block].reshape(hi - lo, entry.size))
-        if hi < n_a:
-            block = slice(starts[hi], starts[hi + 1])
-            data[block] = sums[hi, entry[kept[hi]]]
-            indices[block] = hi * m + offset[kept[hi]]
-    return sp.csr_matrix((data, indices, indptr), shape=(n_a * m, n_a * m))
-
-
 def _check_grid(p, grid):
     """IncompatibleGrid unless the problem's rays, r_min and r_max are the grid's."""
     if (p.geometry.angles, p.r_min, p.r_max) != (grid.geometry.angles, grid.r_min, grid.r_max):
@@ -296,20 +220,50 @@ def _check_grid(p, grid):
 
 
 def assemble_dd_system(p, grid):
-    """Composite sparse system for the differential-difference problem.
+    """Sparse system of the differential-difference problem in v = M w.
 
-    Returns (S, b) over the interior unknowns: S = A*M with rows and columns
-    restricted to interior nodes (A the polar stencil of -Laplace + 1, M the
-    discrete difference operator), written directly (_stencil_times_shift).
-    w = 0 on the rays and the truncation arcs, so the dropped columns carry
-    no data into b.  IncompatibleGrid unless the problem's rays, r_min and
-    r_max are the grid's (_check_grid), which solve_dd and
+    Returns (S_v, b) over the interior unknowns.  S_v is laplacian_matrix(grid)
+    with its arc columns dropped and its two ray columns folded onto the
+    middle column j = s by v_0 = -alpha*v_s and v_2s = -beta*v_s, which
+    v = M w inherits from w = 0 on the rays: S_v = D_r x I + diag(1/r^2) x T
+    with T = angular_matrix, the operator _separable_solve diagonalizes.  The
+    system of w is S = S_v (I x M_int), M_int the column shift on the
+    interior columns; only the sparse LU of _solve_interior forms it.  A row
+    keeps A's slot order, a folded entry in the slot of its ray column; at
+    s = 2 it lands on a stencil neighbour and the two are summed.  b is the
+    rhs on the interior nodes.  IncompatibleGrid unless the problem's rays,
+    r_min and r_max are the grid's (_check_grid), which solve_dd and
     solve_nonlocal_poisson check here.
     """
     _check_grid(p, grid)
-    C = column_shift_operator(p.operator(), grid)
-    S = _stencil_times_shift(laplacian_matrix(grid), C, grid)
-    return S, _rhs_vector(p.rhs, grid)[_interior(grid)]
+    A = laplacian_matrix(grid)
+    n_a, m, s = grid.n_r - 1, grid.n_phi - 1, grid.shift_columns
+    n = n_a * m
+    # A's arrays are this call's own and change in place.  Its five slots
+    # (line below, left, centre, right, line above) hold node columns: node
+    # (a, j) is interior column (a-1)*m + j - 1, so the slots of row line i
+    # drop 2i + m + 3, those of the lines below and above 2 less and 2 more
+    vals, cols = A.data.reshape(n_a, m, 5), A.indices.reshape(n_a, m, 5)
+    idx = cols.dtype
+    by_line = A.indices.reshape(n_a, 5 * m)
+    by_line -= (2 * np.arange(n_a, dtype=idx) + (m + 3))[:, None]
+    cols[..., 0] += 2
+    cols[..., 4] -= 2
+    vals[:, 0, 1] *= -p.alpha
+    cols[:, 0, 1] += s
+    vals[:, -1, 3] *= -p.beta
+    cols[:, -1, 3] -= s
+    # the first line has no line below and the last none above; the middle
+    # lines are one slice of each array
+    data, indices = (
+        np.concatenate([x[0, :, 1:].ravel(), x.ravel()[5 * m : -5 * m], x[-1, :, :4].ravel()])
+        for x in (vals, cols)
+    )
+    k = np.arange(n + 1, dtype=idx)
+    S_v = sp.csr_matrix((data, indices, 4 * k + np.clip(k - m, 0, n - 2 * m)), shape=(n, n))
+    if s == 2:
+        S_v.sum_duplicates()
+    return S_v, _rhs_vector(p.rhs, grid)[_interior(grid)]
 
 
 def _rhs_vector(rhs, grid):
@@ -500,63 +454,70 @@ def _norm_estimate(A):
     return float(np.sqrt(np.linalg.norm(x)))
 
 
-def _solve_interior(p, grid, S, b):
-    """Solve S x = b on the interior nodes; returns (w, ||S x - b||, info).
+def _solve_interior(p, grid, S_v, b):
+    """Solve S x = b, S = S_v (I x M_int), on the interior nodes.
 
-    For |alpha+beta| < 2 the system is first solved by the separable method
-    of _separable_solve in the closed-form eigenbasis of the folded angular
-    matrix T and its closed-form inverse (_angular_basis), with no dense
-    factorization.  The residual is recomputed by applying S to the
-    solution; when the separable path fails or its residual exceeds
-    1e-8 * ||b||, the system is solved again by a sparse LU of S, whose
+    Returns (w, v, ||S_v v - b||, info): w the grid function with x on the
+    interior nodes and zero on the rays and the truncation arcs, and
+    v = M w = apply_on_grid(op, w), on whose interior nodes the residual
+    applies S_v (assemble_dd_system).  For |alpha+beta| < 2 the system is
+    first solved by the separable method of _separable_solve in the
+    closed-form eigenbasis of the folded angular matrix T and its
+    closed-form inverse (_angular_basis), with no dense factorization.
+    When the separable path fails or its residual exceeds 1e-8 * ||b||, S
+    is formed by one sparse product and solved by its sparse LU, whose
     residual must pass the same gate.  For |alpha+beta| >= 2, T has no real
-    eigenbasis and the sparse LU is the only path.  w is the grid function
-    with x on the interior nodes and zero on the rays and the truncation
-    arcs.  info["method"] names the path whose solution is returned,
-    info["cond_V"] estimates the 2-norm condition number of the eigenvector
-    matrix V with unit columns as ||V||_2 * ||W||_2, each norm from below by
-    a few power steps (_norm_estimate), so it does not exceed cond(V); it is
-    inf when there is no real basis.
-    info["rhs_norm"] is ||b||.  SolverFailure if b is not finite;
-    SingularSystem before any factor if 1 - alpha*beta = 0, which makes
-    the 2x2 blocks of M_int, and so S, singular.
+    eigenbasis and the sparse LU is the only path.  info["method"] names
+    the path whose solution is returned, info["cond_V"] estimates the
+    2-norm condition number of the eigenvector matrix V with unit columns
+    as ||V||_2 * ||W||_2, each norm from below by a few power steps
+    (_norm_estimate), so it does not exceed cond(V); it is inf when there is
+    no real basis.  info["rhs_norm"] is ||b||.  SolverFailure if b is not
+    finite; SingularSystem before any factor if 1 - alpha*beta = 0, which
+    makes the 2x2 blocks of M_int, and so S, singular.
     """
     if not np.all(np.isfinite(b)):
         raise SolverFailure("right-hand side is not finite")
     if 1.0 - p.alpha * p.beta == 0.0:
         raise SingularSystem("1 - alpha*beta = 0: the column shift is singular")
     bnorm = np.linalg.norm(b)
+
+    def gated(x):
+        w = GridFunction(grid, np.pad(x.reshape(grid.n_r - 1, grid.n_phi - 1), 1))
+        v = apply_on_grid(p.operator(), w)
+        return w, v, float(np.linalg.norm(_on_parts(S_v.dot, v.values[1:-1, 1:-1].ravel()) - b))
+
     basis = _angular_basis(p.alpha, p.beta, grid)
     method, eq_res, cond_V = "separable", np.inf, np.inf
     if basis is not None:
         mu, V, W = basis
         cond_V = _norm_estimate(V) * _norm_estimate(W)
         try:
-            x = _separable_solve(p, grid, b, mu, V, W)
-            eq_res = float(np.linalg.norm(_on_parts(S.dot, x) - b))
+            w, v, eq_res = gated(_separable_solve(p, grid, b, mu, V, W))
         except SingularSystem:
             pass
     # written so that a NaN residual also falls back
     if not eq_res <= 1e-8 * bnorm:
+        M_int = column_shift_operator(p.operator(), grid)[1:-1, 1:-1]
+        S = S_v @ sp.kron(sp.identity(grid.n_r - 1), M_int, format="csr")
         # minimum degree on the pattern of S + S^T fills about half as much
         # as the default COLAMD on this nearly symmetric pattern
-        method, x = "sparse_lu", _direct_solve(S, b, permc_spec="MMD_AT_PLUS_A")
-        eq_res = float(np.linalg.norm(_on_parts(S.dot, x) - b))
+        method = "sparse_lu"
+        w, v, eq_res = gated(_direct_solve(S, b, permc_spec="MMD_AT_PLUS_A"))
         if bnorm > 0 and eq_res > 1e-8 * bnorm:
             raise SolverFailure("direct solve residual %g too large" % eq_res)
-    w = np.pad(x.reshape(grid.n_r - 1, grid.n_phi - 1), 1)  # zero on the boundary nodes
-    return GridFunction(grid, w), eq_res, {"method": method, "cond_V": cond_V, "rhs_norm": bnorm}
+    return w, v, eq_res, {"method": method, "cond_V": cond_V, "rhs_norm": bnorm}
 
 
 def solve_dd(p, grid):
     """Solve the differential-difference Dirichlet problem on the grid (_solve_interior)."""
-    S, b = assemble_dd_system(p, grid)
-    w, eq_res, info = _solve_interior(p, grid, S, b)
+    S_v, b = assemble_dd_system(p, grid)
+    w, _, eq_res, info = _solve_interior(p, grid, S_v, b)
     return SolveResult(
         solution=w,
         equation_residual=eq_res,
         boundary_residual=0.0,
-        n_unknowns=S.shape[0],
+        n_unknowns=S_v.shape[0],
         info=info,
     )
 
@@ -610,11 +571,11 @@ def solve_nonlocal_poisson(p, grid):
     rhs_norm) plus info["w"] and info["lifting"] = u_g.  With real f, g1
     and g3 the solution, w and u_g are real fields, float64 throughout.
     """
-    S, f = assemble_dd_system(p, grid)
+    S_v, f = assemble_dd_system(p, grid)
     A = laplacian_matrix(grid)
     u_g = boundary_lifting(p, grid)
-    w, _, info = _solve_interior(p, grid, S, f - _on_parts(A.dot, u_g.values.ravel()))
-    u = GridFunction(grid, u_g.values + apply_on_grid(p.operator(), w).values)
+    w, v, _, info = _solve_interior(p, grid, S_v, f - _on_parts(A.dot, u_g.values.ravel()))
+    u = GridFunction(grid, u_g.values + v.values)
     # recomputed equation residual of the full discrete operator
     eq_res = float(np.linalg.norm(_on_parts(A.dot, u.values.ravel()) - f))
     info.update(w=w, lifting=u_g)
@@ -622,7 +583,7 @@ def solve_nonlocal_poisson(p, grid):
         solution=u,
         equation_residual=eq_res,
         boundary_residual=nonlocal_boundary_residual(p, grid, u),
-        n_unknowns=S.shape[0],
+        n_unknowns=S_v.shape[0],
         info=info,
     )
 
@@ -765,14 +726,16 @@ def _coercivity_bracket(grid, factors):
 
 
 def discrete_coercivity(p, grid):
-    """Smallest eigenvalue of the symmetric part of the assembled operator.
+    """Smallest eigenvalue of the symmetric part of the discrete operator.
 
-    The interior operator S of assemble_dd_system is weighted by the discrete
-    inner product r_i*dr*dphi; returns lambda_min of H = (W S + (W S)^T)/2,
-    the sparse symmetric part, which is never densified.  S is not
-    assembled and the rhs is never sampled: H = dr*dphi*(K x A1 + R^-1 x A2)
-    is built from its Kronecker factors (_kronecker_factors, _kronecker_sum),
-    which also give the bracket and the congruence.  IncompatibleGrid unless
+    The interior operator of w, S = S_v (I x M_int) with S_v of
+    assemble_dd_system and M_int the interior column shift, is weighted by
+    the discrete inner product r_i*dr*dphi; returns lambda_min of
+    H = (W S + (W S)^T)/2, the sparse symmetric part, which is never
+    densified.  Neither S nor S_v is assembled and the rhs is never
+    sampled: H = dr*dphi*(K x A1 + R^-1 x A2) is built from its Kronecker
+    factors (_kronecker_factors, _kronecker_sum), which also give the
+    bracket and the congruence.  IncompatibleGrid unless
     the problem's rays and radii are the grid's (_check_grid).
 
     ARPACK (eigsh) runs in shift-invert mode at a shift sigma certified to

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PlaneAngleError
+from .core import PlaneAngleError, check_counts
 
 
 class UnsupportedOrder(PlaneAngleError):
@@ -50,6 +50,7 @@ class WeightParams:
     def __post_init__(self):
         if not np.isfinite(self.a):
             raise PlaneAngleError("weight exponent a=%r is not finite" % (self.a,))
+        check_counts(UnsupportedOrder, l=self.l)
         if self.l not in (0, 1, 2):
             raise UnsupportedOrder("smoothness order l=%r not in {0, 1, 2}" % (self.l,))
 

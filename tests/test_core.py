@@ -15,11 +15,14 @@ from planeangle.core import (
     IncompatibleGrid,
     NonUniformSpacing,
     OutOfRange,
+    PlaneAngleError,
     SectorGrid,
     TooFewAngles,
     make_geometry,
 )
+from planeangle.green_check import GreenConfig
 from planeangle.manufactured import manufactured_dd, manufactured_nonlocal
+from planeangle.weighted_norms import UnsupportedOrder, WeightParams
 
 
 def test_make_geometry_two_sectors():
@@ -71,6 +74,26 @@ def test_grid_validation():
         SectorGrid(geo, 1.0, 3.0, 2, 4)  # n_r too small
     with pytest.raises(IncompatibleGrid):
         SectorGrid(geo, 1.0, np.inf, 4, 4)
+
+
+@pytest.mark.parametrize("count", [16.5, 16.0, True])
+def test_counts_must_be_integers(count):
+    # a float count, integral or not, and a bool are refused where they are
+    # given: 16.5 radial intervals built 18 radial nodes, past r_max, and a
+    # float order failed later inside the quadrature rule
+    geo = make_geometry([0.5, 1.0, 1.5])
+    builds = [
+        (IncompatibleGrid, lambda: SectorGrid(geo, 0.5, 3.0, count, 16)),
+        (IncompatibleGrid, lambda: SectorGrid(geo, 0.5, 3.0, 16, count)),
+        (UnsupportedOrder, lambda: WeightParams(0.3, count)),
+        # 16.0 / 8 = 2.0 passed the order check and failed inside e_norm
+        (UnsupportedOrder, lambda: WeightParams(0.3, count / 8)),
+        (PlaneAngleError, lambda: GreenConfig(geo, 0.7, 1.5, 0.5, order=count)),
+        (PlaneAngleError, lambda: GreenConfig(geo, 0.7, 1.5, 0.5, panels=count)),
+    ]
+    for error, build in builds:
+        with pytest.raises(error, match="is not an integer"):
+            build()
 
 
 def test_column_shift_matches_sector_spacing():

@@ -46,29 +46,42 @@ R_MIN, R_MAX = 0.5, 3.0
 
 
 def test_assembly_reduces_to_laplacian_when_uncoupled():
+    # with alpha = beta = 0 both the system of v = M w and the composite
+    # system of w, built by the reference builders, are the stencil on the
+    # interior columns
     grid = SectorGrid(GEO, R_MIN, R_MAX, 8, 8)
     zero = GridFunction(grid, np.zeros((9, 9)))
     p = DDProblem(0.0, 0.0, GEO, zero, R_MIN, R_MAX)
-    S, _ = assemble_dd_system(p, grid)
     A = laplacian_matrix(grid)[:, _interior(grid)]
-    assert abs(S - A).max() < 1e-14
+    for S in (assemble_dd_system(p, grid)[0], _composite_system(p, grid)):
+        assert abs(S - A).max() < 1e-14
+
+
+def _shift_on_interior_lines(p, grid):
+    """I x M_int: the column shift on the interior columns of each interior line."""
+    M_int = column_shift_operator(p.operator(), grid)[1:-1, 1:-1]
+    return sp.kron(sp.identity(grid.n_r - 1), M_int, format="csr")
 
 
 def test_interior_row_stencil_width():
-    # away from the middle ray each shift target contributes once, so a row
-    # touches at most 10 columns (5-point stencil x 2 shifts); rows whose
-    # stencil reaches the middle column see both shifts land inside the
-    # angle there and can touch up to 13
+    # the system of v = M w is the five-point stencil with the ray columns
+    # folded onto the middle column: at most 5 entries a row, 4 on the
+    # first and last lines, which lack the line below or above.  In the
+    # composite S = S_v (I x M_int) each shift target away from the middle
+    # ray contributes once, so a row touches at most 10 columns (5-point
+    # stencil x 2 shifts); rows whose stencil reaches the middle column see
+    # both shifts land inside the angle there and can touch up to 13
     grid = SectorGrid(GEO, R_MIN, R_MAX, 8, 8)
     zero = GridFunction(grid, np.zeros((9, 9)))
     p = DDProblem(0.7, -0.3, GEO, zero, R_MIN, R_MAX)
-    S, _ = assemble_dd_system(p, grid)
-    csr = S.tocsr()
-    counts = np.diff(csr.indptr)
-    s = grid.shift_columns
+    S_v, _ = assemble_dd_system(p, grid)
     n_cols = grid.n_phi - 1  # interior unknowns per radial line, j = 1..n_phi-1
+    counts = np.diff(S_v.indptr).reshape(grid.n_r - 1, n_cols)
+    assert np.all(counts[[0, -1]] == 4) and np.all(counts[1:-1] == 5)
+    counts = np.diff((S_v @ _shift_on_interior_lines(p, grid)).indptr)
+    s = grid.shift_columns
     assert counts.max() <= 13
-    for row in range(csr.shape[0]):
+    for row in range(counts.size):
         j = row % n_cols + 1
         if abs(j - s) > 1:
             assert counts[row] <= 10
@@ -110,6 +123,11 @@ def _shift_by_kron(op, grid):
     return sp.kron(sp.identity(grid.n_r + 1), column_shift_operator(op, grid), format="csr")
 
 
+def _composite_system(p, grid):
+    """S = A M[:, interior], the system of w, from the reference builders."""
+    return _laplacian_by_columns(grid) @ _shift_by_kron(p.operator(), grid)[:, _interior(grid)]
+
+
 def _assert_same_csr(got, want):
     assert got.shape == want.shape
     assert got.indptr.dtype == got.indices.dtype == np.int32
@@ -118,27 +136,55 @@ def _assert_same_csr(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-@pytest.mark.parametrize("n_r, n_phi", [(3, 4), (12, 4), (6, 10), (20, 12), (256, 256)])
+CSR_GRIDS = pytest.mark.parametrize("n_r, n_phi", [(3, 4), (12, 4), (6, 10), (20, 12), (256, 256)])
+# a zero coupling leaves a diagonal out of C, and (1.5, 1.0) at s = 2 sums
+# colliding products to exact zeros, which a sparse product drops
+CSR_COUPLINGS = ((0.3, -0.8), (0.0, 0.0), (1.5, 1.0), (0.0, -0.8), (0.7, 0.0))
+
+
+@CSR_GRIDS
 def test_direct_csr_assembly_is_bit_identical(n_r, n_phi):
-    # laplacian_matrix, shift_matrix_on_grid and assemble_dd_system write
-    # their CSR arrays directly; they must equal the column_stack and kron
-    # constructions and scipy's sparse product array for array, n_phi = 4
-    # (s = 2, where products collide) and the operator with no coefficients
-    # included; a zero coupling leaves a diagonal out of C, and (1.5, 1.0)
-    # at s = 2 sums colliding products to exact zeros, which S drops
+    # laplacian_matrix and shift_matrix_on_grid write their CSR arrays
+    # directly; they must equal the column_stack and kron constructions
+    # array for array, the operator with no coefficients included
     grid = SectorGrid(GEO, R_MIN, R_MAX, n_r, n_phi)
-    keep = _interior(grid)
     _assert_same_csr(laplacian_matrix(grid), _laplacian_by_columns(grid))
     _assert_same_csr(
         shift_matrix_on_grid(DifferenceOperator({}, GEO), grid),
         _shift_by_kron(DifferenceOperator({}, GEO), grid),
     )
+    for alpha, beta in CSR_COUPLINGS:
+        op = two_sector_operator(alpha, beta, GEO)
+        _assert_same_csr(shift_matrix_on_grid(op, grid), _shift_by_kron(op, grid))
+
+
+def _sorted(S):
+    S = S.copy()
+    S.sort_indices()
+    return S
+
+
+@CSR_GRIDS
+def test_folded_stencil_is_the_system_of_v(n_r, n_phi):
+    # assemble_dd_system returns S_v = D_r x I + diag(1/r^2) x T, T the
+    # folded angular matrix that the separable path diagonalizes, and
+    # S_v (I x M_int) is the reference A M[:, interior] bit for bit once
+    # both are sorted.  n_phi = 4 (s = 2) folds a ray column onto a stencil
+    # neighbour in rows j = 1 and j = 3
+    grid = SectorGrid(GEO, R_MIN, R_MAX, n_r, n_phi)
+    r = grid.r_nodes[1:-1]
+    main, up, down = sector_solver._radial_stencil(r, grid.dr)
+    D_r = sp.diags([down[1:], main, up[:-1]], [-1, 0, 1])
+    identity = sp.identity(n_phi - 1)
     zero = GridFunction(grid, np.zeros((n_r + 1, n_phi + 1)))
-    for alpha, beta in ((0.3, -0.8), (0.0, 0.0), (1.5, 1.0), (0.0, -0.8), (0.7, 0.0)):
+    for alpha, beta in CSR_COUPLINGS:
         p = DDProblem(alpha, beta, GEO, zero, R_MIN, R_MAX)
-        _assert_same_csr(shift_matrix_on_grid(p.operator(), grid), _shift_by_kron(p.operator(), grid))
-        S, _ = assemble_dd_system(p, grid)
-        _assert_same_csr(S, _laplacian_by_columns(grid) @ _shift_by_kron(p.operator(), grid)[:, keep])
+        S_v, _ = assemble_dd_system(p, grid)
+        want = sp.kron(D_r, identity) + sp.kron(sp.diags(1.0 / r**2), angular_matrix(alpha, beta, grid))
+        assert abs(S_v - want).max() <= 1e-14 * abs(want).max()
+        assert np.diff(S_v.indptr).max() <= 5
+        assert _sorted(S_v).has_canonical_format  # one entry per column
+        _assert_same_csr(_sorted(S_v @ _shift_on_interior_lines(p, grid)), _sorted(_composite_system(p, grid)))
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.7, -0.3), (-1.2, 0.5)])
@@ -156,8 +202,7 @@ def test_system_nonsingular_inside_regime():
     zero = GridFunction(grid, np.zeros((17, 17)))
     for alpha, beta in ((0.9, 0.9), (-0.9, -0.9), (0.3, -0.8), (1.2, 0.5)):
         p = DDProblem(alpha, beta, GEO, zero, R_MIN, R_MAX)
-        S, _ = assemble_dd_system(p, grid)
-        lu = np.linalg.slogdet(S.toarray())
+        lu = np.linalg.slogdet(_composite_system(p, grid).toarray())
         assert np.isfinite(lu[1]) and lu[0] != 0.0
 
 
@@ -192,8 +237,9 @@ SEPARABLE_COUPLINGS = [
 @pytest.mark.parametrize("alpha,beta", SEPARABLE_COUPLINGS)
 @pytest.mark.parametrize("n", [32, 64])
 def test_separable_solve_matches_sparse_lu(alpha, beta, n):
-    # the sparse LU of the assembled system is the oracle; (0.999, 0.999)
-    # has the worst-conditioned eigenvector matrix inside the regime (44.7)
+    # the sparse LU of the composite system from the reference builders is
+    # the oracle; (0.999, 0.999) has the worst-conditioned eigenvector
+    # matrix inside the regime (44.7)
     grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
     rng = np.random.default_rng(n)
     shape = (n + 1, n + 1)
@@ -202,7 +248,7 @@ def test_separable_solve_matches_sparse_lu(alpha, beta, n):
     res = solve_dd(p, grid)
     assert res.info["method"] == "separable"
     assert res.info["cond_V"] <= 50.0
-    want = _direct_solve(*assemble_dd_system(p, grid))
+    want = _direct_solve(_composite_system(p, grid), assemble_dd_system(p, grid)[1])
     got = res.solution.values[1:-1, 1:-1].ravel()
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -623,8 +669,9 @@ def test_discrete_coercivity_sign(alpha, beta, positive):
     p = DDProblem(alpha, beta, GEO, zero, R_MIN, R_MAX)
     lam = discrete_coercivity(p, grid)
     assert discrete_coercivity(p, grid) == lam
-    # oracle: eigvalsh of the dense weighted symmetric part
-    S = assemble_dd_system(p, grid)[0].toarray()
+    # oracle: eigvalsh of the dense weighted symmetric part of the
+    # composite system from the reference builders
+    S = _composite_system(p, grid).toarray()
     r = np.repeat(grid.r_nodes, 17)[_interior(grid)]
     Sw = (r * grid.dr * grid.dphi)[:, None] * S
     want = np.linalg.eigvalsh(0.5 * (Sw + Sw.T))[0]
@@ -654,7 +701,7 @@ def _coercivity_case(alpha, beta, n, geo=GEO, r_min=R_MIN, r_max=R_MAX):
 
 
 def _weighted_symmetric_part(p, grid):
-    S, _ = assemble_dd_system(p, grid)
+    S = _composite_system(p, grid)
     r = np.repeat(grid.r_nodes, grid.n_phi + 1)[_interior(grid)]
     Sw = sp.diags(r * grid.dr * grid.dphi) @ S
     return 0.5 * (Sw + Sw.T)
@@ -1094,7 +1141,8 @@ def test_rhs_callable_and_grid_function_agree(build, solve):
 @SOLVERS
 def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
     # the separable path factors only the block-tridiagonal radial matrix;
-    # the LU fallback factors S exactly once
+    # the LU fallback factors S exactly once, the composite system of the
+    # reference builders
     seen = []
     splu = spla.splu
 
@@ -1107,7 +1155,7 @@ def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
     p, _ = build(alpha, beta, grid)
     p = dataclasses.replace(p, rhs=_wave)
     solve(p, grid)
-    S, _ = assemble_dd_system(p, grid)
+    S = _composite_system(p, grid)
     kinds = []
     for M in seen:
         assert M.shape == S.shape
@@ -1122,22 +1170,39 @@ def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
 
 @SOLVERS
 def test_solve_makes_no_sparse_matrix_product(build, solve, monkeypatch):
-    # S is written straight into CSR arrays; inside the regime no step of a
-    # solve multiplies two sparse matrices
-    calls = []
+    # S_v is written straight into CSR arrays; inside the regime no step of
+    # a solve multiplies two sparse matrices, and the LU fallback forms
+    # S = S_v (I x M_int) by exactly one product.  Its solution is that of
+    # the reference composite system, bit for bit
+    calls, systems = [], []
     matmat = sp._compressed.csr_matmat
+    direct = sector_solver._direct_solve
 
     def spy(*args):
         calls.append(args[:2])
         return matmat(*args)
 
+    def spy_direct(S, b, **options):
+        systems.append(b)
+        return direct(S, b, **options)
+
     monkeypatch.setattr(sp._compressed, "csr_matmat", spy)
+    monkeypatch.setattr(sector_solver, "_direct_solve", spy_direct)
     grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
     res = solve(build(0.3, -0.8, grid)[0], grid)
     assert res.info["method"] == "separable"
-    assert calls == []
-    laplacian_matrix(grid) @ shift_matrix_on_grid(two_sector_operator(0.3, -0.8, GEO), grid)
-    assert len(calls) == 1  # the spy sees a product
+    assert calls == [] and systems == []
+    # outside the regime, and at the regime edge, where the separable
+    # solution fails the gate
+    for alpha, beta in ((1.5, 1.0), (1.5, 0.5 - 1e-8)):
+        p = dataclasses.replace(build(alpha, beta, grid)[0], rhs=_wave)
+        res = solve(p, grid)
+        assert res.info["method"] == "sparse_lu"
+        assert len(calls) == len(systems) == 1
+        want = direct(_composite_system(p, grid), systems.pop(), permc_spec="MMD_AT_PLUS_A")
+        w = res.info.get("w", res.solution)
+        assert w.values[1:-1, 1:-1].tobytes() == want.tobytes()
+        calls.clear()
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (1.5, 1.0)])
