@@ -39,7 +39,7 @@ class SingularSystem(PlaneAngleError):
 
 
 class SolverFailure(PlaneAngleError):
-    """A solve or the coercivity probe did not certify its answer; the CLI exits 5."""
+    """A solve did not certify its answer; the CLI exits 5."""
 
 
 def check_counts(error, **counts):

@@ -222,10 +222,11 @@ def adjoint_transmission_characteristic(p, lam):
     return np.where(lam == 0, lambda_zero_determinant(p), -2.0 * lam * minors).reshape(shape)
 
 
-def _check_height(what, *heights):
-    """OutOfRange, naming what, unless every height is within MAX_HEIGHT of 0 (so finite)."""
+def _check_height(name, value, *heights):
+    """OutOfRange, naming "name value", unless every height is within
+    MAX_HEIGHT of 0 (so finite); the message is formatted only then."""
     if not all(abs(h) <= MAX_HEIGHT for h in heights):
-        raise OutOfRange("%s is not within %.3g of the real axis" % (what, MAX_HEIGHT))
+        raise OutOfRange("%s %s is not within %.3g of the real axis" % (name, value, MAX_HEIGHT))
 
 
 def _branches(offset, period, lo, hi):
@@ -282,7 +283,7 @@ def eigenvalues_closed_form(p, strip):
     real axis (so at most about 2.8e5 roots).
     """
     lo, hi = float(strip[0]), float(strip[1])
-    _check_height("strip %s" % ((lo, hi),), lo, hi)
+    _check_height("strip", (lo, hi), lo, hi)
     if not lo < hi:
         raise OutOfRange("empty strip %s: need h_lo < h_hi" % ((lo, hi),))
     return EigenvalueSet(1j * _closed_form_roots(p, lo, hi))
@@ -383,7 +384,7 @@ def find_zeros(f, window, d):
         raise OutOfRange(
             "empty search window %s: need re_lo < re_hi and im_lo < im_hi" % (window,)
         )
-    _check_height("search window %s" % (window,), im_lo, im_hi)
+    _check_height("search window", window, im_lo, im_hi)
     if not max(abs(re_lo), abs(re_hi)) <= MAX_HEIGHT:  # exp(lam*phi) rounds by eps*|lam|*b3
         raise OutOfRange("search window %s is not within %.3g of the imaginary axis" % (window, MAX_HEIGHT))
     vals = f(_LAURENT_NODES / d)
@@ -455,7 +456,7 @@ def line_is_eigenvalue_free(p, h):
     is the one of the nearest listed root.
     """
     h = float(h)
-    _check_height("line Im lambda = %r" % h, h)
+    _check_height("line Im lambda =", h, h)
     if not abs(p.coupling_sum) < 2.0:
         raise UnsupportedRegime("certificate needs |alpha+beta| < 2, got %g" % p.coupling_sum)
     d, t0 = p.d, _cosine_offset(p.coupling_sum)

@@ -64,16 +64,17 @@ S + S^T.  That v is the field the nonlocal solve adds to its lifting.  A
 coupling with 1 - alpha*beta = 0 makes M_int, and so S, singular; the core
 refuses it before any factor.
 
-The coercivity probe (discrete_coercivity) takes lambda_min of the weighted
-symmetric part H = dr*dphi*(K x A1 + R^-1 x A2) of S by shift-invert ARPACK
-at a certified shift sigma.  S is not assembled for it: one set of
-Kronecker factors (_kronecker_factors: the radii, all eigenpairs of the
-radial tridiagonal C = R^1/2 K R^1/2, and the dense angular A1 and A2)
-gives H as two sparse Kronecker products (_kronecker_sum), the bracket
-of _coercivity_bracket and the congruence.  At sigma = 0, where the
-bracket proves H definite, H is inverted through the diagonal congruence
-of its Kronecker factors, with no sparse LU; at sigma < 0 each shift is
-certified by the inertia of a symmetric-mode SuperLU factor.
+The coercivity probe (discrete_coercivity) certifies the sign of lambda_min
+of the weighted symmetric part H = dr*dphi*(K x A1 + R^-1 x A2) of S.
+Neither S nor H is assembled for it: one set of Kronecker factors
+(_kronecker_factors: the radii, all eigenpairs of the radial tridiagonal
+C = R^1/2 K R^1/2, and the dense angular A1 and A2) gives the bracket
+floor <= lambda_min <= theta of _coercivity_bracket and a rounding margin
+of at least 1e-12*||H||_inf.  The probe returns floor when it exceeds the
+margin (a coercivity constant), theta when it lies below minus the margin
+(the Rayleigh quotient of a vector on which the form is negative), and
+0.0 in between, which is only |alpha+beta| = 2.  floor and theta are one
+end-block eigenvalue over positive numbers, so they never differ in sign.
 """
 
 from dataclasses import dataclass, field
@@ -588,52 +589,6 @@ def solve_nonlocal_poisson(p, grid):
     )
 
 
-def _nearest_above(H, sigma, inverse, v0):
-    """The eigenvalue of H nearest sigma, from ARPACK in shift-invert mode
-    with inverse as (H - sigma*I)^-1, if it lies above sigma, else None.
-
-    ARPACK accepts a Ritz value theta of the inverse once its residual is
-    at most tol*|theta|, tol = 64*eps (for |theta| >= eps^(2/3)).  Then an
-    eigenvalue mu of the inverse lies within tol*|theta| of theta, and the
-    returned value sigma + 1/theta lies within
-    tol*|lambda - sigma| <= tol*||H - sigma*I||_2 of the eigenvalue
-    lambda = sigma + 1/mu of H.  ARPACK's default tol = eps asks for more
-    than the rounding of the solves gives: outside the regime at n = 64 it
-    needs 31 solves where 21 give the same value.
-    """
-    tol = 64.0 * np.finfo(float).eps
-    val = spla.eigsh(
-        H, 1, sigma=sigma, which="LM", OPinv=inverse, v0=v0, tol=tol, return_eigenvectors=False
-    )
-    return val[0] if val[0] > sigma else None
-
-
-def _shift_invert(H, sigma, v0):
-    """lambda_min of H if the inertia of H - sigma*I proves it above sigma, else None.
-
-    One symmetric-mode LU of H - sigma*I with diagonal pivots only: if it
-    kept perm_r == perm_c, H - sigma*I = P^T L U P with U = D L^T, and the
-    signs of diag(U) are its inertia (Sylvester).  When every pivot is > 0,
-    the same factor serves as the shift-invert operator at sigma, and the
-    eigenvalue of H nearest sigma is lambda_min if it lies above sigma.
-    None when SuperLU fails, perm_r != perm_c, a pivot is <= 0 or the value
-    does not lie above sigma.  The factor is released on return.
-    """
-    try:
-        lu = spla.splu(
-            (H - sigma * sp.identity(H.shape[0], format="csr")).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError:  # SuperLU: exactly singular factor
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(lu.U.diagonal() <= 0.0):
-        return None
-    inverse = spla.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
-    return _nearest_above(H, sigma, inverse, v0)
-
-
 def _kronecker_factors(p, grid):
     """(r, lam, Q, A1, A2): the factors of H = dr*dphi*(K x A1 + R^-1 x A2).
 
@@ -650,59 +605,6 @@ def _kronecker_factors(p, grid):
     M = np.eye(grid.n_phi - 1) @ M_int  # dense: ndarray @ sparse
     TM = angular_matrix(p.alpha, p.beta, grid) @ M_int
     return r, lam, Q, 0.5 * (M + M.T), 0.5 * (TM + TM.T)
-
-
-def _kronecker_sum(grid, factors):
-    """H = dr*dphi*(K x A1 + R^-1 x A2) in CSR form from its _kronecker_factors.
-
-    K = R D_r is symmetric tridiagonal; both its off-diagonals are taken
-    from the upper one, as in C, so H is exactly symmetric.
-    """
-    r, _, _, A1, A2 = factors
-    main, up, _ = _radial_stencil(r, grid.dr)
-    K = sp.diags([r[:-1] * up[:-1], r * main, r[:-1] * up[:-1]], [-1, 0, 1])
-    H = sp.kron(K, A1, format="csr") + sp.kron(sp.diags(1.0 / r), A2, format="csr")
-    return grid.dr * grid.dphi * H
-
-
-def _diagonal_congruence(grid, factors):
-    """(Z, U, d) with (Z x U)^T H (Z x U) = diag(d), H as in discrete_coercivity.
-
-    With C = Q Lambda Q^T and Z = R^1/2 Q, Z^T K Z = Lambda and
-    Z^T R^-1 Z = I.  For the lowest block B0 = lambda_0 A1 + A2, the
-    symmetric-definite pencil (A1, B0) gives U with U^T B0 U = I and
-    U^T A1 U = diag(a) (Golub & Van Loan, Matrix Computations, 8.7), so
-    d_ik = dr*dphi*(1 + (lambda_i - lambda_0)*a_k), an (n_r-1) x (n_phi-1)
-    array, radius by angle.  The pencil is definite through B0, not A1:
-    A1 = sym(M_int) is definite only for |alpha+beta| < 2, B0 whenever the
-    bracket floor is > 0.  LinAlgError when B0 is not definite.  factors
-    are the _kronecker_factors of H.
-    """
-    r, lam, Q, A1, A2 = factors
-    a, U = la.eigh(A1, lam[0] * A1 + A2)
-    return np.sqrt(r)[:, None] * Q, U, grid.dr * grid.dphi * (1.0 + (lam - lam[0])[:, None] * a)
-
-
-def _congruence_invert(H, grid, factors, v0):
-    """lambda_min of H if its diagonal congruence proves H definite, else None.
-
-    Every d_ik > 0 of _diagonal_congruence proves H definite (Sylvester),
-    and then H^-1 x = vec(Z ((Z^T X U) / d) U^T), X the radius-major view of
-    x, is the shift-invert operator at 0.  None when B0 is not definite, a
-    d_ik is <= 0 or the value does not lie above 0.
-    """
-    try:
-        Z, U, d = _diagonal_congruence(grid, factors)
-    except la.LinAlgError:  # B0 is not definite
-        return None
-    if not np.all(d > 0.0):
-        return None
-
-    def solve(x):
-        return (Z @ ((Z.T @ np.reshape(x, d.shape) @ U) / d) @ U.T).ravel()
-
-    inverse = spla.LinearOperator(H.shape, matvec=solve, dtype=H.dtype)
-    return _nearest_above(H, 0.0, inverse, v0)
 
 
 def _coercivity_bracket(grid, factors):
@@ -726,61 +628,43 @@ def _coercivity_bracket(grid, factors):
 
 
 def discrete_coercivity(p, grid):
-    """Smallest eigenvalue of the symmetric part of the discrete operator.
+    """A certified bound on the least eigenvalue of the discrete operator's
+    weighted symmetric part; its sign says whether the form is coercive.
 
     The interior operator of w, S = S_v (I x M_int) with S_v of
     assemble_dd_system and M_int the interior column shift, is weighted by
-    the discrete inner product r_i*dr*dphi; returns lambda_min of
-    H = (W S + (W S)^T)/2, the sparse symmetric part, which is never
-    densified.  Neither S nor S_v is assembled and the rhs is never
-    sampled: H = dr*dphi*(K x A1 + R^-1 x A2) is built from its Kronecker
-    factors (_kronecker_factors, _kronecker_sum), which also give the
-    bracket and the congruence.  IncompatibleGrid unless
-    the problem's rays and radii are the grid's (_check_grid).
-
-    ARPACK (eigsh) runs in shift-invert mode at a shift sigma certified to
-    lie below every eigenvalue of H, so the eigenvalue nearest sigma is
-    lambda_min (Ericsson & Ruhe, Math. Comp. 35, 1980).  The bracket floor <= lambda_min <= theta of
-    _coercivity_bracket places sigma.  When floor > margin =
-    1e-12*||H||_inf, sigma = 0 and H is inverted through the diagonal
-    congruence of its Kronecker factors (_diagonal_congruence), which
-    certifies H definite and needs no sparse factor; if it cannot certify,
-    SolverFailure.  Otherwise sigma = theta - delta, delta = 0.01|theta|
-    growing 4x per shift that does not certify, down to floor - margin, and
-    each shift is certified by the inertia of a symmetric-mode SuperLU
-    factor of H - sigma*I (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
-    15, 1994); a shift at the floor that does not certify raises
-    SolverFailure.  At most one factor is alive at a time.  ARPACK stops at
-    tol = 64*eps of the Ritz value of the inverse (_nearest_above), so the
-    value lies within 64*eps*|lambda_min - sigma| of lambda_min.
-
-    Every ARPACK run starts from one fixed pseudo-random vector, so equal
-    inputs give equal values.  A symmetric start vector would not do: for
-    alpha = beta the reflection about the middle ray commutes with the
-    operator, and from the all-ones vector ARPACK misses a lowest
-    eigenvector that is odd under it (at n = 16, alpha = beta = -1.9 it
-    returned -11.92 for -12.04).  An ARPACK failure raises SolverFailure.
+    the discrete inner product r_i*dr*dphi; its symmetric part
+    H = (W S + (W S)^T)/2 = dr*dphi*(K x A1 + R^-1 x A2) is never formed.
+    Its Kronecker factors (_kronecker_factors) give the bracket
+    floor <= lambda_min(H) <= theta of _coercivity_bracket, and the value
+    returned is
+      * floor when floor > margin: then (H x, x) >= floor*||x||^2 for every
+        x, so floor is a discrete coercivity constant;
+      * theta when theta < -margin: theta is the Rayleigh quotient of an
+        explicit vector, so H is not definite and coercivity is lost;
+      * 0.0 otherwise, which happens on |alpha+beta| = 2, where lambda_min
+        is 0 up to rounding.
+    margin = 1e-12*dr*dphi*(||K||_inf ||A1||_inf + ||A2||_inf / r_first) is
+    at least 1e-12*||H||_inf, since ||X x Y||_inf = ||X||_inf ||Y||_inf.
+    No undecided case, where the bracket straddles 0, can occur: floor and
+    theta are both the least end-block eigenvalue b times a positive number
+    (dr*dphi/r_first or dr*dphi/r_last, and dr*dphi/(q^T R q)), so they have
+    the sign of b.  Neither S nor S_v is assembled, the rhs is never
+    sampled and no sparse matrix is factored; nothing is iterative or
+    random, so equal inputs give equal values.  IncompatibleGrid unless the
+    problem's rays and radii are the grid's (_check_grid).
     """
     _check_grid(p, grid)
     factors = _kronecker_factors(p, grid)
-    H = _kronecker_sum(grid, factors)
-    v0 = np.random.default_rng(0).standard_normal(H.shape[0])
+    r, _, _, A1, A2 = factors
     floor, theta = _coercivity_bracket(grid, factors)
-    margin = 1e-12 * spla.norm(H, np.inf)
-    lowest = floor - margin
-    delta = 1e-2 * abs(theta) if theta else margin  # a zero delta never moves sigma
-    sigma = 0.0 if floor > margin else max(theta - delta, lowest)
-    try:
-        while True:
-            if floor > margin:
-                val = _congruence_invert(H, grid, factors, v0)
-            else:
-                val = _shift_invert(H, sigma, v0)
-            if val is not None:
-                return float(val)
-            if sigma <= lowest:
-                raise SolverFailure("no certified shift down to the floor %g" % floor)
-            delta *= 4.0
-            sigma = max(theta - delta, lowest)
-    except spla.ArpackError as exc:
-        raise SolverFailure("extreme eigenvalue estimation failed: %s" % exc)
+    main, up, _ = _radial_stencil(r, grid.dr)
+    off = np.abs(r[:-1] * up[:-1])  # K's off-diagonal, taken from the upper one as in C
+    k_norm = np.max(r * main + np.append(off, 0.0) + np.append(0.0, off))
+    norm = k_norm * np.linalg.norm(A1, np.inf) + np.linalg.norm(A2, np.inf) / r[0]
+    margin = 1e-12 * grid.dr * grid.dphi * norm
+    if floor > margin:
+        return float(floor)
+    if theta < -margin:
+        return float(theta)
+    return 0.0

@@ -1,9 +1,9 @@
 """Rules the code keeps: only the CLI writes to the terminal, no module runs
 text as code, every name that the library, the demos and the tests import is
 used, every private function or class of the library is called by the
-library, every eigsh call of the library passes a start vector, no
-module holds a function cache, only the solver loads scipy when it is
-imported, and only GridFunction decides whether a field is real."""
+library, no library module calls eigsh, no module holds a function cache,
+only the solver loads scipy when it is imported, and only GridFunction
+decides whether a field is real."""
 
 import ast
 from pathlib import Path
@@ -75,16 +75,14 @@ def test_private_definitions_are_used_by_the_library():
     assert not unused, "private definitions nothing in the library uses: %s" % unused
 
 
-def test_every_eigsh_call_passes_a_start_vector():
-    # ARPACK starts from a random vector unless v0 is given, so a call
-    # without one can give different values for equal inputs
-    calls = [(path.name, n.lineno, {k.arg for k in n.keywords})
+def test_no_library_module_calls_eigsh():
+    # the coercivity probe certifies its sign from a bracket of lambda_min,
+    # and nothing else needs an iterative eigensolver
+    calls = [(path.name, n.lineno)
              for path in sorted(SRC.glob("*.py"))
              for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(n, ast.Call) and "eigsh" in (getattr(n.func, "attr", None), getattr(n.func, "id", None))]
-    assert calls
-    missing = [(name, line) for name, line, keywords in calls if "v0" not in keywords]
-    assert not missing, "eigsh calls without v0: %s" % missing
+    assert not calls, "eigsh calls in the library: %s" % calls
 
 
 # the pencil's eigenvalues are complex by nature; every field is real or
