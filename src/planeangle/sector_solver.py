@@ -58,11 +58,11 @@ which is 2 to 45 for |alpha+beta| <= 1.998 and grows without bound as
 applied to w on the grid (apply_on_grid), recomputed after every solve and
 gated at 1e-8 * ||b||, decides: when T has no real eigenbasis
 (|alpha+beta| >= 2), when the radial solve hits a singular matrix, or when
-the separable solution fails the gate, the core forms S by one sparse
-product and solves again with its sparse LU, ordered by minimum degree on
-S + S^T.  That v is the field the nonlocal solve adds to its lifting.  A
-coupling with 1 - alpha*beta = 0 makes M_int, and so S, singular; the core
-refuses it before any factor.
+the separable solution fails the gate, the core factors S_v by one sparse
+LU, ordered by minimum degree on S_v + S_v^T, and recovers w from its v
+by the same 2x2 inverse (_shift_inverse).  That v is the field the
+nonlocal solve adds to its lifting.  A coupling with 1 - alpha*beta = 0
+makes M_int singular; the core refuses it before any factor.
 
 The coercivity probe (discrete_coercivity) certifies the sign of lambda_min
 of the weighted symmetric part H = dr*dphi*(K x A1 + R^-1 x A2) of S.
@@ -177,7 +177,7 @@ def laplacian_matrix(grid):
     _interior(grid)[k], the columns are all nodes in row-major order.  The
     CSR arrays are written directly: one stencil coefficient per slot of an
     (n_r-1, n_phi-1, 5) value array, taken per radius and broadcast over the
-    angle, and the column indices _interior(grid) plus the five offsets.
+    angle, and the column indices: one line's stencil plus each line's offset.
     """
     width = grid.n_phi + 1
     shape = ((grid.n_r - 1) * (grid.n_phi - 1), width * (grid.n_r + 1))
@@ -188,7 +188,9 @@ def laplacian_matrix(grid):
     vals = np.empty((grid.n_r - 1, grid.n_phi - 1, 5))
     for k, coefficient in enumerate((down, -cp, radial + 2.0 * cp, -cp, up)):
         vals[:, :, k] = coefficient
-    cols = _interior(grid).astype(idx)[:, None] + np.array([-width, -1, 0, 1, width], dtype=idx)
+    stencil = np.array([-width, -1, 0, 1, width], dtype=idx)
+    line = (np.arange(1, grid.n_phi, dtype=idx)[:, None] + stencil).ravel()
+    cols = line + width * np.arange(1, grid.n_r, dtype=idx)[:, None]
     return sp.csr_matrix(
         (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, 5, dtype=idx)), shape=shape
     )
@@ -197,21 +199,11 @@ def laplacian_matrix(grid):
 def shift_matrix_on_grid(op, grid):
     """Sparse matrix of apply_on_grid acting on flattened node vectors.
 
-    kron(I_{n_r+1}, C) for the column shift C of one radial line, by index
-    arithmetic on the CSR arrays of C: one copy of its data, indices and
-    row pointers per radial line, offset by the line's first node and entry.
-    The solvers do not build it: they apply the shift with apply_on_grid,
-    and this matrix is its reference.
+    kron(I_{n_r+1}, C) for the column shift C of one radial line.  No solver
+    path builds it: they apply the shift with apply_on_grid, and this
+    matrix is its reference.
     """
-    C = column_shift_operator(op, grid)
-    lines, width = grid.n_r + 1, grid.n_phi + 1
-    idx = _index_dtype(max(lines * C.nnz, lines * width))
-    line = np.arange(lines, dtype=idx)[:, None]
-    indptr = np.append(C.indptr[:-1] + C.nnz * line, idx(lines * C.nnz))
-    return sp.csr_matrix(
-        (np.tile(C.data, lines), (C.indices + width * line).ravel(), indptr),
-        shape=(lines * width, lines * width),
-    )
+    return sp.kron(sp.identity(grid.n_r + 1), column_shift_operator(op, grid), format="csr")
 
 
 def _check_grid(p, grid):
@@ -227,11 +219,10 @@ def assemble_dd_system(p, grid):
     with its arc columns dropped and its two ray columns folded onto the
     middle column j = s by v_0 = -alpha*v_s and v_2s = -beta*v_s, which
     v = M w inherits from w = 0 on the rays: S_v = D_r x I + diag(1/r^2) x T
-    with T = angular_matrix, the operator _separable_solve diagonalizes.  The
-    system of w is S = S_v (I x M_int), M_int the column shift on the
-    interior columns; only the sparse LU of _solve_interior forms it.  A row
-    keeps A's slot order, a folded entry in the slot of its ray column; at
-    s = 2 it lands on a stencil neighbour and the two are summed.  b is the
+    with T = angular_matrix, the operator _separable_solve diagonalizes and
+    the sparse LU of _solve_interior factors.  A row keeps A's slot order,
+    a folded entry in the slot of its ray column; at s = 2 it lands on a
+    stencil neighbour and the two are summed.  b is the
     rhs on the interior nodes.  IncompatibleGrid unless the problem's rays,
     r_min and r_max are the grid's (_check_grid), which solve_dd and
     solve_nonlocal_poisson check here.
@@ -386,6 +377,18 @@ def _angular_basis(alpha, beta, grid):
     return (2.0 - 2.0 * np.cos(theta)) / grid.dphi**2, V, W
 
 
+def _shift_inverse(p, s, v):
+    """w from v = M_int w along axis 0, the angle: the inverse
+    [[1, alpha], [beta, 1]]/(1 - alpha*beta) of the 2x2 sector matrix on
+    each column pair (j, j+s); the middle column j = s passes unchanged."""
+    det = 1.0 - p.alpha * p.beta
+    left, right = v[: s - 1], v[s:]
+    w = v.copy()
+    w[: s - 1] = (left + p.alpha * right) / det
+    w[s:] = (right + p.beta * left) / det
+    return w
+
+
 def _separable_solve(p, grid, b, mu, V, W):
     """Solve S x = b through T = V diag(mu) W, one radial system per mode.
 
@@ -394,12 +397,10 @@ def _separable_solve(p, grid, b, mu, V, W):
     k of v W^T then solves the tridiagonal system D_r + mu_k diag(1/r^2)
     with column k of b W^T; all columns go through one sparse LU of the
     block-diagonal matrix, factored in natural order.  w is recovered from
-    v column pair (j, j+s) by column pair with the closed-form inverse
-    [[1, alpha], [beta, 1]]/(1 - alpha*beta) of the 2x2 sector matrix, which
-    is never singular here: 1 - alpha*beta > (alpha-beta)^2/4 when
-    |alpha+beta| < 2.  The middle column passes through unchanged.  That
-    recovery acts on the angle index only, so it is folded into V before
-    the synthesis.  The whole solve is one real linear map on the k parts
+    v by _shift_inverse, whose 2x2 sector matrix is never singular here:
+    1 - alpha*beta > (alpha-beta)^2/4 when |alpha+beta| < 2.  That recovery
+    acts on the angle index only, so it is folded into V before the
+    synthesis.  The whole solve is one real linear map on the k parts
     of b that _on_parts hands on, k = 1 for real data: both transforms are
     real products with one (angle x radius*k) array that holds the parts
     of every radius side by side.
@@ -429,11 +430,7 @@ def _separable_solve(p, grid, b, mu, V, W):
     # tridiagonal blocks take no fill in natural order, so a fill-reducing
     # ordering and supernode relaxation only cost time
     lu = _factor(radial, permc_spec="NATURAL", relax=1, panel_size=1)
-    det = 1.0 - p.alpha * p.beta
-    left, right = V[: s - 1], V[s:]
-    Vw = V.copy()
-    Vw[: s - 1] = (left + p.alpha * right) / det
-    Vw[s:] = (right + p.beta * left) / det
+    Vw = _shift_inverse(p, s, V)
 
     def solve(parts):
         k = parts.shape[1]
@@ -456,7 +453,7 @@ def _norm_estimate(A):
 
 
 def _solve_interior(p, grid, S_v, b):
-    """Solve S x = b, S = S_v (I x M_int), on the interior nodes.
+    """Solve S_v (I x M_int) x = b, the system of w, on the interior nodes.
 
     Returns (w, v, ||S_v v - b||, info): w the grid function with x on the
     interior nodes and zero on the rays and the truncation arcs, and
@@ -465,9 +462,9 @@ def _solve_interior(p, grid, S_v, b):
     first solved by the separable method of _separable_solve in the
     closed-form eigenbasis of the folded angular matrix T and its
     closed-form inverse (_angular_basis), with no dense factorization.
-    When the separable path fails or its residual exceeds 1e-8 * ||b||, S
-    is formed by one sparse product and solved by its sparse LU, whose
-    residual must pass the same gate.  For |alpha+beta| >= 2, T has no real
+    When the separable path fails or its residual exceeds 1e-8 * ||b||, v
+    comes from one sparse LU of S_v and w from v by _shift_inverse; that
+    solution must pass the same gate.  For |alpha+beta| >= 2, T has no real
     eigenbasis and the sparse LU is the only path.  info["method"] names
     the path whose solution is returned, info["cond_V"] estimates the
     2-norm condition number of the eigenvector matrix V with unit columns
@@ -475,7 +472,7 @@ def _solve_interior(p, grid, S_v, b):
     (_norm_estimate), so it does not exceed cond(V); it is inf when there is
     no real basis.  info["rhs_norm"] is ||b||.  SolverFailure if b is not
     finite; SingularSystem before any factor if 1 - alpha*beta = 0, which
-    makes the 2x2 blocks of M_int, and so S, singular.
+    makes the 2x2 blocks of M_int singular.
     """
     if not np.all(np.isfinite(b)):
         raise SolverFailure("right-hand side is not finite")
@@ -499,12 +496,11 @@ def _solve_interior(p, grid, S_v, b):
             pass
     # written so that a NaN residual also falls back
     if not eq_res <= 1e-8 * bnorm:
-        M_int = column_shift_operator(p.operator(), grid)[1:-1, 1:-1]
-        S = S_v @ sp.kron(sp.identity(grid.n_r - 1), M_int, format="csr")
-        # minimum degree on the pattern of S + S^T fills about half as much
-        # as the default COLAMD on this nearly symmetric pattern
+        # minimum degree on the pattern of S_v + S_v^T fills less than the
+        # default COLAMD on this nearly symmetric pattern
         method = "sparse_lu"
-        w, v, eq_res = gated(_direct_solve(S, b, permc_spec="MMD_AT_PLUS_A"))
+        v = _direct_solve(S_v, b, permc_spec="MMD_AT_PLUS_A").reshape(grid.n_r - 1, -1)
+        w, v, eq_res = gated(_shift_inverse(p, grid.shift_columns, v.T).T)
         if bnorm > 0 and eq_res > 1e-8 * bnorm:
             raise SolverFailure("direct solve residual %g too large" % eq_res)
     return w, v, eq_res, {"method": method, "cond_V": cond_V, "rhs_norm": bnorm}

@@ -10,7 +10,6 @@ import scipy.sparse.linalg as spla
 
 from planeangle.core import GridFunction, IncompatibleGrid, SectorGrid, make_geometry
 from planeangle.difference_ops import (
-    DifferenceOperator,
     apply_on_grid,
     column_shift_operator,
     two_sector_operator,
@@ -117,14 +116,9 @@ def _laplacian_by_columns(grid):
     )
 
 
-def _shift_by_kron(op, grid):
-    """The node shift matrix as first assembled, by scipy's kron."""
-    return sp.kron(sp.identity(grid.n_r + 1), column_shift_operator(op, grid), format="csr")
-
-
 def _composite_system(p, grid):
     """S = A M[:, interior], the system of w, from the reference builders."""
-    return _laplacian_by_columns(grid) @ _shift_by_kron(p.operator(), grid)[:, _interior(grid)]
+    return _laplacian_by_columns(grid) @ shift_matrix_on_grid(p.operator(), grid)[:, _interior(grid)]
 
 
 def _assert_same_csr(got, want):
@@ -143,18 +137,10 @@ CSR_COUPLINGS = ((0.3, -0.8), (0.0, 0.0), (1.5, 1.0), (0.0, -0.8), (0.7, 0.0))
 
 @CSR_GRIDS
 def test_direct_csr_assembly_is_bit_identical(n_r, n_phi):
-    # laplacian_matrix and shift_matrix_on_grid write their CSR arrays
-    # directly; they must equal the column_stack and kron constructions
-    # array for array, the operator with no coefficients included
+    # laplacian_matrix writes its CSR arrays directly; they must equal the
+    # column_stack construction array for array
     grid = SectorGrid(GEO, R_MIN, R_MAX, n_r, n_phi)
     _assert_same_csr(laplacian_matrix(grid), _laplacian_by_columns(grid))
-    _assert_same_csr(
-        shift_matrix_on_grid(DifferenceOperator({}, GEO), grid),
-        _shift_by_kron(DifferenceOperator({}, GEO), grid),
-    )
-    for alpha, beta in CSR_COUPLINGS:
-        op = two_sector_operator(alpha, beta, GEO)
-        _assert_same_csr(shift_matrix_on_grid(op, grid), _shift_by_kron(op, grid))
 
 
 def _sorted(S):
@@ -266,9 +252,9 @@ def test_solve_dd_falls_back_to_sparse_lu():
 
 @pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (-1.5, -1.0)])
 def test_sparse_lu_fallback_orders_by_minimum_degree(alpha, beta, monkeypatch):
-    # outside the regime S is factored once, ordered by minimum degree on
-    # the pattern of S + S^T, which fills about half as much as the default
-    # COLAMD; the residual gate still holds with room to spare
+    # outside the regime S_v is factored once, ordered by minimum degree on
+    # the pattern of S_v + S_v^T, which fills about half as much as the
+    # default COLAMD; the residual gate still holds with room to spare
     seen = []
     splu = spla.splu
 
@@ -283,8 +269,8 @@ def test_sparse_lu_fallback_orders_by_minimum_degree(alpha, beta, monkeypatch):
     assert res.info["method"] == "sparse_lu"
     assert seen == [{"permc_spec": "MMD_AT_PLUS_A"}]
     assert 0.0 < res.equation_residual <= 1e-11 * res.info["rhs_norm"]
-    # alpha = beta = 1: 1 - alpha*beta = 0 makes S singular, refused before
-    # any factor
+    # alpha = beta = 1: 1 - alpha*beta = 0 makes the column shift singular,
+    # refused before any factor
     with pytest.raises(SingularSystem):
         solve_dd(dd_problem(1.0, 1.0, grid)[0], grid)
     assert len(seen) == 1
@@ -697,14 +683,27 @@ def _dense_lambda_min(p, grid):
     return sla.eigh(H, eigvals_only=True, overwrite_a=True, subset_by_index=[0, 0])[0]
 
 
+def _definite_below(p, grid, value):
+    """Whether value < lambda_min(H): a dense Cholesky of H - value*I
+    succeeds exactly when that matrix is positive definite."""
+    H = _weighted_symmetric_part(p, grid).toarray()
+    H[np.diag_indices_from(H)] -= value
+    try:
+        sla.cholesky(H, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.999, 0.999), (-0.999, -0.999)])
 def test_discrete_coercivity_near_the_regime_edge(alpha, beta):
     # |alpha+beta| = 1.998: lambda_min is about 1.3e-5, tiny against the
     # spread of the spectrum, and the floor, about 5.7e-6, still proves H
-    # definite
+    # definite; the oracle is a Cholesky of H - floor*I, not an eigensolve
     p, grid = _coercivity_case(alpha, beta, 64)
     lam = discrete_coercivity(p, grid)
-    assert 0.0 < lam <= _dense_lambda_min(p, grid)
+    assert 0.0 < lam
+    assert _definite_below(p, grid, lam)
 
 
 def _h_norm(p, grid):
@@ -810,10 +809,12 @@ def test_discrete_coercivity_needs_neither_s_nor_the_rhs(alpha, beta, monkeypatc
 
 def test_discrete_coercivity_just_outside_the_regime():
     # |alpha+beta| = 2.001: H is indefinite and its lowest eigenvalues
-    # cluster (-0.0074980, -0.0074939, -0.0074872)
+    # cluster (-0.0074980, -0.0074939, -0.0074872); H - theta*I is not
+    # positive definite, so its Cholesky fails
     p, grid = _coercivity_case(1.001, 1.0, 64)
     lam = discrete_coercivity(p, grid)
-    assert _dense_lambda_min(p, grid) <= lam < 0.0
+    assert lam < 0.0
+    assert not _definite_below(p, grid, lam)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.416, 1.132), (-1.057, -1.358), (-1.164, -1.065)])
@@ -924,16 +925,16 @@ def test_rhs_callable_and_grid_function_agree(build, solve):
     [
         (0.3, -0.8, ["radial"]),
         # separable solution fails the residual gate (cond(V) about 2e8)
-        (1.5, 0.5 - 1e-8, ["radial", "S"]),
-        # no real angular basis: the sparse LU of S is the only path
-        (1.5, 1.0, ["S"]),
+        (1.5, 0.5 - 1e-8, ["radial", "S_v"]),
+        # no real angular basis: the sparse LU of S_v is the only path
+        (1.5, 1.0, ["S_v"]),
     ],
 )
 @SOLVERS
 def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
     # the separable path factors only the block-tridiagonal radial matrix;
-    # the LU fallback factors S exactly once, the composite system of the
-    # reference builders
+    # the LU fallback factors S_v exactly once, the matrix that
+    # assemble_dd_system returns
     seen = []
     splu = spla.splu
 
@@ -946,12 +947,12 @@ def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
     p, _ = build(alpha, beta, grid)
     p = dataclasses.replace(p, rhs=_wave)
     solve(p, grid)
-    S = _composite_system(p, grid)
+    S_v = assemble_dd_system(p, grid)[0]
     kinds = []
     for M in seen:
-        assert M.shape == S.shape
-        if abs(M - S).max() == 0.0:
-            kinds.append("S")
+        assert M.shape == S_v.shape
+        if abs(M - S_v).max() == 0.0:
+            kinds.append("S_v")
         elif sp.triu(M, 2).nnz == 0 and sp.tril(M, -2).nnz == 0:
             kinds.append("radial")
         else:
@@ -961,10 +962,11 @@ def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
 
 @SOLVERS
 def test_solve_makes_no_sparse_matrix_product(build, solve, monkeypatch):
-    # S_v is written straight into CSR arrays; inside the regime no step of
-    # a solve multiplies two sparse matrices, and the LU fallback forms
-    # S = S_v (I x M_int) by exactly one product.  Its solution is that of
-    # the reference composite system, bit for bit
+    # S_v is written straight into CSR arrays and is the only system a solve
+    # factors, so no path multiplies two sparse matrices: not the separable
+    # one, and not the LU fallback outside the regime or at the regime edge,
+    # where the separable solution fails the gate.  The fallback's w agrees
+    # with the sparse LU of the reference composite system, the system of w
     calls, systems = [], []
     matmat = sp._compressed.csr_matmat
     direct = sector_solver._direct_solve
@@ -983,17 +985,48 @@ def test_solve_makes_no_sparse_matrix_product(build, solve, monkeypatch):
     res = solve(build(0.3, -0.8, grid)[0], grid)
     assert res.info["method"] == "separable"
     assert calls == [] and systems == []
-    # outside the regime, and at the regime edge, where the separable
-    # solution fails the gate
     for alpha, beta in ((1.5, 1.0), (1.5, 0.5 - 1e-8)):
         p = dataclasses.replace(build(alpha, beta, grid)[0], rhs=_wave)
         res = solve(p, grid)
         assert res.info["method"] == "sparse_lu"
-        assert len(calls) == len(systems) == 1
-        want = direct(_composite_system(p, grid), systems.pop(), permc_spec="MMD_AT_PLUS_A")
-        w = res.info.get("w", res.solution)
-        assert w.values[1:-1, 1:-1].tobytes() == want.tobytes()
+        assert calls == [] and len(systems) == 1
+        b = systems.pop()
+        S = _composite_system(p, grid)
+        want = direct(S, b)
+        got = res.info.get("w", res.solution).values[1:-1, 1:-1].ravel()
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(S @ got - b) <= 1e-8 * np.linalg.norm(b)
         calls.clear()
+
+
+# a 7 x 7 grid of couplings on [-3, 3]^2, and three with |1 - alpha*beta|
+# between 5e-7 and 2e-6, where the shift inverse is nearly singular
+GATE_SWEEP = [(a, b) for a in np.linspace(-3.0, 3.0, 7) for b in np.linspace(-3.0, 3.0, 7)]
+GATE_SWEEP += [(a, 1.0 / a + 1e-6) for a in (0.5, 2.0, -1.5)]
+
+
+def test_solve_dd_returns_wherever_the_composite_lu_passes_the_gate():
+    # the sparse LU of the reference composite system is the oracle: where
+    # its solution passes the residual gate 1e-8*||b||, solving S_v and
+    # recovering w by the 2x2 inverse must pass it too.  Where that LU
+    # fails, here only at 1 - alpha*beta = 0, the coupling is skipped
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
+    f = GridFunction(grid, np.random.default_rng(3).standard_normal((33, 33)))
+    b = f.values[1:-1, 1:-1].ravel()
+    solved = 0
+    for alpha, beta in GATE_SWEEP:
+        p = DDProblem(alpha, beta, GEO, f, R_MIN, R_MAX)
+        S = _composite_system(p, grid)
+        try:
+            x = spla.splu(S.tocsc()).solve(b)
+        except RuntimeError:  # exactly singular
+            continue
+        if not np.linalg.norm(S @ x - b) <= 1e-8 * np.linalg.norm(b):
+            continue
+        res = solve_dd(p, grid)
+        assert res.equation_residual <= 1e-8 * res.info["rhs_norm"]
+        solved += 1
+    assert solved >= len(GATE_SWEEP) - 2
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.6, 0.4), (0.3, -0.8), (1.5, 1.0)])
