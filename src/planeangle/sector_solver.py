@@ -57,12 +57,16 @@ which is 2 to 45 for |alpha+beta| <= 1.998 and grows without bound as
 |alpha+beta| -> 2.  So the residual ||S_v v - b|| of v = M w, the shift
 applied to w on the grid (apply_on_grid), recomputed after every solve and
 gated at 1e-8 * ||b||, decides: when T has no real eigenbasis
-(|alpha+beta| >= 2), when the radial solve hits a singular matrix, or when
-the separable solution fails the gate, the core factors S_v by one sparse
-LU, ordered by minimum degree on S_v + S_v^T, and recovers w from its v
-by the same 2x2 inverse (_shift_inverse).  That v is the field the
-nonlocal solve adds to its lifting.  A coupling with 1 - alpha*beta = 0
-makes M_int singular; the core refuses it before any factor.
+(|alpha+beta| >= 2), when a radial system is exactly singular, or when
+the separable solution fails the gate, the core separates S_v along the
+other axis (_radial_solve): the radial operator has the orthogonal
+eigenbasis of the symmetric C = R^1/2 (R D_r) R^1/2 for every coupling,
+and each radial mode leaves one angular system T + lam_i I, all of them
+factored by the same block-diagonal LU (_block_lu), the only sparse factor
+the library makes.  Both paths recover w from v by the same 2x2 inverse
+(_shift_inverse).  That v is the field the nonlocal solve adds to its
+lifting.  A coupling with 1 - alpha*beta = 0 makes M_int singular; the
+core refuses it before any factor.
 
 The coercivity probe (discrete_coercivity) certifies the sign of lambda_min
 of the weighted symmetric part H = dr*dphi*(K x A1 + R^-1 x A2) of S.
@@ -175,9 +179,10 @@ def laplacian_matrix(grid):
 
     Second-order central stencil; row k is the equation at node
     _interior(grid)[k], the columns are all nodes in row-major order.  The
-    CSR arrays are written directly: one stencil coefficient per slot of an
-    (n_r-1, n_phi-1, 5) value array, taken per radius and broadcast over the
-    angle, and the column indices: one line's stencil plus each line's offset.
+    CSR arrays are written directly: the (n_r-1, n_phi-1, 5) value array is
+    one row of five stencil coefficients per radius, repeated over the
+    angle, and the column indices are one line's stencil plus each line's
+    offset.
     """
     width = grid.n_phi + 1
     shape = ((grid.n_r - 1) * (grid.n_phi - 1), width * (grid.n_r + 1))
@@ -185,15 +190,12 @@ def laplacian_matrix(grid):
     r = grid.r_nodes[1:-1, None]
     radial, up, down = _radial_stencil(r, grid.dr)
     cp = 1.0 / (r**2 * grid.dphi**2)
-    vals = np.empty((grid.n_r - 1, grid.n_phi - 1, 5))
-    for k, coefficient in enumerate((down, -cp, radial + 2.0 * cp, -cp, up)):
-        vals[:, :, k] = coefficient
+    row = np.hstack([down, -cp, radial + 2.0 * cp, -cp, up])[:, None, :]
+    vals = np.repeat(row, grid.n_phi - 1, axis=1).ravel()
     stencil = np.array([-width, -1, 0, 1, width], dtype=idx)
     line = (np.arange(1, grid.n_phi, dtype=idx)[:, None] + stencil).ravel()
     cols = line + width * np.arange(1, grid.n_r, dtype=idx)[:, None]
-    return sp.csr_matrix(
-        (vals.ravel(), cols.ravel(), np.arange(0, vals.size + 1, 5, dtype=idx)), shape=shape
-    )
+    return sp.csr_matrix((vals, cols.ravel(), np.arange(0, vals.size + 1, 5, dtype=idx)), shape=shape)
 
 
 def shift_matrix_on_grid(op, grid):
@@ -220,7 +222,7 @@ def assemble_dd_system(p, grid):
     middle column j = s by v_0 = -alpha*v_s and v_2s = -beta*v_s, which
     v = M w inherits from w = 0 on the rays: S_v = D_r x I + diag(1/r^2) x T
     with T = angular_matrix, the operator _separable_solve diagonalizes and
-    the sparse LU of _solve_interior factors.  A row keeps A's slot order,
+    _radial_solve factors.  A row keeps A's slot order,
     a folded entry in the slot of its ray column; at s = 2 it lands on a
     stencil neighbour and the two are summed.  b is the
     rhs on the interior nodes.  IncompatibleGrid unless the problem's rays,
@@ -283,14 +285,25 @@ def _on_parts(real_map, x):
     return np.ascontiguousarray(y).view(complex).ravel()
 
 
-def _factor(M, **splu_options):
-    """scipy's splu of M; SingularSystem if SuperLU finds it exactly singular.
+def _block_lu(block, diagonals):
+    """One splu, in natural order, of the block-diagonal matrix that holds a
+    copy of the canonical CSC block per row of diagonals, with that row on
+    its diagonal.
 
-    splu_options go to splu unchanged; without them SuperLU uses its
-    defaults (COLAMD column ordering, supernode relaxation).
+    Blocks are uncoupled, so the factor of each is the factor of its own.
+    The solvers pass tridiagonal blocks, which natural order does not fill,
+    and the angular matrix, whose ray column fills one row and one column,
+    so a fill-reducing ordering and supernode relaxation only cost time.
+    SingularSystem if SuperLU finds a block exactly singular.
     """
+    k, n = diagonals.shape
+    data = np.tile(block.data, (k, 1))
+    data[:, block.indices == np.repeat(np.arange(n), np.diff(block.indptr))] = diagonals
+    offsets = np.arange(k, dtype=np.int32)[:, None]
+    starts = np.append(block.indptr[:-1] + block.nnz * offsets, np.int32(k * block.nnz))
+    tiled = sp.csc_matrix((data.ravel(), (block.indices + n * offsets).ravel(), starts), shape=(k * n, k * n))
     try:
-        return spla.splu(M.tocsc(), **splu_options)
+        return spla.splu(tiled, permc_spec="NATURAL", relax=1, panel_size=1)
     except RuntimeError as exc:  # exactly singular factor
         raise SingularSystem("sparse LU failed: %s" % exc)
 
@@ -300,12 +313,6 @@ def _finite(x):
     if not np.all(np.isfinite(x)):
         raise SingularSystem("sparse solve produced non-finite values")
     return x
-
-
-def _direct_solve(S, b, **splu_options):
-    """Solve the real system S x = b for real or complex b with one real LU
-    (_factor), solving once for the parts of b that _on_parts hands on."""
-    return _finite(_on_parts(_factor(S, **splu_options).solve, b))
 
 
 def angular_matrix(alpha, beta, grid):
@@ -320,8 +327,10 @@ def angular_matrix(alpha, beta, grid):
     theta = eta*h is a root of sin(x)(2 cos(x) + alpha + beta) = 0, the
     continuous characteristic equation with lambda*d replaced by i*x, and
     pencil.characteristic_roots solves both.  So the eigenvalues tend to
-    (Im lambda)^2 at second order in h.  The solver uses the closed-form
-    eigenpairs of _angular_basis; this matrix is their reference.
+    (Im lambda)^2 at second order in h.  The separable path uses the
+    closed-form eigenpairs of _angular_basis, which this matrix checks;
+    the radial path factors T + lam_i I for each radial eigenvalue lam_i
+    (_radial_solve), for every coupling.
     """
     m, s = grid.n_phi - 1, grid.shift_columns
     T = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
@@ -396,7 +405,7 @@ def _separable_solve(p, grid, b, mu, V, W):
     reads D_r v + diag(1/r^2) v T^T = b for the radial stencil D_r.  Column
     k of v W^T then solves the tridiagonal system D_r + mu_k diag(1/r^2)
     with column k of b W^T; all columns go through one sparse LU of the
-    block-diagonal matrix, factored in natural order.  w is recovered from
+    block-diagonal matrix (_block_lu).  w is recovered from
     v by _shift_inverse, whose 2x2 sector matrix is never singular here:
     1 - alpha*beta > (alpha-beta)^2/4 when |alpha+beta| < 2.  That recovery
     acts on the angle index only, so it is folded into V before the
@@ -408,28 +417,8 @@ def _separable_solve(p, grid, b, mu, V, W):
     r = grid.r_nodes[1:-1]
     s = grid.shift_columns
     main, up, down = _radial_stencil(r, grid.dr)
-    # one tridiagonal block per mode, uncoupled, in CSC form with the 32-bit
-    # indices SuperLU takes: column i of a block holds up[i-1], main[i] and
-    # down[i+1] at 3i-1, 3i and 3i+1 of the block's entries; the first
-    # column has no upper entry and the last no lower one
-    width = 3 * r.size - 2
-    data = np.empty((mu.size, width))
-    data[:, 0::3] = main + mu[:, None] / r**2
-    data[:, 1::3] = down[1:]
-    data[:, 2::3] = up[:-1]
-    diag = np.arange(mu.size * r.size, dtype=np.int32).reshape(mu.size, r.size)
-    rows = np.empty((mu.size, width), dtype=np.int32)
-    rows[:, 0::3] = diag
-    rows[:, 1::3] = diag[:, :-1] + 1
-    rows[:, 2::3] = diag[:, :-1]
-    starts = width * np.arange(mu.size)[:, None] + np.maximum(3 * np.arange(r.size) - 1, 0)
-    radial = sp.csc_matrix(
-        (data.ravel(), rows.ravel(), np.append(starts, width * mu.size).astype(np.int32)),
-        shape=(diag.size, diag.size),
-    )
-    # tridiagonal blocks take no fill in natural order, so a fill-reducing
-    # ordering and supernode relaxation only cost time
-    lu = _factor(radial, permc_spec="NATURAL", relax=1, panel_size=1)
+    radial = sp.diags([down[1:], main, up[:-1]], [-1, 0, 1], format="csc")
+    lu = _block_lu(radial, main + mu[:, None] / r**2)
     Vw = _shift_inverse(p, s, V)
 
     def solve(parts):
@@ -441,6 +430,31 @@ def _separable_solve(p, grid, b, mu, V, W):
         return w.reshape(mu.size, r.size, k).transpose(1, 0, 2).reshape(-1, k)
 
     return _finite(_on_parts(solve, b))
+
+
+def _radial_solve(p, grid, b):
+    """Solve S x = b through the radial eigenbasis, one angular system per mode.
+
+    With v = M w and b as (radius x angle) arrays, S_v v = b reads
+    R^2 D_r v + v T^T = R^2 b for R = diag(r).  With C = Q diag(lam) Q^T of
+    _kronecker_factors, R^2 D_r = P diag(lam) P^-1 for P = R^1/2 Q, so row
+    i of y = P^-1 v solves (T + lam_i I) y_i = g_i with g = Q^T R^3/2 b: the
+    method of Buzbee, Golub & Nielson (SIAM J. Numer. Anal. 7, 1970) along
+    the radius.  Q is orthogonal, so it holds for every coupling; all rows
+    go through one sparse LU of the block-diagonal matrix (_block_lu), and
+    w comes from v = R^1/2 Q y by _shift_inverse.
+    """
+    r, lam, Q, _, _ = _kronecker_factors(p, grid)
+    T = sp.csc_matrix(angular_matrix(p.alpha, p.beta, grid))
+    lu = _block_lu(T, T.diagonal() + lam[:, None])
+
+    def solve(parts):
+        k = parts.shape[1]
+        y = lu.solve((Q.T @ (r[:, None] ** 1.5 * parts.reshape(r.size, -1))).reshape(-1, k))
+        return (np.sqrt(r)[:, None] * (Q @ y.reshape(r.size, -1))).reshape(-1, k)
+
+    v = _finite(_on_parts(solve, b)).reshape(r.size, -1)
+    return _shift_inverse(p, grid.shift_columns, v.T).T.ravel()
 
 
 def _norm_estimate(A):
@@ -462,11 +476,12 @@ def _solve_interior(p, grid, S_v, b):
     first solved by the separable method of _separable_solve in the
     closed-form eigenbasis of the folded angular matrix T and its
     closed-form inverse (_angular_basis), with no dense factorization.
-    When the separable path fails or its residual exceeds 1e-8 * ||b||, v
-    comes from one sparse LU of S_v and w from v by _shift_inverse; that
-    solution must pass the same gate.  For |alpha+beta| >= 2, T has no real
-    eigenbasis and the sparse LU is the only path.  info["method"] names
-    the path whose solution is returned, info["cond_V"] estimates the
+    When the separable path fails or its residual exceeds 1e-8 * ||b||, x
+    comes from _radial_solve, which separates S_v in the radial eigenbasis
+    instead; that solution must pass the same gate, or SolverFailure.  For
+    |alpha+beta| >= 2, T has no real eigenbasis and the radial solve is the
+    only path.  info["method"] names the path whose solution is returned
+    ("separable" or "radial"), info["cond_V"] estimates the
     2-norm condition number of the eigenvector matrix V with unit columns
     as ||V||_2 * ||W||_2, each norm from below by a few power steps
     (_norm_estimate), so it does not exceed cond(V); it is inf when there is
@@ -496,13 +511,10 @@ def _solve_interior(p, grid, S_v, b):
             pass
     # written so that a NaN residual also falls back
     if not eq_res <= 1e-8 * bnorm:
-        # minimum degree on the pattern of S_v + S_v^T fills less than the
-        # default COLAMD on this nearly symmetric pattern
-        method = "sparse_lu"
-        v = _direct_solve(S_v, b, permc_spec="MMD_AT_PLUS_A").reshape(grid.n_r - 1, -1)
-        w, v, eq_res = gated(_shift_inverse(p, grid.shift_columns, v.T).T)
+        method = "radial"
+        w, v, eq_res = gated(_radial_solve(p, grid, b))
         if bnorm > 0 and eq_res > 1e-8 * bnorm:
-            raise SolverFailure("direct solve residual %g too large" % eq_res)
+            raise SolverFailure("radial solve residual %g too large" % eq_res)
     return w, v, eq_res, {"method": method, "cond_V": cond_V, "rhs_norm": bnorm}
 
 
@@ -592,7 +604,8 @@ def _kronecker_factors(p, grid):
     tridiagonal C = R^1/2 K R^1/2 = Q diag(lam) Q^T for K = R D_r, from one
     eigh_tridiagonal; A1 = sym(M_int) and A2 = sym(T M_int) are dense, for
     the folded angular matrix T and the interior block M_int of the column
-    shift.
+    shift.  The coercivity probe reads all five; the radial solve reads
+    (r, lam, Q), in which R^2 D_r = R K = P diag(lam) P^-1 for P = R^1/2 Q.
     """
     r = grid.r_nodes[1:-1]
     main, up, _ = _radial_stencil(r, grid.dr)

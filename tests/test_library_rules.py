@@ -1,9 +1,10 @@
 """Rules the code keeps: only the CLI writes to the terminal, no module runs
 text as code, every name that the library, the demos and the tests import is
 used, every private function or class of the library is called by the
-library, no library module calls eigsh, no module holds a function cache,
-only the solver loads scipy when it is imported, and only GridFunction
-decides whether a field is real."""
+library, no library module calls eigsh, the library makes one kind of sparse
+factor (one splu call, in natural order, and no spsolve), no module holds a
+function cache, only the solver loads scipy when it is imported, and only
+GridFunction decides whether a field is real."""
 
 import ast
 from pathlib import Path
@@ -75,14 +76,35 @@ def test_private_definitions_are_used_by_the_library():
     assert not unused, "private definitions nothing in the library uses: %s" % unused
 
 
+def library_calls(name=None):
+    """(file, call node) of each call in src/ of the function or method
+    name, or of every call if name is None."""
+    return [(path.name, n)
+            for path in sorted(SRC.glob("*.py"))
+            for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(n, ast.Call)
+            and name in (None, getattr(n.func, "attr", None), getattr(n.func, "id", None))]
+
+
 def test_no_library_module_calls_eigsh():
     # the coercivity probe certifies its sign from a bracket of lambda_min,
     # and nothing else needs an iterative eigensolver
-    calls = [(path.name, n.lineno)
-             for path in sorted(SRC.glob("*.py"))
-             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(n, ast.Call) and "eigsh" in (getattr(n.func, "attr", None), getattr(n.func, "id", None))]
+    calls = [(f, n.lineno) for f, n in library_calls("eigsh")]
     assert not calls, "eigsh calls in the library: %s" % calls
+
+
+def test_one_kind_of_sparse_factor():
+    # every solve factors block-diagonal copies of one banded block in
+    # natural order (sector_solver._block_lu); a second splu call, an
+    # spsolve, a fill-reducing ordering or options handed through to splu
+    # would bring back a second kind of factor
+    splu = library_calls("splu")
+    assert len(splu) == 1, "splu calls in the library: %s" % [(f, n.lineno) for f, n in splu]
+    assert not library_calls("spsolve")
+    orders = [(f, n.lineno, ast.unparse(k.value))
+              for f, n in library_calls() for k in n.keywords if k.arg == "permc_spec"]
+    assert orders == [(splu[0][0], splu[0][1].lineno, "'NATURAL'")]
+    assert all(k.arg is not None for k in splu[0][1].keywords), "options handed through to splu"
 
 
 # the pencil's eigenvalues are complex by nature; every field is real or

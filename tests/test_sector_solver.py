@@ -24,8 +24,9 @@ from planeangle.sector_solver import (
     SolverFailure,
     _angular_basis,
     _coercivity_bracket,
-    _direct_solve,
     _interior,
+    _kronecker_factors,
+    _radial_solve,
     angular_matrix,
     assemble_dd_system,
     boundary_lifting,
@@ -119,6 +120,11 @@ def _laplacian_by_columns(grid):
 def _composite_system(p, grid):
     """S = A M[:, interior], the system of w, from the reference builders."""
     return _laplacian_by_columns(grid) @ shift_matrix_on_grid(p.operator(), grid)[:, _interior(grid)]
+
+
+def _direct_solve(S, b):
+    """The oracle: S x = b by scipy's sparse LU of S, for real or complex b."""
+    return sector_solver._on_parts(spla.splu(S.tocsc()).solve, b)
 
 
 def _assert_same_csr(got, want):
@@ -238,12 +244,12 @@ def test_separable_solve_matches_sparse_lu(alpha, beta, n):
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def test_solve_dd_falls_back_to_sparse_lu():
+def test_solve_dd_falls_back_to_the_radial_solve():
     grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
     f = GridFunction(grid, np.random.default_rng(1).standard_normal((17, 17)))
     # |alpha+beta| > 2: the folded angular matrix has no real eigenbasis
     res = solve_dd(DDProblem(1.5, 1.0, GEO, f, R_MIN, R_MAX), grid)
-    assert res.info["method"] == "sparse_lu"
+    assert res.info["method"] == "radial"
     assert 0.0 < res.equation_residual <= 1e-8 * res.info["rhs_norm"]
     # alpha = beta = 1: defective angular matrix and a singular system
     with pytest.raises(SingularSystem):
@@ -251,29 +257,91 @@ def test_solve_dd_falls_back_to_sparse_lu():
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (-1.5, -1.0)])
-def test_sparse_lu_fallback_orders_by_minimum_degree(alpha, beta, monkeypatch):
-    # outside the regime S_v is factored once, ordered by minimum degree on
-    # the pattern of S_v + S_v^T, which fills about half as much as the
-    # default COLAMD; the residual gate still holds with room to spare
+def test_radial_fallback_factors_the_angular_blocks_in_natural_order(alpha, beta, monkeypatch):
+    # outside the regime one factor is made, in natural order, of the
+    # block-diagonal matrix whose block i is T + lam_i I, T the folded
+    # angular matrix and lam the radial eigenvalues; the residual gate
+    # still holds with room to spare
     seen = []
     splu = spla.splu
 
     def spy(M, *args, **kwargs):
-        seen.append(kwargs)
+        seen.append((M.copy(), kwargs))
         return splu(M, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", spy)
     grid = SectorGrid(GEO, R_MIN, R_MAX, 128, 128)
     p, _ = dd_problem(alpha, beta, grid)
     res = solve_dd(p, grid)
-    assert res.info["method"] == "sparse_lu"
-    assert seen == [{"permc_spec": "MMD_AT_PLUS_A"}]
+    assert res.info["method"] == "radial"
+    assert [kwargs for _, kwargs in seen] == [{"permc_spec": "NATURAL", "relax": 1, "panel_size": 1}]
+    T = angular_matrix(alpha, beta, grid)
+    blocks = sp.block_diag([T + lam * np.eye(T.shape[0]) for lam in _kronecker_factors(p, grid)[1]])
+    assert abs(seen[0][0] - blocks).max() == 0.0
     assert 0.0 < res.equation_residual <= 1e-11 * res.info["rhs_norm"]
     # alpha = beta = 1: 1 - alpha*beta = 0 makes the column shift singular,
     # refused before any factor
     with pytest.raises(SingularSystem):
         solve_dd(dd_problem(1.0, 1.0, grid)[0], grid)
     assert len(seen) == 1
+
+
+# both sides of |alpha+beta| = 2, and inside the regime the worst
+# conditioned angular basis (0.999, 0.999), where the separable path answers
+RADIAL_COUPLINGS = [(1.5, 1.0), (-1.5, -1.0), (2.5, 1.5), (-3.0, 0.5), (0.3, -0.8), (0.999, 0.999)]
+
+
+@pytest.mark.parametrize("alpha,beta", RADIAL_COUPLINGS)
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_radial_solve_matches_sparse_lu(alpha, beta, n):
+    # the sparse LU of the composite system from the reference builders is
+    # the oracle; real data give a real w and complex data a complex one
+    grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
+    p = DDProblem(alpha, beta, GEO, None, R_MIN, R_MAX)
+    S = _composite_system(p, grid)
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal(S.shape[0])
+    for b in (real, real + 1j * rng.standard_normal(S.shape[0])):
+        want = _direct_solve(S, b)
+        got = _radial_solve(p, grid, b)
+        assert got.dtype == b.dtype
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.5, 1.0), (-1.5, -1.0)])
+def test_radial_solve_second_order_convergence(alpha, beta):
+    # outside the regime the radial solve alone answers
+    errs = []
+    for n in (64, 128, 256):
+        grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
+        p, exact = nonlocal_problem(alpha, beta, grid)
+        res = solve_nonlocal_poisson(p, grid)
+        assert res.info["method"] == "radial"
+        errs.append(error_norm(res.solution, exact))
+    for i in range(2):
+        assert 1.7 <= np.log2(errs[i] / errs[i + 1]) <= 2.3
+
+
+# the first coupling alpha = beta = sigma/2 at which S_v is singular on the
+# 32 x 32 test grid: an angular eigenvalue mu_k meets -lam_0
+SIGMA_0 = -30.8188552558
+
+
+def test_solve_near_the_first_singular_coupling():
+    # the solution grows like 1/|sigma - SIGMA_0|, and with it the residual
+    # rounding leaves, so the gate refuses at SIGMA_0 and 1e-6 away and
+    # passes 1e-3 away
+    grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
+    f = GridFunction(grid, np.random.default_rng(1).standard_normal((33, 33)))
+    p = DDProblem(SIGMA_0 / 2, SIGMA_0 / 2, GEO, f, R_MIN, R_MAX)
+    mu = np.linalg.eigvals(angular_matrix(p.alpha, p.beta, grid))
+    assert np.min(np.abs(mu + _kronecker_factors(p, grid)[1][0])) <= 1e-10 * np.max(np.abs(mu))
+    for sigma in (SIGMA_0, SIGMA_0 + 1e-6):
+        with pytest.raises(SolverFailure, match="radial solve residual"):
+            solve_dd(dataclasses.replace(p, alpha=sigma / 2, beta=sigma / 2), grid)
+    res = solve_dd(dataclasses.replace(p, alpha=(SIGMA_0 - 1e-3) / 2, beta=(SIGMA_0 - 1e-3) / 2), grid)
+    assert res.info["method"] == "radial"
+    assert res.equation_residual <= 1e-8 * res.info["rhs_norm"]
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.5), (-1.0, -1.0)])
@@ -292,7 +360,7 @@ def test_singular_shift_is_refused_before_any_factor(alpha, beta, monkeypatch):
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("alpha, beta", [(0.3, -0.8), (1.5, 1.0)])
 def test_non_finite_rhs_is_a_solver_failure(alpha, beta, bad):
-    # on both paths, the separable one and the sparse LU: with ||b|| = inf
+    # on both paths, the separable one and the radial one: with ||b|| = inf
     # or nan, the residual gate 1e-8*||b|| cannot reject a solution
     grid = SectorGrid(GEO, R_MIN, R_MAX, 8, 8)
     values = np.zeros((9, 9))
@@ -306,11 +374,11 @@ def test_non_finite_rhs_is_a_solver_failure(alpha, beta, bad):
 def test_solve_dd_near_the_regime_edge_falls_back(beta):
     # alpha + beta just below 2 with alpha*beta far from 1: S is well
     # conditioned, but cond(V) is about 2e8 and 2e10, so the separable
-    # solution fails the residual gate and the sparse LU answers
+    # solution fails the residual gate and the radial solve answers
     grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
     f = GridFunction(grid, np.random.default_rng(1).standard_normal((33, 33)))
     res = solve_dd(DDProblem(1.5, beta, GEO, f, R_MIN, R_MAX), grid)
-    assert res.info["method"] == "sparse_lu"
+    assert res.info["method"] == "radial"
     assert res.info["cond_V"] > 1e8
     assert 0.0 < res.equation_residual <= 1e-8 * res.info["rhs_norm"]
 
@@ -352,7 +420,7 @@ def test_solve_dd_makes_no_dense_eigendecomposition(monkeypatch):
     res = solve_dd(DDProblem(0.3, -0.8, GEO, f, R_MIN, R_MAX), grid)
     assert res.info["method"] == "separable"
     res = solve_dd(DDProblem(1.5, 1.0, GEO, f, R_MIN, R_MAX), grid)
-    assert res.info["method"] == "sparse_lu"
+    assert res.info["method"] == "radial"
     assert res.info["cond_V"] == np.inf
 
 
@@ -428,7 +496,7 @@ def test_solve_is_linear_over_the_field(alpha, beta, n):
     # the solve is a real linear map applied to the real and imaginary parts
     # of the data: f1 + i f2 solves to solve(f1) + i solve(f2), and real data
     # give an imaginary part that is exactly 0, on the separable path and on
-    # the LU fallback (1.5, 1.0) alike
+    # the radial fallback (1.5, 1.0) alike
     grid = SectorGrid(GEO, R_MIN, R_MAX, n, n)
     rng = np.random.default_rng(n)
     f1, f2 = rng.standard_normal((2, n + 1, n + 1))
@@ -438,7 +506,7 @@ def test_solve_is_linear_over_the_field(alpha, beta, n):
 
     u1, u2, u = (solve(f) for f in (f1, f2, f1 + 1j * f2))
     assert u.info["method"] == u1.info["method"] == u2.info["method"]
-    assert u.info["method"] == ("sparse_lu" if alpha + beta >= 2.0 else "separable")
+    assert u.info["method"] == ("radial" if alpha + beta >= 2.0 else "separable")
     for part in (u1, u2):
         assert not np.any(part.solution.values.imag)
     want = u1.solution.values + 1j * u2.solution.values
@@ -448,12 +516,12 @@ def test_solve_is_linear_over_the_field(alpha, beta, n):
 @pytest.mark.parametrize("alpha,beta", [(0.3, -0.8), (1.5, 1.0)])
 def test_real_data_solve_to_float64_fields(alpha, beta):
     # real data are real arrays from the rhs to the solution, on the
-    # separable path and on the LU fallback (1.5, 1.0) alike
+    # separable path and on the radial fallback (1.5, 1.0) alike
     grid = SectorGrid(GEO, R_MIN, R_MAX, 16, 16)
     dd = solve_dd(dd_problem(alpha, beta, grid)[0], grid)
     nonlocal_ = solve_nonlocal_poisson(nonlocal_problem(alpha, beta, grid)[0], grid)
     assert dd.info["method"] == nonlocal_.info["method"]
-    assert dd.info["method"] == ("sparse_lu" if alpha + beta >= 2.0 else "separable")
+    assert dd.info["method"] == ("radial" if alpha + beta >= 2.0 else "separable")
     fields = [dd.solution, nonlocal_.solution, nonlocal_.info["w"], nonlocal_.info["lifting"]]
     assert [u.values.dtype for u in fields] == [np.float64] * 4
 
@@ -603,7 +671,7 @@ def test_regime_flag_reported():
     p = NonlocalPoissonProblem(1.5, 1.0, GEO, zero, z, z, R_MIN, R_MAX)
     assert not p.guaranteed_solvable
     res = solve_nonlocal_poisson(p, grid)
-    assert res.info["method"] == "sparse_lu"
+    assert res.info["method"] == "radial"
 
 
 def test_both_solvers_report_one_info_schema():
@@ -925,16 +993,16 @@ def test_rhs_callable_and_grid_function_agree(build, solve):
     [
         (0.3, -0.8, ["radial"]),
         # separable solution fails the residual gate (cond(V) about 2e8)
-        (1.5, 0.5 - 1e-8, ["radial", "S_v"]),
-        # no real angular basis: the sparse LU of S_v is the only path
-        (1.5, 1.0, ["S_v"]),
+        (1.5, 0.5 - 1e-8, ["radial", "angular"]),
+        # no real angular basis: the radial solve is the only path
+        (1.5, 1.0, ["angular"]),
     ],
 )
 @SOLVERS
 def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
-    # the separable path factors only the block-tridiagonal radial matrix;
-    # the LU fallback factors S_v exactly once, the matrix that
-    # assemble_dd_system returns
+    # the separable path factors only its tridiagonal radial blocks, one
+    # per angular mode; the radial fallback factors only its angular blocks
+    # T + lam_i I, one per radial mode.  No path factors S_v
     seen = []
     splu = spla.splu
 
@@ -948,11 +1016,13 @@ def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
     p = dataclasses.replace(p, rhs=_wave)
     solve(p, grid)
     S_v = assemble_dd_system(p, grid)[0]
+    T = angular_matrix(alpha, beta, grid)
+    angular = sp.block_diag([T + lam * np.eye(T.shape[0]) for lam in _kronecker_factors(p, grid)[1]])
     kinds = []
     for M in seen:
         assert M.shape == S_v.shape
-        if abs(M - S_v).max() == 0.0:
-            kinds.append("S_v")
+        if abs(M - angular).max() == 0.0:
+            kinds.append("angular")
         elif sp.triu(M, 2).nnz == 0 and sp.tril(M, -2).nnz == 0:
             kinds.append("radial")
         else:
@@ -962,25 +1032,25 @@ def test_factorizations(alpha, beta, factored, build, solve, monkeypatch):
 
 @SOLVERS
 def test_solve_makes_no_sparse_matrix_product(build, solve, monkeypatch):
-    # S_v is written straight into CSR arrays and is the only system a solve
-    # factors, so no path multiplies two sparse matrices: not the separable
-    # one, and not the LU fallback outside the regime or at the regime edge,
-    # where the separable solution fails the gate.  The fallback's w agrees
-    # with the sparse LU of the reference composite system, the system of w
+    # S_v is written straight into CSR arrays and no path multiplies two
+    # sparse matrices: not the separable one, and not the radial fallback
+    # outside the regime or at the regime edge, where the separable
+    # solution fails the gate.  The fallback's w agrees with the sparse LU
+    # of the reference composite system, the system of w
     calls, systems = [], []
     matmat = sp._compressed.csr_matmat
-    direct = sector_solver._direct_solve
+    radial = sector_solver._radial_solve
 
     def spy(*args):
         calls.append(args[:2])
         return matmat(*args)
 
-    def spy_direct(S, b, **options):
+    def spy_radial(p, grid, b):
         systems.append(b)
-        return direct(S, b, **options)
+        return radial(p, grid, b)
 
     monkeypatch.setattr(sp._compressed, "csr_matmat", spy)
-    monkeypatch.setattr(sector_solver, "_direct_solve", spy_direct)
+    monkeypatch.setattr(sector_solver, "_radial_solve", spy_radial)
     grid = SectorGrid(GEO, R_MIN, R_MAX, 32, 32)
     res = solve(build(0.3, -0.8, grid)[0], grid)
     assert res.info["method"] == "separable"
@@ -988,11 +1058,11 @@ def test_solve_makes_no_sparse_matrix_product(build, solve, monkeypatch):
     for alpha, beta in ((1.5, 1.0), (1.5, 0.5 - 1e-8)):
         p = dataclasses.replace(build(alpha, beta, grid)[0], rhs=_wave)
         res = solve(p, grid)
-        assert res.info["method"] == "sparse_lu"
+        assert res.info["method"] == "radial"
         assert calls == [] and len(systems) == 1
         b = systems.pop()
         S = _composite_system(p, grid)
-        want = direct(S, b)
+        want = _direct_solve(S, b)
         got = res.info.get("w", res.solution).values[1:-1, 1:-1].ravel()
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         assert np.linalg.norm(S @ got - b) <= 1e-8 * np.linalg.norm(b)
